@@ -26,9 +26,9 @@ from .metrics import (CalibrationBins, PlattParams, auc_roc, binary_entropy,
 from .mlp import (MlpModel, TrainConfig, mc_dropout_predict, mlp_loss,
                   mlp_loss_and_grads, positive_weight, predict_mlp, train_mlp,
                   weighted_bce_loss)
-from .numeric import (AdamState, activation, adam_step, anchored_mean,
-                      as_matrix, dropout_mask, finite_difference_gradient,
-                      matmul, minimize_gd, sigmoid)
+from .numeric import (AdamState, adam_step, anchored_mean, dropout_mask,
+                      finite_difference_gradient, flatten, minibatch_adam,
+                      minimize_gd, sigmoid, unflatten)
 from .rng import SeededRng
 from .serialize import load_model, save_model
 from .vae import (VaeConfig, VaeModel, train_vae, vae_loss,

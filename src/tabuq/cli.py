@@ -12,8 +12,8 @@ Exit codes: 0 success, 1 config error, 2 data error, 3 training failure.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -24,7 +24,7 @@ from . import __version__
 from .data import Dataset, ToyConfig, apply_scaler, fit_scaler, generate_toy, grid_2d, load_csv, split
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
 from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, MethodSettings,
-                         Records, corruption_experiment, curve_experiment,
+                         Records, _scaled, corruption_experiment, curve_experiment,
                          ood_experiment, seed_sweep, toy_surfaces, train_method)
 from .mlp import TrainConfig
 from .rng import SeededRng
@@ -99,9 +99,11 @@ def _as_number(value, key: str) -> float:
     return float(value)
 
 
-def _as_int(value, key: str) -> int:
+def _as_int(value, key: str, minimum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"key {key!r} must be at least {minimum}, got {value}")
     return value
 
 
@@ -179,16 +181,15 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
             batch_size=batch_size, max_epochs=max_epochs, patience=patience)
         vae_cfg = VaeConfig(
             latent_dim=vae_latent,
-            batch_size=_as_int(_get(raw, "vae_batch_size", 256), "vae_batch_size"),
-            epochs=_as_int(_get(raw, "vae_epochs", 30), "vae_epochs"),
+            batch_size=_as_int(_get(raw, "vae_batch_size", 256), "vae_batch_size", 1),
+            epochs=_as_int(_get(raw, "vae_epochs", 30), "vae_epochs", 1),
             lr=_as_number(_get(raw, "vae_lr", 1e-3), "vae_lr"),
-            samples=_as_int(_get(raw, "vae_samples", 10), "vae_samples"))
+            samples=_as_int(_get(raw, "vae_samples", 10), "vae_samples", 1))
         settings = MethodSettings(
             mlp=mlp_cfg, vae=vae_cfg,
             ensemble_size=_as_int(_get(raw, "ensemble_size", 5), "ensemble_size"),
             mc_passes=_as_int(_get(raw, "mc_passes", 100), "mc_passes"),
             logistic_c=float("inf") if logistic_c is None else logistic_c,
-            vae_samples=_as_int(_get(raw, "vae_samples", 10), "vae_samples"),
             class_weighting=_as_bool(_get(raw, "class_weighting", False), "class_weighting"),
             standardize=standardize)
     except ParameterError as e:
@@ -285,10 +286,7 @@ def _execute(cfg: ExperimentConfig):
 
     def experiment(rng: SeededRng) -> Records:
         if cfg.experiment == "corrupt":
-            train, val, test = _seed_data(cfg, full, rng)
-            if cfg.settings.standardize:
-                scaler = fit_scaler(train)
-                train, val, test = (apply_scaler(scaler, d) for d in (train, val, test))
+            train, val, test = _scaled(cfg.settings, *_seed_data(cfg, full, rng))
             fitted = [train_method(m, train, val, cfg.settings, rng.split(m))
                       for m in cfg.methods]
             return corruption_experiment(fitted, test, cfg.factors,
@@ -330,16 +328,15 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    lines = [CSV_HEADER]
-    for seed, records in zip(sweep.seeds, sweep.per_seed):
-        for (method, context, metric), value in records.items():
-            lines.append(f"{cfg.experiment},{method},{seed},{context},{metric},"
-                         f"{format_value(value)}")
-    for label, agg in (("mean", sweep.mean), ("std", sweep.std)):
-        for (method, context, metric), value in agg.items():
-            lines.append(f"{cfg.experiment},{method},{label},{context},{metric},"
-                         f"{format_value(value)}")
-    (out / "results.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    # csv.writer quotes a field holding a comma or a quote, such as a context
+    # that names a feature "x,1"; every other field is written as is.
+    labelled = [*zip(sweep.seeds, sweep.per_seed), ("mean", sweep.mean), ("std", sweep.std)]
+    with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(CSV_HEADER.split(","))
+        writer.writerows((cfg.experiment, method, seed, context, metric, format_value(value))
+                         for seed, records in labelled
+                         for (method, context, metric), value in records.items())
 
     def record_list(records: Records) -> list:
         return [{"method": m, "context": c, "metric": k, "value": v}
@@ -381,11 +378,6 @@ def run(config_path, seed_override=None, out_override=None, quiet: bool = False)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config is not valid JSON: {e}") from e
         cfg = parse_config(raw, seed_override, out_override)
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-
-    try:
         sweep, surface_tables = _execute(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -8,7 +8,7 @@ experiments; they are never exposed to models as features.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -125,7 +125,6 @@ class CorruptionSpec:
 
     feature_index: int
     factor: float
-    n_features: int = 30
 
     def __post_init__(self):
         if self.factor <= 0:

@@ -29,7 +29,6 @@ from .rng import SeededRng
 from .vae import VaeConfig, train_vae, vae_novelty_score
 
 METHODS = ("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr", "vae")
-ORIGINS = ("test", "ood", "perturbed")
 DEFAULT_FRACTIONS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75,
                      0.80, 0.85, 0.90, 0.95, 1.00)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -40,34 +39,28 @@ Records = dict[RecordKey, "float | None"]
 
 @dataclass(frozen=True)
 class ScoredPredictions:
-    """Per-row probability, uncertainty, label, and origin for one method."""
+    """Per-row probability, uncertainty and label for one method."""
 
     probability: np.ndarray
     uncertainty: np.ndarray
     label: np.ndarray
     method: str
-    origin: np.ndarray
 
     def __post_init__(self):
         prob = np.asarray(self.probability, dtype=np.float64).ravel()
         unc = np.asarray(self.uncertainty, dtype=np.float64).ravel()
         lab = np.asarray(self.label, dtype=np.int64).ravel()
-        orig = np.asarray(self.origin).ravel()
-        if not (prob.size == unc.size == lab.size == orig.size):
+        if not (prob.size == unc.size == lab.size):
             raise ShapeError(
                 f"mismatched lengths: {prob.size} probabilities, {unc.size} "
-                f"uncertainties, {lab.size} labels, {orig.size} origins")
+                f"uncertainties, {lab.size} labels")
         if prob.size and (prob.min() < 0.0 or prob.max() > 1.0):
             raise ParameterError("probabilities must lie in [0, 1]")
         if self.method not in METHODS:
             raise ParameterError(f"unknown method tag {self.method!r}")
-        bad = set(orig.tolist()) - set(ORIGINS)
-        if bad:
-            raise ParameterError(f"unknown origin tags {sorted(bad)}")
         object.__setattr__(self, "probability", prob)
         object.__setattr__(self, "uncertainty", unc)
         object.__setattr__(self, "label", lab)
-        object.__setattr__(self, "origin", orig)
 
     @property
     def n(self) -> int:
@@ -112,7 +105,6 @@ class MethodSettings:
     ensemble_size: int = 5
     mc_passes: int = 100
     logistic_c: float = 1e-2
-    vae_samples: int = 10
     class_weighting: bool = False
     standardize: bool = True
 
@@ -164,7 +156,7 @@ def train_method(name: str, train: Dataset, val: Dataset,
         predict = lambda X: ensemble_predict(model, X)
     elif name == "vae":
         model = train_vae(train, settings.vae, rng.split("model"))
-        uncertainty = lambda X: vae_novelty_score(model, X, settings.vae_samples,
+        uncertainty = lambda X: vae_novelty_score(model, X, settings.vae.samples,
                                                   rng.split("score"))
         return FittedMethod(name=name, predict=None, uncertainty=uncertainty,
                             model=model)
@@ -242,8 +234,7 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
             records[(name, "platt", "a")] = params.a
             records[(name, "platt", "b")] = params.b
         sp = ScoredPredictions(probability=probs, uncertainty=uncertainty,
-                               label=test.labels, method=name,
-                               origin=np.full(test.n, "test"))
+                               label=test.labels, method=name)
         for point in confidence_performance(sp, fractions):
             ctx = f"f={point.fraction:.2f}"
             records[(name, ctx, "auc")] = point.auc
@@ -302,8 +293,7 @@ def corruption_experiment(methods, test: Dataset, factors=(10, 1000),
         for factor in factors:
             aucs = []
             for j in chosen:
-                spec = CorruptionSpec(feature_index=int(j), factor=factor,
-                                      n_features=n_features)
+                spec = CorruptionSpec(feature_index=int(j), factor=factor)
                 perturbed = corrupt_feature(test, spec)
                 scores = np.concatenate([clean, fitted.uncertainty(perturbed.features)])
                 auc = auc_roc(scores, is_pert)

@@ -1,19 +1,22 @@
 """Class-weighted MLP classifier with hand-derived backpropagation.
 
 Architecture: fully connected, relu hidden layers with inverted dropout,
-sigmoid output. Trained with minibatch Adam on the weighted binary
-cross-entropy; early stopping restores the best-validation-epoch snapshot.
+sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
+binary cross-entropy over one flat vector of every weight and bias; the
+model's arrays are views into it. After each epoch the validation loss
+decides early stopping, which restores the best-validation-epoch snapshot.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
-from .numeric import AdamState, activation, adam_step, anchored_mean, dropout_mask
+from .numeric import (anchored_mean, dropout_mask, flatten, minibatch_adam,
+                      sigmoid, unflatten)
 from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
@@ -29,16 +32,22 @@ class MlpModel:
     dropout_rate: float = 0.5
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
-
-    @property
     def n_inputs(self) -> int:
         return self.weights[0].shape[0]
 
     @property
     def n_hidden_layers(self) -> int:
         return len(self.weights) - 1
+
+    def params(self) -> tuple[np.ndarray, ...]:
+        """Every parameter array, all weights then all biases (the flat order)."""
+        return (*self.weights, *self.biases)
+
+    def with_flat(self, flat: np.ndarray) -> "MlpModel":
+        """The same architecture with parameters viewed from a flat vector."""
+        arrays = unflatten(flat, self.params())
+        k = len(self.weights)
+        return MlpModel(tuple(arrays[:k]), tuple(arrays[k:]), self.dropout_rate)
 
 
 @dataclass(frozen=True)
@@ -112,12 +121,12 @@ def _forward(model: MlpModel, X: np.ndarray,
     for i in range(model.n_hidden_layers):
         z = h @ model.weights[i] + model.biases[i]
         pre_acts.append(z)
-        h, _ = activation("relu", z)
+        h = np.maximum(z, 0.0)
         if masks is not None:
             h = h * masks[i]
         inputs.append(h)
     z_out = h @ model.weights[-1] + model.biases[-1]
-    y_hat, _ = activation("sigmoid", z_out)
+    y_hat = sigmoid(z_out)
     return y_hat, inputs, pre_acts
 
 
@@ -175,33 +184,8 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
             dh = delta @ model.weights[i].T
             if masks is not None:
                 dh = dh * masks[i - 1]
-            _, relu_grad = activation("relu", pre_acts[i - 1])
-            delta = dh * relu_grad
+            delta = dh * (pre_acts[i - 1] > 0)
     return loss, grads_w, grads_b
-
-
-def flatten_params(model: MlpModel) -> np.ndarray:
-    """All parameters as one vector, weights-then-bias per layer."""
-    parts = []
-    for w, b in zip(model.weights, model.biases):
-        parts.append(w.ravel())
-        parts.append(b.ravel())
-    return np.concatenate(parts)
-
-
-def with_params(model: MlpModel, flat: np.ndarray) -> MlpModel:
-    """Rebuild a model of the same shape from a flat parameter vector."""
-    flat = np.asarray(flat, dtype=np.float64)
-    weights, biases = [], []
-    pos = 0
-    for w, b in zip(model.weights, model.biases):
-        weights.append(flat[pos:pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(flat[pos:pos + b.size].reshape(b.shape).copy())
-        pos += b.size
-    if pos != flat.size:
-        raise ShapeError(f"parameter vector has {flat.size} entries, model needs {pos}")
-    return replace(model, weights=tuple(weights), biases=tuple(biases))
 
 
 def init_mlp(n_features: int, cfg: TrainConfig, rng: SeededRng) -> MlpModel:
@@ -221,8 +205,9 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
               rng: SeededRng) -> MlpModel:
     """Minibatch Adam on the weighted BCE with dropout; returns best-val snapshot.
 
-    The epoch shuffle, dropout masks, and init each draw from their own child
-    stream of rng, so two runs with the same seed are bitwise identical.
+    The init, the epoch shuffle and the dropout masks each draw from their
+    own child stream of rng, so two runs with the same seed are bitwise
+    identical.
     """
     if train.n < 1:
         raise DataError("training set is empty")
@@ -232,30 +217,21 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
         raise ShapeError(f"train has {train.d} features, val has {val.d}")
 
     model = init_mlp(train.d, cfg, rng.split("init"))
-    states = [AdamState.for_params(p, lr=cfg.lr)
-              for p in (*model.weights, *model.biases)]
-    shuffle_rng = rng.split("shuffle")
-    dropout_rng = rng.split("dropout")
+
+    def loss_and_grads(flat, idx, batch_rng):
+        m = model.with_flat(flat)
+        masks = _make_masks(m, len(idx), batch_rng)
+        loss, gw, gb = mlp_loss_and_grads(m, train.features[idx], train.labels[idx],
+                                          cfg.class_weighting, masks)
+        return loss, flatten((*gw, *gb))
 
     best: MlpModel | None = None
     best_loss = np.inf
     epochs_since_improve = 0
-    for epoch in range(cfg.max_epochs):
-        order = shuffle_rng.split(str(epoch)).permutation(train.n)
-        for b, start in enumerate(range(0, train.n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            X, y = train.features[idx], train.labels[idx]
-            masks = _make_masks(model, len(idx), dropout_rng.split(f"{epoch}.{b}"))
-            loss, gw, gb = mlp_loss_and_grads(model, X, y, cfg.class_weighting, masks)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            new_params = []
-            for p, g, s in zip((*model.weights, *model.biases), (*gw, *gb), states):
-                p_new, _ = adam_step(p, g, s)
-                new_params.append(p_new)
-            k = len(model.weights)
-            model = replace(model, weights=tuple(new_params[:k]),
-                            biases=tuple(new_params[k:]))
+    for epoch, flat in minibatch_adam(flatten(model.params()), loss_and_grads,
+                                      train.n, cfg.batch_size, cfg.max_epochs,
+                                      cfg.lr, rng, "dropout"):
+        model = model.with_flat(flat)
         if cfg.patience is None:
             continue
         val_loss = mlp_loss(model, val.features, val.labels, cfg.class_weighting)

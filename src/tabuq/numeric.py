@@ -7,30 +7,13 @@ branch that never overflows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import dataclass
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParameterError, ShapeError
+from .errors import ParameterError, ShapeError, TrainingError
 from .rng import SeededRng
-
-
-def as_matrix(x) -> np.ndarray:
-    """Coerce to a 2-D float64 array."""
-    a = np.asarray(x, dtype=np.float64)
-    if a.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got ndim={a.ndim}")
-    return a
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product with an explicit shape check."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"cannot multiply {a.shape} by {b.shape}: inner dimensions differ")
-    return a @ b
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
@@ -42,23 +25,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def activation(kind: str, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Elementwise activation value and derivative at x.
-
-    kind: "relu" or "sigmoid". The relu derivative at exactly 0 is taken as 0.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if kind == "relu":
-        value = np.maximum(x, 0.0)
-        deriv = (x > 0).astype(np.float64)
-    elif kind == "sigmoid":
-        value = sigmoid(x)
-        deriv = value * (1.0 - value)
-    else:
-        raise ParameterError(f"unknown activation kind {kind!r}")
-    return value, deriv
 
 
 def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
@@ -75,9 +41,9 @@ def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
 
 @dataclass
 class AdamState:
-    """Adam moment estimates for one parameter array.
+    """Adam moment estimates for one flat parameter vector.
 
-    Owned by exactly one training loop; `step` mutates it in place.
+    Owned by exactly one training loop; `adam_step` mutates it in place.
     """
 
     m: np.ndarray
@@ -110,6 +76,51 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
     v_hat = state.v / (1.0 - state.beta2 ** state.t)
     new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
     return new_params, state
+
+
+def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The arrays raveled and concatenated, in order, into one float64 vector."""
+    return np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
+
+
+def unflatten(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Views into `flat` with the shapes of `like`, in order; inverse of flatten."""
+    flat = np.asarray(flat, dtype=np.float64)
+    out, pos = [], 0
+    for a in like:
+        out.append(flat[pos:pos + a.size].reshape(a.shape))
+        pos += a.size
+    if pos != flat.size:
+        raise ShapeError(f"parameter vector has {flat.size} entries, model needs {pos}")
+    return out
+
+
+def minibatch_adam(flat: np.ndarray,
+                   loss_and_grads: Callable[[np.ndarray, np.ndarray, SeededRng],
+                                            tuple[float, np.ndarray]],
+                   n_rows: int, batch_size: int, epochs: int, lr: float,
+                   rng: SeededRng, noise: str) -> Iterator[tuple[int, np.ndarray]]:
+    """Minibatch Adam over a flat parameter vector; yields (epoch, params) per epoch.
+
+    Each epoch visits the rows in the order of rng/shuffle/<epoch>, in batches
+    of `batch_size`. Batch b of epoch e calls loss_and_grads(params, row
+    indices, rng/<noise>/<e>.<b>), which returns the batch loss and the flat
+    gradient. A non-finite loss raises TrainingError. The caller may stop
+    early by leaving the loop; every yielded vector stays valid, because each
+    step returns a new one.
+    """
+    state = AdamState.for_params(flat, lr=lr)
+    shuffle_rng = rng.split("shuffle")
+    noise_rng = rng.split(noise)
+    for epoch in range(epochs):
+        order = shuffle_rng.split(str(epoch)).permutation(n_rows)
+        for b, start in enumerate(range(0, n_rows, batch_size)):
+            idx = order[start:start + batch_size]
+            loss, grads = loss_and_grads(flat, idx, noise_rng.split(f"{epoch}.{b}"))
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite training loss at epoch {epoch}")
+            flat, _ = adam_step(flat, grads, state)
+        yield epoch, flat
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,

@@ -3,26 +3,27 @@
 Encoder and decoder are single linear maps (no hidden layers). The encoder
 produces a diagonal Gaussian over the latent space; the decoder produces a
 diagonal Gaussian over feature space with a learned per-dimension variance.
-Training minimizes the negative ELBO with one reparameterized latent sample
+Training runs `numeric.minibatch_adam` on the negative ELBO over one flat
+vector of all eight parameter arrays, with one reparameterized latent sample
 per datum per step; log-variances are clamped to [-10, 10].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, ParameterError, ShapeError, TrainingError
-from .numeric import AdamState, adam_step
+from .errors import DataError, ParameterError, ShapeError
+from .numeric import flatten, minibatch_adam, unflatten
 from .rng import SeededRng
 
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Parameter ordering used by flatten/with_params and the trainer.
+# Parameter ordering of the flat vector and of the model files.
 PARAM_FIELDS = ("enc_w_mu", "enc_b_mu", "enc_w_lv", "enc_b_lv",
                 "dec_w_mu", "dec_b_mu", "dec_w_lv", "dec_b_lv")
 
@@ -47,7 +48,12 @@ class VaeModel:
         return self.enc_w_mu.shape[1]
 
     def params(self) -> tuple[np.ndarray, ...]:
+        """Every parameter array in PARAM_FIELDS order (the flat order)."""
         return tuple(getattr(self, name) for name in PARAM_FIELDS)
+
+    def with_flat(self, flat: np.ndarray) -> "VaeModel":
+        """The same shapes with parameters viewed from a flat vector."""
+        return VaeModel(*unflatten(flat, self.params()))
 
 
 @dataclass(frozen=True)
@@ -154,23 +160,6 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray
                   g_dec_w_mu, g_dec_b_mu, g_dec_w_lv, g_dec_b_lv)
 
 
-def flatten_vae_params(model: VaeModel) -> np.ndarray:
-    return np.concatenate([p.ravel() for p in model.params()])
-
-
-def vae_with_params(model: VaeModel, flat: np.ndarray) -> VaeModel:
-    flat = np.asarray(flat, dtype=np.float64)
-    updates = {}
-    pos = 0
-    for name in PARAM_FIELDS:
-        p = getattr(model, name)
-        updates[name] = flat[pos:pos + p.size].reshape(p.shape).copy()
-        pos += p.size
-    if pos != flat.size:
-        raise ShapeError(f"parameter vector has {flat.size} entries, model needs {pos}")
-    return replace(model, **updates)
-
-
 def init_vae(n_features: int, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
     """Uniform init with bound 1/sqrt(fan_in) per map, like the MLP layers."""
     enc_bound = 1.0 / np.sqrt(n_features)
@@ -193,24 +182,16 @@ def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
     if train.n < 1:
         raise DataError("training set is empty")
     model = init_vae(train.d, cfg, rng.split("init"))
-    states = [AdamState.for_params(p, lr=cfg.lr) for p in model.params()]
-    shuffle_rng = rng.split("shuffle")
-    eps_rng = rng.split("eps")
-    for epoch in range(cfg.epochs):
-        order = shuffle_rng.split(str(epoch)).permutation(train.n)
-        for b, start in enumerate(range(0, train.n, cfg.batch_size)):
-            idx = order[start:start + cfg.batch_size]
-            X = train.features[idx]
-            eps = eps_rng.split(f"{epoch}.{b}").normal((len(idx), cfg.latent_dim))
-            loss, grads = vae_loss_and_grads(model, X, eps)
-            if not np.isfinite(loss):
-                raise TrainingError(f"non-finite VAE loss at epoch {epoch}")
-            updates = {}
-            for name, p, g, st in zip(PARAM_FIELDS, model.params(), grads, states):
-                p_new, _ = adam_step(p, g, st)
-                updates[name] = p_new
-            model = replace(model, **updates)
-    return model
+
+    def loss_and_grads(flat, idx, batch_rng):
+        eps = batch_rng.normal((len(idx), cfg.latent_dim))
+        loss, grads = vae_loss_and_grads(model.with_flat(flat), train.features[idx], eps)
+        return loss, flatten(grads)
+
+    for _, flat in minibatch_adam(flatten(model.params()), loss_and_grads, train.n,
+                                  cfg.batch_size, cfg.epochs, cfg.lr, rng, "eps"):
+        pass
+    return model.with_flat(flat)
 
 
 def vae_novelty_score(model: VaeModel, X: np.ndarray, S: int = 10,

@@ -27,10 +27,9 @@ from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
 from tabuq.evaluation import (METHODS, MethodSettings, ScoredPredictions,
                               confidence_performance, corruption_experiment,
                               ood_experiment, train_method)
-from tabuq.mlp import _make_masks, flatten_params, init_mlp, with_params
-from tabuq.numeric import sigmoid
-from tabuq.vae import (flatten_vae_params, init_vae, vae_loss_and_grads,
-                       vae_with_params)
+from tabuq.mlp import _make_masks, init_mlp
+from tabuq.numeric import flatten, sigmoid
+from tabuq.vae import init_vae, vae_loss_and_grads
 
 GRAD_TOL = 1e-4
 
@@ -64,13 +63,10 @@ def test_criterion_1_gradient_correctness():
         masks = _make_masks(model, n, rng.split("mask"))
         weighting = bool(i % 2)
         _, gw, gb = mlp_loss_and_grads(model, X, y, weighting, masks)
-        grads = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                                for w, b in zip(gw, gb)])
         fd = finite_difference_gradient(
-            lambda flat: mlp_loss(with_params(model, flat.ravel()), X, y,
-                                  weighting, masks),
-            flatten_params(model).reshape(1, -1)).ravel()
-        worst = max(worst, max_rel_err(grads, fd))
+            lambda flat: mlp_loss(model.with_flat(flat), X, y, weighting, masks),
+            flatten(model.params()))
+        worst = max(worst, max_rel_err(flatten((*gw, *gb)), fd))
         checks += 1
     for i in range(8):
         rng = SeededRng(200 + i)
@@ -81,11 +77,10 @@ def test_criterion_1_gradient_correctness():
         X = rng.split("x").normal((n, d))
         eps = rng.split("eps").normal((n, latent))
         _, grads = vae_loss_and_grads(model, X, eps)
-        flat = np.concatenate([g.ravel() for g in grads])
         fd = finite_difference_gradient(
-            lambda q: vae_loss(vae_with_params(model, q.ravel()), X, eps),
-            flatten_vae_params(model).reshape(1, -1)).ravel()
-        worst = max(worst, max_rel_err(flat, fd))
+            lambda q: vae_loss(model.with_flat(q), X, eps),
+            flatten(model.params()))
+        worst = max(worst, max_rel_err(flatten(grads), fd))
         checks += 1
     elapsed = time.perf_counter() - t0
     ok = worst <= GRAD_TOL and elapsed < 30.0
@@ -150,8 +145,7 @@ def confident_quintile_positive_fraction(weighting: bool) -> float:
                               rng.split("m"))
         sp = ScoredPredictions(probability=fitted.predict(test.features),
                                uncertainty=fitted.uncertainty(test.features),
-                               label=test.labels, method="nn-ensemble",
-                               origin=np.full(test.n, "test"))
+                               label=test.labels, method="nn-ensemble")
         fracs.append(confidence_performance(sp, fractions=(0.2,))[0]
                      .positive_fraction)
     return float(np.mean(fracs))
@@ -193,8 +187,7 @@ def test_criterion_5_confidence_performance_direction():
                               rng.split("m"))
         sp = ScoredPredictions(probability=fitted.predict(test.features),
                                uncertainty=fitted.uncertainty(test.features),
-                               label=test.labels, method="nn-ensemble",
-                               origin=np.full(test.n, "test"))
+                               label=test.labels, method="nn-ensemble")
         p60, p100 = confidence_performance(sp, fractions=(0.6, 1.0))
         a60.append(p60.auc)
         a100.append(p100.auc)

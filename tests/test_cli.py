@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -200,6 +201,28 @@ class TestRun:
         cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
                                       "out_dir": str(tmp_path / "out")})
         assert run(cfg, quiet=True) == 2
+
+    def test_zero_vae_samples_exits_1_naming_the_key(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**FAST, "vae_samples": 0})
+        assert run(cfg, quiet=True) == 1
+        assert "vae_samples" in capsys.readouterr().err
+
+    def test_feature_names_with_comma_and_quote_stay_six_fields(self, tmp_path):
+        data = tmp_path / "odd.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x,1", 'q"2', "label"])
+            writer.writerows([i % 5 - 2.0, (i * 7) % 11 / 3.0, i % 2] for i in range(40))
+        cfg = write_config(tmp_path, {
+            **FAST, "dataset": f"csv:{data}", "experiment": "corrupt",
+            "factors": [10], "n_corrupt_features": 2,
+            "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 0
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert all(len(r) == 6 for r in rows)
+        contexts = {r[3] for r in rows}
+        assert {"factor=10.feature=x,1", 'factor=10.feature=q"2'} <= contexts
 
     def test_nan_feature_exits_3(self, tmp_path, capsys):
         # A literal nan cell parses as float NaN, so the first training loss

@@ -17,11 +17,9 @@ from conftest import make_dataset
 
 
 def scored(probability, uncertainty, label, method="single-nn"):
-    n = len(probability)
     return ScoredPredictions(probability=np.asarray(probability, dtype=float),
                              uncertainty=np.asarray(uncertainty, dtype=float),
-                             label=np.asarray(label), method=method,
-                             origin=np.full(n, "test"))
+                             label=np.asarray(label), method=method)
 
 
 class TestScoredPredictions:
@@ -29,7 +27,7 @@ class TestScoredPredictions:
         with pytest.raises(ShapeError):
             ScoredPredictions(probability=np.zeros(3), uncertainty=np.zeros(2),
                               label=np.zeros(3, dtype=np.int64),
-                              method="single-nn", origin=np.full(3, "test"))
+                              method="single-nn")
 
     def test_probability_range(self):
         with pytest.raises(ParameterError):
@@ -38,12 +36,6 @@ class TestScoredPredictions:
     def test_unknown_method(self):
         with pytest.raises(ParameterError):
             scored([0.5], [0.1], [1], method="oracle")
-
-    def test_unknown_origin(self):
-        with pytest.raises(ParameterError):
-            ScoredPredictions(probability=np.zeros(1), uncertainty=np.zeros(1),
-                              label=np.zeros(1, dtype=np.int64),
-                              method="single-nn", origin=np.array(["train"]))
 
 
 class TestConfidencePerformance:

@@ -8,7 +8,8 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig,
                    mlp_loss, mlp_loss_and_grads, positive_weight, predict_mlp,
                    train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
-from tabuq.mlp import _make_masks, flatten_params, init_mlp, with_params
+from tabuq.mlp import _make_masks, init_mlp
+from tabuq.numeric import flatten
 
 from conftest import make_dataset
 
@@ -55,7 +56,6 @@ class TestInitAndParams:
         m = init_mlp(3, cfg, SeededRng(0))
         assert [w.shape for w in m.weights] == [(3, 7), (7, 4), (4, 1)]
         assert [b.shape for b in m.biases] == [(7,), (4,), (1,)]
-        assert m.layer_sizes == (3, 7, 4, 1)
 
     def test_fan_in_bound(self):
         m = init_mlp(9, TrainConfig(hidden=(16,)), SeededRng(1))
@@ -71,9 +71,8 @@ class TestInitAndParams:
 
     def test_flatten_roundtrip_is_bitwise(self):
         m = init_mlp(5, TrainConfig(hidden=(6, 3)), SeededRng(3))
-        flat = flatten_params(m)
-        m2 = with_params(m, flat)
-        for a, b in zip(m.weights + m.biases, m2.weights + m2.biases):
+        m2 = m.with_flat(flatten(m.params()))
+        for a, b in zip(m.params(), m2.params(), strict=True):
             np.testing.assert_array_equal(a, b)
         X = SeededRng(4).normal((10, 5))
         np.testing.assert_array_equal(predict_mlp(m, X), predict_mlp(m2, X))
@@ -118,15 +117,12 @@ class TestGradients:
         masks = _make_masks(model, 9, rng.split("mask"))
 
         _, grads_w, grads_b = mlp_loss_and_grads(model, X, y, weighting, masks)
-        grads = np.concatenate([np.concatenate([w.ravel(), b.ravel()])
-                                for w, b in zip(grads_w, grads_b)])
+        grads = flatten((*grads_w, *grads_b))
 
         def f(flat):
-            return mlp_loss(with_params(model, flat.ravel()), X, y,
-                            weighting, masks)
+            return mlp_loss(model.with_flat(flat), X, y, weighting, masks)
 
-        fd = finite_difference_gradient(
-            f, flatten_params(model).reshape(1, -1)).ravel()
+        fd = finite_difference_gradient(f, flatten(model.params()))
         denom = np.maximum(1e-8, np.abs(grads) + np.abs(fd))
         assert (np.abs(grads - fd) / denom).max() < 1e-4
 

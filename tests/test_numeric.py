@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,39 +10,13 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from tabuq import (AdamState, SeededRng, activation, adam_step, anchored_mean,
-                   as_matrix, dropout_mask, finite_difference_gradient, matmul,
-                   minimize_gd, sigmoid)
-from tabuq.errors import ParameterError, ShapeError
+import tabuq
+from tabuq import (AdamState, SeededRng, adam_step, anchored_mean, dropout_mask,
+                   finite_difference_gradient, flatten, minibatch_adam,
+                   minimize_gd, sigmoid, unflatten)
+from tabuq.errors import ParameterError, ShapeError, TrainingError
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
-
-
-def test_as_matrix_coerces_to_2d_float64():
-    m = as_matrix([[1, 2], [3, 4]])
-    assert m.dtype == np.float64 and m.shape == (2, 2)
-    with pytest.raises(ShapeError):
-        as_matrix([1.0, 2.0, 3.0])
-
-
-def test_matmul_identity():
-    m = np.arange(9, dtype=np.float64).reshape(3, 3)
-    np.testing.assert_array_equal(matmul(np.eye(3), m), m)
-
-
-def test_matmul_hand_example():
-    out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
-    np.testing.assert_array_equal(out, [[3.0], [7.0]])
-
-
-def test_matmul_empty_inner_dimension():
-    np.testing.assert_array_equal(matmul(np.zeros((1, 0)), np.zeros((0, 1))),
-                                  [[0.0]])
-
-
-def test_matmul_mismatch_names_both_shapes():
-    with pytest.raises(ShapeError, match=r"2.*3|\(2, 2\).*\(3, 1\)"):
-        matmul(np.zeros((2, 2)), np.zeros((3, 1)))
 
 
 def test_sigmoid_basics():
@@ -52,22 +30,6 @@ def test_sigmoid_symmetry_and_range(x):
     s = sigmoid(x)
     assert ((0 <= s) & (s <= 1)).all()
     np.testing.assert_allclose(s + sigmoid(-x), 1.0, atol=1e-12)
-
-
-def test_activation_relu():
-    value, deriv = activation("relu", np.array([-3.0, 0.0, 2.0]))
-    np.testing.assert_array_equal(value, [0.0, 0.0, 2.0])
-    np.testing.assert_array_equal(deriv, [0.0, 0.0, 1.0])
-
-
-def test_activation_sigmoid():
-    value, deriv = activation("sigmoid", np.array([0.0]))
-    assert value[0] == 0.5 and deriv[0] == 0.25
-
-
-def test_activation_unknown_kind():
-    with pytest.raises(ParameterError, match="tanh"):
-        activation("tanh", np.zeros(1))
 
 
 def test_dropout_mask_rate_zero_is_identity():
@@ -130,6 +92,106 @@ def test_adam_descends_quadratic():
     for _ in range(3000):
         p, state = adam_step(p, 2 * p, state)
     assert np.abs(p).max() < 1e-3
+
+
+def test_flatten_unflatten_roundtrip_gives_views():
+    arrays = [np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0]), np.array([[8.0]])]
+    flat = flatten(arrays)
+    np.testing.assert_array_equal(flat, np.arange(9.0))
+    parts = unflatten(flat, arrays)
+    for a, b in zip(arrays, parts, strict=True):
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+        assert np.shares_memory(b, flat)
+
+
+def test_unflatten_size_mismatch():
+    with pytest.raises(ShapeError, match="5 entries.*needs 4"):
+        unflatten(np.zeros(5), [np.zeros((2, 2))])
+
+
+def test_adam_on_flat_vector_matches_per_array_bitwise():
+    # Adam is elementwise, so one state over the concatenation takes the
+    # same steps as one state per array.
+    rng = SeededRng(3)
+    arrays = [rng.split("a").normal((4, 3)), rng.split("b").normal(3)]
+    states = [AdamState.for_params(a, lr=0.01) for a in arrays]
+    flat = flatten(arrays)
+    flat_state = AdamState.for_params(flat, lr=0.01)
+    for step in range(5):
+        grads = [rng.split(f"g{step}.{i}").normal(a.shape) for i, a in enumerate(arrays)]
+        arrays = [adam_step(a, g, s)[0] for a, g, s in zip(arrays, grads, states)]
+        flat, _ = adam_step(flat, flatten(grads), flat_state)
+    assert flatten(arrays).tobytes() == flat.tobytes()
+
+
+def test_minibatch_adam_batches_streams_and_epochs():
+    seen = []
+
+    def loss_and_grads(flat, idx, batch_rng):
+        seen.append((sorted(idx.tolist()), batch_rng.path))
+        return float(flat @ flat), 2.0 * flat
+
+    root = SeededRng(0, ("fit",))
+    epochs = [(epoch, flat.copy()) for epoch, flat in minibatch_adam(
+        np.ones(2), loss_and_grads, 5, 2, 3, 0.1, root, "noise")]
+    assert [e for e, _ in epochs] == [0, 1, 2]
+    assert epochs[-1][1][0] < epochs[0][1][0] < 1.0
+    assert [path for _, path in seen[:3]] == [("fit", "noise", f"0.{b}") for b in range(3)]
+    for epoch in range(3):
+        rows = [i for idx, _ in seen[3 * epoch:3 * epoch + 3] for i in idx]
+        assert sorted(rows) == [0, 1, 2, 3, 4]
+    first_epoch = root.split("shuffle").split("0").permutation(5)
+    assert seen[0][0] == sorted(first_epoch[:2].tolist())
+
+
+def test_minibatch_adam_non_finite_loss_names_epoch():
+    def loss_and_grads(flat, idx, batch_rng):
+        return float("nan"), np.zeros_like(flat)
+
+    with pytest.raises(TrainingError, match="epoch 0"):
+        next(minibatch_adam(np.zeros(3), loss_and_grads, 4, 2, 1, 0.1,
+                            SeededRng(0), "noise"))
+
+
+# sha256 of the trained parameter bytes, recorded before the MLP and the VAE
+# shared one trainer. Any change that moves a random stream or reorders
+# arithmetic changes them. The fits run in a child with one BLAS thread,
+# because a threaded matrix product may sum in another order; the digests
+# hold for numpy's OpenBLAS build on x86-64.
+TRAINED_DIGESTS = {
+    "mlp-toy": "90dd939de1c73da3dc40a96ca93b5d479975a341009a3f4abaf13765de038203",
+    "mlp-100x100": "d24bcacc25408090d1d55330bc403aaa09ec6c36fb560e835d531beb5c36ea3b",
+    "vae-toy": "8a62507157477ec1a2b4f8ebeb6bbe968a7527c8a48b97a1caf5472a7063bfb1",
+}
+
+TRAINING_SCRIPT = """
+import hashlib
+from tabuq import (SeededRng, ToyConfig, TrainConfig, VaeConfig, generate_synthetic,
+                   generate_toy, split, train_mlp, train_vae)
+
+def digest(arrays):
+    return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+
+rng = SeededRng(0)
+toy = ToyConfig(mode="unbalanced")
+train, val = generate_toy(toy, rng.split("train")), generate_toy(toy, rng.split("val"))
+m = train_mlp(train, val, TrainConfig.toy(class_weighting=True), SeededRng(1))
+print("mlp-toy", digest(m.params()))
+tr, va, _ = split(generate_synthetic(SeededRng(3), n=600), (0.6, 0.2, 0.2), SeededRng(4))
+m = train_mlp(tr, va, TrainConfig(hidden=(100, 100), max_epochs=2, patience=1), SeededRng(5))
+print("mlp-100x100", digest(m.params()))
+print("vae-toy", digest(train_vae(train, VaeConfig.toy(), SeededRng(2)).params()))
+"""
+
+
+def test_trained_parameters_keep_their_bits():
+    src = Path(tabuq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", TRAINING_SCRIPT], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert dict(line.split() for line in out.splitlines()) == TRAINED_DIGESTS
 
 
 def test_finite_difference_on_square():

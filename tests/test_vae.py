@@ -6,10 +6,10 @@ import pytest
 from tabuq import (SeededRng, VaeConfig, finite_difference_gradient,
                    train_vae, vae_loss, vae_novelty_score)
 from tabuq.errors import ShapeError, TrainingError
+from tabuq.numeric import flatten
 from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _decode, _encode,
-                       decoder_nll, flatten_vae_params, init_vae,
-                       kl_to_standard_normal, vae_loss_and_grads,
-                       vae_with_params)
+                       decoder_nll, init_vae, kl_to_standard_normal,
+                       vae_loss_and_grads)
 
 from conftest import make_dataset
 
@@ -37,8 +37,8 @@ class TestInitAndShapes:
 
     def test_flatten_roundtrip(self):
         m = init_vae(6, VaeConfig(latent_dim=3), SeededRng(2))
-        m2 = vae_with_params(m, flatten_vae_params(m))
-        for a, b in zip(m.params(), m2.params()):
+        m2 = m.with_flat(flatten(m.params()))
+        for a, b in zip(m.params(), m2.params(), strict=True):
             np.testing.assert_array_equal(a, b)
 
 
@@ -84,13 +84,12 @@ class TestGradients:
         eps = rng.split("eps").normal((7, 3))
 
         _, grads = vae_loss_and_grads(model, X, eps)
-        flat_grads = np.concatenate([g.ravel() for g in grads])
+        flat_grads = flatten(grads)
 
         def f(flat):
-            return vae_loss(vae_with_params(model, flat.ravel()), X, eps)
+            return vae_loss(model.with_flat(flat), X, eps)
 
-        fd = finite_difference_gradient(
-            f, flatten_vae_params(model).reshape(1, -1)).ravel()
+        fd = finite_difference_gradient(f, flatten(model.params()))
         denom = np.maximum(1e-8, np.abs(flat_grads) + np.abs(fd))
         assert (np.abs(flat_grads - fd) / denom).max() < 1e-4
 
