@@ -10,7 +10,7 @@ import argparse
 import numpy as np
 
 from tabuq import SeededRng
-from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
+from tabuq.data import generate_synthetic, split
 from tabuq.evaluation import METHODS, MethodSettings, curve_experiment
 
 
@@ -31,10 +31,8 @@ def main() -> None:
     for seed in args.seeds:
         rng = SeededRng(seed)
         data = generate_synthetic(rng.split("data"))
+        # curve_experiment standardizes on the training split itself.
         train, val, test = split(data, (0.6, 0.2, 0.2), rng.split("split"))
-        scaler = fit_scaler(train)
-        train, val, test = (apply_scaler(scaler, d)
-                            for d in (train, val, test))
         per_seed.append(curve_experiment(train, val, test, args.methods,
                                          settings, rng.split("curve"),
                                          tuple(args.fractions), args.platt))

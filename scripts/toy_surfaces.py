@@ -2,6 +2,7 @@
 
 Trains every method on a fresh toy draw, evaluates probability, entropy and
 (for the VAE) novelty over a regular grid, and writes one CSV per method.
+The VAE's probability and entropy come from its paired single NN.
 The weighted/unweighted contrast on the unbalanced mode is the interesting
 part: weighting opens up a confident positive region over the minority
 cluster that the unweighted model never commits to.
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from tabuq import SeededRng, ToyConfig, generate_toy, grid_2d
-from tabuq.evaluation import METHODS, MethodSettings, toy_surfaces, train_method
+from tabuq.evaluation import METHODS, MethodSettings, toy_surfaces, train_with_classifier
 
 
 def main() -> None:
@@ -38,7 +39,7 @@ def main() -> None:
 
     args.out.mkdir(parents=True, exist_ok=True)
     for name in METHODS:
-        fitted = train_method(name, train, val, settings, rng.split(name))
+        fitted = train_with_classifier(name, train, val, settings, rng)
         surfaces = toy_surfaces(fitted, grid)
         columns = ["x1", "x2"] + sorted(surfaces)
         table = np.column_stack([grid] + [surfaces[c] for c in columns[2:]])

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -25,7 +26,8 @@ from .data import Dataset, ToyConfig, apply_scaler, fit_scaler, generate_toy, gr
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
 from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, MethodSettings,
                          Records, _scaled, corruption_experiment, curve_experiment,
-                         ood_experiment, seed_sweep, toy_surfaces, train_method)
+                         ood_experiment, seed_sweep, toy_surfaces, train_method,
+                         train_with_classifier)
 from .mlp import TrainConfig
 from .rng import SeededRng
 from .vae import VaeConfig
@@ -83,10 +85,6 @@ def _require(raw: dict, key: str):
     return raw[key]
 
 
-def _get(raw: dict, key: str, default):
-    return raw.get(key, default)
-
-
 def _as_bool(value, key: str) -> bool:
     if not isinstance(value, bool):
         raise ConfigError(f"key {key!r} must be true or false, got {value!r}")
@@ -105,6 +103,17 @@ def _as_int(value, key: str, minimum: int | None = None) -> int:
     if minimum is not None and value < minimum:
         raise ConfigError(f"key {key!r} must be at least {minimum}, got {value}")
     return value
+
+
+def _as_numbers(raw: dict, key: str, default, valid, rule: str) -> tuple[float, ...]:
+    values = raw.get(key, list(default))
+    if not isinstance(values, list) or not values:
+        raise ConfigError(f"key {key!r} must be a non-empty list of numbers, got {values!r}")
+    numbers = tuple(_as_number(v, key) for v in values)
+    for v in numbers:
+        if not valid(v):
+            raise ConfigError(f"key {key!r} values must be {rule}, got {v}")
+    return numbers
 
 
 def parse_config(raw: dict, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -136,7 +145,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
             f"key 'experiment' must be curve, ood:<tag>, corrupt or surfaces, "
             f"got {experiment!r}")
 
-    methods = tuple(_get(raw, "methods", list(METHODS)))
+    methods = tuple(raw.get("methods", list(METHODS)))
     if not methods:
         raise ConfigError("key 'methods' must name at least one method")
     for m in methods:
@@ -146,7 +155,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     if seed_override is not None:
         seeds = tuple(seed_override)
     else:
-        seeds = tuple(_as_int(s, "seeds") for s in _get(raw, "seeds", list(DEFAULT_SEEDS)))
+        seeds = tuple(_as_int(s, "seeds") for s in raw.get("seeds", list(DEFAULT_SEEDS)))
     if not seeds:
         raise ConfigError("key 'seeds' must name at least one seed")
 
@@ -156,11 +165,11 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     else:
         standardize = _as_bool(standardize, "standardize")
 
-    hidden = _get(raw, "hidden", [5] if is_toy else [100, 100])
+    hidden = raw.get("hidden", [5] if is_toy else [100, 100])
     if not isinstance(hidden, list) or not hidden:
         raise ConfigError(f"key 'hidden' must be a non-empty list, got {hidden!r}")
-    batch_size = _as_int(_get(raw, "batch_size", 8 if is_toy else 256), "batch_size")
-    max_epochs = _as_int(_get(raw, "max_epochs", 20 if is_toy else 100), "max_epochs")
+    batch_size = _as_int(raw.get("batch_size", 8 if is_toy else 256), "batch_size")
+    max_epochs = _as_int(raw.get("max_epochs", 20 if is_toy else 100), "max_epochs")
     patience = raw.get("patience", _UNSET)
     if patience is _UNSET:
         patience = None if is_toy else 2
@@ -171,34 +180,38 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         logistic_c = None if is_toy else 1e-2
     if logistic_c is not None:
         logistic_c = _as_number(logistic_c, "logistic_c")
-    vae_latent = _as_int(_get(raw, "vae_latent", 2 if is_toy else 500), "vae_latent")
+    vae_latent = _as_int(raw.get("vae_latent", 2 if is_toy else 500), "vae_latent")
 
     try:
         mlp_cfg = TrainConfig(
             hidden=tuple(_as_int(h, "hidden") for h in hidden),
-            dropout_rate=_as_number(_get(raw, "dropout_rate", 0.5), "dropout_rate"),
-            lr=_as_number(_get(raw, "lr", 1e-3), "lr"),
+            dropout_rate=_as_number(raw.get("dropout_rate", 0.5), "dropout_rate"),
+            lr=_as_number(raw.get("lr", 1e-3), "lr"),
             batch_size=batch_size, max_epochs=max_epochs, patience=patience)
         vae_cfg = VaeConfig(
             latent_dim=vae_latent,
-            batch_size=_as_int(_get(raw, "vae_batch_size", 256), "vae_batch_size", 1),
-            epochs=_as_int(_get(raw, "vae_epochs", 30), "vae_epochs", 1),
-            lr=_as_number(_get(raw, "vae_lr", 1e-3), "vae_lr"),
-            samples=_as_int(_get(raw, "vae_samples", 10), "vae_samples", 1))
+            batch_size=_as_int(raw.get("vae_batch_size", 256), "vae_batch_size", 1),
+            epochs=_as_int(raw.get("vae_epochs", 30), "vae_epochs", 1),
+            lr=_as_number(raw.get("vae_lr", 1e-3), "vae_lr"),
+            samples=_as_int(raw.get("vae_samples", 10), "vae_samples", 1))
         settings = MethodSettings(
             mlp=mlp_cfg, vae=vae_cfg,
-            ensemble_size=_as_int(_get(raw, "ensemble_size", 5), "ensemble_size"),
-            mc_passes=_as_int(_get(raw, "mc_passes", 100), "mc_passes"),
+            ensemble_size=_as_int(raw.get("ensemble_size", 5), "ensemble_size", 1),
+            mc_passes=_as_int(raw.get("mc_passes", 100), "mc_passes", 1),
             logistic_c=float("inf") if logistic_c is None else logistic_c,
-            class_weighting=_as_bool(_get(raw, "class_weighting", False), "class_weighting"),
+            class_weighting=_as_bool(raw.get("class_weighting", False), "class_weighting"),
             standardize=standardize)
     except ParameterError as e:
         raise ConfigError(str(e)) from e
 
-    fracs = _get(raw, "split_fractions", [0.6, 0.2, 0.2])
+    fracs = raw.get("split_fractions", [0.6, 0.2, 0.2])
     if not isinstance(fracs, list) or len(fracs) != 3:
         raise ConfigError(f"key 'split_fractions' must be three numbers, got {fracs!r}")
-    bounds = _get(raw, "grid_bounds", [[-8.0, 8.0], [-8.0, 8.0]])
+    split_fractions = tuple(_as_number(f, "split_fractions") for f in fracs)
+    if not (all(f > 0 for f in split_fractions) and abs(sum(split_fractions) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"key 'split_fractions' must be three positive fractions summing to 1, got {fracs!r}")
+    bounds = raw.get("grid_bounds", [[-8.0, 8.0], [-8.0, 8.0]])
     try:
         grid_bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
     except (TypeError, ValueError):
@@ -210,24 +223,20 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         dataset=dataset, experiment=experiment, ood_tag=ood_tag, methods=methods,
         seeds=seeds,
         out_dir=str(out_override if out_override is not None
-                    else _get(raw, "out_dir", "results")),
-        platt=_as_bool(_get(raw, "platt", False), "platt"),
-        label_column=str(_get(raw, "label_column", "label")),
+                    else raw.get("out_dir", "results")),
+        platt=_as_bool(raw.get("platt", False), "platt"),
+        label_column=str(raw.get("label_column", "label")),
         settings=settings,
-        toy_n_train=_as_int(_get(raw, "toy_n_train", 200), "toy_n_train"),
-        split_fractions=tuple(_as_number(f, "split_fractions") for f in fracs),
-        fractions=tuple(_as_number(f, "fractions")
-                        for f in _get(raw, "fractions", list(DEFAULT_FRACTIONS))),
-        factors=tuple(_as_number(f, "factors") for f in _get(raw, "factors", [10, 1000])),
-        n_corrupt_features=_as_int(_get(raw, "n_corrupt_features", 30), "n_corrupt_features"),
+        toy_n_train=_as_int(raw.get("toy_n_train", 200), "toy_n_train", 2),
+        split_fractions=split_fractions,
+        fractions=_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
+                              lambda f: 0 < f <= 1, "in (0, 1]"),
+        factors=_as_numbers(raw, "factors", (10, 1000),
+                            lambda f: 0 < f < math.inf, "positive and finite"),
+        n_corrupt_features=_as_int(raw.get("n_corrupt_features", 30), "n_corrupt_features", 1),
         grid_bounds=grid_bounds,
-        grid_resolution=_as_int(_get(raw, "grid_resolution", 50), "grid_resolution"),
+        grid_resolution=_as_int(raw.get("grid_resolution", 50), "grid_resolution", 2),
         echo=raw)
-
-
-def _toy_config(cfg: ExperimentConfig) -> ToyConfig:
-    mode = cfg.dataset[len("toy-"):]
-    return ToyConfig(mode=mode, n_train=cfg.toy_n_train)
 
 
 def _seed_data(cfg: ExperimentConfig, full: Dataset | None,
@@ -235,7 +244,7 @@ def _seed_data(cfg: ExperimentConfig, full: Dataset | None,
     """Per-seed train/val/test. Toy data is generated fresh (val and test are
     same-size draws from the training distribution); CSV data is re-split."""
     if cfg.is_toy:
-        toy = _toy_config(cfg)
+        toy = ToyConfig(mode=cfg.dataset[len("toy-"):], n_train=cfg.toy_n_train)
         return (generate_toy(toy, rng.split("train")),
                 generate_toy(toy, rng.split("val")),
                 generate_toy(toy, rng.split("test")))
@@ -256,20 +265,12 @@ def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
         grid_in = grid
     records: Records = {}
     for name in cfg.methods:
-        fitted = train_method(name, train, val, cfg.settings, rng.split(name))
+        fitted = train_with_classifier(name, train, val, cfg.settings, rng)
         surfaces = toy_surfaces(fitted, grid_in)
-        if name == "vae":
-            classifier = train_method("single-nn", train, val, cfg.settings,
-                                      rng.split("vae-classifier"))
-            surfaces = {**toy_surfaces(classifier, grid_in), **surfaces}
-        columns = ["x1", "x2"] + [c for c in ("probability", "entropy", "novelty")
-                                  if c in surfaces]
-        table = np.column_stack([grid[:, 0], grid[:, 1]]
-                                + [surfaces[c] for c in columns[2:]])
-        tables[name] = (columns, table)
+        tables[name] = (["x1", "x2", *surfaces], np.column_stack([grid, *surfaces.values()]))
         records[(name, "grid", "n_points")] = float(grid.shape[0])
-        for c in columns[2:]:
-            records[(name, "grid", f"{c}_mean")] = float(np.mean(surfaces[c]))
+        for c, values in surfaces.items():
+            records[(name, "grid", f"{c}_mean")] = float(np.mean(values))
     return records
 
 

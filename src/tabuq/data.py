@@ -177,7 +177,8 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a UTF-8 comma-separated file with a mandatory header row.
 
     Columns named `group:<tag>` must hold 0/1 and become per-row group tags;
-    every other non-label column must be numeric and becomes a feature.
+    every other non-label column must be numeric and finite and becomes a
+    feature.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -222,6 +223,11 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             if cell == "1":
                 row_tags.add(tag)
         tags.append(frozenset(row_tags))
+    bad = np.argwhere(~np.isfinite(features))
+    if bad.size:
+        r, j = bad[0]
+        raise DataError(f"{path}: row {r + 1}, column {header[feature_cols[j]]!r}: "
+                        f"non-finite value {rows[r + 1][feature_cols[j]]!r}")
     names = tuple(header[i] for i in feature_cols)
     return Dataset(features, labels, names, tuple(tags))
 
@@ -242,33 +248,18 @@ def apply_scaler(s: StandardScaler, d: Dataset) -> Dataset:
 
 
 def split(d: Dataset, fractions: tuple[float, float, float],
-          rng: SeededRng, stratified: bool = False) -> tuple[Dataset, Dataset, Dataset]:
-    """Disjoint random train/val/test partition with rounded-fraction sizes.
-
-    With stratified=True the rounded fractions are applied to each class
-    separately, so all three parts keep the dataset's class balance.
-    """
+          rng: SeededRng) -> tuple[Dataset, Dataset, Dataset]:
+    """Disjoint random train/val/test partition with rounded-fraction sizes."""
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
         raise ParameterError(f"need three positive fractions, got {fractions}")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise ParameterError(f"fractions must sum to 1, got {sum(fractions)}")
     perm = rng.permutation(d.n)
-    if stratified:
-        parts: list[list[np.ndarray]] = [[], [], []]
-        for cls in (1, 0):
-            idx = perm[d.labels[perm] == cls]
-            m_train = round(fractions[0] * len(idx))
-            m_val = round(fractions[1] * len(idx))
-            parts[0].append(idx[:m_train])
-            parts[1].append(idx[m_train:m_train + m_val])
-            parts[2].append(idx[m_train + m_val:])
-        train_i, val_i, test_i = (np.concatenate(p) for p in parts)
-    else:
-        n_train = round(fractions[0] * d.n)
-        n_val = round(fractions[1] * d.n)
-        train_i = perm[:n_train]
-        val_i = perm[n_train:n_train + n_val]
-        test_i = perm[n_train + n_val:]
+    n_train = round(fractions[0] * d.n)
+    n_val = round(fractions[1] * d.n)
+    train_i = perm[:n_train]
+    val_i = perm[n_train:n_train + n_val]
+    test_i = perm[n_train + n_val:]
     if min(len(train_i), len(val_i), len(test_i)) < 1:
         raise DataError(
             f"split of {d.n} rows by {fractions} leaves an empty part "

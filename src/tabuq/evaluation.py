@@ -120,13 +120,23 @@ class MethodSettings:
 
 @dataclass
 class FittedMethod:
-    """A trained method: a probability predictor (None for the VAE, which has
-    no classifier) and an uncertainty scorer, higher = more uncertain."""
+    """A trained method. A classifier sets predict; the VAE sets uncertainty,
+    its novelty scorer, and predict only when paired with its classifier."""
 
     name: str
-    predict: Callable[[np.ndarray], np.ndarray] | None
-    uncertainty: Callable[[np.ndarray], np.ndarray]
-    model: object
+    predict: Callable[[np.ndarray], np.ndarray] | None = None
+    uncertainty: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def score(self, X: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+        """(probability or None, uncertainty), higher = more uncertain.
+
+        Each model runs once: a classifier's uncertainty is the entropy of
+        the probabilities it has just computed.
+        """
+        probs = None if self.predict is None else self.predict(X)
+        if self.name == "vae":
+            return probs, self.uncertainty(X)
+        return probs, binary_entropy(probs)
 
 
 def train_method(name: str, train: Dataset, val: Dataset,
@@ -140,31 +150,37 @@ def train_method(name: str, train: Dataset, val: Dataset,
     cfg = settings.mlp_config()
     if name == "single-nn":
         model = train_mlp(train, val, cfg, rng.split("model"))
-        predict = lambda X: predict_mlp(model, X)
-    elif name == "nn-ensemble":
+        return FittedMethod(name, predict=lambda X: predict_mlp(model, X))
+    if name == "nn-ensemble":
         model = train_deep_ensemble(train, val, cfg, settings.ensemble_size,
                                     rng.split("model"))
-        predict = lambda X: ensemble_predict(model, X)
-    elif name == "mc-dropout":
+        return FittedMethod(name, predict=lambda X: ensemble_predict(model, X))
+    if name == "mc-dropout":
         model = train_mlp(train, val, cfg, rng.split("model"))
-        predict = lambda X: mc_dropout_predict(model, X, settings.mc_passes,
-                                               rng.split("score"))
-    elif name == "bootstrap-lr":
+        return FittedMethod(name, predict=lambda X: mc_dropout_predict(
+            model, X, settings.mc_passes, rng.split("score")))
+    if name == "bootstrap-lr":
         model = train_bootstrapped_lr(train, settings.ensemble_size,
                                       settings.logistic_c, rng.split("model"),
                                       settings.class_weighting)
-        predict = lambda X: ensemble_predict(model, X)
-    elif name == "vae":
+        return FittedMethod(name, predict=lambda X: ensemble_predict(model, X))
+    if name == "vae":
         model = train_vae(train, settings.vae, rng.split("model"))
-        uncertainty = lambda X: vae_novelty_score(model, X, settings.vae.samples,
-                                                  rng.split("score"))
-        return FittedMethod(name=name, predict=None, uncertainty=uncertainty,
-                            model=model)
-    else:
-        raise ConfigError(f"unknown method {name!r}")
-    uncertainty = lambda X: binary_entropy(predict(X))
-    return FittedMethod(name=name, predict=predict, uncertainty=uncertainty,
-                        model=model)
+        return FittedMethod(name, uncertainty=lambda X: vae_novelty_score(
+            model, X, settings.vae.samples, rng.split("score")))
+    raise ConfigError(f"unknown method {name!r}")
+
+
+def train_with_classifier(name: str, train: Dataset, val: Dataset,
+                          settings: MethodSettings, rng: SeededRng) -> FittedMethod:
+    """train_method on rng.split(name); the VAE, which has no classifier of
+    its own, is paired with a single NN trained on rng.split("vae-classifier")
+    for its probabilities."""
+    fitted = train_method(name, train, val, settings, rng.split(name))
+    if name == "vae":
+        fitted.predict = train_method("single-nn", train, val, settings,
+                                      rng.split("vae-classifier")).predict
+    return fitted
 
 
 def confidence_performance(sp: ScoredPredictions,
@@ -209,7 +225,7 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
                      fractions=DEFAULT_FRACTIONS, use_platt: bool = False) -> Records:
     """Confidence-performance curves for each method on the test split.
 
-    The VAE has no classifier, so its rows use a dedicated single NN for
+    The VAE has no classifier, so its rows use a paired single NN for
     probabilities while the VAE novelty score drives the exclusion order.
     With use_platt, probabilities are recalibrated by Platt scaling fitted
     once on the validation split (per method), and the fitted slope and
@@ -218,18 +234,10 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
     train, val, test = _scaled(settings, train, val, test)
     records: Records = {}
     for name in methods:
-        fitted = train_method(name, train, val, settings, rng.split(name))
-        if name == "vae":
-            classifier = train_method("single-nn", train, val, settings,
-                                      rng.split("vae-classifier"))
-            probs = classifier.predict(test.features)
-            val_probs = classifier.predict(val.features)
-        else:
-            probs = fitted.predict(test.features)
-            val_probs = fitted.predict(val.features)
-        uncertainty = fitted.uncertainty(test.features)
+        fitted = train_with_classifier(name, train, val, settings, rng)
+        probs, uncertainty = fitted.score(test.features)
         if use_platt:
-            params = platt_fit(val_probs, val.labels)
+            params = platt_fit(fitted.predict(val.features), val.labels)
             probs = platt_apply(params, probs)
             records[(name, "platt", "a")] = params.a
             records[(name, "platt", "b")] = params.b
@@ -257,7 +265,7 @@ def ood_experiment(data: Dataset, tag: str, method: str,
     train, val, test, ood = _scaled(settings, train, val, test, ood)
     fitted = train_method(method, train, val, settings, rng.split(method))
     joint = np.vstack([test.features, ood.features])
-    scores = fitted.uncertainty(joint)
+    _, scores = fitted.score(joint)
     is_ood = np.concatenate([np.zeros(test.n, dtype=np.int64),
                              np.ones(ood.n, dtype=np.int64)])
     detection = auc_roc(scores, is_ood)
@@ -287,7 +295,7 @@ def corruption_experiment(methods, test: Dataset, factors=(10, 1000),
     chosen = rng.split("features").permutation(test.d)[:count]
     records: Records = {}
     for fitted in methods:
-        clean = fitted.uncertainty(test.features)
+        _, clean = fitted.score(test.features)
         is_pert = np.concatenate([np.zeros(test.n, dtype=np.int64),
                                   np.ones(test.n, dtype=np.int64)])
         for factor in factors:
@@ -295,7 +303,7 @@ def corruption_experiment(methods, test: Dataset, factors=(10, 1000),
             for j in chosen:
                 spec = CorruptionSpec(feature_index=int(j), factor=factor)
                 perturbed = corrupt_feature(test, spec)
-                scores = np.concatenate([clean, fitted.uncertainty(perturbed.features)])
+                scores = np.concatenate([clean, fitted.score(perturbed.features)[1]])
                 auc = auc_roc(scores, is_pert)
                 ctx = f"factor={factor:g}.feature={test.feature_names[j]}"
                 records[(fitted.name, ctx, "detection_auc")] = auc
@@ -327,16 +335,9 @@ def seed_sweep(experiment: Callable[[SeededRng], Records],
                 raise type(e)(f"seed {seed}: {e}") from e
             except TypeError:
                 raise RuntimeError(f"seed {seed}: {e}") from e
-    keys: list[RecordKey] = []
-    seen = set()
-    for rec in per_seed:
-        for key in rec:
-            if key not in seen:
-                seen.add(key)
-                keys.append(key)
     mean: Records = {}
     std: Records = {}
-    for key in keys:
+    for key in dict.fromkeys(key for rec in per_seed for key in rec):
         values = [rec[key] for rec in per_seed if rec.get(key) is not None]
         mean[key] = float(np.mean(values)) if values else None
         std[key] = float(np.std(values, ddof=1)) if len(values) >= 2 else None
@@ -344,12 +345,13 @@ def seed_sweep(experiment: Callable[[SeededRng], Records],
 
 
 def toy_surfaces(fitted: FittedMethod, grid: np.ndarray) -> dict[str, np.ndarray]:
-    """Per-grid-point surfaces: probability and entropy for classifiers,
-    novelty for the VAE."""
+    """Per-grid-point surfaces: probability and entropy wherever there is a
+    classifier, and novelty for the VAE."""
     grid = np.asarray(grid, dtype=np.float64)
     if grid.ndim != 2 or grid.shape[1] != 2:
         raise ShapeError(f"expected an (N, 2) grid, got {grid.shape}")
-    if fitted.predict is None:
-        return {"novelty": fitted.uncertainty(grid)}
-    probs = fitted.predict(grid)
-    return {"probability": probs, "entropy": binary_entropy(probs)}
+    probs, uncertainty = fitted.score(grid)
+    if fitted.name != "vae":
+        return {"probability": probs, "entropy": uncertainty}
+    paired = {} if probs is None else {"probability": probs, "entropy": binary_entropy(probs)}
+    return {**paired, "novelty": uncertainty}

@@ -18,8 +18,8 @@ def binary_entropy(p):
     Accepts a scalar or an array; returns the matching type.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if arr.size and (arr.min() < 0.0 or arr.max() > 1.0):
-        bad = arr[(arr < 0) | (arr > 1)].ravel()[0]
+    if arr.size and not (arr.min() >= 0.0 and arr.max() <= 1.0):
+        bad = arr[~((arr >= 0) & (arr <= 1))].ravel()[0]
         raise ParameterError(f"probability outside [0, 1]: {bad}")
     with np.errstate(divide="ignore", invalid="ignore"):
         h = -np.where(arr > 0, arr * np.log(arr), 0.0) \
@@ -57,6 +57,8 @@ def auc_roc(scores, labels) -> float:
     labels = _check_binary_labels(labels)
     if scores.shape != labels.shape:
         raise ShapeError(f"{scores.size} scores for {labels.size} labels")
+    if np.isnan(scores).any():
+        raise ParameterError("scores contain NaN")
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
     if n_pos == 0 or n_neg == 0:
@@ -89,7 +91,7 @@ def calibration_bins(probs, outcomes, K: int = 10) -> CalibrationBins:
         raise ShapeError(f"{probs.size} probabilities for {outcomes.size} outcomes")
     if probs.size == 0:
         raise UndefinedMetricError("cannot bin an empty prediction set")
-    if probs.min() < 0.0 or probs.max() > 1.0:
+    if not (probs.min() >= 0.0 and probs.max() <= 1.0):
         raise ParameterError("probabilities must lie in [0, 1]")
     if K < 1:
         raise ParameterError(f"need at least one bin, got K={K}")

@@ -143,8 +143,8 @@ def confident_quintile_positive_fraction(weighting: bool) -> float:
         settings = MethodSettings.toy(class_weighting=weighting)
         fitted = train_method("nn-ensemble", train, val, settings,
                               rng.split("m"))
-        sp = ScoredPredictions(probability=fitted.predict(test.features),
-                               uncertainty=fitted.uncertainty(test.features),
+        probs, uncertainty = fitted.score(test.features)
+        sp = ScoredPredictions(probability=probs, uncertainty=uncertainty,
                                label=test.labels, method="nn-ensemble")
         fracs.append(confidence_performance(sp, fractions=(0.2,))[0]
                      .positive_fraction)
@@ -185,8 +185,8 @@ def test_criterion_5_confidence_performance_direction():
         settings = MethodSettings(class_weighting=True)
         fitted = train_method("nn-ensemble", train, val, settings,
                               rng.split("m"))
-        sp = ScoredPredictions(probability=fitted.predict(test.features),
-                               uncertainty=fitted.uncertainty(test.features),
+        probs, uncertainty = fitted.score(test.features)
+        sp = ScoredPredictions(probability=probs, uncertainty=uncertainty,
                                label=test.labels, method="nn-ensemble")
         p60, p100 = confidence_performance(sp, fractions=(0.6, 1.0))
         a60.append(p60.auc)

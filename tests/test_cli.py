@@ -225,19 +225,46 @@ class TestRun:
         assert {"factor=10.feature=x,1", 'factor=10.feature=q"2'} <= contexts
 
     def test_nan_feature_exits_3(self, tmp_path, capsys):
-        # A literal nan cell parses as float NaN, so the first training loss
-        # is non-finite and the run must report a training failure.
-        data = tmp_path / "nan.csv"
-        rows = ["a,b,label"] + [f"{i},nan,{i % 2}" for i in range(20)]
+        # NaN cells are refused on load (see the test below), so a training
+        # failure is provoked with a step size that makes the first update
+        # overflow: the next training loss is non-finite.
+        data = tmp_path / "plain.csv"
+        rows = ["a,b,label"] + [f"{i},{i % 3},{i % 2}" for i in range(20)]
         data.write_text("\n".join(rows) + "\n")
         cfg = write_config(tmp_path, {
             "dataset": f"csv:{data}", "experiment": "curve",
             "methods": ["single-nn"], "seeds": [0], "fractions": [1.0],
             "standardize": False, "hidden": [4], "max_epochs": 2,
-            "patience": None, "batch_size": 4,
+            "patience": None, "batch_size": 4, "lr": 1e300,
             "out_dir": str(tmp_path / "out")})
-        assert run(cfg, quiet=True) == 3
+        with np.errstate(all="ignore"):
+            assert run(cfg, quiet=True) == 3
         assert "training error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    def test_non_finite_cell_exits_2_naming_row_and_column(self, tmp_path, capsys, cell):
+        data = tmp_path / "nan.csv"
+        rows = ["a,b,label"] + [f"{i},{cell if i == 7 else i % 3},{i % 2}" for i in range(60)]
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 2
+        err = capsys.readouterr().err
+        assert "row 8, column 'b'" in err and "non-finite" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("n_corrupt_features", 0), ("ensemble_size", 0), ("mc_passes", 0),
+        ("split_fractions", [0.5, 0.5, 0.5]), ("split_fractions", [1.2, -0.1, -0.1]),
+        ("fractions", [1.5]), ("fractions", []), ("factors", [-1]),
+        ("factors", 3), ("toy_n_train", 1), ("grid_resolution", 1)])
+    def test_out_of_range_key_exits_1_naming_it(self, tmp_path, capsys, key, value):
+        cfg = write_config(tmp_path, {**FAST, key: value,
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and repr(key) in err
+        assert not (tmp_path / "out").exists()
 
 
 class TestSurfaces:

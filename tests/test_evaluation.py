@@ -7,7 +7,8 @@ from tabuq import (METHODS, MethodSettings, ScoredPredictions, SeededRng,
                    ToyConfig, binary_entropy, confidence_performance,
                    corruption_experiment, curve_experiment, ece,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
-                   seed_sweep, toy_surfaces, train_method)
+                   seed_sweep, toy_surfaces, train_method,
+                   train_with_classifier)
 from tabuq.data import Dataset, split
 from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError,
                           UndefinedMetricError)
@@ -114,14 +115,15 @@ class TestTrainMethod:
         fitted = train_method(name, train, val, MethodSettings.toy(),
                               SeededRng(1))
         assert fitted.name == name
-        unc = fitted.uncertainty(test.features)
+        probs, unc = fitted.score(test.features)
         assert unc.shape == (test.n,)
         assert np.isfinite(unc).all()
         if name == "vae":
-            assert fitted.predict is None
+            assert fitted.predict is None and probs is None
         else:
-            p = fitted.predict(test.features)
-            assert ((0 < p) & (p < 1)).all()
+            assert fitted.uncertainty is None
+            assert ((0 < probs) & (probs < 1)).all()
+            np.testing.assert_array_equal(probs, fitted.predict(test.features))
 
     def test_unknown_method(self, toy_world):
         train, val, _ = toy_world
@@ -134,9 +136,8 @@ class TestTrainMethod:
         for name in ("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr"):
             fitted = train_method(name, train, val, MethodSettings.toy(),
                                   SeededRng(3))
-            np.testing.assert_array_equal(
-                fitted.uncertainty(test.features),
-                binary_entropy(fitted.predict(test.features)))
+            probs, unc = fitted.score(test.features)
+            np.testing.assert_array_equal(unc, binary_entropy(probs))
 
     def test_scoring_closures_are_pure(self, toy_world):
         # Repeated calls re-derive their rng children, so scores never drift.
@@ -144,8 +145,33 @@ class TestTrainMethod:
         for name in ("mc-dropout", "vae"):
             fitted = train_method(name, train, val, MethodSettings.toy(),
                                   SeededRng(4))
-            np.testing.assert_array_equal(fitted.uncertainty(test.features),
-                                          fitted.uncertainty(test.features))
+            np.testing.assert_array_equal(fitted.score(test.features)[1],
+                                          fitted.score(test.features)[1])
+
+    def test_score_runs_each_model_once(self, toy_world):
+        train, val, test = toy_world
+        calls = []
+        fitted = train_method("mc-dropout", train, val, MethodSettings.toy(),
+                              SeededRng(4))
+        predict = fitted.predict
+        fitted.predict = lambda X: calls.append("predict") or predict(X)
+        fitted.uncertainty = lambda X: calls.append("uncertainty")
+        fitted.score(test.features)
+        assert calls == ["predict"]
+
+    def test_vae_paired_with_its_classifier(self, toy_world):
+        train, val, test = toy_world
+        st, rng = MethodSettings.toy(), SeededRng(5)
+        paired = train_with_classifier("vae", train, val, st, rng)
+        vae = train_method("vae", train, val, st, rng.split("vae"))
+        classifier = train_method("single-nn", train, val, st, rng.split("vae-classifier"))
+        probs, novelty = paired.score(test.features)
+        np.testing.assert_array_equal(probs, classifier.predict(test.features))
+        np.testing.assert_array_equal(novelty, vae.score(test.features)[1])
+        single = train_with_classifier("single-nn", train, val, st, rng)
+        np.testing.assert_array_equal(
+            single.predict(test.features),
+            train_method("single-nn", train, val, st, rng.split("single-nn")).predict(test.features))
 
     def test_same_seed_same_method(self, toy_world):
         train, val, test = toy_world
@@ -187,6 +213,22 @@ class TestCurveExperiment:
         # The VAE itself has no classifier; its curve AUC exists because a
         # companion network supplies predictions.
         assert records[("vae", "f=1.00", "auc")] is not None
+
+    def test_mc_dropout_scores_test_and_val_once_each(self, toy_world, monkeypatch):
+        import tabuq.evaluation as evaluation
+
+        rows = []
+        real = evaluation.mc_dropout_predict
+
+        def counted(model, X, *args):
+            rows.append(len(X))
+            return real(model, X, *args)
+
+        monkeypatch.setattr(evaluation, "mc_dropout_predict", counted)
+        train, val, test = toy_world
+        curve_experiment(train, val, test, ("mc-dropout",), MethodSettings.toy(),
+                         SeededRng(9), fractions=(1.0,), use_platt=True)
+        assert sorted(rows) == sorted([test.n, val.n])
 
 
 class TestOodExperiment:
@@ -345,6 +387,15 @@ class TestToySurfaces:
         surfaces = toy_surfaces(fitted, grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 5))
         assert set(surfaces) == {"novelty"}
         assert surfaces["novelty"].shape == (25,)
+
+    def test_paired_vae_surface(self, toy_world):
+        train, val, _ = toy_world
+        fitted = train_with_classifier("vae", train, val, MethodSettings.toy(),
+                                       SeededRng(29))
+        surfaces = toy_surfaces(fitted, grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 5))
+        assert list(surfaces) == ["probability", "entropy", "novelty"]
+        np.testing.assert_array_equal(
+            surfaces["entropy"], binary_entropy(surfaces["probability"]))
 
     def test_rejects_non_2d_grid(self, toy_world):
         train, val, _ = toy_world

@@ -45,6 +45,12 @@ class TestBinaryEntropy:
         with pytest.raises(ParameterError):
             binary_entropy(bad)
 
+    def test_rejects_nan(self):
+        with pytest.raises(ParameterError, match="nan"):
+            binary_entropy(float("nan"))
+        with pytest.raises(ParameterError, match="nan"):
+            binary_entropy(np.array([0.2, np.nan, 0.7]))
+
 
 class TestMidranks:
     def test_no_ties(self):
@@ -76,6 +82,10 @@ class TestAucRoc:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             auc_roc([0.1, 0.2], [1, 1])
+
+    def test_rejects_nan_score(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            auc_roc([0.1, np.nan, 0.3, 0.4], [0, 1, 0, 1])
 
     def test_monotone_transform_invariance(self):
         rng = SeededRng(0)
@@ -127,6 +137,10 @@ class TestCalibrationBins:
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
             calibration_bins(np.array([]), np.array([]), K=10)
+
+    def test_nan_probability_rejected(self):
+        with pytest.raises(ParameterError):
+            calibration_bins(np.array([0.2, np.nan]), np.array([0, 1]), K=10)
 
 
 class TestEce:
