@@ -33,8 +33,8 @@ def main() -> None:
 
     fitted = [train_method(m, train, val, settings, rng.split(m))
               for m in args.methods]
-    records = corruption_experiment(fitted, test, tuple(args.factors),
-                                    rng=rng.split("corrupt"))
+    records = corruption_experiment(fitted, test, rng.split("corrupt"),
+                                    tuple(args.factors))
 
     header = "  ".join(f"factor={f:<8g}" for f in args.factors)
     print(f"{'method':13s} {header}")

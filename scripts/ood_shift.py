@@ -40,18 +40,21 @@ def main() -> None:
 
     settings = MethodSettings(class_weighting=True,
                               vae=VaeConfig(latent_dim=5))
+    runs = {}
+    for shift in args.shifts:
+        for seed in args.seeds:
+            rng = SeededRng(seed)
+            runs[shift, seed] = ood_experiment(tagged(rng, args.group_size, shift),
+                                               "held", args.methods, settings,
+                                               rng.split("ood"))
     print(f"{'method':13s} {'shift':>6s} {'detection auc':>16s} "
           f"{'subgroup auc':>14s}")
     for method in args.methods:
         for shift in args.shifts:
-            det, sub = [], []
-            for seed in args.seeds:
-                rng = SeededRng(seed)
-                res = ood_experiment(tagged(rng, args.group_size, shift),
-                                     "held", method, settings,
-                                     rng.split("ood"))
-                det.append(res.detection_auc)
-                sub.append(res.subgroup_auc)
+            det = [runs[shift, seed][(method, "group=held", "detection_auc")]
+                   for seed in args.seeds]
+            sub = [runs[shift, seed][(method, "group=held", "subgroup_auc")]
+                   for seed in args.seeds]
             sub_txt = ("absent" if any(v is None for v in sub)
                        else f"{np.mean(sub):14.4f}")
             print(f"{method:13s} {shift:6.1f} "

@@ -15,11 +15,10 @@ from .ensemble import Ensemble, ensemble_predict, train_deep_ensemble
 from .errors import (ConfigError, DataError, ParameterError, ShapeError,
                      TrainingError, UndefinedMetricError)
 from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, CurvePoint,
-                         DetectionResult, FittedMethod, MethodSettings,
-                         ScoredPredictions, SeedSweep, confidence_performance,
-                         corruption_experiment, curve_experiment,
-                         ood_experiment, seed_sweep, toy_surfaces, train_method,
-                         train_with_classifier)
+                         FittedMethod, MethodSettings, SeedSweep,
+                         confidence_performance, corruption_experiment,
+                         curve_experiment, ood_experiment, seed_sweep,
+                         toy_surfaces, train_method, train_with_classifier)
 from .logistic import (LogisticModel, predict_logistic, train_bootstrapped_lr,
                        train_logistic)
 from .metrics import (CalibrationBins, PlattParams, auc_roc, binary_entropy,

@@ -91,10 +91,16 @@ def _as_bool(value, key: str) -> bool:
     return value
 
 
-def _as_number(value, key: str) -> float:
+def _as_number(value, key: str, valid=math.isfinite, rule: str = "finite") -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"key {key!r} must be a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf if value > 0 else -math.inf
+    if not valid(number):
+        raise ConfigError(f"key {key!r} must be {rule}, got {value!r}")
+    return number
 
 
 def _as_int(value, key: str, minimum: int | None = None) -> int:
@@ -105,15 +111,25 @@ def _as_int(value, key: str, minimum: int | None = None) -> int:
     return value
 
 
+def _as_str(value, key: str) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"key {key!r} must be a string, got {value!r}")
+    return value
+
+
+def _positive(v: float) -> bool:
+    return 0 < v < math.inf
+
+
+def _as_list(value, key: str) -> list:
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"key {key!r} must be a non-empty list, got {value!r}")
+    return value
+
+
 def _as_numbers(raw: dict, key: str, default, valid, rule: str) -> tuple[float, ...]:
-    values = raw.get(key, list(default))
-    if not isinstance(values, list) or not values:
-        raise ConfigError(f"key {key!r} must be a non-empty list of numbers, got {values!r}")
-    numbers = tuple(_as_number(v, key) for v in values)
-    for v in numbers:
-        if not valid(v):
-            raise ConfigError(f"key {key!r} values must be {rule}, got {v}")
-    return numbers
+    return tuple(_as_number(v, key, valid, rule)
+                 for v in _as_list(raw.get(key, list(default)), key))
 
 
 def parse_config(raw: dict, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -145,17 +161,18 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
             f"key 'experiment' must be curve, ood:<tag>, corrupt or surfaces, "
             f"got {experiment!r}")
 
-    methods = tuple(raw.get("methods", list(METHODS)))
-    if not methods:
-        raise ConfigError("key 'methods' must name at least one method")
+    methods = tuple(_as_list(raw.get("methods", list(METHODS)), "methods"))
     for m in methods:
         if m not in METHODS:
             raise ConfigError(f"unknown method {m!r} in key 'methods'")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"key 'methods' names a method twice: {list(methods)!r}")
 
     if seed_override is not None:
         seeds = tuple(seed_override)
     else:
-        seeds = tuple(_as_int(s, "seeds") for s in raw.get("seeds", list(DEFAULT_SEEDS)))
+        seeds = tuple(_as_int(s, "seeds")
+                      for s in _as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds"))
     if not seeds:
         raise ConfigError("key 'seeds' must name at least one seed")
 
@@ -165,34 +182,33 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     else:
         standardize = _as_bool(standardize, "standardize")
 
-    hidden = raw.get("hidden", [5] if is_toy else [100, 100])
-    if not isinstance(hidden, list) or not hidden:
-        raise ConfigError(f"key 'hidden' must be a non-empty list, got {hidden!r}")
-    batch_size = _as_int(raw.get("batch_size", 8 if is_toy else 256), "batch_size")
-    max_epochs = _as_int(raw.get("max_epochs", 20 if is_toy else 100), "max_epochs")
+    hidden = _as_list(raw.get("hidden", [5] if is_toy else [100, 100]), "hidden")
+    batch_size = _as_int(raw.get("batch_size", 8 if is_toy else 256), "batch_size", 1)
+    max_epochs = _as_int(raw.get("max_epochs", 20 if is_toy else 100), "max_epochs", 1)
     patience = raw.get("patience", _UNSET)
     if patience is _UNSET:
         patience = None if is_toy else 2
     elif patience is not None:
-        patience = _as_int(patience, "patience")
+        patience = _as_int(patience, "patience", 1)
     logistic_c = raw.get("logistic_c", _UNSET)
     if logistic_c is _UNSET:
         logistic_c = None if is_toy else 1e-2
     if logistic_c is not None:
-        logistic_c = _as_number(logistic_c, "logistic_c")
-    vae_latent = _as_int(raw.get("vae_latent", 2 if is_toy else 500), "vae_latent")
+        logistic_c = _as_number(logistic_c, "logistic_c", lambda v: v > 0, "positive")
+    vae_latent = _as_int(raw.get("vae_latent", 2 if is_toy else 500), "vae_latent", 1)
 
     try:
         mlp_cfg = TrainConfig(
-            hidden=tuple(_as_int(h, "hidden") for h in hidden),
-            dropout_rate=_as_number(raw.get("dropout_rate", 0.5), "dropout_rate"),
-            lr=_as_number(raw.get("lr", 1e-3), "lr"),
+            hidden=tuple(_as_int(h, "hidden", 1) for h in hidden),
+            dropout_rate=_as_number(raw.get("dropout_rate", 0.5), "dropout_rate",
+                                    lambda v: 0 <= v < 1, "in [0, 1)"),
+            lr=_as_number(raw.get("lr", 1e-3), "lr", _positive, "positive and finite"),
             batch_size=batch_size, max_epochs=max_epochs, patience=patience)
         vae_cfg = VaeConfig(
             latent_dim=vae_latent,
             batch_size=_as_int(raw.get("vae_batch_size", 256), "vae_batch_size", 1),
             epochs=_as_int(raw.get("vae_epochs", 30), "vae_epochs", 1),
-            lr=_as_number(raw.get("vae_lr", 1e-3), "vae_lr"),
+            lr=_as_number(raw.get("vae_lr", 1e-3), "vae_lr", _positive, "positive and finite"),
             samples=_as_int(raw.get("vae_samples", 10), "vae_samples", 1))
         settings = MethodSettings(
             mlp=mlp_cfg, vae=vae_cfg,
@@ -212,27 +228,27 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         raise ConfigError(
             f"key 'split_fractions' must be three positive fractions summing to 1, got {fracs!r}")
     bounds = raw.get("grid_bounds", [[-8.0, 8.0], [-8.0, 8.0]])
-    try:
-        grid_bounds = tuple((float(lo), float(hi)) for lo, hi in bounds)
-    except (TypeError, ValueError):
+    if not (isinstance(bounds, list) and len(bounds) == 2
+            and all(isinstance(b, list) and len(b) == 2 for b in bounds)):
         raise ConfigError(f"key 'grid_bounds' must be [[min,max],[min,max]], got {bounds!r}")
-    if len(grid_bounds) != 2:
-        raise ConfigError("key 'grid_bounds' must cover exactly two axes")
+    grid_bounds = tuple((_as_number(lo, "grid_bounds"), _as_number(hi, "grid_bounds"))
+                        for lo, hi in bounds)
+    if any(lo >= hi for lo, hi in grid_bounds):
+        raise ConfigError(f"key 'grid_bounds' must have min < max on each axis, got {bounds!r}")
 
     return ExperimentConfig(
         dataset=dataset, experiment=experiment, ood_tag=ood_tag, methods=methods,
         seeds=seeds,
-        out_dir=str(out_override if out_override is not None
-                    else raw.get("out_dir", "results")),
+        out_dir=(str(out_override) if out_override is not None
+                 else _as_str(raw.get("out_dir", "results"), "out_dir")),
         platt=_as_bool(raw.get("platt", False), "platt"),
-        label_column=str(raw.get("label_column", "label")),
+        label_column=_as_str(raw.get("label_column", "label"), "label_column"),
         settings=settings,
         toy_n_train=_as_int(raw.get("toy_n_train", 200), "toy_n_train", 2),
         split_fractions=split_fractions,
         fractions=_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
                               lambda f: 0 < f <= 1, "in (0, 1]"),
-        factors=_as_numbers(raw, "factors", (10, 1000),
-                            lambda f: 0 < f < math.inf, "positive and finite"),
+        factors=_as_numbers(raw, "factors", (10, 1000), _positive, "positive and finite"),
         n_corrupt_features=_as_int(raw.get("n_corrupt_features", 30), "n_corrupt_features", 1),
         grid_bounds=grid_bounds,
         grid_resolution=_as_int(raw.get("grid_resolution", 50), "grid_resolution", 2),
@@ -290,21 +306,15 @@ def _execute(cfg: ExperimentConfig):
             train, val, test = _scaled(cfg.settings, *_seed_data(cfg, full, rng))
             fitted = [train_method(m, train, val, cfg.settings, rng.split(m))
                       for m in cfg.methods]
-            return corruption_experiment(fitted, test, cfg.factors,
-                                         cfg.n_corrupt_features, rng.split("corrupt"))
+            return corruption_experiment(fitted, test, rng.split("corrupt"),
+                                         cfg.factors, cfg.n_corrupt_features)
         if cfg.experiment == "curve":
             train, val, test = _seed_data(cfg, full, rng)
             return curve_experiment(train, val, test, cfg.methods, cfg.settings,
                                     rng.split("curve"), cfg.fractions, cfg.platt)
         if cfg.ood_tag is not None:
-            records: Records = {}
-            for m in cfg.methods:
-                res = ood_experiment(full, cfg.ood_tag, m, cfg.settings,
-                                     rng.split(f"ood.{m}"))
-                ctx = f"group={cfg.ood_tag}"
-                records[(m, ctx, "detection_auc")] = res.detection_auc
-                records[(m, ctx, "subgroup_auc")] = res.subgroup_auc
-            return records
+            return ood_experiment(full, cfg.ood_tag, cfg.methods, cfg.settings,
+                                  rng.split("ood"), cfg.split_fractions)
         # surfaces
         train, val, _ = _seed_data(cfg, full, rng)
         tables: dict = {}
@@ -376,7 +386,7 @@ def run(config_path, seed_override=None, out_override=None, quiet: bool = False)
             raise ConfigError(f"cannot read config: {e}") from e
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # bad JSON, or an integer literal too long to read
             raise ConfigError(f"config is not valid JSON: {e}") from e
         cfg = parse_config(raw, seed_override, out_override)
         sweep, surface_tables = _execute(cfg)

@@ -299,8 +299,8 @@ def grid_2d(bounds: tuple[tuple[float, float], tuple[float, float]],
     if resolution < 2:
         raise ParameterError(f"resolution must be at least 2, got {resolution}")
     for lo, hi in bounds:
-        if lo >= hi:
-            raise ParameterError(f"bound ({lo}, {hi}) must have min < max")
+        if not (np.isfinite([lo, hi]).all() and lo < hi):
+            raise ParameterError(f"bound ({lo}, {hi}) must be finite with min < max")
     ax0 = np.linspace(bounds[0][0], bounds[0][1], resolution)
     ax1 = np.linspace(bounds[1][0], bounds[1][1], resolution)
     g0, g1 = np.meshgrid(ax0, ax1, indexing="ij")

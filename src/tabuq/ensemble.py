@@ -59,16 +59,15 @@ def ensemble_predict(e: Ensemble, X: np.ndarray) -> np.ndarray:
 
 
 def train_deep_ensemble(train: Dataset, val: Dataset, cfg: TrainConfig,
-                        M: int = 5, rng: SeededRng | None = None) -> Ensemble:
+                        rng: SeededRng, M: int = 5,
+                        weighting: bool = False) -> Ensemble:
     """M independent train_mlp runs on the same data.
 
     Each member owns a child rng stream, so initializations and shuffle
     orders differ across members but the whole ensemble is seed-reproducible.
     """
-    if rng is None:
-        raise ParameterError("ensemble training needs an rng")
     if M < 1:
         raise ParameterError(f"ensemble size must be at least 1, got {M}")
-    members = tuple(train_mlp(train, val, cfg, rng.split(f"member{i}"))
+    members = tuple(train_mlp(train, val, cfg, rng.split(f"member{i}"), weighting)
                     for i in range(M))
     return Ensemble(members=members)

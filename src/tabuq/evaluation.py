@@ -13,7 +13,7 @@ results; this is what makes the factor-1 corruption baseline exactly 0.5.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -38,49 +38,11 @@ Records = dict[RecordKey, "float | None"]
 
 
 @dataclass(frozen=True)
-class ScoredPredictions:
-    """Per-row probability, uncertainty and label for one method."""
-
-    probability: np.ndarray
-    uncertainty: np.ndarray
-    label: np.ndarray
-    method: str
-
-    def __post_init__(self):
-        prob = np.asarray(self.probability, dtype=np.float64).ravel()
-        unc = np.asarray(self.uncertainty, dtype=np.float64).ravel()
-        lab = np.asarray(self.label, dtype=np.int64).ravel()
-        if not (prob.size == unc.size == lab.size):
-            raise ShapeError(
-                f"mismatched lengths: {prob.size} probabilities, {unc.size} "
-                f"uncertainties, {lab.size} labels")
-        if prob.size and (prob.min() < 0.0 or prob.max() > 1.0):
-            raise ParameterError("probabilities must lie in [0, 1]")
-        if self.method not in METHODS:
-            raise ParameterError(f"unknown method tag {self.method!r}")
-        object.__setattr__(self, "probability", prob)
-        object.__setattr__(self, "uncertainty", unc)
-        object.__setattr__(self, "label", lab)
-
-    @property
-    def n(self) -> int:
-        return self.probability.size
-
-
-@dataclass(frozen=True)
 class CurvePoint:
     fraction: float
     auc: float | None
     ece: float
     positive_fraction: float
-
-
-@dataclass(frozen=True)
-class DetectionResult:
-    group: str
-    method: str
-    detection_auc: float
-    subgroup_auc: float | None
 
 
 @dataclass(frozen=True)
@@ -95,9 +57,9 @@ class SeedSweep:
 class MethodSettings:
     """Hyperparameters for every method, with the published defaults.
 
-    class_weighting here is the single switch used by all classifiers; it
-    overrides the flag inside the mlp TrainConfig. standardize controls
-    whether experiments fit a scaler on their training split.
+    class_weighting is the one switch for the loss weighting of every
+    classifier. standardize controls whether experiments fit a scaler on
+    their training split.
     """
 
     mlp: TrainConfig = TrainConfig()
@@ -107,9 +69,6 @@ class MethodSettings:
     logistic_c: float = 1e-2
     class_weighting: bool = False
     standardize: bool = True
-
-    def mlp_config(self) -> TrainConfig:
-        return replace(self.mlp, class_weighting=self.class_weighting)
 
     @classmethod
     def toy(cls, class_weighting: bool = False) -> "MethodSettings":
@@ -147,27 +106,26 @@ def train_method(name: str, train: Dataset, val: Dataset,
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
     """
-    cfg = settings.mlp_config()
+    weighting = settings.class_weighting
     if name == "single-nn":
-        model = train_mlp(train, val, cfg, rng.split("model"))
+        model = train_mlp(train, val, settings.mlp, rng.split("model"), weighting)
         return FittedMethod(name, predict=lambda X: predict_mlp(model, X))
     if name == "nn-ensemble":
-        model = train_deep_ensemble(train, val, cfg, settings.ensemble_size,
-                                    rng.split("model"))
+        model = train_deep_ensemble(train, val, settings.mlp, rng.split("model"),
+                                    settings.ensemble_size, weighting)
         return FittedMethod(name, predict=lambda X: ensemble_predict(model, X))
     if name == "mc-dropout":
-        model = train_mlp(train, val, cfg, rng.split("model"))
+        model = train_mlp(train, val, settings.mlp, rng.split("model"), weighting)
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
-            model, X, settings.mc_passes, rng.split("score")))
+            model, X, rng.split("score"), settings.mc_passes))
     if name == "bootstrap-lr":
-        model = train_bootstrapped_lr(train, settings.ensemble_size,
-                                      settings.logistic_c, rng.split("model"),
-                                      settings.class_weighting)
+        model = train_bootstrapped_lr(train, rng.split("model"), settings.ensemble_size,
+                                      settings.logistic_c, weighting)
         return FittedMethod(name, predict=lambda X: ensemble_predict(model, X))
     if name == "vae":
         model = train_vae(train, settings.vae, rng.split("model"))
         return FittedMethod(name, uncertainty=lambda X: vae_novelty_score(
-            model, X, settings.vae.samples, rng.split("score")))
+            model, X, rng.split("score"), settings.vae.samples))
     raise ConfigError(f"unknown method {name!r}")
 
 
@@ -183,26 +141,36 @@ def train_with_classifier(name: str, train: Dataset, val: Dataset,
     return fitted
 
 
-def confidence_performance(sp: ScoredPredictions,
+def confidence_performance(probability: np.ndarray, uncertainty: np.ndarray,
+                           label: np.ndarray,
                            fractions=DEFAULT_FRACTIONS) -> list[CurvePoint]:
-    """Metrics over expanding most-confident prefixes.
+    """Metrics over expanding most-confident prefixes of one method's scores.
 
     Rows are sorted by ascending uncertainty with a stable tie-break on the
     original index; each point covers the first ceil(f*N) rows. AUC over a
     single-class prefix is reported as None.
     """
-    if sp.n == 0:
+    probability = np.asarray(probability, dtype=np.float64).ravel()
+    uncertainty = np.asarray(uncertainty, dtype=np.float64).ravel()
+    label = np.asarray(label, dtype=np.int64).ravel()
+    n = probability.size
+    if not n == uncertainty.size == label.size:
+        raise ShapeError(f"mismatched lengths: {n} probabilities, "
+                         f"{uncertainty.size} uncertainties, {label.size} labels")
+    if n == 0:
         raise DataError("cannot compute a curve over an empty prediction set")
-    if len(set(sp.label.tolist())) < 2:
+    if not ((probability >= 0.0) & (probability <= 1.0)).all():
+        raise ParameterError("probabilities must lie in [0, 1]")
+    if len(set(label.tolist())) < 2:
         raise UndefinedMetricError("confidence-performance needs both classes present")
-    order = np.argsort(sp.uncertainty, kind="mergesort")
+    order = np.argsort(uncertainty, kind="mergesort")
     points = []
     for f in fractions:
         if not 0.0 < f <= 1.0:
             raise ParameterError(f"fractions must lie in (0, 1], got {f}")
-        k = max(1, math.ceil(f * sp.n - 1e-9))
+        k = max(1, math.ceil(f * n - 1e-9))
         idx = order[:k]
-        probs, labels = sp.probability[idx], sp.label[idx]
+        probs, labels = probability[idx], label[idx]
         try:
             auc = auc_roc(probs, labels)
         except UndefinedMetricError:
@@ -241,9 +209,7 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
             probs = platt_apply(params, probs)
             records[(name, "platt", "a")] = params.a
             records[(name, "platt", "b")] = params.b
-        sp = ScoredPredictions(probability=probs, uncertainty=uncertainty,
-                               label=test.labels, method=name)
-        for point in confidence_performance(sp, fractions):
+        for point in confidence_performance(probs, uncertainty, test.labels, fractions):
             ctx = f"f={point.fraction:.2f}"
             records[(name, ctx, "auc")] = point.auc
             records[(name, ctx, "ece")] = point.ece
@@ -251,37 +217,41 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
     return records
 
 
-def ood_experiment(data: Dataset, tag: str, method: str,
-                   settings: MethodSettings, rng: SeededRng) -> DetectionResult:
-    """Group-holdout OOD detection for one method.
+def ood_experiment(data: Dataset, tag: str, methods, settings: MethodSettings,
+                   rng: SeededRng, split_fractions=(0.6, 0.2, 0.2)) -> Records:
+    """Group-holdout OOD detection, every method on the same rows.
 
-    The tagged rows are excluded before splitting, the method trains on the
-    remaining data, and test and OOD rows are ranked together by uncertainty;
-    detection AUC labels the OOD rows 1. Subgroup AUC is the classifier's
-    AUC on the OOD rows alone, absent for the VAE and for single-class groups.
+    The tagged rows are excluded, the rest is split once on rng/split, and
+    each method trains on rng/<method> and scores the stacked test and OOD
+    rows in one call. Detection AUC ranks those rows by uncertainty, with the
+    OOD rows labelled 1. Subgroup AUC is the classifier's AUC on the OOD rows
+    alone, absent for the VAE and for single-class groups. Records are keyed
+    (method, "group=<tag>", "detection_auc" | "subgroup_auc").
     """
     in_domain, ood = exclude_group(data, tag)
-    train, val, test = split(in_domain, (0.6, 0.2, 0.2), rng.split("split"))
+    train, val, test = split(in_domain, split_fractions, rng.split("split"))
     train, val, test, ood = _scaled(settings, train, val, test, ood)
-    fitted = train_method(method, train, val, settings, rng.split(method))
     joint = np.vstack([test.features, ood.features])
-    _, scores = fitted.score(joint)
     is_ood = np.concatenate([np.zeros(test.n, dtype=np.int64),
                              np.ones(ood.n, dtype=np.int64)])
-    detection = auc_roc(scores, is_ood)
-    subgroup = None
-    if fitted.predict is not None:
-        try:
-            subgroup = auc_roc(fitted.predict(ood.features), ood.labels)
-        except UndefinedMetricError:
-            subgroup = None
-    return DetectionResult(group=tag, method=method, detection_auc=detection,
-                           subgroup_auc=subgroup)
+    ctx = f"group={tag}"
+    records: Records = {}
+    for name in methods:
+        probs, scores = train_method(name, train, val, settings,
+                                     rng.split(name)).score(joint)
+        records[(name, ctx, "detection_auc")] = auc_roc(scores, is_ood)
+        subgroup = None
+        if probs is not None:
+            try:
+                subgroup = auc_roc(probs[test.n:], ood.labels)
+            except UndefinedMetricError:
+                pass
+        records[(name, ctx, "subgroup_auc")] = subgroup
+    return records
 
 
-def corruption_experiment(methods, test: Dataset, factors=(10, 1000),
-                          n_features: int = 30,
-                          rng: SeededRng | None = None) -> Records:
+def corruption_experiment(methods, test: Dataset, rng: SeededRng,
+                          factors=(10, 1000), n_features: int = 30) -> Records:
     """Single-feature corruption detection for already-trained methods.
 
     Samples min(n_features, D) feature columns without replacement, corrupts
@@ -289,8 +259,6 @@ def corruption_experiment(methods, test: Dataset, factors=(10, 1000),
     rows per method. Emits one record per (method, factor, feature) plus the
     per-factor mean and (sample) standard deviation over features.
     """
-    if rng is None:
-        raise ParameterError("corruption_experiment needs an rng")
     count = min(n_features, test.d)
     chosen = rng.split("features").permutation(test.d)[:count]
     records: Records = {}

@@ -83,9 +83,8 @@ def train_logistic(train: Dataset, C: float = 1e-2,
     return LogisticModel(weights=params[:-1], bias=float(params[-1]), C=C)
 
 
-def train_bootstrapped_lr(train: Dataset, M: int = 5, C: float = 1e-2,
-                          rng: SeededRng | None = None,
-                          weighting: bool = False):
+def train_bootstrapped_lr(train: Dataset, rng: SeededRng, M: int = 5,
+                          C: float = 1e-2, weighting: bool = False):
     """M logistic models, each fit on an independent same-size bootstrap resample.
 
     Each member's global class weight comes from its own resample, since that
@@ -94,8 +93,6 @@ def train_bootstrapped_lr(train: Dataset, M: int = 5, C: float = 1e-2,
     from .data import bootstrap_sample
     from .ensemble import Ensemble
 
-    if rng is None:
-        raise DataError("bootstrapped training needs an rng")
     members = []
     for i in range(M):
         sample = bootstrap_sample(train, rng.split(f"member{i}"))

@@ -63,7 +63,6 @@ class TrainConfig:
     batch_size: int = 256
     max_epochs: int = 100
     patience: int | None = 2
-    class_weighting: bool = False
 
     def __post_init__(self):
         if self.batch_size < 1:
@@ -76,10 +75,9 @@ class TrainConfig:
             raise ParameterError(f"hidden sizes must be positive, got {self.hidden}")
 
     @classmethod
-    def toy(cls, class_weighting: bool = False) -> "TrainConfig":
+    def toy(cls) -> "TrainConfig":
         """Small-problem preset: one hidden layer of 5, batch 8, 20 fixed epochs."""
-        return cls(hidden=(5,), batch_size=8, max_epochs=20, patience=None,
-                   class_weighting=class_weighting)
+        return cls(hidden=(5,), batch_size=8, max_epochs=20, patience=None)
 
 
 def positive_weight(labels: np.ndarray) -> float:
@@ -136,18 +134,10 @@ def _make_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray
             for i, w in enumerate(model.weights[:-1])]
 
 
-def predict_mlp(model: MlpModel, X: np.ndarray, dropout_active: bool = False,
-                rng: SeededRng | None = None) -> np.ndarray:
-    """Predicted positive-class probabilities, one per row of X.
-
-    With dropout_active, fresh masks are sampled from rng on every call.
-    Outputs are clamped into the open interval (0,1).
-    """
-    masks = None
-    if dropout_active:
-        if rng is None:
-            raise ParameterError("dropout_active prediction needs an rng")
-        masks = _make_masks(model, np.asarray(X).shape[0], rng)
+def predict_mlp(model: MlpModel, X: np.ndarray,
+                masks: list[np.ndarray] | None = None) -> np.ndarray:
+    """Predicted positive-class probabilities, one per row of X, clamped into
+    the open interval (0,1); masks, if given, drop hidden units."""
     y_hat, _, _ = _forward(model, X, masks)
     return np.clip(y_hat.ravel(), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -202,12 +192,12 @@ def init_mlp(n_features: int, cfg: TrainConfig, rng: SeededRng) -> MlpModel:
 
 
 def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
-              rng: SeededRng) -> MlpModel:
+              rng: SeededRng, weighting: bool = False) -> MlpModel:
     """Minibatch Adam on the weighted BCE with dropout; returns best-val snapshot.
 
     The init, the epoch shuffle and the dropout masks each draw from their
     own child stream of rng, so two runs with the same seed are bitwise
-    identical.
+    identical. weighting turns on the class-weighted loss (see weighted_bce_loss).
     """
     if train.n < 1:
         raise DataError("training set is empty")
@@ -222,7 +212,7 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
         m = model.with_flat(flat)
         masks = _make_masks(m, len(idx), batch_rng)
         loss, gw, gb = mlp_loss_and_grads(m, train.features[idx], train.labels[idx],
-                                          cfg.class_weighting, masks)
+                                          weighting, masks)
         return loss, flatten((*gw, *gb))
 
     best: MlpModel | None = None
@@ -234,7 +224,7 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
         model = model.with_flat(flat)
         if cfg.patience is None:
             continue
-        val_loss = mlp_loss(model, val.features, val.labels, cfg.class_weighting)
+        val_loss = mlp_loss(model, val.features, val.labels, weighting)
         if not np.isfinite(val_loss):
             raise TrainingError(f"non-finite validation loss at epoch {epoch}")
         if val_loss < best_loss:
@@ -248,14 +238,13 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
     return best if best is not None else model
 
 
-def mc_dropout_predict(model: MlpModel, X: np.ndarray, T: int = 100,
-                       rng: SeededRng | None = None) -> np.ndarray:
-    """Mean over T stochastic dropout forward passes."""
+def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
+                       T: int = 100) -> np.ndarray:
+    """Mean over T stochastic dropout forward passes; pass t draws its masks
+    from rng/pass<t>."""
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
-    if rng is None:
-        raise ParameterError("mc_dropout_predict needs an rng")
-    passes = np.stack([predict_mlp(model, X, dropout_active=True,
-                                   rng=rng.split(f"pass{t}"))
+    n_rows = np.asarray(X).shape[0]
+    passes = np.stack([predict_mlp(model, X, _make_masks(model, n_rows, rng.split(f"pass{t}")))
                        for t in range(T)])
     return anchored_mean(passes, axis=0)

@@ -194,8 +194,8 @@ def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
     return model.with_flat(flat)
 
 
-def vae_novelty_score(model: VaeModel, X: np.ndarray, S: int = 10,
-                      rng: SeededRng | None = None) -> np.ndarray:
+def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
+                      S: int = 10) -> np.ndarray:
     """Mean decoder NLL over S latent samples; higher means more novel.
 
     The S reparameterization draws are shared across rows, so duplicate rows
@@ -203,8 +203,6 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, S: int = 10,
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
-    if rng is None:
-        raise ParameterError("vae_novelty_score needs an rng")
     X = _check_inputs(model, X)
     e_mu, e_lv, _ = _encode(model, X)
     s = np.exp(0.5 * e_lv)

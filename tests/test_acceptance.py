@@ -24,9 +24,8 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig,
                    platt_fit, vae_loss)
 from tabuq.cli import run
 from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
-from tabuq.evaluation import (METHODS, MethodSettings, ScoredPredictions,
-                              confidence_performance, corruption_experiment,
-                              ood_experiment, train_method)
+from tabuq.evaluation import (METHODS, MethodSettings, confidence_performance,
+                              corruption_experiment, ood_experiment, train_method)
 from tabuq.mlp import _make_masks, init_mlp
 from tabuq.numeric import flatten, sigmoid
 from tabuq.vae import init_vae, vae_loss_and_grads
@@ -144,9 +143,8 @@ def confident_quintile_positive_fraction(weighting: bool) -> float:
         fitted = train_method("nn-ensemble", train, val, settings,
                               rng.split("m"))
         probs, uncertainty = fitted.score(test.features)
-        sp = ScoredPredictions(probability=probs, uncertainty=uncertainty,
-                               label=test.labels, method="nn-ensemble")
-        fracs.append(confidence_performance(sp, fractions=(0.2,))[0]
+        fracs.append(confidence_performance(probs, uncertainty, test.labels,
+                                            fractions=(0.2,))[0]
                      .positive_fraction)
     return float(np.mean(fracs))
 
@@ -186,9 +184,8 @@ def test_criterion_5_confidence_performance_direction():
         fitted = train_method("nn-ensemble", train, val, settings,
                               rng.split("m"))
         probs, uncertainty = fitted.score(test.features)
-        sp = ScoredPredictions(probability=probs, uncertainty=uncertainty,
-                               label=test.labels, method="nn-ensemble")
-        p60, p100 = confidence_performance(sp, fractions=(0.6, 1.0))
+        p60, p100 = confidence_performance(probs, uncertainty, test.labels,
+                                           fractions=(0.6, 1.0))
         a60.append(p60.auc)
         a100.append(p100.auc)
     m60, m100 = float(np.mean(a60)), float(np.mean(a100))
@@ -246,11 +243,11 @@ def test_criterion_7_ood_null_and_shift():
     nulls, shifts = [], []
     for seed in range(5):
         rng = SeededRng(seed)
-        nulls.append(ood_experiment(tagged_synthetic(rng), "held", "vae",
-                                    settings, rng.split("ood")).detection_auc)
+        key = ("vae", "group=held", "detection_auc")
+        nulls.append(ood_experiment(tagged_synthetic(rng), "held", ["vae"],
+                                    settings, rng.split("ood"))[key])
         shifts.append(ood_experiment(tagged_synthetic(rng, 3.0), "held",
-                                     "vae", settings,
-                                     rng.split("ood")).detection_auc)
+                                     ["vae"], settings, rng.split("ood"))[key])
     null_mean, shift_mean = float(np.mean(nulls)), float(np.mean(shifts))
     ok = abs(null_mean - 0.5) <= 0.05 and shift_mean > 0.8
     report(7, ok, f"ood: same-distribution group auc {null_mean:.4f} "

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tabuq import __version__
-from tabuq.cli import CSV_HEADER, format_value, main, parse_config, run
+from tabuq.cli import CSV_HEADER, KNOWN_KEYS, format_value, main, parse_config, run
 from tabuq.errors import ConfigError
 
 BASE = {"dataset": "toy-balanced", "experiment": "curve"}
@@ -86,6 +88,10 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="grid_bounds"):
             parse_config({**BASE, "grid_bounds": [-6, 6]})
 
+    def test_null_out_dir_rejected(self):
+        with pytest.raises(ConfigError, match="out_dir"):
+            parse_config({**BASE, "out_dir": None})
+
     def test_bool_is_not_an_integer(self):
         with pytest.raises(ConfigError, match="max_epochs"):
             parse_config({**BASE, "max_epochs": True})
@@ -93,6 +99,18 @@ class TestParseConfig:
     def test_bad_parameter_becomes_config_error(self):
         with pytest.raises(ConfigError):
             parse_config({**BASE, "batch_size": 0})
+
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(sorted(KNOWN_KEYS)), value=st.recursive(
+        st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+        lambda inner: st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+        max_leaves=8))
+    def test_any_json_value_parses_or_raises_config_error(self, key, value):
+        try:
+            parse_config({**BASE, key: value})
+        except ConfigError:
+            pass
 
 
 class TestFormatValue:
@@ -186,6 +204,13 @@ class TestRun:
         path.write_text("{not json")
         assert run(path, quiet=True) == 1
 
+    def test_integer_too_long_to_read_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "long.json"
+        path.write_text('{"dataset": "toy-balanced", "experiment": "curve", '
+                        '"seeds": [' + "1" * 5000 + "]}")
+        assert run(path, quiet=True) == 1
+        assert capsys.readouterr().err.startswith("config error")
+
     def test_missing_config_exits_1(self, tmp_path):
         assert run(tmp_path / "nope.json", quiet=True) == 1
 
@@ -257,7 +282,11 @@ class TestRun:
         ("n_corrupt_features", 0), ("ensemble_size", 0), ("mc_passes", 0),
         ("split_fractions", [0.5, 0.5, 0.5]), ("split_fractions", [1.2, -0.1, -0.1]),
         ("fractions", [1.5]), ("fractions", []), ("factors", [-1]),
-        ("factors", 3), ("toy_n_train", 1), ("grid_resolution", 1)])
+        ("factors", 3), ("toy_n_train", 1), ("grid_resolution", 1),
+        ("methods", 5), ("seeds", 3), ("dropout_rate", 1.0), ("logistic_c", -1),
+        ("lr", 0), ("vae_lr", -1), ("grid_bounds", [[1, 0], [0, 1]]),
+        ("grid_bounds", [[math.nan, 1], [0, 1]]), ("label_column", 5),
+        ("methods", ["vae", "vae"])])
     def test_out_of_range_key_exits_1_naming_it(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**FAST, key: value,
                                       "out_dir": str(tmp_path / "out")})
@@ -265,6 +294,30 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("config error") and repr(key) in err
         assert not (tmp_path / "out").exists()
+
+    def test_ood_run_scores_every_method_on_a_held_group(self, tmp_path):
+        rng = np.random.default_rng(0)
+        data = tmp_path / "groups.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "group:held", "label"])
+            for i, (a, b) in enumerate(rng.normal(size=(120, 2))):
+                writer.writerow([a, b, int(i % 6 == 0), int(a + b > 0)])
+        methods = ["bootstrap-lr", "mc-dropout", "vae"]
+        cfg = write_config(tmp_path, {
+            "dataset": f"csv:{data}", "experiment": "ood:held", "methods": methods,
+            "seeds": [0], "hidden": [4], "max_epochs": 2, "ensemble_size": 1,
+            "mc_passes": 3, "vae_latent": 2, "vae_epochs": 2,
+            "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 0
+        with open(tmp_path / "out" / "results.csv", newline="") as fh:
+            rows = [r for r in csv.DictReader(fh) if r["seed"] == "0"]
+        assert [(r["method"], r["context"], r["metric"]) for r in rows] == [
+            (m, "group=held", metric) for m in methods
+            for metric in ("detection_auc", "subgroup_auc")]
+        values = {(r["method"], r["metric"]): r["value"] for r in rows}
+        assert values.pop(("vae", "subgroup_auc")) == "absent"
+        assert all(0.0 <= float(v) <= 1.0 for v in values.values())
 
 
 class TestSurfaces:

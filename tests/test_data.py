@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -325,8 +327,10 @@ class TestGrid2d:
         assert grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 50).shape == (2500, 2)
 
     def test_bad_bounds(self):
-        with pytest.raises(ParameterError):
-            grid_2d(((1.0, 0.0), (0.0, 1.0)), 3)
+        for bounds in (((1.0, 0.0), (0.0, 1.0)), ((math.nan, 1.0), (0.0, 1.0)),
+                       ((0.0, 1.0), (-math.inf, 1.0))):
+            with pytest.raises(ParameterError):
+                grid_2d(bounds, 3)
 
     def test_min_resolution(self):
         with pytest.raises(ParameterError):

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from tabuq import (METHODS, MethodSettings, ScoredPredictions, SeededRng,
-                   ToyConfig, binary_entropy, confidence_performance,
+from tabuq import (METHODS, MethodSettings, SeededRng, ToyConfig, TrainConfig,
+                   binary_entropy, confidence_performance,
                    corruption_experiment, curve_experiment, ece,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
-                   seed_sweep, toy_surfaces, train_method,
-                   train_with_classifier)
-from tabuq.data import Dataset, split
+                   predict_mlp, seed_sweep, toy_surfaces, train_method,
+                   train_mlp, train_with_classifier)
+from tabuq.data import Dataset, exclude_group, split
 from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError,
                           UndefinedMetricError)
 from tabuq.metrics import auc_roc
@@ -17,35 +17,25 @@ from tabuq.metrics import auc_roc
 from conftest import make_dataset
 
 
-def scored(probability, uncertainty, label, method="single-nn"):
-    return ScoredPredictions(probability=np.asarray(probability, dtype=float),
-                             uncertainty=np.asarray(uncertainty, dtype=float),
-                             label=np.asarray(label), method=method)
-
-
-class TestScoredPredictions:
+class TestConfidencePerformance:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
-            ScoredPredictions(probability=np.zeros(3), uncertainty=np.zeros(2),
-                              label=np.zeros(3, dtype=np.int64),
-                              method="single-nn")
+            confidence_performance(np.zeros(3), np.zeros(2), np.zeros(3, dtype=np.int64))
 
     def test_probability_range(self):
         with pytest.raises(ParameterError):
-            scored([1.2], [0.1], [1])
+            confidence_performance([1.2, 0.5], [0.1, 0.2], [1, 0])
 
-    def test_unknown_method(self):
+    def test_nan_probability_rejected(self):
         with pytest.raises(ParameterError):
-            scored([0.5], [0.1], [1], method="oracle")
+            confidence_performance([math.nan, 0.5], [0.1, 0.2], [1, 0])
 
-
-class TestConfidencePerformance:
     def test_full_fraction_equals_full_set_metrics(self):
         rng = SeededRng(0)
         probs = rng.random(40)
         labels = (rng.random(40) < probs).astype(np.int64)
-        sp = scored(probs, binary_entropy(probs), labels)
-        (point,) = confidence_performance(sp, fractions=(1.0,))
+        (point,) = confidence_performance(probs, binary_entropy(probs), labels,
+                                          fractions=(1.0,))
         assert point.auc == auc_roc(probs, labels)
         assert point.ece == ece(probs, labels)
         assert point.positive_fraction == labels.mean()
@@ -56,47 +46,44 @@ class TestConfidencePerformance:
         probs = np.array([0.95] * 5 + [0.05] * 5 + [0.45] * 5 + [0.55] * 5)
         labels = np.array([1] * 5 + [0] * 5 + [0] * 5 + [1] * 5)
         labels[10:] = 1 - labels[10:]  # uncertain rows are misclassified
-        sp = scored(probs, binary_entropy(probs), labels)
-        half, full = confidence_performance(sp, fractions=(0.5, 1.0))
+        half, full = confidence_performance(probs, binary_entropy(probs), labels,
+                                            fractions=(0.5, 1.0))
         assert half.auc == 1.0
         assert full.auc < 1.0
 
     def test_constant_uncertainty_keeps_original_order(self):
         probs = np.linspace(0.1, 0.9, 10)
         labels = np.array([0, 1] * 5)
-        sp = scored(probs, np.full(10, 0.7), labels)
-        (point,) = confidence_performance(sp, fractions=(0.3,))
+        (point,) = confidence_performance(probs, np.full(10, 0.7), labels,
+                                          fractions=(0.3,))
         # ceil(0.3 * 10) = 3 rows, stably the first three original rows.
         np.testing.assert_allclose(point.positive_fraction, 1.0 / 3.0)
 
     def test_prefix_size_floor_is_one(self):
-        sp = scored([0.9, 0.1], [0.1, 0.2], [1, 0])
-        (point,) = confidence_performance(sp, fractions=(0.01,))
+        (point,) = confidence_performance([0.9, 0.1], [0.1, 0.2], [1, 0],
+                                          fractions=(0.01,))
         assert point.auc is None  # single kept row has one class
         assert point.positive_fraction == 1.0
 
     def test_single_class_prefix_reports_absent_auc(self):
         probs = np.array([0.9, 0.8, 0.3, 0.4])
         labels = np.array([1, 1, 0, 0])
-        sp = scored(probs, np.array([0.0, 0.1, 0.8, 0.9]), labels)
-        half, = confidence_performance(sp, fractions=(0.5,))
+        half, = confidence_performance(probs, np.array([0.0, 0.1, 0.8, 0.9]),
+                                       labels, fractions=(0.5,))
         assert half.auc is None
         assert half.positive_fraction == 1.0
 
     def test_empty_input_rejected(self):
-        sp = scored([], [], [])
         with pytest.raises(DataError):
-            confidence_performance(sp, fractions=(1.0,))
+            confidence_performance([], [], [], fractions=(1.0,))
 
     def test_single_class_full_set_rejected(self):
-        sp = scored([0.2, 0.3], [0.1, 0.2], [0, 0])
         with pytest.raises(UndefinedMetricError):
-            confidence_performance(sp, fractions=(1.0,))
+            confidence_performance([0.2, 0.3], [0.1, 0.2], [0, 0], fractions=(1.0,))
 
     def test_bad_fraction(self):
-        sp = scored([0.2, 0.8], [0.1, 0.2], [0, 1])
         with pytest.raises(ParameterError):
-            confidence_performance(sp, fractions=(0.0,))
+            confidence_performance([0.2, 0.8], [0.1, 0.2], [0, 1], fractions=(0.0,))
 
 
 @pytest.fixture(scope="module")
@@ -173,6 +160,15 @@ class TestTrainMethod:
             single.predict(test.features),
             train_method("single-nn", train, val, st, rng.split("single-nn")).predict(test.features))
 
+    def test_class_weighting_reaches_the_networks(self, toy_world):
+        train, val, test = toy_world
+        fitted = train_method("single-nn", train, val,
+                              MethodSettings.toy(class_weighting=True), SeededRng(6))
+        model = train_mlp(train, val, TrainConfig.toy(), SeededRng(6).split("model"),
+                          weighting=True)
+        np.testing.assert_array_equal(fitted.predict(test.features),
+                                      predict_mlp(model, test.features))
+
     def test_same_seed_same_method(self, toy_world):
         train, val, test = toy_world
         a = train_method("nn-ensemble", train, val, MethodSettings.toy(),
@@ -247,17 +243,17 @@ class TestOodExperiment:
 
     def test_result_fields_and_range(self):
         data = self._tagged_synthetic(9)
-        res = ood_experiment(data, "held", "bootstrap-lr",
-                             MethodSettings(standardize=True), SeededRng(10))
-        assert res.group == "held" and res.method == "bootstrap-lr"
-        assert 0.0 <= res.detection_auc <= 1.0
-        assert 0.0 <= res.subgroup_auc <= 1.0
+        records = ood_experiment(data, "held", ["bootstrap-lr"],
+                                 MethodSettings(standardize=True), SeededRng(10))
+        assert list(records) == [("bootstrap-lr", "group=held", "detection_auc"),
+                                 ("bootstrap-lr", "group=held", "subgroup_auc")]
+        assert all(0.0 <= v <= 1.0 for v in records.values())
 
     def test_vae_has_no_subgroup_auc(self):
         data = self._tagged_synthetic(11)
-        res = ood_experiment(data, "held", "vae", MethodSettings(),
-                             SeededRng(12))
-        assert res.subgroup_auc is None
+        records = ood_experiment(data, "held", ["vae"], MethodSettings(),
+                                 SeededRng(12))
+        assert records[("vae", "group=held", "subgroup_auc")] is None
 
     def test_single_class_group_subgroup_absent(self):
         data = self._tagged_synthetic(13)
@@ -266,20 +262,65 @@ class TestOodExperiment:
         labels[held] = 0
         data = Dataset(data.features, labels, data.feature_names,
                        data.group_tags)
-        res = ood_experiment(data, "held", "bootstrap-lr", MethodSettings(),
-                             SeededRng(14))
-        assert res.subgroup_auc is None
+        records = ood_experiment(data, "held", ["bootstrap-lr"], MethodSettings(),
+                                 SeededRng(14))
+        assert records[("bootstrap-lr", "group=held", "subgroup_auc")] is None
 
     def test_far_shifted_group_detected_by_vae(self):
         data = self._tagged_synthetic(15, shift=25.0)
-        res = ood_experiment(data, "held", "vae", MethodSettings(),
-                             SeededRng(16))
-        assert res.detection_auc > 0.95
+        records = ood_experiment(data, "held", ["vae"], MethodSettings(),
+                                 SeededRng(16))
+        assert records[("vae", "group=held", "detection_auc")] > 0.95
 
     def test_unknown_tag_propagates(self):
         data = self._tagged_synthetic(17)
         with pytest.raises(DataError):
-            ood_experiment(data, "ghost", "vae", MethodSettings(), SeededRng(18))
+            ood_experiment(data, "ghost", ["vae"], MethodSettings(), SeededRng(18))
+
+    def test_methods_share_one_split_and_keep_their_streams(self):
+        # Each method trains on rng/<method> over the one split, so a joint
+        # call gives every record of the single-method calls.
+        data = self._tagged_synthetic(19)
+        st, rng = MethodSettings(), SeededRng(20)
+        joint = ood_experiment(data, "held", ["bootstrap-lr", "vae"], st, rng)
+        alone = {**ood_experiment(data, "held", ["bootstrap-lr"], st, rng),
+                 **ood_experiment(data, "held", ["vae"], st, rng)}
+        assert joint == alone
+
+    def test_mc_dropout_scores_test_and_ood_rows_once(self, monkeypatch):
+        import tabuq.evaluation as evaluation
+
+        rows = []
+        real = evaluation.mc_dropout_predict
+
+        def counted(model, X, *args):
+            rows.append(len(X))
+            return real(model, X, *args)
+
+        monkeypatch.setattr(evaluation, "mc_dropout_predict", counted)
+        data = self._tagged_synthetic(21)
+        in_domain, ood = exclude_group(data, "held")
+        _, _, test = split(in_domain, (0.6, 0.2, 0.2), SeededRng(22).split("split"))
+        st = MethodSettings(mlp=TrainConfig(hidden=(8,), max_epochs=2), mc_passes=5)
+        ood_experiment(data, "held", ["mc-dropout"], st, SeededRng(22))
+        assert rows == [test.n + ood.n]
+
+    def test_split_fractions_reach_the_split(self, monkeypatch):
+        import tabuq.evaluation as evaluation
+
+        seen = []
+        real = evaluation.split
+
+        def recorded(data, fractions, rng):
+            seen.append(fractions)
+            return real(data, fractions, rng)
+
+        monkeypatch.setattr(evaluation, "split", recorded)
+        data = self._tagged_synthetic(23)
+        records = ood_experiment(data, "held", ["bootstrap-lr"], MethodSettings(),
+                                 SeededRng(24), (0.5, 0.3, 0.2))
+        assert seen == [(0.5, 0.3, 0.2)]
+        assert records[("bootstrap-lr", "group=held", "detection_auc")] is not None
 
 
 class TestCorruptionExperiment:
@@ -321,11 +362,6 @@ class TestCorruptionExperiment:
         a = corruption_experiment(fitted, test, factors=(10,), rng=SeededRng(26))
         b = corruption_experiment(fitted, test, factors=(10,), rng=SeededRng(26))
         assert a == b
-
-    def test_requires_rng(self, toy_world):
-        with pytest.raises(ParameterError):
-            corruption_experiment([], generate_toy(ToyConfig(mode="balanced"),
-                                                   SeededRng(27)))
 
 
 class TestSeedSweep:

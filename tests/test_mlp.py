@@ -7,7 +7,7 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig,
                    finite_difference_gradient, generate_toy, mc_dropout_predict,
                    mlp_loss, mlp_loss_and_grads, positive_weight, predict_mlp,
                    train_mlp, weighted_bce_loss)
-from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
+from tabuq.errors import DataError, ShapeError, TrainingError
 from tabuq.mlp import _make_masks, init_mlp
 from tabuq.numeric import flatten
 
@@ -94,12 +94,8 @@ class TestPredict:
         m = init_mlp(3, TrainConfig(hidden=(8,), dropout_rate=0.0), SeededRng(5))
         X = SeededRng(6).normal((12, 3))
         np.testing.assert_array_equal(
-            predict_mlp(m, X, dropout_active=True, rng=SeededRng(7)),
+            predict_mlp(m, X, _make_masks(m, X.shape[0], SeededRng(7))),
             predict_mlp(m, X))
-
-    def test_dropout_needs_rng(self, toy_mlp):
-        with pytest.raises(ParameterError):
-            predict_mlp(toy_mlp, np.zeros((1, 2)), dropout_active=True)
 
     def test_dimension_mismatch(self, toy_mlp):
         with pytest.raises(ShapeError):

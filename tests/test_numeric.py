@@ -176,7 +176,7 @@ def digest(arrays):
 rng = SeededRng(0)
 toy = ToyConfig(mode="unbalanced")
 train, val = generate_toy(toy, rng.split("train")), generate_toy(toy, rng.split("val"))
-m = train_mlp(train, val, TrainConfig.toy(class_weighting=True), SeededRng(1))
+m = train_mlp(train, val, TrainConfig.toy(), SeededRng(1), weighting=True)
 print("mlp-toy", digest(m.params()))
 tr, va, _ = split(generate_synthetic(SeededRng(3), n=600), (0.6, 0.2, 0.2), SeededRng(4))
 m = train_mlp(tr, va, TrainConfig(hidden=(100, 100), max_epochs=2, patience=1), SeededRng(5))
