@@ -11,7 +11,7 @@ from .data import (CorruptionSpec, Dataset, StandardScaler, ToyConfig,
                    apply_scaler, bootstrap_sample, corrupt_feature,
                    exclude_group, fit_scaler, generate_synthetic, generate_toy,
                    grid_2d, load_csv, split)
-from .ensemble import Ensemble, ensemble_predict, train_deep_ensemble
+from .ensemble import ensemble_predict, train_deep_ensemble
 from .errors import (ConfigError, DataError, ParameterError, ShapeError,
                      TrainingError, UndefinedMetricError)
 from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, CurvePoint,
@@ -26,12 +26,9 @@ from .metrics import (CalibrationBins, PlattParams, auc_roc, binary_entropy,
 from .mlp import (MlpModel, TrainConfig, mc_dropout_predict, mlp_loss,
                   mlp_loss_and_grads, positive_weight, predict_mlp, train_mlp,
                   weighted_bce_loss)
-from .numeric import (AdamState, adam_step, anchored_mean, dropout_mask,
-                      finite_difference_gradient, flatten, minibatch_adam,
-                      minimize_gd, sigmoid, unflatten)
+from .numeric import (AdamState, adam_step, anchored_mean, dropout_mask, flatten,
+                      minibatch_adam, minimize_gd, sigmoid, unflatten)
 from .rng import SeededRng
-from .serialize import load_model, save_model
-from .vae import (VaeConfig, VaeModel, train_vae, vae_loss,
-                  vae_novelty_score)
+from .vae import VaeConfig, VaeModel, train_vae, vae_novelty_score
 
 __version__ = "0.1.0"

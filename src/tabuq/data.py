@@ -7,6 +7,7 @@ experiments; they are never exposed to models as features.
 
 from __future__ import annotations
 
+import codecs
 import csv
 from dataclasses import dataclass
 from pathlib import Path
@@ -178,11 +179,22 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 
     Columns named `group:<tag>` must hold 0/1 and become per-row group tags;
     every other non-label column must be numeric and finite and becomes a
-    feature.
+    feature. A leading byte-order mark is dropped. A byte that is not UTF-8,
+    or a line the csv module cannot parse, is a DataError naming the line.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
+    # Split on \n, \r and \r\n only, as a file opened with newline="" is.
+    lines = path.read_bytes().removeprefix(codecs.BOM_UTF8).splitlines(keepends=True)
+    for n, line in enumerate(lines):
+        try:
+            lines[n] = line.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: line {n + 1}: not UTF-8 text ({e.reason})") from None
+    reader = csv.reader(lines)
+    try:
+        rows = list(reader)
+    except csv.Error as e:
+        raise DataError(f"{path}: line {reader.line_num}: {e}") from None
     if not rows:
         raise DataError(f"{path}: file is empty")
     header = [h.strip() for h in rows[0]]

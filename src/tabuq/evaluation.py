@@ -22,7 +22,7 @@ from .data import (CorruptionSpec, Dataset, apply_scaler, corrupt_feature,
                    exclude_group, fit_scaler, split)
 from .ensemble import ensemble_predict, train_deep_ensemble
 from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
-from .logistic import train_bootstrapped_lr
+from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
 from .mlp import TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
 from .rng import SeededRng
@@ -113,7 +113,7 @@ def train_method(name: str, train: Dataset, val: Dataset,
     if name == "nn-ensemble":
         model = train_deep_ensemble(train, val, settings.mlp, rng.split("model"),
                                     settings.ensemble_size, weighting)
-        return FittedMethod(name, predict=lambda X: ensemble_predict(model, X))
+        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, model, X))
     if name == "mc-dropout":
         model = train_mlp(train, val, settings.mlp, rng.split("model"), weighting)
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
@@ -121,7 +121,7 @@ def train_method(name: str, train: Dataset, val: Dataset,
     if name == "bootstrap-lr":
         model = train_bootstrapped_lr(train, rng.split("model"), settings.ensemble_size,
                                       settings.logistic_c, weighting)
-        return FittedMethod(name, predict=lambda X: ensemble_predict(model, X))
+        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_logistic, model, X))
     if name == "vae":
         model = train_vae(train, settings.vae, rng.split("model"))
         return FittedMethod(name, uncertainty=lambda X: vae_novelty_score(

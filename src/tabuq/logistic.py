@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
-from .errors import DataError, ShapeError
+from .data import Dataset, bootstrap_sample
+from .errors import DataError, ParameterError, ShapeError
 from .mlp import PROB_CLAMP, positive_weight
 from .numeric import minimize_gd, sigmoid
 from .rng import SeededRng
@@ -23,7 +23,6 @@ from .rng import SeededRng
 class LogisticModel:
     weights: np.ndarray
     bias: float
-    C: float = 1e-2
 
 
 def predict_logistic(model: LogisticModel, X: np.ndarray) -> np.ndarray:
@@ -80,19 +79,19 @@ def train_logistic(train: Dataset, C: float = 1e-2,
     params, _, _ = minimize_gd(
         lambda p: logistic_objective(p, train.features, y, w_pos, lam),
         x0, tol=1e-6, max_iter=10_000)
-    return LogisticModel(weights=params[:-1], bias=float(params[-1]), C=C)
+    return LogisticModel(weights=params[:-1], bias=float(params[-1]))
 
 
 def train_bootstrapped_lr(train: Dataset, rng: SeededRng, M: int = 5,
-                          C: float = 1e-2, weighting: bool = False):
+                          C: float = 1e-2,
+                          weighting: bool = False) -> tuple[LogisticModel, ...]:
     """M logistic models, each fit on an independent same-size bootstrap resample.
 
     Each member's global class weight comes from its own resample, since that
     is the data the member actually trains on.
     """
-    from .data import bootstrap_sample
-    from .ensemble import Ensemble
-
+    if M < 1:
+        raise ParameterError(f"ensemble size must be at least 1, got {M}")
     members = []
     for i in range(M):
         sample = bootstrap_sample(train, rng.split(f"member{i}"))
@@ -105,4 +104,4 @@ def train_bootstrapped_lr(train: Dataset, rng: SeededRng, M: int = 5,
             else:
                 raise DataError(f"bootstrap member {i} never drew both classes")
         members.append(train_logistic(sample, C=C, weighting=weighting))
-    return Ensemble(members=tuple(members))
+    return tuple(members)

@@ -79,10 +79,6 @@ class CalibrationBins:
     mean_predicted: np.ndarray
     observed_fraction: np.ndarray
 
-    @property
-    def k(self) -> int:
-        return self.counts.shape[0]
-
 
 def calibration_bins(probs, outcomes, K: int = 10) -> CalibrationBins:
     probs = np.asarray(probs, dtype=np.float64).ravel()

@@ -39,6 +39,11 @@ def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
     return keep.astype(np.float64) / (1.0 - rate)
 
 
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+
+
 @dataclass
 class AdamState:
     """Adam moment estimates for one flat parameter vector.
@@ -50,9 +55,6 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
@@ -60,8 +62,7 @@ class AdamState:
                    v=np.zeros_like(params, dtype=np.float64), lr=lr)
 
 
-def adam_step(params: np.ndarray, grads: np.ndarray,
-              state: AdamState) -> tuple[np.ndarray, AdamState]:
+def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
     """One bias-corrected Adam update. Returns new params; mutates `state`."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
@@ -70,12 +71,11 @@ def adam_step(params: np.ndarray, grads: np.ndarray,
             f"adam_step shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"moments {state.m.shape}")
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads * grads
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    new_params = params - state.lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
-    return new_params, state
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -119,25 +119,8 @@ def minibatch_adam(flat: np.ndarray,
             loss, grads = loss_and_grads(flat, idx, noise_rng.split(f"{epoch}.{b}"))
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            flat, _ = adam_step(flat, grads, state)
+            flat = adam_step(flat, grads, state)
         yield epoch, flat
-
-
-def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
-                               h: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient of a scalar function, one coordinate at a time."""
-    if h <= 0:
-        raise ParameterError(f"step h must be positive, got {h}")
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = grad.ravel()
-    for i in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp.ravel()[i] += h
-        xm.ravel()[i] -= h
-        flat[i] = (f(xp) - f(xm)) / (2.0 * h)
-    return grad
 
 
 def anchored_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -23,7 +23,7 @@ LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 LOG_2PI = float(np.log(2.0 * np.pi))
 
-# Parameter ordering of the flat vector and of the model files.
+# Parameter ordering of the flat vector.
 PARAM_FIELDS = ("enc_w_mu", "enc_b_mu", "enc_w_lv", "enc_b_lv",
                 "dec_w_mu", "dec_b_mu", "dec_w_lv", "dec_b_lv")
 
@@ -105,19 +105,6 @@ def decoder_nll(X: np.ndarray, d_mu: np.ndarray, d_lv: np.ndarray) -> np.ndarray
 def kl_to_standard_normal(e_mu: np.ndarray, e_lv: np.ndarray) -> np.ndarray:
     """Closed-form per-row KL(q(z|x) || N(0, I)) for diagonal Gaussians."""
     return 0.5 * (e_mu * e_mu + np.exp(e_lv) - e_lv - 1.0).sum(axis=1)
-
-
-def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
-    """Negative ELBO (reconstruction NLL plus KL), mean over the batch.
-
-    eps is the (N, latent) reparameterization draw; passing a frozen eps makes
-    the loss a deterministic function of the parameters for gradient checks.
-    """
-    X = _check_inputs(model, X)
-    e_mu, e_lv, _ = _encode(model, X)
-    z = e_mu + np.exp(0.5 * e_lv) * eps
-    d_mu, d_lv, _ = _decode(model, z)
-    return float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
 
 
 def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray

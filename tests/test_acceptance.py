@@ -17,11 +17,11 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
+from oracles import finite_difference_gradient, vae_loss
 
-from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig,
-                   auc_roc, binary_entropy, ece, finite_difference_gradient,
-                   generate_toy, mlp_loss, mlp_loss_and_grads, platt_apply,
-                   platt_fit, vae_loss)
+from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig, auc_roc,
+                   binary_entropy, ece, generate_toy, mlp_loss, mlp_loss_and_grads,
+                   platt_apply, platt_fit)
 from tabuq.cli import run
 from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
 from tabuq.evaluation import (METHODS, MethodSettings, confidence_performance,

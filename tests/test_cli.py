@@ -278,6 +278,29 @@ class TestRun:
         assert "row 8, column 'b'" in err and "non-finite" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, body, message", [
+        ("bad_utf8.csv", "a,b,label\n1,2,0\n3,caf\u00e9,1\n".encode("latin-1"),
+         "bad_utf8.csv: line 3: not UTF-8 text"),
+        ("long_cell.csv", ("a,b,label\n1,2,0\n3," + "4" * 140_000 + ",1\n").encode(),
+         "long_cell.csv: line 3: field larger than field limit")],
+        ids=["bad_utf8", "long_cell"])
+    def test_malformed_csv_exits_2_naming_its_line(self, tmp_path, capsys, name, body, message):
+        data = tmp_path / name
+        data.write_bytes(body)
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error") and message in err
+
+    def test_csv_with_byte_order_mark_and_label_first_runs(self, tmp_path):
+        data = tmp_path / "bom.csv"
+        rows = ["label,a,b"] + [f"{i % 2},{i},{i % 3}" for i in range(60)]
+        data.write_text("\n".join(rows) + "\n", encoding="utf-8-sig")
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 0
+
     @pytest.mark.parametrize("key, value", [
         ("n_corrupt_features", 0), ("ensemble_size", 0), ("mc_passes", 0),
         ("split_fractions", [0.5, 0.5, 0.5]), ("split_fractions", [1.2, -0.1, -0.1]),

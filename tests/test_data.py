@@ -171,6 +171,19 @@ class TestLoadCsv(object):
         with pytest.raises(DataError):
             load_csv(p, "label")
 
+    @pytest.mark.parametrize("header", ["label,a", "a,label"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, header):
+        p = tmp_path / "bom.csv"
+        p.write_text(header + "\n0,1\n1,0\n", encoding="utf-8-sig")
+        d = load_csv(p, "label")
+        assert d.feature_names == ("a",)
+
+    def test_non_utf8_byte_after_a_byte_order_mark_names_its_line(self, tmp_path):
+        p = tmp_path / "latin1.csv"
+        p.write_bytes(b"\xef\xbb\xbf" + "a,label\n1.0,0\n\u00e9,1\n".encode("latin-1"))
+        with pytest.raises(DataError, match="latin1.csv: line 3: not UTF-8 text"):
+            load_csv(p, "label")
+
 
 class TestScaler:
     def test_two_point_column(self):

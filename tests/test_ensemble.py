@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from tabuq import (Ensemble, LogisticModel, SeededRng, TrainConfig,
-                   ensemble_predict, predict_mlp, train_deep_ensemble)
-from tabuq.ensemble import member_predict
-from tabuq.errors import ParameterError, ShapeError
+from tabuq import (LogisticModel, SeededRng, TrainConfig, ensemble_predict,
+                   predict_logistic, predict_mlp, train_bootstrapped_lr,
+                   train_deep_ensemble)
+from tabuq.errors import ParameterError
 from tabuq.mlp import init_mlp
 
 
@@ -12,51 +12,23 @@ def _lr(w, b):
     return LogisticModel(weights=np.asarray(w, dtype=np.float64), bias=b)
 
 
-class TestEnsembleType:
-    def test_needs_members(self):
-        with pytest.raises(ParameterError):
-            Ensemble(members=())
-
-    def test_rejects_mixed_kinds(self):
-        mlp = init_mlp(2, TrainConfig(hidden=(3,)), SeededRng(0))
-        with pytest.raises(ParameterError):
-            Ensemble(members=(mlp, _lr([0.0, 0.0], 0.0)))
-
-    def test_rejects_mismatched_input_dims(self):
-        with pytest.raises(ShapeError):
-            Ensemble(members=(_lr([1.0], 0.0), _lr([1.0, 2.0], 0.0)))
-
-    def test_size(self):
-        e = Ensemble(members=tuple(_lr([float(i)], 0.0) for i in range(3)))
-        assert e.size == 3
-
-
 class TestEnsemblePredict:
     def test_identical_members_collapse_bitwise(self):
         m = init_mlp(2, TrainConfig(hidden=(4,)), SeededRng(1))
-        e = Ensemble(members=(m, m, m, m, m))
         X = SeededRng(2).normal((30, 2))
-        np.testing.assert_array_equal(ensemble_predict(e, X),
+        np.testing.assert_array_equal(ensemble_predict(predict_mlp, (m,) * 5, X),
                                       predict_mlp(m, X))
 
     def test_two_member_hand_value(self):
         # Opposite biases: sigmoid(b) + sigmoid(-b) average to exactly 0.5.
-        e = Ensemble(members=(_lr([0.0], 4.0), _lr([0.0], -4.0)))
-        p = ensemble_predict(e, np.zeros((3, 1)))
+        members = (_lr([0.0], 4.0), _lr([0.0], -4.0))
+        p = ensemble_predict(predict_logistic, members, np.zeros((3, 1)))
         np.testing.assert_allclose(p, 0.5, atol=1e-12)
 
     def test_mean_stays_in_unit_interval(self):
-        e = Ensemble(members=(_lr([100.0], 0.0), _lr([-100.0], 0.0)))
-        p = ensemble_predict(e, np.linspace(-5, 5, 11).reshape(-1, 1))
+        members = (_lr([100.0], 0.0), _lr([-100.0], 0.0))
+        p = ensemble_predict(predict_logistic, members, np.linspace(-5, 5, 11).reshape(-1, 1))
         assert ((0.0 < p) & (p < 1.0)).all()
-
-    def test_member_predict_dispatch(self):
-        mlp = init_mlp(1, TrainConfig(hidden=(3,)), SeededRng(3))
-        lr = _lr([2.0], -1.0)
-        X = np.array([[0.5]])
-        assert member_predict(mlp, X) == predict_mlp(mlp, X)
-        assert abs(member_predict(lr, X)[0]
-                   - 1.0 / (1.0 + np.exp(0.0))) < 1e-12
 
 
 class TestTrainDeepEnsemble:
@@ -64,7 +36,7 @@ class TestTrainDeepEnsemble:
         train, val, _ = toy_balanced
         e = train_deep_ensemble(train, val, TrainConfig.toy(), M=3,
                                 rng=SeededRng(4))
-        outs = [predict_mlp(m, train.features[:5]) for m in e.members]
+        outs = [predict_mlp(m, train.features[:5]) for m in e]
         for i in range(3):
             for j in range(i + 1, 3):
                 assert not np.array_equal(outs[i], outs[j])
@@ -74,14 +46,14 @@ class TestTrainDeepEnsemble:
         e = train_deep_ensemble(train, val, TrainConfig.toy(), M=1,
                                 rng=SeededRng(5))
         X = val.features[:10]
-        np.testing.assert_array_equal(ensemble_predict(e, X),
-                                      predict_mlp(e.members[0], X))
+        np.testing.assert_array_equal(ensemble_predict(predict_mlp, e, X),
+                                      predict_mlp(e[0], X))
 
     def test_default_size_five(self, toy_balanced):
         train, val, _ = toy_balanced
         e = train_deep_ensemble(train, val, TrainConfig.toy(),
                                 rng=SeededRng(6))
-        assert e.size == 5
+        assert type(e) is tuple and len(e) == 5
 
     def test_same_seed_identical(self, toy_balanced):
         train, val, _ = toy_balanced
@@ -90,5 +62,13 @@ class TestTrainDeepEnsemble:
         b = train_deep_ensemble(train, val, TrainConfig.toy(), M=2,
                                 rng=SeededRng(7))
         X = val.features[:8]
-        np.testing.assert_array_equal(ensemble_predict(a, X),
-                                      ensemble_predict(b, X))
+        np.testing.assert_array_equal(ensemble_predict(predict_mlp, a, X),
+                                      ensemble_predict(predict_mlp, b, X))
+
+
+def test_trainers_need_a_member(toy_balanced):
+    train, val, _ = toy_balanced
+    with pytest.raises(ParameterError):
+        train_deep_ensemble(train, val, TrainConfig.toy(), SeededRng(8), M=0)
+    with pytest.raises(ParameterError):
+        train_bootstrapped_lr(train, SeededRng(8), M=0)

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig,
-                   finite_difference_gradient, generate_toy, mc_dropout_predict,
-                   mlp_loss, mlp_loss_and_grads, positive_weight, predict_mlp,
-                   train_mlp, weighted_bce_loss)
+from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
+                   mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
+                   predict_mlp, train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ShapeError, TrainingError
 from tabuq.mlp import _make_masks, init_mlp
 from tabuq.numeric import flatten
 
 from conftest import make_dataset
+from oracles import finite_difference_gradient
 
 
 class TestPositiveWeight:
