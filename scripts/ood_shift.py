@@ -18,14 +18,13 @@ from tabuq.evaluation import METHODS, MethodSettings, ood_experiment
 def tagged(rng: SeededRng, group_size: int, shift_sigma: float) -> Dataset:
     data = generate_synthetic(rng.split("data"))
     pick = rng.split("group").permutation(data.n)[:group_size]
-    tags = [frozenset() for _ in range(data.n)]
-    for i in pick:
-        tags[i] = frozenset(("held",))
+    held = np.zeros(data.n, dtype=bool)
+    held[pick] = True
     X = data.features.copy()
     if shift_sigma:
         X[pick] += shift_sigma * X.std(axis=0)
     return Dataset(features=X, labels=data.labels,
-                   feature_names=data.feature_names, group_tags=tuple(tags))
+                   feature_names=data.feature_names, groups={"held": held})
 
 
 def main() -> None:

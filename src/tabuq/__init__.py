@@ -7,10 +7,9 @@ Platt scaling, out-of-domain group detection, and corrupted-feature
 detection. Everything is seed-deterministic.
 """
 
-from .data import (CorruptionSpec, Dataset, StandardScaler, ToyConfig,
-                   apply_scaler, bootstrap_sample, corrupt_feature,
-                   exclude_group, fit_scaler, generate_synthetic, generate_toy,
-                   grid_2d, load_csv, split)
+from .data import (Dataset, StandardScaler, ToyConfig, apply_scaler,
+                   bootstrap_sample, corrupt_feature, exclude_group, fit_scaler,
+                   generate_synthetic, generate_toy, grid_2d, load_csv, split)
 from .ensemble import ensemble_predict, train_deep_ensemble
 from .errors import (ConfigError, DataError, ParameterError, ShapeError,
                      TrainingError, UndefinedMetricError)
@@ -21,8 +20,8 @@ from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, CurvePoint,
                          toy_surfaces, train_method, train_with_classifier)
 from .logistic import (LogisticModel, predict_logistic, train_bootstrapped_lr,
                        train_logistic)
-from .metrics import (CalibrationBins, PlattParams, auc_roc, binary_entropy,
-                      calibration_bins, ece, platt_apply, platt_fit)
+from .metrics import (PlattParams, auc_roc, binary_entropy, ece, platt_apply,
+                      platt_fit)
 from .mlp import (MlpModel, TrainConfig, mc_dropout_predict, mlp_loss,
                   mlp_loss_and_grads, positive_weight, predict_mlp, train_mlp,
                   weighted_bce_loss)

@@ -45,8 +45,6 @@ KNOWN_KEYS = frozenset({
     "n_corrupt_features", "grid_bounds", "grid_resolution",
 })
 
-_UNSET = object()
-
 
 @dataclass
 class ExperimentConfig:
@@ -160,6 +158,8 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         raise ConfigError(
             f"key 'experiment' must be curve, ood:<tag>, corrupt or surfaces, "
             f"got {experiment!r}")
+    if kind == "ood" and is_toy:
+        raise ConfigError("key 'experiment': ood needs a csv dataset with group columns")
 
     methods = tuple(_as_list(raw.get("methods", list(METHODS)), "methods"))
     for m in methods:
@@ -176,47 +176,37 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     if not seeds:
         raise ConfigError("key 'seeds' must name at least one seed")
 
-    standardize = raw.get("standardize", _UNSET)
-    if standardize is _UNSET:
-        standardize = not is_toy
-    else:
-        standardize = _as_bool(standardize, "standardize")
-
-    hidden = _as_list(raw.get("hidden", [5] if is_toy else [100, 100]), "hidden")
-    batch_size = _as_int(raw.get("batch_size", 8 if is_toy else 256), "batch_size", 1)
-    max_epochs = _as_int(raw.get("max_epochs", 20 if is_toy else 100), "max_epochs", 1)
-    patience = raw.get("patience", _UNSET)
-    if patience is _UNSET:
-        patience = None if is_toy else 2
-    elif patience is not None:
-        patience = _as_int(patience, "patience", 1)
-    logistic_c = raw.get("logistic_c", _UNSET)
-    if logistic_c is _UNSET:
-        logistic_c = None if is_toy else 1e-2
-    if logistic_c is not None:
-        logistic_c = _as_number(logistic_c, "logistic_c", lambda v: v > 0, "positive")
-    vae_latent = _as_int(raw.get("vae_latent", 2 if is_toy else 500), "vae_latent", 1)
-
+    # Every method default comes from the preset; the config overrides it.
+    preset = MethodSettings.toy() if is_toy else MethodSettings()
+    mlp, vae = preset.mlp, preset.vae
+    hidden = _as_list(raw.get("hidden", list(mlp.hidden)), "hidden")
+    patience = raw.get("patience", mlp.patience)
+    logistic_c = raw.get("logistic_c", preset.logistic_c)
     try:
         mlp_cfg = TrainConfig(
             hidden=tuple(_as_int(h, "hidden", 1) for h in hidden),
-            dropout_rate=_as_number(raw.get("dropout_rate", 0.5), "dropout_rate",
+            dropout_rate=_as_number(raw.get("dropout_rate", mlp.dropout_rate), "dropout_rate",
                                     lambda v: 0 <= v < 1, "in [0, 1)"),
-            lr=_as_number(raw.get("lr", 1e-3), "lr", _positive, "positive and finite"),
-            batch_size=batch_size, max_epochs=max_epochs, patience=patience)
+            lr=_as_number(raw.get("lr", mlp.lr), "lr", _positive, "positive and finite"),
+            batch_size=_as_int(raw.get("batch_size", mlp.batch_size), "batch_size", 1),
+            max_epochs=_as_int(raw.get("max_epochs", mlp.max_epochs), "max_epochs", 1),
+            patience=None if patience is None else _as_int(patience, "patience", 1))
         vae_cfg = VaeConfig(
-            latent_dim=vae_latent,
-            batch_size=_as_int(raw.get("vae_batch_size", 256), "vae_batch_size", 1),
-            epochs=_as_int(raw.get("vae_epochs", 30), "vae_epochs", 1),
-            lr=_as_number(raw.get("vae_lr", 1e-3), "vae_lr", _positive, "positive and finite"),
-            samples=_as_int(raw.get("vae_samples", 10), "vae_samples", 1))
+            latent_dim=_as_int(raw.get("vae_latent", vae.latent_dim), "vae_latent", 1),
+            batch_size=_as_int(raw.get("vae_batch_size", vae.batch_size), "vae_batch_size", 1),
+            epochs=_as_int(raw.get("vae_epochs", vae.epochs), "vae_epochs", 1),
+            lr=_as_number(raw.get("vae_lr", vae.lr), "vae_lr", _positive, "positive and finite"),
+            samples=_as_int(raw.get("vae_samples", vae.samples), "vae_samples", 1))
         settings = MethodSettings(
             mlp=mlp_cfg, vae=vae_cfg,
-            ensemble_size=_as_int(raw.get("ensemble_size", 5), "ensemble_size", 1),
-            mc_passes=_as_int(raw.get("mc_passes", 100), "mc_passes", 1),
-            logistic_c=float("inf") if logistic_c is None else logistic_c,
-            class_weighting=_as_bool(raw.get("class_weighting", False), "class_weighting"),
-            standardize=standardize)
+            ensemble_size=_as_int(raw.get("ensemble_size", preset.ensemble_size),
+                                  "ensemble_size", 1),
+            mc_passes=_as_int(raw.get("mc_passes", preset.mc_passes), "mc_passes", 1),
+            logistic_c=(math.inf if logistic_c is None else _as_number(
+                logistic_c, "logistic_c", lambda v: v > 0, "positive")),
+            class_weighting=_as_bool(raw.get("class_weighting", preset.class_weighting),
+                                     "class_weighting"),
+            standardize=_as_bool(raw.get("standardize", preset.standardize), "standardize"))
     except ParameterError as e:
         raise ConfigError(str(e)) from e
 
@@ -244,7 +234,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         platt=_as_bool(raw.get("platt", False), "platt"),
         label_column=_as_str(raw.get("label_column", "label"), "label_column"),
         settings=settings,
-        toy_n_train=_as_int(raw.get("toy_n_train", 200), "toy_n_train", 2),
+        toy_n_train=_as_int(raw.get("toy_n_train", ToyConfig.n_train), "toy_n_train", 2),
         split_fractions=split_fractions,
         fractions=_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
                               lambda f: 0 < f <= 1, "in (0, 1]"),
@@ -323,8 +313,6 @@ def _execute(cfg: ExperimentConfig):
             surface_tables[(name, rng.seed)] = t
         return recs
 
-    if cfg.ood_tag is not None and cfg.is_toy:
-        raise DataError("ood experiments need a csv dataset with group tags")
     return seed_sweep(experiment, cfg.seeds), surface_tables
 
 

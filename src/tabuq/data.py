@@ -1,15 +1,16 @@
 """Datasets: synthetic generators, CSV ingestion, scaling, splitting, resampling.
 
 A Dataset is an immutable bundle of a float64 feature matrix, binary labels,
-feature names, and per-row group tags. Group tags are metadata for holdout
-experiments; they are never exposed to models as features.
+feature names, and boolean group masks, one row entry per tag. Groups are
+metadata for holdout experiments; they are never exposed to models as
+features.
 """
 
 from __future__ import annotations
 
 import codecs
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ class Dataset:
     features: np.ndarray
     labels: np.ndarray
     feature_names: tuple[str, ...]
-    group_tags: tuple[frozenset[str], ...] = ()
+    groups: dict[str, np.ndarray] = field(default_factory=dict)
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
@@ -44,18 +45,15 @@ class Dataset:
                 f"{len(names)} feature names for {features.shape[1]} columns")
         if len(set(names)) != len(names):
             raise DataError("feature names must be unique")
-        tags = tuple(self.group_tags) if len(self.group_tags) else tuple(
-            frozenset() for _ in range(features.shape[0]))
-        if len(tags) != features.shape[0]:
-            raise ShapeError(
-                f"{len(tags)} group-tag entries for {features.shape[0]} rows")
-        # A bare string per row means one tag, not a set of characters.
-        tags = tuple(frozenset((t,)) if isinstance(t, str) else frozenset(t)
-                     for t in tags)
+        n = features.shape[0]
+        groups = {tag: np.asarray(mask, dtype=bool) for tag, mask in self.groups.items()}
+        for tag, mask in groups.items():
+            if mask.shape != labels.shape:
+                raise ShapeError(f"group {tag!r} mask shape {mask.shape} for {n} rows")
         object.__setattr__(self, "features", features)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "feature_names", names)
-        object.__setattr__(self, "group_tags", tags)
+        object.__setattr__(self, "groups", groups)
 
     @property
     def n(self) -> int:
@@ -69,11 +67,11 @@ class Dataset:
         """Row subset (or resample) by integer indices."""
         idx = np.asarray(indices, dtype=np.int64)
         return Dataset(self.features[idx], self.labels[idx], self.feature_names,
-                       tuple(self.group_tags[i] for i in idx))
+                       {tag: mask[idx] for tag, mask in self.groups.items()})
 
     def with_features(self, features: np.ndarray) -> "Dataset":
         """Same rows and metadata with a replaced feature matrix."""
-        return Dataset(features, self.labels, self.feature_names, self.group_tags)
+        return Dataset(features, self.labels, self.feature_names, self.groups)
 
 
 @dataclass(frozen=True)
@@ -84,63 +82,31 @@ class StandardScaler:
 
 @dataclass(frozen=True)
 class ToyConfig:
-    """Two-Gaussian 2-D toy problem.
-
-    Balanced mode draws equal clusters; unbalanced mode draws 6x as many
-    negatives and tightens the positive cluster (variance 2 instead of 4).
-    """
+    """Two-Gaussian 2-D toy problem of n_train rows; see generate_toy."""
 
     mode: str = "balanced"
     n_train: int = 200
-    positive_mean: tuple[float, float] = (2.0, 2.0)
-    negative_mean: tuple[float, float] = (-1.0, -1.0)
-    negative_var: float = 4.0
-    positive_var: float | None = None
-    imbalance: int = 6
 
     def __post_init__(self):
         if self.mode not in ("balanced", "unbalanced"):
             raise ParameterError(f"toy mode must be balanced or unbalanced, got {self.mode!r}")
         if self.n_train < 2:
             raise ParameterError(f"n_train must be at least 2, got {self.n_train}")
-        if self.negative_var <= 0 or (self.positive_var is not None and self.positive_var <= 0):
-            raise ParameterError("cluster variances must be positive")
-
-    def resolved_positive_var(self) -> float:
-        if self.positive_var is not None:
-            return self.positive_var
-        return 4.0 if self.mode == "balanced" else 2.0
-
-    def class_counts(self) -> tuple[int, int]:
-        """(n_positive, n_negative) after rounding."""
-        if self.mode == "balanced":
-            n_pos = round(self.n_train / 2)
-        else:
-            n_pos = round(self.n_train / (self.imbalance + 1))
-        return n_pos, self.n_train - n_pos
-
-
-@dataclass(frozen=True)
-class CorruptionSpec:
-    """One corrupted-feature perturbation: multiply column `feature_index` by `factor`."""
-
-    feature_index: int
-    factor: float
-
-    def __post_init__(self):
-        if self.factor <= 0:
-            raise ParameterError(f"corruption factor must be positive, got {self.factor}")
-        if self.feature_index < 0:
-            raise ParameterError(f"feature index must be non-negative, got {self.feature_index}")
 
 
 def generate_toy(config: ToyConfig, rng: SeededRng) -> Dataset:
-    """Sample the two-cluster toy dataset; positives first, then negatives."""
-    n_pos, n_neg = config.class_counts()
-    pos = np.asarray(config.positive_mean) + np.sqrt(
-        config.resolved_positive_var()) * rng.split("positive").normal((n_pos, 2))
-    neg = np.asarray(config.negative_mean) + np.sqrt(
-        config.negative_var) * rng.split("negative").normal((n_neg, 2))
+    """Sample the two-cluster toy dataset; positives first, then negatives.
+
+    Positives are drawn around (2, 2) and negatives around (-1, -1), with
+    per-axis variance 4. Balanced mode draws round(n_train / 2) positives;
+    unbalanced mode draws one positive per six negatives (round(n_train / 7))
+    and tightens the positive variance to 2.
+    """
+    balanced = config.mode == "balanced"
+    n_pos = round(config.n_train / (2 if balanced else 7))
+    n_neg = config.n_train - n_pos
+    pos = 2.0 + np.sqrt(4.0 if balanced else 2.0) * rng.split("positive").normal((n_pos, 2))
+    neg = -1.0 + np.sqrt(4.0) * rng.split("negative").normal((n_neg, 2))
     features = np.vstack([pos, neg])
     labels = np.concatenate([np.ones(n_pos, dtype=np.int64),
                              np.zeros(n_neg, dtype=np.int64)])
@@ -177,10 +143,11 @@ def generate_synthetic(rng: SeededRng, n: int = 10_000, d: int = 10,
 def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a UTF-8 comma-separated file with a mandatory header row.
 
-    Columns named `group:<tag>` must hold 0/1 and become per-row group tags;
-    every other non-label column must be numeric and finite and becomes a
-    feature. A leading byte-order mark is dropped. A byte that is not UTF-8,
-    or a line the csv module cannot parse, is a DataError naming the line.
+    Columns named `group:<tag>` must hold 0/1 and become boolean group
+    masks; every other non-label column must be numeric and finite and
+    becomes a feature. No column may be named twice. A leading byte-order
+    mark is dropped. A byte that is not UTF-8, or a line the csv module
+    cannot parse, is a DataError naming the line.
     """
     path = Path(path)
     # Split on \n, \r and \r\n only, as a file opened with newline="" is.
@@ -198,6 +165,9 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     if not rows:
         raise DataError(f"{path}: file is empty")
     header = [h.strip() for h in rows[0]]
+    for i, name in enumerate(header):
+        if name in header[:i]:
+            raise DataError(f"{path}: column {name!r} appears more than once")
     if label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
     label_idx = header.index(label_column)
@@ -210,7 +180,7 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 
     features = np.empty((len(rows) - 1, len(feature_cols)), dtype=np.float64)
     labels = np.empty(len(rows) - 1, dtype=np.int64)
-    tags: list[frozenset[str]] = []
+    groups = {tag: np.zeros(len(rows) - 1, dtype=bool) for _, tag in group_cols}
     for r, row in enumerate(rows[1:], start=1):
         if len(row) != len(header):
             raise DataError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
@@ -225,23 +195,20 @@ def load_csv(path, label_column: str = "label") -> Dataset:
                 raise DataError(
                     f"{path}: row {r}, column {header[i]!r}: "
                     f"non-numeric value {row[i]!r}") from None
-        row_tags = set()
         for i, tag in group_cols:
             cell = row[i].strip()
             if cell not in ("0", "1"):
                 raise DataError(
                     f"{path}: row {r}, column {header[i]!r}: "
                     f"group membership must be 0 or 1, got {cell!r}")
-            if cell == "1":
-                row_tags.add(tag)
-        tags.append(frozenset(row_tags))
+            groups[tag][r - 1] = cell == "1"
     bad = np.argwhere(~np.isfinite(features))
     if bad.size:
         r, j = bad[0]
         raise DataError(f"{path}: row {r + 1}, column {header[feature_cols[j]]!r}: "
                         f"non-finite value {rows[r + 1][feature_cols[j]]!r}")
     names = tuple(header[i] for i in feature_cols)
-    return Dataset(features, labels, names, tuple(tags))
+    return Dataset(features, labels, names, groups)
 
 
 def fit_scaler(d: Dataset) -> StandardScaler:
@@ -288,20 +255,20 @@ def bootstrap_sample(d: Dataset, rng: SeededRng) -> Dataset:
 
 def exclude_group(d: Dataset, tag: str) -> tuple[Dataset, Dataset]:
     """Partition rows into (in_domain, ood) by membership of `tag`, preserving order."""
-    mask = np.array([tag in t for t in d.group_tags], dtype=bool)
-    if not mask.any():
+    mask = d.groups.get(tag)
+    if mask is None or not mask.any():
         raise DataError(f"no rows carry group tag {tag!r}")
-    idx = np.arange(d.n)
-    return d.take(idx[~mask]), d.take(idx[mask])
+    return d.take(np.flatnonzero(~mask)), d.take(np.flatnonzero(mask))
 
 
-def corrupt_feature(d: Dataset, spec: CorruptionSpec) -> Dataset:
-    """Copy of d with one feature column multiplied by the corruption factor."""
-    if spec.feature_index >= d.d:
-        raise ParameterError(
-            f"feature index {spec.feature_index} out of range for {d.d} features")
+def corrupt_feature(d: Dataset, index: int, factor: float) -> Dataset:
+    """Copy of d with feature column `index` multiplied by `factor` > 0."""
+    if factor <= 0:
+        raise ParameterError(f"corruption factor must be positive, got {factor}")
+    if not 0 <= index < d.d:
+        raise ParameterError(f"feature index {index} out of range for {d.d} features")
     features = d.features.copy()
-    features[:, spec.feature_index] *= spec.factor
+    features[:, index] *= factor
     return d.with_features(features)
 
 

@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import (CorruptionSpec, Dataset, apply_scaler, corrupt_feature,
-                   exclude_group, fit_scaler, split)
+from .data import Dataset, apply_scaler, corrupt_feature, exclude_group, fit_scaler, split
 from .ensemble import ensemble_predict, train_deep_ensemble
 from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
 from .logistic import predict_logistic, train_bootstrapped_lr
@@ -269,8 +268,7 @@ def corruption_experiment(methods, test: Dataset, rng: SeededRng,
         for factor in factors:
             aucs = []
             for j in chosen:
-                spec = CorruptionSpec(feature_index=int(j), factor=factor)
-                perturbed = corrupt_feature(test, spec)
+                perturbed = corrupt_feature(test, int(j), factor)
                 scores = np.concatenate([clean, fitted.score(perturbed.features)[1]])
                 auc = auc_roc(scores, is_pert)
                 ctx = f"factor={factor:g}.feature={test.feature_names[j]}"

@@ -68,19 +68,9 @@ def auc_roc(scores, labels) -> float:
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
-@dataclass(frozen=True)
-class CalibrationBins:
-    """K equal-width bins over [0,1]; the last bin is closed at 1.
-
-    Empty bins have count 0 and NaN for both means.
-    """
-
-    counts: np.ndarray
-    mean_predicted: np.ndarray
-    observed_fraction: np.ndarray
-
-
-def calibration_bins(probs, outcomes, K: int = 10) -> CalibrationBins:
+def ece(probs, outcomes, K: int = 10) -> float:
+    """Expected calibration error: (1/N) sum_k N_k |mean_pred_k - observed_k|
+    over K equal-width bins on [0, 1], the last closed at 1; empty bins add 0."""
     probs = np.asarray(probs, dtype=np.float64).ravel()
     outcomes = _check_binary_labels(outcomes)
     if probs.shape != outcomes.shape:
@@ -92,21 +82,12 @@ def calibration_bins(probs, outcomes, K: int = 10) -> CalibrationBins:
     if K < 1:
         raise ParameterError(f"need at least one bin, got K={K}")
     idx = np.minimum((probs * K).astype(np.int64), K - 1)
-    counts = np.bincount(idx, minlength=K).astype(np.int64)
-    sums_p = np.bincount(idx, weights=probs, minlength=K)
-    sums_y = np.bincount(idx, weights=outcomes.astype(np.float64), minlength=K)
-    with np.errstate(invalid="ignore"):
-        mean_p = np.where(counts > 0, sums_p / np.maximum(counts, 1), np.nan)
-        mean_y = np.where(counts > 0, sums_y / np.maximum(counts, 1), np.nan)
-    return CalibrationBins(counts=counts, mean_predicted=mean_p, observed_fraction=mean_y)
-
-
-def ece(probs, outcomes, K: int = 10) -> float:
-    """Expected calibration error: (1/N) sum_k N_k |mean_pred_k - observed_k|."""
-    bins = calibration_bins(probs, outcomes, K)
-    filled = bins.counts > 0
-    gaps = np.abs(bins.mean_predicted[filled] - bins.observed_fraction[filled])
-    return float((bins.counts[filled] * gaps).sum() / bins.counts.sum())
+    counts = np.bincount(idx)
+    filled = counts > 0
+    counts = counts[filled]
+    mean_p = np.bincount(idx, weights=probs)[filled] / counts
+    mean_y = np.bincount(idx, weights=outcomes.astype(np.float64))[filled] / counts
+    return float((counts * np.abs(mean_p - mean_y)).sum() / counts.sum())
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ per datum per step; log-variances are clamped to [-10, 10].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,10 +22,6 @@ from .rng import SeededRng
 LOGVAR_MIN = -10.0
 LOGVAR_MAX = 10.0
 LOG_2PI = float(np.log(2.0 * np.pi))
-
-# Parameter ordering of the flat vector.
-PARAM_FIELDS = ("enc_w_mu", "enc_b_mu", "enc_w_lv", "enc_b_lv",
-                "dec_w_mu", "dec_b_mu", "dec_w_lv", "dec_b_lv")
 
 
 @dataclass(frozen=True)
@@ -48,8 +44,8 @@ class VaeModel:
         return self.enc_w_mu.shape[1]
 
     def params(self) -> tuple[np.ndarray, ...]:
-        """Every parameter array in PARAM_FIELDS order (the flat order)."""
-        return tuple(getattr(self, name) for name in PARAM_FIELDS)
+        """Every parameter array in field order (the flat order)."""
+        return tuple(getattr(self, f.name) for f in fields(self))
 
     def with_flat(self, flat: np.ndarray) -> "VaeModel":
         """The same shapes with parameters viewed from a flat vector."""
@@ -109,7 +105,7 @@ def kl_to_standard_normal(e_mu: np.ndarray, e_lv: np.ndarray) -> np.ndarray:
 
 def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray
                        ) -> tuple[float, tuple[np.ndarray, ...]]:
-    """Negative-ELBO loss and analytic gradients in PARAM_FIELDS order.
+    """Negative-ELBO loss and analytic gradients in VaeModel field order.
 
     Clamped log-variance coordinates receive zero gradient through the clamp.
     The reparameterization path contributes d z / d e_lv = eps * s / 2 with

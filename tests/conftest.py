@@ -27,12 +27,11 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
-def make_dataset(X, y, tags=None) -> Dataset:
+def make_dataset(X, y, groups=None) -> Dataset:
     X = np.asarray(X, dtype=np.float64)
     names = tuple(f"x{i + 1}" for i in range(X.shape[1]))
     return Dataset(features=X, labels=np.asarray(y, dtype=np.int64),
-                   feature_names=names,
-                   group_tags=tags if tags is not None else ())
+                   feature_names=names, groups=groups or {})
 
 
 @pytest.fixture(scope="session")

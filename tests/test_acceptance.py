@@ -227,14 +227,13 @@ def test_criterion_6_corruption_detection():
 def tagged_synthetic(rng: SeededRng, shift_sigma: float = 0.0) -> Dataset:
     data = generate_synthetic(rng.split("data"))
     pick = rng.split("group").permutation(data.n)[:1500]
-    tags = [frozenset() for _ in range(data.n)]
-    for i in pick:
-        tags[i] = frozenset(("held",))
+    held = np.zeros(data.n, dtype=bool)
+    held[pick] = True
     X = data.features.copy()
     if shift_sigma:
         X[pick] += shift_sigma * X.std(axis=0)
     return Dataset(features=X, labels=data.labels,
-                   feature_names=data.feature_names, group_tags=tuple(tags))
+                   feature_names=data.feature_names, groups={"held": held})
 
 
 def test_criterion_7_ood_null_and_shift():

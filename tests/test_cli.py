@@ -1,6 +1,9 @@
 import csv
 import json
 import math
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +344,109 @@ class TestRun:
         values = {(r["method"], r["metric"]): r["value"] for r in rows}
         assert values.pop(("vae", "subgroup_auc")) == "absent"
         assert all(0.0 <= float(v) <= 1.0 for v in values.values())
+
+    @pytest.mark.parametrize("header, name", [(["a", "label", "label"], "label"),
+                                              (["a", "a", "label"], "a")],
+                             ids=["label_twice", "feature_twice"])
+    def test_column_named_twice_exits_2_naming_it(self, tmp_path, capsys, header, name):
+        # With the label twice, the second copy used to become a feature, so
+        # the model trained on the label and reached AUC 1.0.
+        data = tmp_path / "d.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            writer.writerows([(i * 7) % 11, i % 2, i % 2] for i in range(200))
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 2
+        assert f"d.csv: column {name!r} appears more than once" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_ood_on_toy_dataset_exits_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**FAST, "experiment": "ood:held",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err == ("config error: key 'experiment': "
+                                           "ood needs a csv dataset with group columns\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_key_table_names_every_known_key():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| key | meaning | default |"):].split("\n\n")[0]
+    first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
+    keys = [k for cell in first_cells for k in re.findall(r"`([a-z_]+)`", cell)]
+    assert len(keys) == len(set(keys))
+    assert set(keys) == KNOWN_KEYS
+
+
+# Cells a faulty fuzzed CSV may hold besides plain numbers.
+ODD_CELLS = ["", "nan", "inf", "-inf", "1e400", "abc", " 1 ", "2"]
+NAME = st.text(alphabet="ab,\" :", min_size=1, max_size=4)
+
+
+@st.composite
+def fuzzed_csv(draw):
+    """Header and rows of a small CSV with odd names and maybe group
+    columns. Half of the files are faulty: a column named twice, odd cells,
+    short rows or labels other than 0/1, each of the kinds load_csv checks."""
+    faulty = draw(st.booleans())
+    names = draw(st.lists(NAME, min_size=1, max_size=3, unique_by=str.strip))
+    if faulty and draw(st.booleans()):
+        names.append(names[0])
+    if draw(st.booleans()):
+        names.append("group:g")
+    header = draw(st.permutations(names + ["label"]))
+    number = st.floats(-5, 5).map(repr) | st.integers(-3, 3).map(str)
+    rows = []
+    for _ in range(draw(st.integers(0, 60))):
+        row = []
+        for name in header:
+            if faulty and draw(st.integers(0, 40)) == 0:
+                row.append(draw(st.sampled_from(ODD_CELLS)))
+            elif name in ("label", "group:g"):
+                row.append(draw(st.sampled_from(["0", "1"])))
+            else:
+                row.append(draw(number))
+        if faulty and draw(st.integers(0, 60)) == 0:
+            row.pop()
+        rows.append(row)
+    return header, rows
+
+
+def has_non_finite_feature(header, rows) -> bool:
+    features = [i for i, name in enumerate(header)
+                if name.strip() != "label" and not name.strip().startswith("group:")]
+    for row in rows:
+        for i in features:
+            try:
+                if i < len(row) and not math.isfinite(float(row[i])):
+                    return True
+            except ValueError:
+                pass
+    return False
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_data=fuzzed_csv(), experiment=st.sampled_from(["curve", "corrupt", "ood:g"]))
+def test_fuzzed_csv_run_exits_with_a_known_code(csv_data, experiment):
+    header, rows = csv_data
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        with open(tmp / "data.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows([header, *rows])
+        (tmp / "config.json").write_text(json.dumps({
+            "dataset": f"csv:{tmp / 'data.csv'}", "experiment": experiment,
+            "methods": ["bootstrap-lr"], "ensemble_size": 1, "seeds": [0],
+            "fractions": [1.0, 0.5], "factors": [10], "n_corrupt_features": 1}))
+        code = run(tmp / "config.json", out_override=tmp / "out", quiet=True)
+        assert code in (0, 1, 2, 3)
+        if code == 0:
+            assert not has_non_finite_feature(header, rows)
+            with open(tmp / "out" / "results.csv", newline="", encoding="utf-8") as fh:
+                assert all(len(r) == 6 for r in csv.reader(fh))
 
 
 class TestSurfaces:

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tabuq import (CorruptionSpec, Dataset, SeededRng, ToyConfig,
-                   apply_scaler, bootstrap_sample, corrupt_feature,
+from tabuq import (Dataset, SeededRng, ToyConfig, apply_scaler, bootstrap_sample, corrupt_feature,
                    exclude_group, fit_scaler, generate_synthetic,
                    generate_toy, grid_2d, load_csv, split)
 from tabuq.errors import DataError, ParameterError, ShapeError
@@ -17,7 +16,7 @@ class TestDataset:
         d = make_dataset([[1.0, 2.0], [3.0, 4.0]], [0, 1])
         assert d.n == 2 and d.d == 2
         assert d.feature_names == ("x1", "x2")
-        assert d.group_tags == (frozenset(), frozenset())
+        assert d.groups == {}
 
     def test_rejects_non_binary_labels(self):
         with pytest.raises(DataError, match="2"):
@@ -29,35 +28,35 @@ class TestDataset:
 
     def test_rejects_1d_features(self):
         with pytest.raises(ShapeError):
-            Dataset(np.zeros(3), np.zeros(3, dtype=np.int64), ("a",), ())
+            Dataset(np.zeros(3), np.zeros(3, dtype=np.int64), ("a",))
 
     def test_rejects_duplicate_feature_names(self):
         with pytest.raises(DataError, match="unique"):
             Dataset(np.zeros((1, 2)), np.zeros(1, dtype=np.int64),
-                    ("a", "a"), ())
+                    ("a", "a"))
 
     def test_rejects_wrong_tag_count(self):
-        with pytest.raises(ShapeError):
-            make_dataset([[1.0], [2.0]], [0, 1], tags=(frozenset(),))
-
-    def test_string_tags_become_singleton_sets(self):
-        d = make_dataset([[1.0], [2.0]], [0, 1], tags=("held", frozenset()))
-        assert d.group_tags == (frozenset({"held"}), frozenset())
+        with pytest.raises(ShapeError, match="'held'"):
+            make_dataset([[1.0], [2.0]], [0, 1], groups={"held": [True]})
+        with pytest.raises(ShapeError, match="'held'"):
+            make_dataset([[1.0], [2.0]], [0, 1], groups={"held": [[True], [False]]})
 
     def test_take_reorders_and_resamples(self):
         d = make_dataset([[1.0], [2.0], [3.0]], [0, 1, 0],
-                         tags=("a", "b", "c"))
+                         groups={"a": [1, 0, 0], "c": [0, 0, 1]})
         sub = d.take([2, 0, 2])
         np.testing.assert_array_equal(sub.features[:, 0], [3.0, 1.0, 3.0])
         np.testing.assert_array_equal(sub.labels, [0, 0, 0])
-        assert sub.group_tags == (frozenset({"c"}), frozenset({"a"}),
-                                  frozenset({"c"}))
+        assert list(sub.groups) == ["a", "c"]
+        np.testing.assert_array_equal(sub.groups["a"], [False, True, False])
+        np.testing.assert_array_equal(sub.groups["c"], [True, False, True])
 
     def test_with_features_keeps_metadata(self):
-        d = make_dataset([[1.0], [2.0]], [0, 1], tags=("a", "b"))
+        d = make_dataset([[1.0], [2.0]], [0, 1], groups={"a": [True, False]})
         r = d.with_features(np.array([[10.0], [20.0]]))
         np.testing.assert_array_equal(r.features[:, 0], [10.0, 20.0])
-        assert r.group_tags == d.group_tags
+        assert list(r.groups) == ["a"]
+        np.testing.assert_array_equal(r.groups["a"], [True, False])
 
 
 class TestGenerateToy:
@@ -143,7 +142,18 @@ class TestLoadCsv(object):
                         "a,group:elective,label\n1.0,1,0\n2.0,0,1\n")
         d = load_csv(p, "label")
         assert d.feature_names == ("a",)
-        assert d.group_tags == (frozenset({"elective"}), frozenset())
+        assert list(d.groups) == ["elective"]
+        assert d.groups["elective"].dtype == bool
+        np.testing.assert_array_equal(d.groups["elective"], [True, False])
+
+    @pytest.mark.parametrize("header, name", [("a,label,label", "label"),
+                                              ("a,a,label", "a"),
+                                              ("group:g, group:g,a,label", "group:g")])
+    def test_column_named_twice_rejected(self, tmp_path, header, name):
+        cells = ",".join("0" for _ in header.split(","))
+        p = self._write(tmp_path, f"{header}\n{cells}\n")
+        with pytest.raises(DataError, match=f"data.csv: column '{name}' appears more than once"):
+            load_csv(p, "label")
 
     def test_missing_label_column(self, tmp_path):
         p = self._write(tmp_path, "a,b\n1,2\n")
@@ -275,7 +285,7 @@ class TestBootstrap:
 class TestExcludeGroup:
     def _tagged(self):
         return make_dataset([[1.0], [2.0], [3.0], [4.0]], [0, 1, 0, 1],
-                            tags=("keep", "held", "keep", "held"))
+                            groups={"held": [False, True, False, True]})
 
     def test_partition_and_order(self):
         in_domain, ood = exclude_group(self._tagged(), "held")
@@ -289,22 +299,22 @@ class TestExcludeGroup:
 
     def test_multi_tag_rows(self):
         d = make_dataset([[1.0], [2.0]], [0, 1],
-                         tags=(frozenset({"a", "b"}), frozenset({"b"})))
+                         groups={"a": [True, False], "b": [True, True]})
         in_domain, ood = exclude_group(d, "a")
         assert (in_domain.n, ood.n) == (1, 1)
-        assert ood.group_tags[0] == frozenset({"a", "b"})
+        assert ood.groups["a"].tolist() == ood.groups["b"].tolist() == [True]
 
 
 class TestCorruptFeature:
     def test_factor_one_is_identity(self):
         d = generate_synthetic(SeededRng(0), n=20, d=4, informative=2)
-        out = corrupt_feature(d, CorruptionSpec(feature_index=1, factor=1.0))
+        out = corrupt_feature(d, 1, 1.0)
         np.testing.assert_array_equal(out.features, d.features)
         assert out.features is not d.features
 
     def test_single_column_scaled(self):
         d = generate_synthetic(SeededRng(0), n=20, d=4, informative=2)
-        out = corrupt_feature(d, CorruptionSpec(feature_index=2, factor=1000.0))
+        out = corrupt_feature(d, 2, 1000.0)
         np.testing.assert_array_equal(out.features[:, 2],
                                       d.features[:, 2] * 1000.0)
         keep = [0, 1, 3]
@@ -313,16 +323,21 @@ class TestCorruptFeature:
 
     def test_disjoint_corruptions_commute(self):
         d = generate_synthetic(SeededRng(0), n=10, d=4, informative=2)
-        s0 = CorruptionSpec(feature_index=0, factor=10.0)
-        s3 = CorruptionSpec(feature_index=3, factor=1000.0)
-        a = corrupt_feature(corrupt_feature(d, s0), s3)
-        b = corrupt_feature(corrupt_feature(d, s3), s0)
+        a = corrupt_feature(corrupt_feature(d, 0, 10.0), 3, 1000.0)
+        b = corrupt_feature(corrupt_feature(d, 3, 1000.0), 0, 10.0)
         np.testing.assert_array_equal(a.features, b.features)
 
     def test_index_out_of_range(self):
         d = make_dataset([[1.0, 2.0]], [0])
-        with pytest.raises(ParameterError):
-            corrupt_feature(d, CorruptionSpec(feature_index=2, factor=10.0))
+        for index in (2, -1):
+            with pytest.raises(ParameterError, match="out of range"):
+                corrupt_feature(d, index, 10.0)
+
+    def test_factor_must_be_positive(self):
+        d = make_dataset([[1.0, 2.0]], [0])
+        for factor in (0.0, -10.0):
+            with pytest.raises(ParameterError, match="positive"):
+                corrupt_feature(d, 0, factor)
 
 
 class TestGrid2d:

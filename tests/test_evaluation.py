@@ -232,14 +232,12 @@ class TestOodExperiment:
         rng = SeededRng(seed)
         data = generate_synthetic(rng.split("data"), n=900, d=4, informative=3)
         pick = rng.split("pick").permutation(data.n)[:150]
-        tags = [frozenset() for _ in range(data.n)]
-        for i in pick:
-            tags[i] = frozenset({"held"})
+        held = np.zeros(data.n, dtype=bool)
+        held[pick] = True
         X = data.features.copy()
         X[pick] += shift * X.std(axis=0)
         return Dataset(features=X, labels=data.labels,
-                       feature_names=data.feature_names,
-                       group_tags=tuple(tags))
+                       feature_names=data.feature_names, groups={"held": held})
 
     def test_result_fields_and_range(self):
         data = self._tagged_synthetic(9)
@@ -258,10 +256,8 @@ class TestOodExperiment:
     def test_single_class_group_subgroup_absent(self):
         data = self._tagged_synthetic(13)
         labels = data.labels.copy()
-        held = [i for i, t in enumerate(data.group_tags) if "held" in t]
-        labels[held] = 0
-        data = Dataset(data.features, labels, data.feature_names,
-                       data.group_tags)
+        labels[data.groups["held"]] = 0
+        data = Dataset(data.features, labels, data.feature_names, data.groups)
         records = ood_experiment(data, "held", ["bootstrap-lr"], MethodSettings(),
                                  SeededRng(14))
         assert records[("bootstrap-lr", "group=held", "subgroup_auc")] is None

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tabuq import (SeededRng, auc_roc, binary_entropy, calibration_bins, ece,
-                   platt_apply, platt_fit, sigmoid)
+from tabuq import (SeededRng, auc_roc, binary_entropy, ece, platt_apply,
+                   platt_fit, sigmoid)
 from tabuq.errors import ParameterError, UndefinedMetricError
 from tabuq.metrics import PlattParams, midranks
 
@@ -113,37 +113,43 @@ class TestAucRoc:
         assert auc_roc(scores, labels) == pair_counting_auc(scores, labels)
 
 
-class TestCalibrationBins:
-    def test_counts_and_means(self):
-        probs = np.array([0.05, 0.15, 0.25, 0.17])
-        outcomes = np.array([0, 1, 0, 1])
-        bins = calibration_bins(probs, outcomes, K=10)
-        np.testing.assert_array_equal(bins.counts[:3], [1, 2, 1])
-        assert bins.counts[3:].sum() == 0
-        assert abs(bins.mean_predicted[1] - 0.16) < 1e-12
-        assert bins.observed_fraction[1] == 1.0
+class TestEce:
+    def test_shared_bin_compares_means(self):
+        # 0.15 and 0.17 share bin 1: |0.16 - 0.5| counts twice, not
+        # |0.15 - 1| + |0.17 - 0|.
+        value = ece(np.array([0.05, 0.15, 0.25, 0.17]), np.array([0, 1, 0, 0]))
+        assert abs(value - (0.05 + 2 * 0.34 + 0.25) / 4) < 1e-12
 
     def test_probability_one_lands_in_last_bin(self):
-        bins = calibration_bins(np.array([1.0]), np.array([1]), K=10)
-        assert bins.counts[9] == 1
+        # In one bin with 0.95 the gap is |0.975 - 0.5|; in a bin of its
+        # own it would add |1 - 0| to |0.95 - 1|.
+        assert abs(ece(np.array([0.95, 1.0]), np.array([1, 0])) - 0.475) < 1e-12
 
-    def test_total_count_preserved(self):
+    @pytest.mark.parametrize("K", [1, 7, 10])
+    def test_matches_per_bin_loop(self, K):
         rng = SeededRng(2)
-        probs = rng.random(500)
-        outcomes = (rng.random(500) < probs).astype(np.int64)
-        bins = calibration_bins(probs, outcomes, K=10)
-        assert bins.counts.sum() == 500
+        probs = np.concatenate([rng.random(500), [0.0, 1.0]])
+        outcomes = (rng.random(502) < probs).astype(np.int64)
+        total = 0.0
+        for k in range(K):
+            inside = (probs >= k / K) & ((probs < (k + 1) / K) | (k == K - 1))
+            if inside.any():
+                total += inside.sum() * abs(probs[inside].mean() - outcomes[inside].mean())
+        assert abs(ece(probs, outcomes, K) - total / probs.size) < 1e-12
 
     def test_empty_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            calibration_bins(np.array([]), np.array([]), K=10)
+            ece(np.array([]), np.array([]))
 
-    def test_nan_probability_rejected(self):
+    @pytest.mark.parametrize("bad", [np.nan, 1.5, -0.1])
+    def test_probability_outside_unit_interval_rejected(self, bad):
         with pytest.raises(ParameterError):
-            calibration_bins(np.array([0.2, np.nan]), np.array([0, 1]), K=10)
+            ece(np.array([0.2, bad]), np.array([0, 1]))
 
+    def test_needs_a_bin(self):
+        with pytest.raises(ParameterError, match="K=0"):
+            ece(np.array([0.2]), np.array([0]), K=0)
 
-class TestEce:
     def test_perfect_binary_predictions(self):
         assert ece(np.array([0.0, 1.0, 1.0]), np.array([0, 1, 1])) == 0.0
 

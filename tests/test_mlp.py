@@ -140,7 +140,7 @@ class TestTrainMlp:
     def test_empty_validation_rejected(self, toy_balanced):
         train, _, _ = toy_balanced
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
-                        ("x1", "x2"), ())
+                        ("x1", "x2"))
         with pytest.raises(DataError):
             train_mlp(train, empty, TrainConfig.toy(), SeededRng(0))
 
@@ -156,11 +156,14 @@ class TestTrainMlp:
         # Same seed, same epochs; the only difference is whether the best
         # validation snapshot is restored at the end.
         rng = SeededRng(12)
-        cfg_noisy = ToyConfig(mode="balanced", n_train=60,
-                              positive_mean=(0.5, 0.5),
-                              negative_mean=(0.0, 0.0))
-        train = generate_toy(cfg_noisy, rng.split("train"))
-        val = generate_toy(cfg_noisy, rng.split("val"))
+
+        def overlapping(stream):
+            # Toy clusters moved from (2, 2) and (-1, -1) to (0.5, 0.5) and (0, 0).
+            d = generate_toy(ToyConfig(mode="balanced", n_train=60), stream)
+            return d.with_features(
+                d.features + np.where(d.labels[:, None] == 1, -1.5, 1.0))
+        train = overlapping(rng.split("train"))
+        val = overlapping(rng.split("val"))
         base = dict(hidden=(16,), batch_size=8, max_epochs=15, lr=1e-2)
         snap = train_mlp(train, val, TrainConfig(patience=100, **base),
                          SeededRng(13))
