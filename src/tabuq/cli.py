@@ -365,6 +365,20 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
         print(f"wrote {n_files} file(s) to {out}")
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Refuse, before any work, an out_dir that is or lies under a non-directory.
+
+    The nearest existing path of out_dir and its parents must be a
+    directory; _write_outputs creates the rest.
+    """
+    for path in (Path(out_dir), *Path(out_dir).parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ConfigError(f"key 'out_dir': cannot write to {out_dir!r}: "
+                                  f"{str(path)!r} is not a directory")
+            return
+
+
 def run(config_path, seed_override=None, out_override=None, quiet: bool = False) -> int:
     """Execute one config file; returns the process exit code."""
     try:
@@ -377,6 +391,7 @@ def run(config_path, seed_override=None, out_override=None, quiet: bool = False)
         except ValueError as e:  # bad JSON, or an integer literal too long to read
             raise ConfigError(f"config is not valid JSON: {e}") from e
         cfg = parse_config(raw, seed_override, out_override)
+        _check_out_dir(cfg.out_dir)
         sweep, surface_tables = _execute(cfg)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -5,9 +5,13 @@ Record dictionaries map (method, context, metric) keys to floats, with None
 for metrics that are undefined in a given context (for example AUC over a
 single-class prefix). The cli module flattens these into CSV rows.
 
-All stochastic scoring goes through closures that re-derive their rng child
-stream on every call, so scoring the same inputs twice gives bitwise equal
-results; this is what makes the factor-1 corruption baseline exactly 0.5.
+Stochastic scoring draws from rng child streams named by their label path,
+not by consumed state, so scoring the same inputs twice gives bitwise equal
+results; this is what makes the factor-1 corruption baseline exactly 0.5. The
+VAE re-derives its stream on every call. MC dropout's keep-masks come from
+the same streams, but each row count's masks are drawn once and cached
+bit-packed in the method's scorer, so the corrupted copies of a test set
+reuse the clean copy's masks.
 """
 
 from __future__ import annotations
@@ -104,6 +108,9 @@ def train_method(name: str, train: Dataset, val: Dataset,
     Scoring closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
+    The MC-dropout closure also owns a cache, keyed by row count, of the
+    bit-packed keep-masks drawn from rng/score/pass<t>/layer<i>: each row
+    count's masks are drawn on its first call and reused after.
     """
     weighting = settings.class_weighting
     if name == "single-nn":
@@ -115,8 +122,9 @@ def train_method(name: str, train: Dataset, val: Dataset,
         return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, model, X))
     if name == "mc-dropout":
         model = train_mlp(train, val, settings.mlp, rng.split("model"), weighting)
+        masks: dict = {}
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
-            model, X, rng.split("score"), settings.mc_passes))
+            model, X, rng.split("score"), settings.mc_passes, masks))
     if name == "bootstrap-lr":
         model = train_bootstrapped_lr(train, rng.split("model"), settings.ensemble_size,
                                       settings.logistic_c, weighting)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
-from .numeric import (anchored_mean, dropout_mask, flatten, minibatch_adam,
-                      sigmoid, unflatten)
+from .numeric import (anchored_mean, dropout_mask, flatten, keep_mask,
+                      minibatch_adam, sigmoid, unflatten)
 from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
@@ -106,13 +106,18 @@ def weighted_bce_loss(probs: np.ndarray, labels: np.ndarray,
     return float(-terms.mean())
 
 
-def _forward(model: MlpModel, X: np.ndarray,
-             masks: list[np.ndarray] | None) -> tuple[np.ndarray, list, list]:
-    """Forward pass; returns (output column, layer inputs, hidden pre-activations)."""
+def _check_inputs(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.n_inputs:
         raise ShapeError(
             f"model expects (N, {model.n_inputs}) inputs, got {X.shape}")
+    return X
+
+
+def _forward(model: MlpModel, X: np.ndarray,
+             masks: list[np.ndarray] | None) -> tuple[np.ndarray, list, list]:
+    """Forward pass; returns (output column, layer inputs, hidden pre-activations)."""
+    X = _check_inputs(model, X)
     inputs = [X]
     pre_acts = []
     h = X
@@ -134,11 +139,10 @@ def _make_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray
             for i, w in enumerate(model.weights[:-1])]
 
 
-def predict_mlp(model: MlpModel, X: np.ndarray,
-                masks: list[np.ndarray] | None = None) -> np.ndarray:
+def predict_mlp(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Predicted positive-class probabilities, one per row of X, clamped into
-    the open interval (0,1); masks, if given, drop hidden units."""
-    y_hat, _, _ = _forward(model, X, masks)
+    the open interval (0,1)."""
+    y_hat, _, _ = _forward(model, X, None)
     return np.clip(y_hat.ravel(), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
@@ -239,12 +243,44 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
 
 
 def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
-                       T: int = 100) -> np.ndarray:
+                       T: int = 100, cache: dict | None = None) -> np.ndarray:
     """Mean over T stochastic dropout forward passes; pass t draws its masks
-    from rng/pass<t>."""
+    from rng/pass<t>/layer<i>, as training draws them.
+
+    cache maps a row count N to the keep-masks of the passes drawn so far,
+    bit-packed along each row: T * N * sum(ceil(h / 8)) bytes over the hidden
+    widths h, about T * sum(hidden) * N / 8. A caller that scores several
+    inputs with one model and one rng path passes the same dict, and each
+    pass's masks for N rows are drawn once. Layer 0's relu(X @ W + b) is
+    computed once per call and each pass runs in place in reused buffers,
+    with the float arithmetic of a forward pass that multiplies by
+    dropout_mask's masks, so the output bits are the same.
+    """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
-    n_rows = np.asarray(X).shape[0]
-    passes = np.stack([predict_mlp(model, X, _make_masks(model, n_rows, rng.split(f"pass{t}")))
-                       for t in range(T)])
-    return anchored_mean(passes, axis=0)
+    X = _check_inputs(model, X)
+    n = X.shape[0]
+    widths = [w.shape[1] for w in model.weights[:-1]]
+    cache = {} if cache is None else cache
+    keeps = cache.get(n, [])
+    keeps += [[np.packbits(keep_mask(pass_rng.split(f"layer{i}"), (n, width),
+                                     model.dropout_rate), axis=-1)
+               for i, width in enumerate(widths)]
+              for pass_rng in (rng.split(f"pass{t}") for t in range(len(keeps), T))]
+    cache[n] = keeps
+    scale = 1.0 / (1.0 - model.dropout_rate)
+    first = np.maximum(X @ model.weights[0] + model.biases[0], 0.0)
+    hidden = [np.empty((n, width)) for width in widths]
+    passes = np.empty((T, n))
+    for t in range(T):
+        h = np.multiply(first, np.unpackbits(keeps[t][0], axis=-1, count=widths[0]),
+                        out=hidden[0])
+        h *= scale
+        for i in range(1, len(widths)):
+            h = np.matmul(h, model.weights[i], out=hidden[i])
+            h += model.biases[i]
+            np.maximum(h, 0.0, out=h)
+            h *= np.unpackbits(keeps[t][i], axis=-1, count=widths[i])
+            h *= scale
+        passes[t] = sigmoid(h @ model.weights[-1] + model.biases[-1]).ravel()
+    return anchored_mean(np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes), axis=0)

@@ -27,16 +27,20 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def keep_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
+    """Boolean dropout keep-mask: True with probability 1 - `rate`."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    return rng.random(shape) >= rate
+
+
 def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
     The mask has elementwise expectation 1, so no rescaling is needed at
     inference time.
     """
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    keep = rng.random(shape) >= rate
-    return keep.astype(np.float64) / (1.0 - rate)
+    return keep_mask(rng, shape, rate).astype(np.float64) / (1.0 - rate)
 
 
 ADAM_BETA1 = 0.9

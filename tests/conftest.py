@@ -27,6 +27,22 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(line)
 
 
+@pytest.fixture
+def keep_draws(monkeypatch) -> list:
+    """The shape of every keep-mask MC-dropout scoring draws, in order."""
+    import tabuq.mlp as mlp
+
+    shapes = []
+    real = mlp.keep_mask
+
+    def counted(rng, shape, rate):
+        shapes.append(shape)
+        return real(rng, shape, rate)
+
+    monkeypatch.setattr(mlp, "keep_mask", counted)
+    return shapes
+
+
 def make_dataset(X, y, groups=None) -> Dataset:
     X = np.asarray(X, dtype=np.float64)
     names = tuple(f"x{i + 1}" for i in range(X.shape[1]))

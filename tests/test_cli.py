@@ -362,6 +362,20 @@ class TestRun:
         assert f"d.csv: column {name!r} appears more than once" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("out_dir", ["afile", "afile/sub"])
+    def test_out_dir_on_a_file_exits_1_before_running(self, tmp_path, capsys,
+                                                      monkeypatch, out_dir):
+        import tabuq.cli as cli
+
+        (tmp_path / "afile").write_text("")
+        monkeypatch.setattr(cli, "_execute", lambda cfg: pytest.fail("the run started"))
+        out = str(tmp_path / out_dir)
+        cfg = write_config(tmp_path, {**FAST, "out_dir": out})
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err == (
+            f"config error: key 'out_dir': cannot write to {out!r}: "
+            f"{str(tmp_path / 'afile')!r} is not a directory\n")
+
     def test_ood_on_toy_dataset_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FAST, "experiment": "ood:held",
                                       "out_dir": str(tmp_path / "out")})

@@ -112,6 +112,20 @@ class TestTrainMethod:
             assert ((0 < probs) & (probs < 1)).all()
             np.testing.assert_array_equal(probs, fitted.predict(test.features))
 
+    def test_mc_dropout_scorer_draws_each_row_count_once(self, toy_world, keep_draws):
+        train, val, test = toy_world
+        st = MethodSettings.toy()
+        fitted = train_method("mc-dropout", train, val, st, SeededRng(4))
+        clean = fitted.predict(test.features)
+        assert not np.array_equal(fitted.predict(test.features * 3.0), clean)
+        np.testing.assert_array_equal(fitted.predict(test.features), clean)
+        fitted.predict(test.features[:7])
+        width = st.mlp.hidden[0]
+        assert keep_draws == [(test.n, width)] * st.mc_passes + [(7, width)] * st.mc_passes
+        # Each trained method owns its cache.
+        train_method("mc-dropout", train, val, st, SeededRng(4)).predict(test.features)
+        assert len(keep_draws) == 3 * st.mc_passes
+
     def test_unknown_method(self, toy_world):
         train, val, _ = toy_world
         with pytest.raises(ConfigError, match="gradient-boost"):

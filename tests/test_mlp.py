@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,12 +7,12 @@ import pytest
 from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
-from tabuq.errors import DataError, ShapeError, TrainingError
+from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
 from tabuq.mlp import _make_masks, init_mlp
 from tabuq.numeric import flatten
 
 from conftest import make_dataset
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, mc_dropout_reference
 
 
 class TestPositiveWeight:
@@ -89,13 +90,6 @@ class TestPredict:
         X = SeededRng(1).normal((5, 2))
         np.testing.assert_array_equal(predict_mlp(toy_mlp, X),
                                       predict_mlp(toy_mlp, X))
-
-    def test_dropout_rate_zero_matches_plain_forward(self):
-        m = init_mlp(3, TrainConfig(hidden=(8,), dropout_rate=0.0), SeededRng(5))
-        X = SeededRng(6).normal((12, 3))
-        np.testing.assert_array_equal(
-            predict_mlp(m, X, _make_masks(m, X.shape[0], SeededRng(7))),
-            predict_mlp(m, X))
 
     def test_dimension_mismatch(self, toy_mlp):
         with pytest.raises(ShapeError):
@@ -210,3 +204,63 @@ class TestMcDropout:
         X = SeededRng(8).normal((50, 2), std=5.0)
         p = mc_dropout_predict(toy_mlp, X, T=25, rng=SeededRng(9))
         assert ((0.0 < p) & (p < 1.0)).all()
+
+    @pytest.mark.parametrize("T", [1, 100])
+    @pytest.mark.parametrize("n", [1, 13, 2000])
+    @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
+    @pytest.mark.parametrize("hidden", [(5,), (100, 100), (7, 3, 4)],
+                             ids=["5", "100-100", "7-3-4"])
+    def test_matches_per_pass_reference_cold_and_warm(self, hidden, rate, n, T):
+        m = init_mlp(4, TrainConfig(hidden=hidden, dropout_rate=rate), SeededRng(10))
+        cache = {}
+        # A warm cache is reused on other inputs of the same row count, as
+        # the corrupted copies of a test set reuse the clean copy's masks.
+        for X in (SeededRng(11).normal((n, 4)), SeededRng(12).normal((n, 4), std=30.0)):
+            np.testing.assert_array_equal(
+                mc_dropout_predict(m, X, SeededRng(13), T, cache),
+                mc_dropout_reference(m, X, SeededRng(13), T))
+
+
+class TestMcDropoutCache:
+    def test_same_row_count_draws_once(self, toy_mlp, keep_draws):
+        cache = {}
+        mc_dropout_predict(toy_mlp, np.zeros((6, 2)), SeededRng(0), 4, cache)
+        assert keep_draws == [(6, 5)] * 4
+        mc_dropout_predict(toy_mlp, np.ones((6, 2)), SeededRng(0), 4, cache)
+        assert len(keep_draws) == 4
+        assert list(cache) == [6]
+
+    def test_new_row_count_adds_one_entry(self, toy_mlp, keep_draws):
+        cache = {}
+        mc_dropout_predict(toy_mlp, np.zeros((6, 2)), SeededRng(0), 4, cache)
+        mc_dropout_predict(toy_mlp, np.zeros((9, 2)), SeededRng(0), 4, cache)
+        assert sorted(cache) == [6, 9]
+        assert keep_draws == [(6, 5)] * 4 + [(9, 5)] * 4
+
+    def test_more_passes_draw_only_the_new_ones(self, toy_mlp, keep_draws):
+        cache = {}
+        X = SeededRng(1).normal((6, 2))
+        mc_dropout_predict(toy_mlp, X, SeededRng(0), 2, cache)
+        p = mc_dropout_predict(toy_mlp, X, SeededRng(0), 5, cache)
+        assert len(keep_draws) == 5
+        np.testing.assert_array_equal(p, mc_dropout_reference(toy_mlp, X, SeededRng(0), 5))
+
+    def test_wrong_width_raises_before_drawing(self, toy_mlp, keep_draws):
+        cache = {}
+        with pytest.raises(ShapeError):
+            mc_dropout_predict(toy_mlp, np.zeros((6, 3)), SeededRng(0), 4, cache)
+        assert keep_draws == [] and cache == {}
+
+    def test_no_passes_rejected(self, toy_mlp, keep_draws):
+        cache = {}
+        with pytest.raises(ParameterError):
+            mc_dropout_predict(toy_mlp, np.zeros((6, 2)), SeededRng(0), 0, cache)
+        assert keep_draws == [] and cache == {}
+
+    @pytest.mark.parametrize("rate", [1.0, -0.1])
+    def test_bad_dropout_rate_rejected(self, toy_mlp, rate):
+        cache = {}
+        model = dataclasses.replace(toy_mlp, dropout_rate=rate)
+        with pytest.raises(ParameterError):
+            mc_dropout_predict(model, np.zeros((6, 2)), SeededRng(0), 4, cache)
+        assert cache == {}
