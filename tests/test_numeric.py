@@ -164,12 +164,13 @@ TRAINED_DIGESTS = {
     "mlp-toy": "90dd939de1c73da3dc40a96ca93b5d479975a341009a3f4abaf13765de038203",
     "mlp-100x100": "d24bcacc25408090d1d55330bc403aaa09ec6c36fb560e835d531beb5c36ea3b",
     "vae-toy": "8a62507157477ec1a2b4f8ebeb6bbe968a7527c8a48b97a1caf5472a7063bfb1",
+    "ensemble-toy": "abf08e44af4ffb652532085f40b925d071784911fa783eb7dc4e389147e040a4",
 }
 
 TRAINING_SCRIPT = """
 import hashlib
 from tabuq import (SeededRng, ToyConfig, TrainConfig, VaeConfig, generate_synthetic,
-                   generate_toy, split, train_mlp, train_vae)
+                   generate_toy, split, train_deep_ensemble, train_mlp, train_vae)
 
 def digest(arrays):
     return hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
@@ -183,6 +184,8 @@ tr, va, _ = split(generate_synthetic(SeededRng(3), n=600), (0.6, 0.2, 0.2), Seed
 m = train_mlp(tr, va, TrainConfig(hidden=(100, 100), max_epochs=2, patience=1), SeededRng(5))
 print("mlp-100x100", digest(m.params()))
 print("vae-toy", digest(train_vae(train, VaeConfig.toy(), SeededRng(2)).params()))
+e = train_deep_ensemble(train, val, TrainConfig.toy(), SeededRng(6), M=3, weighting=True)
+print("ensemble-toy", digest([a for m in e for a in m.params()]))
 """
 
 
