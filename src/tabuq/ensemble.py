@@ -7,7 +7,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .data import Dataset
-from .errors import ParameterError
 from .mlp import MlpModel, TrainConfig, train_mlp
 from .numeric import anchored_mean
 from .rng import SeededRng
@@ -26,12 +25,10 @@ def ensemble_predict(predict: Callable[[object, np.ndarray], np.ndarray],
 def train_deep_ensemble(train: Dataset, val: Dataset, cfg: TrainConfig,
                         rng: SeededRng, M: int = 5,
                         weighting: bool = False) -> tuple[MlpModel, ...]:
-    """M independent train_mlp runs on the same data.
+    """M networks on the same data, trained as one stacked train_mlp run.
 
-    Each member owns a child rng stream, so initializations and shuffle
-    orders differ across members but the whole ensemble is seed-reproducible.
+    Member m owns the child stream rng/member<m>, so initializations and
+    shuffle orders differ across members but the whole ensemble is
+    seed-reproducible, and each member has the bits of its own run.
     """
-    if M < 1:
-        raise ParameterError(f"ensemble size must be at least 1, got {M}")
-    return tuple(train_mlp(train, val, cfg, rng.split(f"member{i}"), weighting)
-                 for i in range(M))
+    return train_mlp(train, val, cfg, [rng.split(f"member{i}") for i in range(M)], weighting)

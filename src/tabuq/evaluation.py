@@ -114,14 +114,14 @@ def train_method(name: str, train: Dataset, val: Dataset,
     """
     weighting = settings.class_weighting
     if name == "single-nn":
-        model = train_mlp(train, val, settings.mlp, rng.split("model"), weighting)
+        model, = train_mlp(train, val, settings.mlp, [rng.split("model")], weighting)
         return FittedMethod(name, predict=lambda X: predict_mlp(model, X))
     if name == "nn-ensemble":
         model = train_deep_ensemble(train, val, settings.mlp, rng.split("model"),
                                     settings.ensemble_size, weighting)
         return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, model, X))
     if name == "mc-dropout":
-        model = train_mlp(train, val, settings.mlp, rng.split("model"), weighting)
+        model, = train_mlp(train, val, settings.mlp, [rng.split("model")], weighting)
         masks: dict = {}
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
             model, X, rng.split("score"), settings.mc_passes, masks))

@@ -2,21 +2,21 @@
 
 Architecture: fully connected, relu hidden layers with inverted dropout,
 sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
-binary cross-entropy over one flat vector of every weight and bias; the
-model's arrays are views into it. After each epoch the validation loss
-decides early stopping, which restores the best-validation-epoch snapshot.
+binary cross-entropy over an (M, P) stack of M networks' flat parameter
+vectors as one network of (M, in, out) weights. After each epoch each one's
+validation loss decides its early stopping, which restores its best snapshot.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
-from .numeric import (anchored_mean, dropout_mask, flatten, keep_mask,
-                      minibatch_adam, sigmoid, unflatten)
+from .numeric import anchored_mean, flatten, keep_mask, minibatch_adam, sigmoid, unflatten
 from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
@@ -33,11 +33,7 @@ class MlpModel:
 
     @property
     def n_inputs(self) -> int:
-        return self.weights[0].shape[0]
-
-    @property
-    def n_hidden_layers(self) -> int:
-        return len(self.weights) - 1
+        return self.weights[0].shape[-2]
 
     def params(self) -> tuple[np.ndarray, ...]:
         """Every parameter array, all weights then all biases (the flat order)."""
@@ -80,105 +76,109 @@ class TrainConfig:
         return cls(hidden=(5,), batch_size=8, max_epochs=20, patience=None)
 
 
-def positive_weight(labels: np.ndarray) -> float:
-    """w+ = (negative count)/(positive count); 1.0 when a batch has no positives.
+def positive_weight(labels: np.ndarray) -> float | np.ndarray:
+    """w+ = (negative count)/(positive count) of each batch along the last axis
+    (a float for one batch); 1.0 for a batch with no positives.
 
     With no positives the weighted term vanishes from the loss, so the
     fallback value never influences it; it only avoids a division by zero.
     """
     labels = np.asarray(labels)
-    n_pos = int(labels.sum())
-    if n_pos == 0:
-        return 1.0
-    return (labels.size - n_pos) / n_pos
+    n_pos = labels.sum(axis=-1)
+    return np.where(n_pos > 0, (labels.shape[-1] - n_pos) / np.maximum(n_pos, 1), 1.0)[()]
 
 
 def weighted_bce_loss(probs: np.ndarray, labels: np.ndarray,
-                      weighting: bool) -> float:
-    """Mean of -[w+ . y . log p + (1-y) . log(1-p)] over the batch."""
-    probs = np.clip(np.asarray(probs, dtype=np.float64).ravel(),
-                    LOG_CLAMP, 1.0 - LOG_CLAMP)
-    labels = np.asarray(labels, dtype=np.float64).ravel()
+                      weighting: bool) -> float | np.ndarray:
+    """Mean of -[w+ . y . log p + (1-y) . log(1-p)] over each batch along the
+    last axis; a float for one batch."""
+    probs = np.clip(np.asarray(probs, dtype=np.float64), LOG_CLAMP, 1.0 - LOG_CLAMP)
+    labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
-        raise ShapeError(f"{probs.shape[0]} probabilities for {labels.shape[0]} labels")
-    w = positive_weight(labels) if weighting else 1.0
+        raise ShapeError(f"probabilities {probs.shape} do not match labels {labels.shape}")
+    w = positive_weight(labels)[..., None] if weighting else 1.0
     terms = w * labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)
-    return float(-terms.mean())
+    return -terms.mean(axis=-1)
 
 
 def _check_inputs(model: MlpModel, X: np.ndarray) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_inputs:
-        raise ShapeError(
-            f"model expects (N, {model.n_inputs}) inputs, got {X.shape}")
+    if X.ndim != model.weights[0].ndim or X.shape[-1] != model.n_inputs:
+        raise ShapeError(f"model expects (N, {model.n_inputs}) inputs, got {X.shape}")
     return X
 
 
 def _forward(model: MlpModel, X: np.ndarray,
-             masks: list[np.ndarray] | None) -> tuple[np.ndarray, list, list]:
-    """Forward pass; returns (output column, layer inputs, hidden pre-activations)."""
+             masks: list[np.ndarray] | None) -> tuple[np.ndarray, list]:
+    """Forward pass; returns (output column, layer inputs).
+
+    A stack of M networks ((M, in, out) weights, (M, out) biases) takes (M, N, ·)
+    inputs and masks, and computes each slice as that network's own pass does.
+    """
     X = _check_inputs(model, X)
     inputs = [X]
-    pre_acts = []
     h = X
-    for i in range(model.n_hidden_layers):
-        z = h @ model.weights[i] + model.biases[i]
-        pre_acts.append(z)
-        h = np.maximum(z, 0.0)
+    for i in range(len(model.weights) - 1):
+        h = h @ model.weights[i]
+        h += model.biases[i][..., None, :]
+        np.maximum(h, 0.0, out=h)
         if masks is not None:
-            h = h * masks[i]
+            h *= masks[i]
         inputs.append(h)
-    z_out = h @ model.weights[-1] + model.biases[-1]
-    y_hat = sigmoid(z_out)
-    return y_hat, inputs, pre_acts
+    return sigmoid(h @ model.weights[-1] + model.biases[-1][..., None, :]), inputs
 
 
-def _make_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray]:
-    return [dropout_mask(rng.split(f"layer{i}"), (n_rows, w.shape[1]),
-                         model.dropout_rate)
+def _make_masks(model: MlpModel, n_rows: int, rngs: Sequence[SeededRng]) -> list[np.ndarray]:
+    """Each hidden layer's (len(rngs), n_rows, width) inverted-dropout masks:
+    stream r's slice is dropout_mask's mask drawn from r/layer<i>."""
+    return [np.stack([keep_mask(r.split(f"layer{i}"), (n_rows, w.shape[-1]), model.dropout_rate)
+                      for r in rngs]) / (1.0 - model.dropout_rate)
             for i, w in enumerate(model.weights[:-1])]
 
 
 def predict_mlp(model: MlpModel, X: np.ndarray) -> np.ndarray:
     """Predicted positive-class probabilities, one per row of X, clamped into
     the open interval (0,1)."""
-    y_hat, _, _ = _forward(model, X, None)
+    y_hat, _ = _forward(model, X, None)
     return np.clip(y_hat.ravel(), PROB_CLAMP, 1.0 - PROB_CLAMP)
 
 
 def mlp_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray,
              weighting: bool, masks: list[np.ndarray] | None = None) -> float:
     """Weighted BCE of the forward pass; masks may be frozen for gradient checks."""
-    y_hat, _, _ = _forward(model, X, masks)
-    return weighted_bce_loss(y_hat.ravel(), labels, weighting)
+    y_hat, _ = _forward(model, X, masks)
+    return weighted_bce_loss(y_hat[..., 0], labels, weighting)
 
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
                        weighting: bool, masks: list[np.ndarray] | None = None
-                       ) -> tuple[float, list[np.ndarray], list[np.ndarray]]:
+                       ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Loss plus analytic gradients for every weight matrix and bias vector.
 
     Derivation: with p = sigmoid(z) and per-example weight w on positives,
     dL/dz = ((1-y)*p - w*y*(1-p)) / N, then standard backprop through the
     relu layers, with each dropout mask multiplying its layer's gradient.
+    The relu gate reads the masked output, which is positive where the
+    pre-activation is unless the mask is 0, and there the gradient is 0 already.
+    A stack of networks (see _forward) takes (M, N) labels and returns M losses.
     """
-    y_hat, inputs, pre_acts = _forward(model, X, masks)
-    y = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
-    n = y.shape[0]
-    w = positive_weight(labels) if weighting else 1.0
-    loss = weighted_bce_loss(y_hat.ravel(), labels, weighting)
+    y_hat, inputs = _forward(model, X, masks)
+    y = np.asarray(labels, dtype=np.float64)[..., None]
+    n = y.shape[-2]
+    w = positive_weight(labels)[..., None, None] if weighting else 1.0
+    loss = weighted_bce_loss(y_hat[..., 0], labels, weighting)
 
     delta = ((1.0 - y) * y_hat - w * y * (1.0 - y_hat)) / n
     grads_w: list[np.ndarray] = [None] * len(model.weights)
     grads_b: list[np.ndarray] = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = inputs[i].T @ delta
-        grads_b[i] = delta.sum(axis=0)
+        grads_w[i] = np.swapaxes(inputs[i], -1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            dh = delta @ model.weights[i].T
+            delta = delta @ np.swapaxes(model.weights[i], -1, -2)
             if masks is not None:
-                dh = dh * masks[i - 1]
-            delta = dh * (pre_acts[i - 1] > 0)
+                delta *= masks[i - 1]
+            delta *= inputs[i] > 0
     return loss, grads_w, grads_b
 
 
@@ -196,13 +196,17 @@ def init_mlp(n_features: int, cfg: TrainConfig, rng: SeededRng) -> MlpModel:
 
 
 def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
-              rng: SeededRng, weighting: bool = False) -> MlpModel:
-    """Minibatch Adam on the weighted BCE with dropout; returns best-val snapshot.
+              rngs: Sequence[SeededRng], weighting: bool = False) -> tuple[MlpModel, ...]:
+    """Minibatch Adam on the weighted BCE with dropout, one network per stream of
+    rngs, stacked and trained in lockstep; returns each one's best-val snapshot.
 
-    The init, the epoch shuffle and the dropout masks each draw from their
-    own child stream of rng, so two runs with the same seed are bitwise
-    identical. weighting turns on the class-weighted loss (see weighted_bce_loss).
+    Network m draws its init, epoch shuffles and dropout masks from its own
+    child streams of rngs[m], so it has the bits of a run on rngs[m] alone.
+    Each stops early on its own validation loss, and then takes no more steps.
+    weighting turns on the class-weighted loss (see weighted_bce_loss).
     """
+    if not rngs:
+        raise ParameterError("need at least one network to train, got no streams")
     if train.n < 1:
         raise DataError("training set is empty")
     if val.n < 1:
@@ -210,36 +214,30 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
     if val.d != train.d:
         raise ShapeError(f"train has {train.d} features, val has {val.d}")
 
-    model = init_mlp(train.d, cfg, rng.split("init"))
+    inits = [init_mlp(train.d, cfg, rng.split("init")) for rng in rngs]
+    template = inits[0]
 
-    def loss_and_grads(flat, idx, batch_rng):
-        m = model.with_flat(flat)
-        masks = _make_masks(m, len(idx), batch_rng)
-        loss, gw, gb = mlp_loss_and_grads(m, train.features[idx], train.labels[idx],
-                                          weighting, masks)
-        return loss, flatten((*gw, *gb))
+    def loss_and_grads(flat, idx, batch_rngs):
+        masks = _make_masks(template, idx.shape[1], batch_rngs)
+        loss, gw, gb = mlp_loss_and_grads(template.with_flat(flat), train.features[idx],
+                                          train.labels[idx], weighting, masks)
+        return loss, np.concatenate([g.reshape(len(idx), -1) for g in (*gw, *gb)], axis=1)
 
-    best: MlpModel | None = None
-    best_loss = np.inf
-    epochs_since_improve = 0
-    for epoch, flat in minibatch_adam(flatten(model.params()), loss_and_grads,
-                                      train.n, cfg.batch_size, cfg.max_epochs,
-                                      cfg.lr, rng, "dropout"):
-        model = model.with_flat(flat)
-        if cfg.patience is None:
-            continue
-        val_loss = mlp_loss(model, val.features, val.labels, weighting)
-        if not np.isfinite(val_loss):
-            raise TrainingError(f"non-finite validation loss at epoch {epoch}")
-        if val_loss < best_loss:
-            best_loss = val_loss
-            best = model
-            epochs_since_improve = 0
-        else:
-            epochs_since_improve += 1
-            if epochs_since_improve >= cfg.patience:
-                break
-    return best if best is not None else model
+    best = {}  # member -> (best val loss, its snapshot, epochs since it improved)
+    for epoch, flat, members in minibatch_adam(np.stack([flatten(m.params()) for m in inits]),
+                                               loss_and_grads, train.n, cfg.batch_size,
+                                               cfg.max_epochs, cfg.lr, rngs, "dropout"):
+        for m, row in zip(list(members) if cfg.patience else (), flat):
+            model = template.with_flat(row)
+            val_loss = mlp_loss(model, val.features, val.labels, weighting)
+            if not np.isfinite(val_loss):
+                raise TrainingError(f"non-finite validation loss at epoch {epoch}")
+            loss, snapshot, stale = best.get(m, (np.inf, None, 0))
+            best[m] = (val_loss, model, 0) if val_loss < loss else (loss, snapshot, stale + 1)
+            if best[m][2] >= cfg.patience:
+                members.remove(m)
+    # Without early stopping best stays empty and every member is still in flat.
+    return tuple(best[m][1] if best else template.with_flat(flat[m]) for m in range(len(rngs)))
 
 
 def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,

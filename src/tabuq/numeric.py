@@ -50,7 +50,7 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moment estimates for one flat parameter vector.
+    """Adam moment estimates for one flat parameter vector, or a stack of them.
 
     Owned by exactly one training loop; `adam_step` mutates it in place.
     """
@@ -88,43 +88,53 @@ def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def unflatten(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Views into `flat` with the shapes of `like`, in order; inverse of flatten."""
+    """Views into `flat` with the shapes of `like`, in order; inverse of flatten.
+    An (M, P) stack of flat vectors gives (M, *shape) views."""
     flat = np.asarray(flat, dtype=np.float64)
     out, pos = [], 0
     for a in like:
-        out.append(flat[pos:pos + a.size].reshape(a.shape))
+        out.append(flat[..., pos:pos + a.size].reshape(flat.shape[:-1] + a.shape))
         pos += a.size
-    if pos != flat.size:
-        raise ShapeError(f"parameter vector has {flat.size} entries, model needs {pos}")
+    if pos != flat.shape[-1]:
+        raise ShapeError(f"parameter vector has {flat.shape[-1]} entries, model needs {pos}")
     return out
 
 
 def minibatch_adam(flat: np.ndarray,
-                   loss_and_grads: Callable[[np.ndarray, np.ndarray, SeededRng],
-                                            tuple[float, np.ndarray]],
+                   loss_and_grads: Callable[[np.ndarray, np.ndarray, list[SeededRng]],
+                                            tuple[np.ndarray, np.ndarray]],
                    n_rows: int, batch_size: int, epochs: int, lr: float,
-                   rng: SeededRng, noise: str) -> Iterator[tuple[int, np.ndarray]]:
-    """Minibatch Adam over a flat parameter vector; yields (epoch, params) per epoch.
+                   rngs: Sequence[SeededRng], noise: str
+                   ) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+    """Minibatch Adam over an (M, P) stack of flat parameter vectors, one
+    member per stream of rngs, stepping in lockstep.
 
-    Each epoch visits the rows in the order of rng/shuffle/<epoch>, in batches
-    of `batch_size`. Batch b of epoch e calls loss_and_grads(params, row
-    indices, rng/<noise>/<e>.<b>), which returns the batch loss and the flat
-    gradient. A non-finite loss raises TrainingError. The caller may stop
-    early by leaving the loop; every yielded vector stays valid, because each
-    step returns a new one.
+    Each epoch member m visits the rows in the order of rngs[m]/shuffle/<epoch>,
+    in batches of `batch_size`. Batch b of epoch e calls loss_and_grads(params,
+    row indices, rngs), one row or rngs[m]/<noise>/<e>.<b> per member still
+    training, for their losses and stacked gradient; a non-finite loss raises
+    TrainingError. Each epoch yields (epoch, params, members), row j of params
+    being members[j]'s. The caller stops members by removing them from that
+    list, as os.walk's caller prunes dirnames. Yielded arrays stay valid.
     """
     state = AdamState.for_params(flat, lr=lr)
-    shuffle_rng = rng.split("shuffle")
-    noise_rng = rng.split(noise)
+    shuffle_rngs = [rng.split("shuffle") for rng in rngs]
+    noise_rngs = [rng.split(noise) for rng in rngs]
+    members = list(range(len(rngs)))
     for epoch in range(epochs):
-        order = shuffle_rng.split(str(epoch)).permutation(n_rows)
+        orders = np.stack([shuffle_rngs[m].split(str(epoch)).permutation(n_rows) for m in members])
         for b, start in enumerate(range(0, n_rows, batch_size)):
-            idx = order[start:start + batch_size]
-            loss, grads = loss_and_grads(flat, idx, noise_rng.split(f"{epoch}.{b}"))
-            if not np.isfinite(loss):
+            losses, grads = loss_and_grads(flat, orders[:, start:start + batch_size],
+                                           [noise_rngs[m].split(f"{epoch}.{b}") for m in members])
+            if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             flat = adam_step(flat, grads, state)
-        yield epoch, flat
+        stepped = list(members)
+        yield epoch, flat, members
+        if not members:
+            return
+        keep = [stepped.index(m) for m in members]
+        flat, state.m, state.v = flat[keep], state.m[keep], state.v[keep]
 
 
 def anchored_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:

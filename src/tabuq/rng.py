@@ -5,11 +5,13 @@ around numpy's PCG64 generator. The wrapper adds one thing numpy does not give
 us directly: deterministic stream splitting by string label. A child stream is
 derived from the root seed plus the hashed path of labels, never from the
 parent's consumed state, so the same (seed, label path) always yields the same
-stream regardless of how much the parent has been used.
+stream regardless of how much the parent has been used. A node builds its
+generator on its first draw, so a node that only splits never builds one.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import numpy as np
@@ -21,6 +23,12 @@ def _label_hash(label: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+def _words(n: int) -> bytes:
+    # The uint32 words SeedSequence reads an int entropy value as, least
+    # significant first and without high zero words, as little-endian bytes.
+    return n.to_bytes(4 * max(1, (n.bit_length() + 31) // 32), "little")
+
+
 class SeededRng:
     """Deterministic random stream, splittable into independent children.
 
@@ -29,15 +37,22 @@ class SeededRng:
     whose state depends only on the seed and the sequence of labels.
     """
 
-    def __init__(self, seed: int, _path: tuple[str, ...] = ()):
+    def __init__(self, seed: int, _path: tuple[str, ...] = (), _entropy: bytes = b""):
         self.seed = int(seed)
         self.path = _path
-        entropy = [self.seed & 0xFFFFFFFFFFFFFFFF] + [_label_hash(p) for p in _path]
-        self._gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+        self._entropy = _entropy or b"".join(
+            map(_words, (self.seed & 0xFFFFFFFFFFFFFFFF, *map(_label_hash, _path))))
 
     def split(self, label: str) -> "SeededRng":
         """Child stream for `label`; distinct labels never share state."""
-        return SeededRng(self.seed, self.path + (str(label),))
+        return SeededRng(self.seed, self.path + (str(label),),
+                         self._entropy + _words(_label_hash(str(label))))
+
+    @functools.cached_property
+    def _gen(self) -> np.random.Generator:
+        """The PCG64 generator of SeedSequence([seed, *label hashes]), built on first draw."""
+        words = np.frombuffer(self._entropy, dtype="<u4")
+        return np.random.Generator(np.random.PCG64(np.random.SeedSequence(words)))
 
     def normal(self, shape=None, mean: float = 0.0, std: float = 1.0) -> np.ndarray:
         return self._gen.normal(mean, std, size=shape)

@@ -166,15 +166,15 @@ def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
         raise DataError("training set is empty")
     model = init_vae(train.d, cfg, rng.split("init"))
 
-    def loss_and_grads(flat, idx, batch_rng):
-        eps = batch_rng.normal((len(idx), cfg.latent_dim))
-        loss, grads = vae_loss_and_grads(model.with_flat(flat), train.features[idx], eps)
-        return loss, flatten(grads)
+    def loss_and_grads(flat, idx, batch_rngs):
+        eps = batch_rngs[0].normal((idx.shape[1], cfg.latent_dim))
+        loss, grads = vae_loss_and_grads(model.with_flat(flat[0]), train.features[idx[0]], eps)
+        return [loss], flatten(grads)[None]
 
-    for _, flat in minibatch_adam(flatten(model.params()), loss_and_grads, train.n,
-                                  cfg.batch_size, cfg.epochs, cfg.lr, rng, "eps"):
+    for _, flat, _ in minibatch_adam(flatten(model.params())[None], loss_and_grads, train.n,
+                                     cfg.batch_size, cfg.epochs, cfg.lr, [rng], "eps"):
         pass
-    return model.with_flat(flat)
+    return model.with_flat(flat[0])
 
 
 def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,

@@ -2,8 +2,21 @@
 
 Training fixtures are session-scoped so the expensive work happens once;
 everything they return is immutable, so sharing across tests is safe.
+
+BLAS runs one thread unless the environment says otherwise: a threaded
+product may sum in another order, and on a small machine the threads
+contend with every other process. The variables only take effect if they
+are set before numpy is first imported.
 """
-import numpy as np
+import os
+import sys
+
+if "numpy" in sys.modules:
+    raise RuntimeError("numpy was imported before tests/conftest.py could pin BLAS threads")
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -29,14 +42,19 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def keep_draws(monkeypatch) -> list:
-    """The shape of every keep-mask MC-dropout scoring draws, in order."""
+    """The shape of every keep-mask MC-dropout scoring draws, in order.
+
+    Scoring draws from rng/pass<t>/layer<i>; training, which draws its masks
+    with the same function, from rng/dropout/<e>.<b>/layer<i>.
+    """
     import tabuq.mlp as mlp
 
     shapes = []
     real = mlp.keep_mask
 
     def counted(rng, shape, rate):
-        shapes.append(shape)
+        if rng.path[-2].startswith("pass"):
+            shapes.append(shape)
         return real(rng, shape, rate)
 
     monkeypatch.setattr(mlp, "keep_mask", counted)
@@ -71,7 +89,8 @@ def toy_unbalanced() -> tuple[Dataset, Dataset, Dataset]:
 @pytest.fixture(scope="session")
 def toy_mlp(toy_balanced) -> MlpModel:
     train, val, _ = toy_balanced
-    return train_mlp(train, val, TrainConfig.toy(), SeededRng(1))
+    model, = train_mlp(train, val, TrainConfig.toy(), [SeededRng(1)])
+    return model
 
 
 @pytest.fixture(scope="session")

@@ -1,16 +1,18 @@
 """Slow reference implementations that the tests check the package against.
 
 No code in the package calls these: they exist so that an analytic gradient
-can be compared with a numerical one, and an optimized scorer with the plain
-loop it replaces.
+can be compared with a numerical one, and an optimized scorer or trainer
+with the plain loop it replaces.
 """
 from typing import Callable
 
 import numpy as np
 
-from tabuq.errors import ParameterError
-from tabuq.mlp import PROB_CLAMP, MlpModel, _forward, _make_masks
-from tabuq.numeric import anchored_mean
+from tabuq.data import Dataset
+from tabuq.errors import ParameterError, TrainingError
+from tabuq.mlp import (PROB_CLAMP, MlpModel, TrainConfig, _forward, init_mlp, mlp_loss,
+                       mlp_loss_and_grads)
+from tabuq.numeric import AdamState, adam_step, anchored_mean, dropout_mask, flatten
 from tabuq.rng import SeededRng
 from tabuq.vae import (VaeModel, _check_inputs, _decode, _encode, decoder_nll,
                        kl_to_standard_normal)
@@ -46,6 +48,12 @@ def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
     return float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
 
 
+def dropout_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray]:
+    """One network's (n_rows, width) dropout mask per hidden layer, from rng/layer<i>."""
+    return [dropout_mask(rng.split(f"layer{i}"), (n_rows, w.shape[1]), model.dropout_rate)
+            for i, w in enumerate(model.weights[:-1])]
+
+
 def mc_dropout_reference(model: MlpModel, X: np.ndarray, rng: SeededRng,
                          T: int) -> np.ndarray:
     """MC dropout one full forward pass at a time: pass t multiplies each
@@ -53,7 +61,48 @@ def mc_dropout_reference(model: MlpModel, X: np.ndarray, rng: SeededRng,
     X = np.asarray(X, dtype=np.float64)
     passes = []
     for t in range(T):
-        masks = _make_masks(model, X.shape[0], rng.split(f"pass{t}"))
-        y_hat, _, _ = _forward(model, X, masks)
+        masks = dropout_masks(model, X.shape[0], rng.split(f"pass{t}"))
+        y_hat, _ = _forward(model, X, masks)
         passes.append(np.clip(y_hat.ravel(), PROB_CLAMP, 1.0 - PROB_CLAMP))
     return anchored_mean(np.stack(passes), axis=0)
+
+
+def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
+                        rng: SeededRng, weighting: bool) -> MlpModel:
+    """One network trained on its own: minibatch Adam over its flat parameter
+    vector, with the init, shuffle and dropout streams of rng, and early
+    stopping that restores the best-validation-epoch snapshot."""
+    model = init_mlp(train.d, cfg, rng.split("init"))
+    flat = flatten(model.params())
+    state = AdamState.for_params(flat, lr=cfg.lr)
+    shuffle_rng, noise_rng = rng.split("shuffle"), rng.split("dropout")
+    best, best_loss, epochs_since_improve = None, np.inf, 0
+    for epoch in range(cfg.max_epochs):
+        order = shuffle_rng.split(str(epoch)).permutation(train.n)
+        for b, start in enumerate(range(0, train.n, cfg.batch_size)):
+            idx = order[start:start + cfg.batch_size]
+            step_model = model.with_flat(flat)
+            masks = dropout_masks(step_model, len(idx), noise_rng.split(f"{epoch}.{b}"))
+            loss, gw, gb = mlp_loss_and_grads(step_model, train.features[idx],
+                                              train.labels[idx], weighting, masks)
+            if not np.isfinite(loss):
+                raise TrainingError(f"non-finite training loss at epoch {epoch}")
+            flat = adam_step(flat, flatten((*gw, *gb)), state)
+        model = model.with_flat(flat)
+        if cfg.patience is None:
+            continue
+        val_loss = mlp_loss(model, val.features, val.labels, weighting)
+        if val_loss < best_loss:
+            best, best_loss, epochs_since_improve = model, val_loss, 0
+        else:
+            epochs_since_improve += 1
+            if epochs_since_improve >= cfg.patience:
+                break
+    return best if best is not None else model
+
+
+def deep_ensemble_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
+                            rng: SeededRng, M: int, weighting: bool) -> tuple[MlpModel, ...]:
+    """M networks trained one after another, member i on rng/member<i>."""
+    return tuple(train_mlp_reference(train, val, cfg, rng.split(f"member{i}"), weighting)
+                 for i in range(M))

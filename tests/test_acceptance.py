@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import finite_difference_gradient, vae_loss
+from oracles import dropout_masks, finite_difference_gradient, vae_loss
 
 from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig, auc_roc,
                    binary_entropy, ece, generate_toy, mlp_loss, mlp_loss_and_grads,
@@ -26,7 +26,7 @@ from tabuq.cli import run
 from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
 from tabuq.evaluation import (METHODS, MethodSettings, confidence_performance,
                               corruption_experiment, ood_experiment, train_method)
-from tabuq.mlp import _make_masks, init_mlp
+from tabuq.mlp import init_mlp
 from tabuq.numeric import flatten, sigmoid
 from tabuq.vae import init_vae, vae_loss_and_grads
 
@@ -59,7 +59,7 @@ def test_criterion_1_gradient_correctness():
         y = (rng.split("y").random(n) < 0.5).astype(np.int64)
         if y.min() == y.max():
             y[0] = 1 - y[0]
-        masks = _make_masks(model, n, rng.split("mask"))
+        masks = dropout_masks(model, n, rng.split("mask"))
         weighting = bool(i % 2)
         _, gw, gb = mlp_loss_and_grads(model, X, y, weighting, masks)
         fd = finite_difference_gradient(

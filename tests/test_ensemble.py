@@ -1,11 +1,18 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import tabuq.mlp
+import tabuq.numeric
 from tabuq import (LogisticModel, SeededRng, TrainConfig, ensemble_predict,
-                   predict_logistic, predict_mlp, train_bootstrapped_lr,
-                   train_deep_ensemble)
+                   generate_synthetic, predict_logistic, predict_mlp, split,
+                   train_bootstrapped_lr, train_deep_ensemble)
 from tabuq.errors import ParameterError
 from tabuq.mlp import init_mlp
+
+import oracles
 
 
 def _lr(w, b):
@@ -72,3 +79,65 @@ def test_trainers_need_a_member(toy_balanced):
         train_deep_ensemble(train, val, TrainConfig.toy(), SeededRng(8), M=0)
     with pytest.raises(ParameterError):
         train_bootstrapped_lr(train, SeededRng(8), M=0)
+
+
+# (data, config, M, weighting). The toy training set has 200 rows, so batch 7
+# leaves a short last batch. The [100,100] case overfits at lr 0.01, and its
+# members stop after 7, 2, 6, 6 and 6 epochs.
+ENSEMBLE_CASES = {
+    "toy": ("toy", TrainConfig.toy(), 5, False),
+    "toy-weighted": ("toy", TrainConfig.toy(), 5, True),
+    "toy-one-member": ("toy", TrainConfig.toy(), 1, True),
+    "toy-batch-7": ("toy", dataclasses.replace(TrainConfig.toy(), batch_size=7), 3, True),
+    "three-hidden": ("toy", TrainConfig(hidden=(7, 3, 4), batch_size=16, max_epochs=8,
+                                        patience=2), 3, False),
+    "100x100-patience-1": ("synthetic", TrainConfig(hidden=(100, 100), batch_size=64,
+                                                    max_epochs=10, patience=1, lr=0.01),
+                           5, True),
+}
+
+
+def steps_per_member(monkeypatch, train) -> tuple[tuple, Counter]:
+    """Run train() and count each member's gradient steps: every step draws
+    its first layer's keep-mask once, from rng/member<i>/dropout/<e>.<b>/layer0."""
+    counts = Counter()
+    real = tabuq.numeric.keep_mask
+
+    def counted(rng, shape, rate):
+        counts[rng.path[-4]] += rng.path[-1] == "layer0"
+        return real(rng, shape, rate)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(tabuq.numeric, "keep_mask", counted)
+        patch.setattr(tabuq.mlp, "keep_mask", counted)
+        return train(), counts
+
+
+@pytest.mark.parametrize("case", ENSEMBLE_CASES)
+def test_stacked_ensemble_matches_per_member_training(case, toy_unbalanced, monkeypatch):
+    data, cfg, M, weighting = ENSEMBLE_CASES[case]
+    if data == "toy":
+        train, val, _ = toy_unbalanced
+    else:
+        train, val, _ = split(generate_synthetic(SeededRng(6), n=300), (0.6, 0.2, 0.2),
+                              SeededRng(4))
+    expected, expected_steps = steps_per_member(
+        monkeypatch, lambda: oracles.deep_ensemble_reference(train, val, cfg, SeededRng(5), M, weighting))
+    stepped_rows = []
+    real_adam = tabuq.numeric.adam_step
+
+    def counted_adam(params, grads, state):
+        stepped_rows.append(len(params))
+        return real_adam(params, grads, state)
+
+    monkeypatch.setattr(tabuq.numeric, "adam_step", counted_adam)
+    members, steps = steps_per_member(
+        monkeypatch, lambda: train_deep_ensemble(train, val, cfg, SeededRng(5), M, weighting))
+    assert len(members) == M
+    for member, reference in zip(members, expected, strict=True):
+        for a, b in zip(member.params(), reference.params(), strict=True):
+            np.testing.assert_array_equal(a, b)
+    assert steps == expected_steps
+    assert sum(stepped_rows) == sum(expected_steps.values())
+    if cfg.patience == 1:
+        assert len(set(steps.values())) > 1

@@ -178,8 +178,8 @@ class TestTrainMethod:
         train, val, test = toy_world
         fitted = train_method("single-nn", train, val,
                               MethodSettings.toy(class_weighting=True), SeededRng(6))
-        model = train_mlp(train, val, TrainConfig.toy(), SeededRng(6).split("model"),
-                          weighting=True)
+        model, = train_mlp(train, val, TrainConfig.toy(), [SeededRng(6).split("model")],
+                           weighting=True)
         np.testing.assert_array_equal(fitted.predict(test.features),
                                       predict_mlp(model, test.features))
 

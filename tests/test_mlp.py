@@ -8,11 +8,11 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
-from tabuq.mlp import _make_masks, init_mlp
+from tabuq.mlp import init_mlp
 from tabuq.numeric import flatten
 
 from conftest import make_dataset
-from oracles import finite_difference_gradient, mc_dropout_reference
+from oracles import dropout_masks, finite_difference_gradient, mc_dropout_reference
 
 
 class TestPositiveWeight:
@@ -104,7 +104,7 @@ class TestGradients:
         model = init_mlp(5, cfg, rng.split("init"))
         X = rng.split("x").normal((9, 5))
         y = (rng.split("y").random(9) < 0.4).astype(np.int64)
-        masks = _make_masks(model, 9, rng.split("mask"))
+        masks = dropout_masks(model, 9, rng.split("mask"))
 
         _, grads_w, grads_b = mlp_loss_and_grads(model, X, y, weighting, masks)
         grads = flatten((*grads_w, *grads_b))
@@ -126,8 +126,8 @@ class TestTrainMlp:
     def test_same_seed_bitwise_identical(self, toy_balanced):
         train, val, _ = toy_balanced
         cfg = TrainConfig.toy()
-        a = train_mlp(train, val, cfg, SeededRng(8))
-        b = train_mlp(train, val, cfg, SeededRng(8))
+        a, = train_mlp(train, val, cfg, [SeededRng(8)])
+        b, = train_mlp(train, val, cfg, [SeededRng(8)])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 
@@ -136,7 +136,12 @@ class TestTrainMlp:
         empty = Dataset(np.zeros((0, 2)), np.zeros(0, dtype=np.int64),
                         ("x1", "x2"))
         with pytest.raises(DataError):
-            train_mlp(train, empty, TrainConfig.toy(), SeededRng(0))
+            train_mlp(train, empty, TrainConfig.toy(), [SeededRng(0)])
+
+    def test_no_streams_rejected(self, toy_balanced):
+        train, val, _ = toy_balanced
+        with pytest.raises(ParameterError, match="at least one network"):
+            train_mlp(train, val, TrainConfig.toy(), [])
 
     def test_nan_features_raise_training_error(self, toy_balanced):
         train, val, _ = toy_balanced
@@ -144,7 +149,7 @@ class TestTrainMlp:
         X[0, 0] = np.nan
         with pytest.raises(TrainingError, match="epoch"):
             train_mlp(train.with_features(X), val, TrainConfig.toy(),
-                      SeededRng(0))
+                      [SeededRng(0)])
 
     def test_best_snapshot_no_worse_than_final_epoch(self):
         # Same seed, same epochs; the only difference is whether the best
@@ -159,10 +164,10 @@ class TestTrainMlp:
         train = overlapping(rng.split("train"))
         val = overlapping(rng.split("val"))
         base = dict(hidden=(16,), batch_size=8, max_epochs=15, lr=1e-2)
-        snap = train_mlp(train, val, TrainConfig(patience=100, **base),
-                         SeededRng(13))
-        final = train_mlp(train, val, TrainConfig(patience=None, **base),
-                          SeededRng(13))
+        snap, = train_mlp(train, val, TrainConfig(patience=100, **base),
+                          [SeededRng(13)])
+        final, = train_mlp(train, val, TrainConfig(patience=None, **base),
+                           [SeededRng(13)])
         def val_loss(m):
             return weighted_bce_loss(predict_mlp(m, val.features), val.labels,
                                      weighting=False)
@@ -174,8 +179,8 @@ class TestTrainMlp:
         other_val = generate_toy(ToyConfig(mode="balanced"), SeededRng(99))
         cfg = TrainConfig.toy()
         assert cfg.patience is None
-        a = train_mlp(train, val, cfg, SeededRng(14))
-        b = train_mlp(train, other_val, cfg, SeededRng(14))
+        a, = train_mlp(train, val, cfg, [SeededRng(14)])
+        b, = train_mlp(train, other_val, cfg, [SeededRng(14)])
         for wa, wb in zip(a.weights, b.weights):
             np.testing.assert_array_equal(wa, wb)
 

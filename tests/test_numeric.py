@@ -129,15 +129,17 @@ def test_adam_on_flat_vector_matches_per_array_bitwise():
 def test_minibatch_adam_batches_streams_and_epochs():
     seen = []
 
-    def loss_and_grads(flat, idx, batch_rng):
-        seen.append((sorted(idx.tolist()), batch_rng.path))
-        return float(flat @ flat), 2.0 * flat
+    def loss_and_grads(flat, idx, batch_rngs):
+        (rows,), (batch_rng,) = idx, batch_rngs
+        seen.append((sorted(rows.tolist()), batch_rng.path))
+        return flat @ flat[0], 2.0 * flat
 
     root = SeededRng(0, ("fit",))
-    epochs = [(epoch, flat.copy()) for epoch, flat in minibatch_adam(
-        np.ones(2), loss_and_grads, 5, 2, 3, 0.1, root, "noise")]
-    assert [e for e, _ in epochs] == [0, 1, 2]
-    assert epochs[-1][1][0] < epochs[0][1][0] < 1.0
+    epochs = [(epoch, flat.copy(), list(members)) for epoch, flat, members in minibatch_adam(
+        np.ones((1, 2)), loss_and_grads, 5, 2, 3, 0.1, [root], "noise")]
+    assert [e for e, _, _ in epochs] == [0, 1, 2]
+    assert [members for _, _, members in epochs] == [[0]] * 3
+    assert epochs[-1][1][0, 0] < epochs[0][1][0, 0] < 1.0
     assert [path for _, path in seen[:3]] == [("fit", "noise", f"0.{b}") for b in range(3)]
     for epoch in range(3):
         rows = [i for idx, _ in seen[3 * epoch:3 * epoch + 3] for i in idx]
@@ -146,13 +148,46 @@ def test_minibatch_adam_batches_streams_and_epochs():
     assert seen[0][0] == sorted(first_epoch[:2].tolist())
 
 
+def quadratic_steps(flat, idx, batch_rngs):
+    """Loss and gradient of a quadratic whose gradient depends on each
+    member's rows and noise stream, so a member moved or swapped shows."""
+    noise = np.stack([r.normal(flat.shape[1]) for r in batch_rngs])
+    grads = 2.0 * flat + noise + idx.sum(axis=1, keepdims=True)
+    return (flat * flat).sum(axis=1), grads
+
+
+def test_minibatch_adam_stopped_member_leaves_the_stack():
+    rngs = [SeededRng(0).split(f"member{m}") for m in range(3)]
+    start = SeededRng(1).normal((3, 4))
+    stacks = []
+    for epoch, flat, members in minibatch_adam(start, quadratic_steps, 7, 3, 4, 0.1,
+                                               rngs, "noise"):
+        stacks.append((list(members), flat))
+        if epoch == 1:
+            members.remove(1)
+    assert [members for members, _ in stacks] == [[0, 1, 2]] * 2 + [[0, 2]] * 2
+    for m in range(3):
+        alone = [flat[0] for _, flat, _ in minibatch_adam(
+            start[m:m + 1], quadratic_steps, 7, 3, 4 if m != 1 else 2, 0.1, [rngs[m]], "noise")]
+        stacked = [flat[members.index(m)] for members, flat in stacks if m in members]
+        np.testing.assert_array_equal(np.stack(stacked), np.stack(alone))
+
+
+def test_minibatch_adam_ends_when_every_member_stops():
+    gen = minibatch_adam(np.zeros((2, 3)), quadratic_steps, 4, 2, 5, 0.1,
+                         [SeededRng(0), SeededRng(1)], "noise")
+    for epoch, _, members in gen:
+        members.clear()
+    assert epoch == 0
+
+
 def test_minibatch_adam_non_finite_loss_names_epoch():
-    def loss_and_grads(flat, idx, batch_rng):
-        return float("nan"), np.zeros_like(flat)
+    def loss_and_grads(flat, idx, batch_rngs):
+        return np.array([0.0, np.nan]), np.zeros_like(flat)
 
     with pytest.raises(TrainingError, match="epoch 0"):
-        next(minibatch_adam(np.zeros(3), loss_and_grads, 4, 2, 1, 0.1,
-                            SeededRng(0), "noise"))
+        next(minibatch_adam(np.zeros((2, 3)), loss_and_grads, 4, 2, 1, 0.1,
+                            [SeededRng(0), SeededRng(1)], "noise"))
 
 
 # sha256 of the trained parameter bytes, recorded before the MLP and the VAE
@@ -178,10 +213,10 @@ def digest(arrays):
 rng = SeededRng(0)
 toy = ToyConfig(mode="unbalanced")
 train, val = generate_toy(toy, rng.split("train")), generate_toy(toy, rng.split("val"))
-m = train_mlp(train, val, TrainConfig.toy(), SeededRng(1), weighting=True)
+m, = train_mlp(train, val, TrainConfig.toy(), [SeededRng(1)], weighting=True)
 print("mlp-toy", digest(m.params()))
 tr, va, _ = split(generate_synthetic(SeededRng(3), n=600), (0.6, 0.2, 0.2), SeededRng(4))
-m = train_mlp(tr, va, TrainConfig(hidden=(100, 100), max_epochs=2, patience=1), SeededRng(5))
+m, = train_mlp(tr, va, TrainConfig(hidden=(100, 100), max_epochs=2, patience=1), [SeededRng(5)])
 print("mlp-100x100", digest(m.params()))
 print("vae-toy", digest(train_vae(train, VaeConfig.toy(), SeededRng(2)).params()))
 e = train_deep_ensemble(train, val, TrainConfig.toy(), SeededRng(6), M=3, weighting=True)

@@ -1,6 +1,10 @@
 import numpy as np
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from tabuq import SeededRng
+from tabuq.rng import _label_hash, _words
 
 
 def test_same_seed_same_stream():
@@ -61,3 +65,43 @@ def test_wrappers_shapes_and_ranges():
 
 def test_repr_shows_path():
     assert "a/b" in repr(SeededRng(0).split("a").split("b"))
+
+
+labels = st.text(max_size=6)
+
+
+@given(seed=st.integers(0, 2**64 - 1), parent=st.lists(labels, max_size=4),
+       child=st.lists(labels, min_size=1, max_size=3), parent_draws=st.integers(0, 3))
+def test_lazy_child_draws_its_seed_sequence_stream(seed, parent, child, parent_draws):
+    node = SeededRng(seed)
+    for label in parent:
+        node = node.split(label)
+    node.random(parent_draws)
+    for label in child:
+        node = node.split(label)
+    entropy = [seed, *(_label_hash(label) for label in parent + child)]
+    expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    np.testing.assert_array_equal(node.random(5), expected.random(5))
+    np.testing.assert_array_equal(node.permutation(7), expected.permutation(7))
+
+
+def test_only_the_node_that_draws_builds_a_generator(monkeypatch):
+    built = []
+    real = np.random.SeedSequence
+
+    def counted(entropy):
+        built.append(entropy)
+        return real(entropy)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    SeededRng(0).split("a").split("b").random(1)
+    assert len(built) == 1
+
+
+@pytest.mark.parametrize("value", [0, 1, 2**32 - 1, 2**32, 7 << 32, 2**64 - 1, 2**64,
+                                   (2**96) | 5, 2**128 - 1])
+def test_entropy_words_are_what_seed_sequence_reads(value):
+    # A label hash whose high words are zero is as short as the int is.
+    words = np.frombuffer(_words(3) + _words(value), dtype="<u4")
+    np.testing.assert_array_equal(np.random.SeedSequence(words).generate_state(8),
+                                  np.random.SeedSequence([3, value]).generate_state(8))
