@@ -121,8 +121,10 @@ def test_stacked_ensemble_matches_per_member_training(case, toy_unbalanced, monk
     else:
         train, val, _ = split(generate_synthetic(SeededRng(6), n=300), (0.6, 0.2, 0.2),
                               SeededRng(4))
-    expected, expected_steps = steps_per_member(
-        monkeypatch, lambda: oracles.deep_ensemble_reference(train, val, cfg, SeededRng(5), M, weighting))
+    def reference():
+        return oracles.deep_ensemble_reference(train, val, cfg, SeededRng(5), M, weighting)
+
+    expected, expected_steps = steps_per_member(monkeypatch, reference)
     stepped_rows = []
     real_adam = tabuq.numeric.adam_step
 
