@@ -111,11 +111,12 @@ def minibatch_adam(flat: np.ndarray,
 
     Each epoch member m visits the rows in the order of rngs[m]/shuffle/<epoch>,
     in batches of `batch_size`. Batch b of epoch e calls loss_and_grads(params,
-    row indices, rngs), one row or rngs[m]/<noise>/<e>.<b> per member still
-    training, for their losses and stacked gradient; a non-finite loss raises
-    TrainingError. Each epoch yields (epoch, params, members), row j of params
-    being members[j]'s. The caller stops members by removing them from that
-    list, as os.walk's caller prunes dirnames. Yielded arrays stay valid.
+    row indices, rngs) with a params row, an index row and rngs[m]/<noise>/<e>.<b>
+    per member still training, for their losses and stacked gradient; a
+    non-finite loss raises TrainingError. Each epoch yields (epoch, params,
+    members), row j of params being members[j]'s. The caller stops members by
+    removing them from that list, as os.walk's caller prunes dirnames.
+    Yielded arrays stay valid.
     """
     state = AdamState.for_params(flat, lr=lr)
     shuffle_rngs = [rng.split("shuffle") for rng in rngs]
