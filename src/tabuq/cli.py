@@ -101,11 +101,13 @@ def _as_number(value, key: str, valid=math.isfinite, rule: str = "finite") -> fl
     return number
 
 
-def _as_int(value, key: str, minimum: int | None = None) -> int:
+def _as_int(value, key: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"key {key!r} must be an integer, got {value!r}")
     if minimum is not None and value < minimum:
         raise ConfigError(f"key {key!r} must be at least {minimum}, got {value}")
+    if maximum is not None and value > maximum:
+        raise ConfigError(f"key {key!r} must be at most {maximum}, got {value}")
     return value
 
 
@@ -168,11 +170,10 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     if len(set(methods)) < len(methods):
         raise ConfigError(f"key 'methods' names a method twice: {list(methods)!r}")
 
-    if seed_override is not None:
-        seeds = tuple(seed_override)
-    else:
-        seeds = tuple(_as_int(s, "seeds")
-                      for s in _as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds"))
+    # A seed outside [0, 2**64) would alias another one's random streams.
+    seeds = tuple(_as_int(s, "seeds", 0, 2**64 - 1) for s in (
+        seed_override if seed_override is not None
+        else _as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds")))
     if not seeds:
         raise ConfigError("key 'seeds' must name at least one seed")
 
@@ -356,7 +357,7 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
 
     for (name, seed), (columns, table) in surface_tables.items():
         rows = [",".join(columns)]
-        rows += [",".join(repr(float(v)) for v in row) for row in table]
+        rows += [",".join(map(repr, row)) for row in table.tolist()]
         (out / f"surfaces_{name}_seed{seed}.csv").write_text(
             "\n".join(rows) + "\n", encoding="utf-8")
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, bootstrap_sample
-from .errors import DataError, ParameterError, ShapeError
+from .errors import DataError, ParameterError
 from .mlp import PROB_CLAMP, positive_weight
-from .numeric import minimize_gd, sigmoid
+from .numeric import checked_inputs, minimize_gd, sigmoid
 from .rng import SeededRng
 
 
@@ -26,10 +26,7 @@ class LogisticModel:
 
 
 def predict_logistic(model: LogisticModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.weights.shape[0]:
-        raise ShapeError(
-            f"model expects (N, {model.weights.shape[0]}) inputs, got {X.shape}")
+    X = checked_inputs(X, model.weights.shape[0])
     p = sigmoid(X @ model.weights + model.bias)
     return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP)
 
@@ -46,6 +43,8 @@ def logistic_objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
     params stacks the weight vector and the bias as the last entry. The BCE
     is evaluated from logits (w+ * y * softplus(-z) + (1-y) * softplus(z)),
     which equals the clamp-free cross-entropy without computing probabilities.
+    Platt scaling (metrics.platt_fit) fits its (a, b) through this objective
+    too, as a one-feature model with w+ = 1 and no penalty.
     """
     w, b = params[:-1], params[-1]
     z = X @ w + b

@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, ShapeError, UndefinedMetricError
+from .logistic import logistic_objective
 from .numeric import minimize_gd, sigmoid
 
 PLATT_CLAMP = 1e-6
@@ -104,8 +105,9 @@ def _logit(p: np.ndarray) -> np.ndarray:
 def platt_fit(val_probs, val_labels) -> PlattParams:
     """Fit sigmoid(a * logit(p) + b) to validation outcomes by gradient descent.
 
-    Minimizes BCE to gradient-norm tolerance 1e-8, starting from the identity
-    transform (a, b) = (1, 0).
+    Minimizes the unweighted, unpenalized BCE of logistic_objective over the
+    one feature logit(p), to gradient-norm tolerance 1e-8, starting from the
+    identity transform (a, b) = (1, 0).
     """
     t = _logit(val_probs)
     y = _check_binary_labels(val_labels).astype(np.float64)
@@ -113,18 +115,8 @@ def platt_fit(val_probs, val_labels) -> PlattParams:
         raise ShapeError(f"{t.size} probabilities for {y.size} labels")
     if y.size == 0 or y.sum() == 0 or y.sum() == y.size:
         raise UndefinedMetricError("Platt fitting needs both classes in validation")
-
-    def objective(params):
-        a, b = params
-        z = a * t + b
-        loss = float((y * np.maximum(-z, 0) + (1 - y) * np.maximum(z, 0)
-                      + np.log1p(np.exp(-np.abs(z)))).mean())
-        q = sigmoid(z)
-        dz = (q - y) / y.size
-        return loss, np.array([float(t @ dz), float(dz.sum())])
-
-    params, _, _ = minimize_gd(objective, np.array([1.0, 0.0]),
-                               tol=1e-8, max_iter=10_000)
+    params, _, _ = minimize_gd(lambda p: logistic_objective(p, t[:, None], y, 1.0, 0.0),
+                               np.array([1.0, 0.0]), tol=1e-8, max_iter=10_000)
     return PlattParams(a=float(params[0]), b=float(params[1]))
 
 

@@ -16,7 +16,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
-from .numeric import anchored_mean, flatten, keep_mask, minibatch_adam, sigmoid, unflatten
+from .numeric import (anchored_mean, checked_inputs, flatten, keep_mask, minibatch_adam,
+                      sigmoid, unflatten)
 from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
@@ -89,33 +90,29 @@ def positive_weight(labels: np.ndarray) -> float | np.ndarray:
 
 
 def weighted_bce_loss(probs: np.ndarray, labels: np.ndarray,
-                      weighting: bool) -> float | np.ndarray:
-    """Mean of -[w+ . y . log p + (1-y) . log(1-p)] over each batch along the
-    last axis; a float for one batch."""
+                      w: float | np.ndarray) -> float | np.ndarray:
+    """Mean of -[w . y . log p + (1-y) . log(1-p)] over each batch along the
+    last axis, w being each batch's positive-class weight (positive_weight's,
+    or 1.0 for the plain BCE); a float for one batch."""
     probs = np.clip(np.asarray(probs, dtype=np.float64), LOG_CLAMP, 1.0 - LOG_CLAMP)
     labels = np.asarray(labels, dtype=np.float64)
     if probs.shape != labels.shape:
         raise ShapeError(f"probabilities {probs.shape} do not match labels {labels.shape}")
-    w = positive_weight(labels)[..., None] if weighting else 1.0
+    w = np.asarray(w)[..., None]
     terms = w * labels * np.log(probs) + (1.0 - labels) * np.log(1.0 - probs)
     return -terms.mean(axis=-1)
-
-
-def _check_inputs(model: MlpModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != model.weights[0].ndim or X.shape[-1] != model.n_inputs:
-        raise ShapeError(f"model expects (N, {model.n_inputs}) inputs, got {X.shape}")
-    return X
 
 
 def _forward(model: MlpModel, X: np.ndarray,
              masks: list[np.ndarray] | None) -> tuple[np.ndarray, list]:
     """Forward pass; returns (output column, layer inputs).
 
+    masks are _make_masks' keep-masks: each kept unit is scaled by
+    1/(1 - rate) and each dropped one zeroed, as two in-place multiplies.
     A stack of M networks ((M, in, out) weights, (M, out) biases) takes (M, N, ·)
     inputs and masks, and computes each slice as that network's own pass does.
     """
-    X = _check_inputs(model, X)
+    X = checked_inputs(X, model.n_inputs, model.weights[0].ndim)
     inputs = [X]
     h = X
     for i in range(len(model.weights) - 1):
@@ -124,15 +121,17 @@ def _forward(model: MlpModel, X: np.ndarray,
         np.maximum(h, 0.0, out=h)
         if masks is not None:
             h *= masks[i]
+            h *= 1.0 / (1.0 - model.dropout_rate)
         inputs.append(h)
     return sigmoid(h @ model.weights[-1] + model.biases[-1][..., None, :]), inputs
 
 
 def _make_masks(model: MlpModel, n_rows: int, rngs: Sequence[SeededRng]) -> list[np.ndarray]:
-    """Each hidden layer's (len(rngs), n_rows, width) inverted-dropout masks:
-    stream r's slice is dropout_mask's mask drawn from r/layer<i>."""
+    """Each hidden layer's (len(rngs), n_rows, width) boolean dropout keep-masks:
+    stream r's slice is keep_mask's draw from r/layer<i>. Training and MC-dropout
+    scoring both draw their masks here."""
     return [np.stack([keep_mask(r.split(f"layer{i}"), (n_rows, w.shape[-1]), model.dropout_rate)
-                      for r in rngs]) / (1.0 - model.dropout_rate)
+                      for r in rngs])
             for i, w in enumerate(model.weights[:-1])]
 
 
@@ -145,9 +144,10 @@ def predict_mlp(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 def mlp_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray,
              weighting: bool, masks: list[np.ndarray] | None = None) -> float:
-    """Weighted BCE of the forward pass; masks may be frozen for gradient checks."""
+    """BCE of the forward pass, class-weighted by positive_weight(labels) when
+    weighting is on; masks (see _make_masks) may be frozen for gradient checks."""
     y_hat, _ = _forward(model, X, masks)
-    return weighted_bce_loss(y_hat[..., 0], labels, weighting)
+    return weighted_bce_loss(y_hat[..., 0], labels, positive_weight(labels) if weighting else 1.0)
 
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
@@ -157,18 +157,19 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
 
     Derivation: with p = sigmoid(z) and per-example weight w on positives,
     dL/dz = ((1-y)*p - w*y*(1-p)) / N, then standard backprop through the
-    relu layers, with each dropout mask multiplying its layer's gradient.
-    The relu gate reads the masked output, which is positive where the
-    pre-activation is unless the mask is 0, and there the gradient is 0 already.
+    relu layers, with each dropout mask and its 1/(1 - rate) scale multiplying
+    its layer's gradient. The relu gate reads the masked output, which is
+    positive where the pre-activation is unless the mask is 0, and there the
+    gradient is 0 already. w is computed once, for the loss and for dL/dz.
     A stack of networks (see _forward) takes (M, N) labels and returns M losses.
     """
     y_hat, inputs = _forward(model, X, masks)
     y = np.asarray(labels, dtype=np.float64)[..., None]
     n = y.shape[-2]
-    w = positive_weight(labels)[..., None, None] if weighting else 1.0
-    loss = weighted_bce_loss(y_hat[..., 0], labels, weighting)
+    w = positive_weight(labels) if weighting else 1.0
+    loss = weighted_bce_loss(y_hat[..., 0], labels, w)
 
-    delta = ((1.0 - y) * y_hat - w * y * (1.0 - y_hat)) / n
+    delta = ((1.0 - y) * y_hat - np.asarray(w)[..., None, None] * y * (1.0 - y_hat)) / n
     grads_w: list[np.ndarray] = [None] * len(model.weights)
     grads_b: list[np.ndarray] = [None] * len(model.biases)
     for i in range(len(model.weights) - 1, -1, -1):
@@ -178,6 +179,7 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
             delta = delta @ np.swapaxes(model.weights[i], -1, -2)
             if masks is not None:
                 delta *= masks[i - 1]
+                delta *= 1.0 / (1.0 - model.dropout_rate)
             delta *= inputs[i] > 0
     return loss, grads_w, grads_b
 
@@ -242,8 +244,8 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
 
 def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
                        T: int = 100, cache: dict | None = None) -> np.ndarray:
-    """Mean over T stochastic dropout forward passes; pass t draws its masks
-    from rng/pass<t>/layer<i>, as training draws them.
+    """Mean over T stochastic dropout forward passes; pass t's masks are
+    _make_masks' keep-masks from rng/pass<t>, as training draws them.
 
     cache maps a row count N to the keep-masks of the passes drawn so far,
     bit-packed along each row: T * N * sum(ceil(h / 8)) bytes over the hidden
@@ -251,20 +253,19 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     inputs with one model and one rng path passes the same dict, and each
     pass's masks for N rows are drawn once. Layer 0's relu(X @ W + b) is
     computed once per call and each pass runs in place in reused buffers,
-    with the float arithmetic of a forward pass that multiplies by
-    dropout_mask's masks, so the output bits are the same.
+    with _forward's arithmetic (h *= keep; h *= scale) and so its bits.
+    Passes are drawn one at a time, never as a (T, N, width) stack.
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
-    X = _check_inputs(model, X)
+    X = checked_inputs(X, model.n_inputs)
     n = X.shape[0]
     widths = [w.shape[1] for w in model.weights[:-1]]
     cache = {} if cache is None else cache
     keeps = cache.get(n, [])
-    keeps += [[np.packbits(keep_mask(pass_rng.split(f"layer{i}"), (n, width),
-                                     model.dropout_rate), axis=-1)
-               for i, width in enumerate(widths)]
-              for pass_rng in (rng.split(f"pass{t}") for t in range(len(keeps), T))]
+    keeps += [[np.packbits(keep[0], axis=-1)
+               for keep in _make_masks(model, n, [rng.split(f"pass{t}")])]
+              for t in range(len(keeps), T)]
     cache[n] = keeps
     scale = 1.0 / (1.0 - model.dropout_rate)
     first = np.maximum(X @ model.weights[0] + model.biases[0], 0.0)

@@ -27,6 +27,14 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:
+    """X as float64, or ShapeError unless it has ndim axes and `width` columns."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != ndim or X.shape[-1] != width:
+        raise ShapeError(f"model expects (N, {width}) inputs, got {X.shape}")
+    return X
+
+
 def keep_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
     """Boolean dropout keep-mask: True with probability 1 - `rate`."""
     if not 0.0 <= rate < 1.0:
@@ -38,7 +46,8 @@ def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
     The mask has elementwise expectation 1, so no rescaling is needed at
-    inference time.
+    inference time. The package applies keep_mask's masks and this scale as
+    two multiplies (mlp._forward); the float form serves the benchmark and tests.
     """
     return keep_mask(rng, shape, rate).astype(np.float64) / (1.0 - rate)
 

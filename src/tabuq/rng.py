@@ -16,6 +16,8 @@ import hashlib
 
 import numpy as np
 
+from .errors import ParameterError
+
 
 def _label_hash(label: str) -> int:
     # Stable across processes (unlike builtin hash) and collision-resistant.
@@ -34,14 +36,16 @@ class SeededRng:
 
     The generator algorithm is fixed repo-wide to PCG64. Identical seeds
     produce identical streams; ``split(label)`` derives an independent child
-    whose state depends only on the seed and the sequence of labels.
+    whose state depends only on the seed and the sequence of labels. A seed
+    lies in [0, 2**64), so that no two seeds share a stream.
     """
 
     def __init__(self, seed: int, _path: tuple[str, ...] = (), _entropy: bytes = b""):
         self.seed = int(seed)
+        if not 0 <= self.seed < 2**64:
+            raise ParameterError(f"seed must be in [0, 2**64), got {self.seed}")
         self.path = _path
-        self._entropy = _entropy or b"".join(
-            map(_words, (self.seed & 0xFFFFFFFFFFFFFFFF, *map(_label_hash, _path))))
+        self._entropy = _entropy or b"".join(map(_words, (self.seed, *map(_label_hash, _path))))
 
     def split(self, label: str) -> "SeededRng":
         """Child stream for `label`; distinct labels never share state."""

@@ -15,8 +15,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import Dataset
-from .errors import DataError, ParameterError, ShapeError
-from .numeric import flatten, minibatch_adam, unflatten
+from .errors import DataError, ParameterError
+from .numeric import checked_inputs, flatten, minibatch_adam, unflatten
 from .rng import SeededRng
 
 LOGVAR_MIN = -10.0
@@ -84,14 +84,6 @@ def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.
     return d_mu, np.clip(d_lv_raw, LOGVAR_MIN, LOGVAR_MAX), d_lv_raw
 
 
-def _check_inputs(model: VaeModel, X: np.ndarray) -> np.ndarray:
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != model.n_features:
-        raise ShapeError(
-            f"model expects (N, {model.n_features}) inputs, got {X.shape}")
-    return X
-
-
 def decoder_nll(X: np.ndarray, d_mu: np.ndarray, d_lv: np.ndarray) -> np.ndarray:
     """Per-row negative log-likelihood under the decoder's diagonal Gaussian."""
     r = X - d_mu
@@ -111,7 +103,7 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray
     The reparameterization path contributes d z / d e_lv = eps * s / 2 with
     s = exp(e_lv / 2).
     """
-    X = _check_inputs(model, X)
+    X = checked_inputs(X, model.n_features)
     n = X.shape[0]
     e_mu, e_lv, e_lv_raw = _encode(model, X)
     s = np.exp(0.5 * e_lv)
@@ -186,7 +178,7 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
-    X = _check_inputs(model, X)
+    X = checked_inputs(X, model.n_features)
     e_mu, e_lv, _ = _encode(model, X)
     s = np.exp(0.5 * e_lv)
     eps = rng.normal((S, model.latent_dim))

@@ -44,8 +44,8 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def keep_draws(monkeypatch) -> list:
     """The shape of every keep-mask MC-dropout scoring draws, in order.
 
-    Scoring draws from rng/pass<t>/layer<i>; training, which draws its masks
-    with the same function, from rng/dropout/<e>.<b>/layer<i>.
+    Scoring and training both draw through mlp._make_masks: scoring from
+    rng/pass<t>/layer<i>, training from rng/dropout/<e>.<b>/layer<i>.
     """
     import tabuq.mlp as mlp
 

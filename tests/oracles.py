@@ -1,21 +1,21 @@
 """Slow reference implementations that the tests check the package against.
 
 No code in the package calls these: they exist so that an analytic gradient
-can be compared with a numerical one, and an optimized scorer or trainer
-with the plain loop it replaces.
+can be compared with a numerical one, an optimized scorer or trainer with
+the plain loop it replaces, and a shared objective with the one it replaces.
 """
 from typing import Callable
 
 import numpy as np
 
+import tabuq.numeric
 from tabuq.data import Dataset
 from tabuq.errors import ParameterError, TrainingError
-from tabuq.mlp import (PROB_CLAMP, MlpModel, TrainConfig, _forward, init_mlp, mlp_loss,
-                       mlp_loss_and_grads)
-from tabuq.numeric import AdamState, adam_step, anchored_mean, dropout_mask, flatten
+from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp_loss_and_grads
+from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
+                           flatten, sigmoid)
 from tabuq.rng import SeededRng
-from tabuq.vae import (VaeModel, _check_inputs, _decode, _encode, decoder_nll,
-                       kl_to_standard_normal)
+from tabuq.vae import VaeModel, _decode, _encode, decoder_nll, kl_to_standard_normal
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -41,7 +41,7 @@ def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
     eps is the (N, latent) reparameterization draw; passing a frozen eps makes
     the loss a deterministic function of the parameters for gradient checks.
     """
-    X = _check_inputs(model, X)
+    X = checked_inputs(X, model.n_features)
     e_mu, e_lv, _ = _encode(model, X)
     z = e_mu + np.exp(0.5 * e_lv) * eps
     d_mu, d_lv, _ = _decode(model, z)
@@ -49,22 +49,44 @@ def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
 
 
 def dropout_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray]:
-    """One network's (n_rows, width) dropout mask per hidden layer, from rng/layer<i>."""
-    return [dropout_mask(rng.split(f"layer{i}"), (n_rows, w.shape[1]), model.dropout_rate)
+    """One network's (n_rows, width) boolean keep-mask per hidden layer, from
+    rng/layer<i>. keep_mask is looked up on tabuq.numeric at each call, so a
+    test that patches it there sees these draws too."""
+    return [tabuq.numeric.keep_mask(rng.split(f"layer{i}"), (n_rows, w.shape[1]),
+                                    model.dropout_rate)
             for i, w in enumerate(model.weights[:-1])]
 
 
 def mc_dropout_reference(model: MlpModel, X: np.ndarray, rng: SeededRng,
                          T: int) -> np.ndarray:
-    """MC dropout one full forward pass at a time: pass t multiplies each
-    hidden layer by dropout_mask's mask from rng/pass<t>/layer<i>."""
+    """MC dropout one plain forward pass at a time: pass t multiplies each
+    hidden layer's relu output by dropout_mask's float mask (0 or 1/(1-rate))
+    from rng/pass<t>/layer<i>."""
     X = np.asarray(X, dtype=np.float64)
     passes = []
     for t in range(T):
-        masks = dropout_masks(model, X.shape[0], rng.split(f"pass{t}"))
-        y_hat, _ = _forward(model, X, masks)
-        passes.append(np.clip(y_hat.ravel(), PROB_CLAMP, 1.0 - PROB_CLAMP))
+        pass_rng = rng.split(f"pass{t}")
+        h = X
+        for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
+            mask = dropout_mask(pass_rng.split(f"layer{i}"), (X.shape[0], w.shape[1]),
+                                model.dropout_rate)
+            h = np.maximum(h @ w + b, 0.0) * mask
+        p = sigmoid(h @ model.weights[-1] + model.biases[-1]).ravel()
+        passes.append(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
     return anchored_mean(np.stack(passes), axis=0)
+
+
+def platt_objective_reference(params: np.ndarray, t: np.ndarray,
+                              y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Platt scaling's BCE of sigmoid(a * t + b) against labels y in {0, 1},
+    and its gradient in (a, b), written out on their own."""
+    a, b = params
+    z = a * t + b
+    loss = float((y * np.maximum(-z, 0) + (1 - y) * np.maximum(z, 0)
+                  + np.log1p(np.exp(-np.abs(z)))).mean())
+    q = sigmoid(z)
+    dz = (q - y) / y.size
+    return loss, np.array([float(t @ dz), float(dz.sum())])
 
 
 def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,

@@ -79,6 +79,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config({**BASE, "seeds": []})
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_1(self, tmp_path, capsys, seed):
+        # 2**64 would write 0's results a second time, and a std of 0.
+        cfg = write_config(tmp_path, {**FAST, "seeds": [0, seed],
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 1
+        assert "key 'seeds'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override_wins(self):
         cfg = parse_config({**BASE, "seeds": [0, 1]}, seed_override=[7, 9])
         assert cfg.seeds == (7, 9)
@@ -499,6 +508,15 @@ class TestMain:
         cfg = write_config(tmp_path, FAST)
         assert main(["--config", str(cfg), "--seed-override", "seven"]) == 1
         assert "seed-override" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("override", ["-1", str(2**64), "0,18446744073709551616"])
+    def test_seed_override_outside_64_bits_exits_1(self, tmp_path, capsys, override):
+        cfg = write_config(tmp_path, FAST)
+        out = tmp_path / "cli-out"
+        assert main(["--config", str(cfg), f"--seed-override={override}",
+                     "--out", str(out), "--quiet"]) == 1
+        assert "key 'seeds'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_progress_line_unless_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FAST, "out_dir": str(tmp_path / "o")})

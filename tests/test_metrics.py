@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from tabuq import (SeededRng, auc_roc, binary_entropy, ece, platt_apply,
+from tabuq import (SeededRng, auc_roc, binary_entropy, ece, minimize_gd, platt_apply,
                    platt_fit, sigmoid)
 from tabuq.errors import ParameterError, UndefinedMetricError
-from tabuq.metrics import PlattParams, midranks
+from tabuq.metrics import PlattParams, _logit, midranks
+
+from oracles import platt_objective_reference
 
 
 def pair_counting_auc(scores, labels):
@@ -220,3 +222,18 @@ class TestPlatt:
     def test_single_class_rejected(self):
         with pytest.raises(UndefinedMetricError):
             platt_fit(np.array([0.2, 0.8]), np.array([1, 1]))
+
+    @pytest.mark.parametrize("n", [10, 300, 5000])
+    @pytest.mark.parametrize("slope, shift", [(1.0, 0.0), (2.5, 0.0), (0.4, 0.8), (1.7, -1.2)])
+    def test_fit_has_the_bits_of_the_written_out_objective(self, n, slope, shift):
+        rng = SeededRng(n)
+        probs = 0.02 + 0.96 * rng.split("p").random(n)
+        outcomes = (rng.split("y").random(n) < probs).astype(np.int64)
+        outcomes[:2] = (0, 1)
+        distorted = sigmoid(slope * np.log(probs / (1.0 - probs)) + shift)
+        t = _logit(distorted)
+        expected, _, _ = minimize_gd(
+            lambda p: platt_objective_reference(p, t, outcomes.astype(np.float64)),
+            np.array([1.0, 0.0]), tol=1e-8, max_iter=10_000)
+        params = platt_fit(distorted, outcomes)
+        assert (params.a, params.b) == (expected[0], expected[1])

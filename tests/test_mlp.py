@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+import tabuq.mlp
 from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
@@ -28,26 +29,25 @@ class TestPositiveWeight:
 
 class TestWeightedBceLoss:
     def test_uniform_half_is_ln2(self):
-        loss = weighted_bce_loss(np.full(8, 0.5), np.arange(8) % 2,
-                                 weighting=False)
+        loss = weighted_bce_loss(np.full(8, 0.5), np.arange(8) % 2, 1.0)
         assert abs(loss - math.log(2)) < 1e-15
 
     def test_weighted_hand_value(self):
         # w+ = 3, all predictions 0.5: -(3*ln.5 + 3*ln.5)/4 = 1.5*ln2.
-        loss = weighted_bce_loss(np.full(4, 0.5), np.array([0, 0, 0, 1]),
-                                 weighting=True)
+        labels = np.array([0, 0, 0, 1])
+        loss = weighted_bce_loss(np.full(4, 0.5), labels, positive_weight(labels))
         assert abs(loss - 1.5 * math.log(2)) < 1e-15
 
     def test_perfect_predictions_clamped_near_zero(self):
-        loss = weighted_bce_loss(np.array([0.0, 1.0]), np.array([0, 1]),
-                                 weighting=True)
+        labels = np.array([0, 1])
+        loss = weighted_bce_loss(np.array([0.0, 1.0]), labels, positive_weight(labels))
         assert 0.0 <= loss < 1e-10
 
     def test_balanced_weighting_equals_plain_bce(self):
         probs = np.array([0.2, 0.9, 0.4, 0.7])
         labels = np.array([0, 1, 0, 1])
-        on = weighted_bce_loss(probs, labels, weighting=True)
-        off = weighted_bce_loss(probs, labels, weighting=False)
+        on = weighted_bce_loss(probs, labels, positive_weight(labels))
+        off = weighted_bce_loss(probs, labels, 1.0)
         assert abs(on - off) < 1e-15
 
 
@@ -116,6 +116,20 @@ class TestGradients:
         denom = np.maximum(1e-8, np.abs(grads) + np.abs(fd))
         assert (np.abs(grads - fd) / denom).max() < 1e-4
 
+    def test_weighted_step_computes_the_class_weight_once(self, monkeypatch):
+        calls = []
+        real = tabuq.mlp.positive_weight
+
+        def counted(labels):
+            calls.append(labels)
+            return real(labels)
+
+        monkeypatch.setattr(tabuq.mlp, "positive_weight", counted)
+        model = init_mlp(3, TrainConfig(hidden=(4,)), SeededRng(0))
+        mlp_loss_and_grads(model, SeededRng(1).normal((6, 3)), np.array([0, 1, 0, 0, 1, 0]),
+                           True, dropout_masks(model, 6, SeededRng(2)))
+        assert len(calls) == 1
+
 
 class TestTrainMlp:
     def test_separable_toy_accuracy(self, toy_balanced, toy_mlp):
@@ -169,8 +183,7 @@ class TestTrainMlp:
         final, = train_mlp(train, val, TrainConfig(patience=None, **base),
                            [SeededRng(13)])
         def val_loss(m):
-            return weighted_bce_loss(predict_mlp(m, val.features), val.labels,
-                                     weighting=False)
+            return weighted_bce_loss(predict_mlp(m, val.features), val.labels, 1.0)
         assert val_loss(snap) <= val_loss(final) + 1e-12
 
     def test_patience_none_runs_all_epochs(self, toy_balanced):

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -12,8 +13,11 @@ from hypothesis.extra import numpy as hnp
 
 import tabuq
 from tabuq import (AdamState, SeededRng, adam_step, anchored_mean, dropout_mask,
-                   flatten, minibatch_adam, minimize_gd, sigmoid, unflatten)
+                   flatten, minibatch_adam, minimize_gd, predict_logistic, predict_mlp,
+                   sigmoid, unflatten, vae_novelty_score)
 from tabuq.errors import ParameterError, ShapeError, TrainingError
+from tabuq.logistic import LogisticModel
+from tabuq.numeric import checked_inputs
 
 from oracles import finite_difference_gradient
 
@@ -53,6 +57,25 @@ def test_dropout_mask_deterministic():
 def test_dropout_mask_bad_rate(rate):
     with pytest.raises(ParameterError):
         dropout_mask(SeededRng(0), (2,), rate)
+
+
+def test_checked_inputs():
+    X = checked_inputs([[1, 2, 3]], 3)
+    assert X.dtype == np.float64 and X.shape == (1, 3)
+    assert checked_inputs(np.zeros((2, 4, 3)), 3, ndim=3).shape == (2, 4, 3)
+    for bad in (np.zeros((4, 2)), np.zeros(3), np.zeros((1, 4, 3))):
+        message = f"model expects (N, 3) inputs, got {bad.shape}"
+        with pytest.raises(ShapeError, match=re.escape(message)):
+            checked_inputs(bad, 3)
+
+
+def test_every_model_refuses_a_wrong_width_with_one_message(toy_mlp, toy_vae):
+    X = np.zeros((4, 3))
+    for predict in (lambda: predict_mlp(toy_mlp, X),
+                    lambda: vae_novelty_score(toy_vae, X, SeededRng(0)),
+                    lambda: predict_logistic(LogisticModel(np.zeros(2), 0.0), X)):
+        with pytest.raises(ShapeError, match=re.escape("model expects (N, 2) inputs, got (4, 3)")):
+            predict()
 
 
 def test_adam_zero_gradient_keeps_params():

@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from tabuq import SeededRng
+from tabuq.errors import ParameterError
 from tabuq.rng import _label_hash, _words
 
 
@@ -61,6 +62,13 @@ def test_wrappers_shapes_and_ranges():
     assert set(ints.tolist()) <= {0, 1, 2, 3}
     perm = r.permutation(10)
     assert sorted(perm.tolist()) == list(range(10))
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 5])
+def test_seed_outside_64_bits_is_refused(seed):
+    # Masked to 64 bits, such a seed would draw another seed's streams.
+    with pytest.raises(ParameterError, match="seed"):
+        SeededRng(seed)
 
 
 def test_repr_shows_path():
