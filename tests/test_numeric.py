@@ -214,7 +214,10 @@ def test_minibatch_adam_non_finite_loss_names_epoch():
 
 
 # sha256 of the trained parameter bytes, recorded before the MLP and the VAE
-# shared one trainer. Any change that moves a random stream or reorders
+# shared one trainer; vae-csv and ensemble-100x100 were recorded before the
+# training steps ran in reused buffers. vae-csv's 360 rows end each epoch on a
+# short batch, and ensemble-100x100's members stop after epochs 2, 4 and 5, so
+# both step on several shapes. Any change that moves a random stream or reorders
 # arithmetic changes them. The fits run in a child with one BLAS thread,
 # because a threaded matrix product may sum in another order; the digests
 # hold for numpy's OpenBLAS build on x86-64.
@@ -223,6 +226,8 @@ TRAINED_DIGESTS = {
     "mlp-100x100": "d24bcacc25408090d1d55330bc403aaa09ec6c36fb560e835d531beb5c36ea3b",
     "vae-toy": "8a62507157477ec1a2b4f8ebeb6bbe968a7527c8a48b97a1caf5472a7063bfb1",
     "ensemble-toy": "abf08e44af4ffb652532085f40b925d071784911fa783eb7dc4e389147e040a4",
+    "vae-csv": "91916e2dd380ca685b733fae706ccc3872994400c8db20e506cba983b95d80c0",
+    "ensemble-100x100": "51d52ae7ff2d17f165a9a73765a4c40ae975c08043d20e80a301632b3fb3adf4",
 }
 
 TRAINING_SCRIPT = """
@@ -244,6 +249,10 @@ print("mlp-100x100", digest(m.params()))
 print("vae-toy", digest(train_vae(train, VaeConfig.toy(), SeededRng(2)).params()))
 e = train_deep_ensemble(train, val, TrainConfig.toy(), SeededRng(6), M=3, weighting=True)
 print("ensemble-toy", digest([a for m in e for a in m.params()]))
+print("vae-csv", digest(train_vae(tr, VaeConfig(epochs=2), SeededRng(7)).params()))
+e = train_deep_ensemble(tr, va, TrainConfig(hidden=(100, 100), lr=3e-2, max_epochs=8, patience=1),
+                        SeededRng(10), M=3)
+print("ensemble-100x100", digest([a for m in e for a in m.params()]))
 """
 
 
