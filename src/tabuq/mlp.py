@@ -5,6 +5,8 @@ sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
 binary cross-entropy over an (M, P) stack of M networks' flat parameter
 vectors as one network of (M, in, out) weights. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
+Each train_mlp call owns shape-keyed step buffers (numeric.step_buffer), freed
+when it returns; the step functions allocate afresh when given none.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
 from .numeric import (anchored_mean, checked_inputs, flatten, keep_mask, minibatch_adam,
-                      sigmoid, unflatten)
+                      sigmoid, step_buffer, unflatten)
 from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
@@ -103,20 +105,22 @@ def weighted_bce_loss(probs: np.ndarray, labels: np.ndarray,
     return -terms.mean(axis=-1)
 
 
-def _forward(model: MlpModel, X: np.ndarray,
-             masks: list[np.ndarray] | None) -> tuple[np.ndarray, list]:
+def _forward(model: MlpModel, X: np.ndarray, masks: list[np.ndarray] | None,
+             buf: dict | None = None) -> tuple[np.ndarray, list]:
     """Forward pass; returns (output column, layer inputs).
 
     masks are _make_masks' keep-masks: each kept unit is scaled by
     1/(1 - rate) and each dropped one zeroed, as two in-place multiplies.
     A stack of M networks ((M, in, out) weights, (M, out) biases) takes (M, N, ·)
     inputs and masks, and computes each slice as that network's own pass does.
+    Hidden layer i's activations are step_buffer(buf, "h<i>", ...) arrays.
     """
     X = checked_inputs(X, model.n_inputs, model.weights[0].ndim)
     inputs = [X]
     h = X
     for i in range(len(model.weights) - 1):
-        h = h @ model.weights[i]
+        w = model.weights[i]
+        h = np.matmul(h, w, out=step_buffer(buf, f"h{i}", h.shape[:-1] + w.shape[-1:]))
         h += model.biases[i][..., None, :]
         np.maximum(h, 0.0, out=h)
         if masks is not None:
@@ -151,7 +155,8 @@ def mlp_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray,
 
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
-                       weighting: bool, masks: list[np.ndarray] | None = None
+                       weighting: bool, masks: list[np.ndarray] | None = None,
+                       buf: dict | None = None
                        ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Loss plus analytic gradients for every weight matrix and bias vector.
 
@@ -162,8 +167,9 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
     positive where the pre-activation is unless the mask is 0, and there the
     gradient is 0 already. w is computed once, for the loss and for dL/dz.
     A stack of networks (see _forward) takes (M, N) labels and returns M losses.
+    Its hidden activations, deltas and relu gates are step buffers (see _forward).
     """
-    y_hat, inputs = _forward(model, X, masks)
+    y_hat, inputs = _forward(model, X, masks, buf)
     y = np.asarray(labels, dtype=np.float64)[..., None]
     n = y.shape[-2]
     w = positive_weight(labels) if weighting else 1.0
@@ -176,11 +182,12 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
         grads_w[i] = np.swapaxes(inputs[i], -1, -2) @ delta
         grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = delta @ np.swapaxes(model.weights[i], -1, -2)
+            delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2),
+                              out=step_buffer(buf, f"delta{i}", inputs[i].shape))
             if masks is not None:
                 delta *= masks[i - 1]
                 delta *= 1.0 / (1.0 - model.dropout_rate)
-            delta *= inputs[i] > 0
+            delta *= np.greater(inputs[i], 0, out=step_buffer(buf, "gate", inputs[i].shape, bool))
     return loss, grads_w, grads_b
 
 
@@ -218,11 +225,12 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
 
     inits = [init_mlp(train.d, cfg, rng.split("init")) for rng in rngs]
     template = inits[0]
+    buf = {}  # the step buffers, one set per (members, batch rows) shape
 
     def loss_and_grads(flat, idx, batch_rngs):
         masks = _make_masks(template, idx.shape[1], batch_rngs)
         loss, gw, gb = mlp_loss_and_grads(template.with_flat(flat), train.features[idx],
-                                          train.labels[idx], weighting, masks)
+                                          train.labels[idx], weighting, masks, buf)
         return loss, np.concatenate([g.reshape(len(idx), -1) for g in (*gw, *gb)], axis=1)
 
     best = {}  # member -> (best val loss, its snapshot, epochs since it improved)

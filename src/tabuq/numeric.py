@@ -2,7 +2,7 @@
 
 Matrices are plain 2-D float64 numpy arrays throughout the toolkit. All
 public operations keep finite inputs finite; the sigmoid is evaluated in a
-branch that never overflows.
+form that never overflows.
 """
 
 from __future__ import annotations
@@ -17,14 +17,20 @@ from .rng import SeededRng
 
 
 def sigmoid(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function, branching on the sign of x."""
+    """Logistic function as 1/(1 + t) or t/(1 + t) with t = exp(-|x|), never overflowing."""
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    t = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, t) / (1.0 + t)
+
+
+def step_buffer(buf: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
+    """An uninitialized array for a step's intermediate `name`: fresh without buf,
+    else buf's (name, shape) entry, made on first use and reused by later steps."""
+    if buf is None:
+        return np.empty(shape, dtype)
+    if (name, shape) not in buf:
+        buf[name, shape] = np.empty(shape, dtype)
+    return buf[name, shape]
 
 
 def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:

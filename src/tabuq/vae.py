@@ -5,7 +5,9 @@ produces a diagonal Gaussian over the latent space; the decoder produces a
 diagonal Gaussian over feature space with a learned per-dimension variance.
 Training runs `numeric.minibatch_adam` on the negative ELBO over one flat
 vector of all eight parameter arrays, with one reparameterized latent sample
-per datum per step; log-variances are clamped to [-10, 10].
+per datum per step; log-variances are clamped to [-10, 10]. Each train_vae
+call owns shape-keyed step buffers (numeric.step_buffer), freed when it
+returns; the step allocates afresh when given none.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError
-from .numeric import checked_inputs, flatten, minibatch_adam, unflatten
+from .numeric import checked_inputs, flatten, minibatch_adam, step_buffer, unflatten
 from .rng import SeededRng
 
 LOGVAR_MIN = -10.0
@@ -71,11 +73,16 @@ class VaeConfig:
         return cls(latent_dim=2)
 
 
-def _encode(model: VaeModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _encode(model: VaeModel, X: np.ndarray,
+            buf: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Latent mean, clamped log-variance, and the pre-clamp raw log-variance."""
-    e_mu = X @ model.enc_w_mu + model.enc_b_mu
-    e_lv_raw = X @ model.enc_w_lv + model.enc_b_lv
-    return e_mu, np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX), e_lv_raw
+    shape = (X.shape[0], model.latent_dim)
+    e_mu = np.matmul(X, model.enc_w_mu, out=step_buffer(buf, "e_mu", shape))
+    e_mu += model.enc_b_mu
+    e_lv_raw = np.matmul(X, model.enc_w_lv, out=step_buffer(buf, "e_lv_raw", shape))
+    e_lv_raw += model.enc_b_lv
+    e_lv = np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX, out=step_buffer(buf, "e_lv", shape))
+    return e_mu, e_lv, e_lv_raw
 
 
 def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -90,31 +97,34 @@ def decoder_nll(X: np.ndarray, d_mu: np.ndarray, d_lv: np.ndarray) -> np.ndarray
     return 0.5 * (d_lv + r * r * np.exp(-d_lv) + LOG_2PI).sum(axis=1)
 
 
-def kl_to_standard_normal(e_mu: np.ndarray, e_lv: np.ndarray) -> np.ndarray:
-    """Closed-form per-row KL(q(z|x) || N(0, I)) for diagonal Gaussians."""
-    return 0.5 * (e_mu * e_mu + np.exp(e_lv) - e_lv - 1.0).sum(axis=1)
-
-
-def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray
-                       ) -> tuple[float, tuple[np.ndarray, ...]]:
+def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
+                       buf: dict | None = None) -> tuple[float, tuple[np.ndarray, ...]]:
     """Negative-ELBO loss and analytic gradients in VaeModel field order.
 
+    The loss is the decoder NLL plus the closed-form KL(q(z|x) || N(0, I)).
     Clamped log-variance coordinates receive zero gradient through the clamp.
     The reparameterization path contributes d z / d e_lv = eps * s / 2 with
-    s = exp(e_lv / 2).
+    s = exp(e_lv / 2). The (rows, latent) intermediates are step buffers.
     """
     X = checked_inputs(X, model.n_features)
     n = X.shape[0]
-    e_mu, e_lv, e_lv_raw = _encode(model, X)
-    s = np.exp(0.5 * e_lv)
-    z = e_mu + s * eps
+    shape = (n, model.latent_dim)
+    e_mu, e_lv, e_lv_raw = _encode(model, X, buf)
+    s = np.multiply(0.5, e_lv, out=step_buffer(buf, "s", shape))
+    np.exp(s, out=s)
+    z = np.multiply(s, eps, out=step_buffer(buf, "z", shape))
+    z += e_mu
     d_mu, d_lv, d_lv_raw = _decode(model, z)
     r = X - d_mu
     inv_var = np.exp(-d_lv)
-    loss = float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
+    exp_e_lv = np.exp(e_lv, out=step_buffer(buf, "exp_e_lv", shape))
+    kl = np.multiply(e_mu, e_mu, out=step_buffer(buf, "kl", shape))
+    kl += exp_e_lv
+    kl -= e_lv
+    kl -= 1.0
+    loss = float((decoder_nll(X, d_mu, d_lv) + 0.5 * kl.sum(axis=1)).mean())
 
     mask_x = ((d_lv_raw > LOGVAR_MIN) & (d_lv_raw < LOGVAR_MAX)).astype(np.float64)
-    mask_z = ((e_lv_raw > LOGVAR_MIN) & (e_lv_raw < LOGVAR_MAX)).astype(np.float64)
 
     delta_dmu = -r * inv_var / n
     delta_dlv = mask_x * 0.5 * (1.0 - r * r * inv_var) / n
@@ -123,9 +133,20 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray
     g_dec_w_lv = z.T @ delta_dlv
     g_dec_b_lv = delta_dlv.sum(axis=0)
 
-    dz = delta_dmu @ model.dec_w_mu.T + delta_dlv @ model.dec_w_lv.T
-    de_mu = dz + e_mu / n
-    de_lv = mask_z * (dz * eps * 0.5 * s + 0.5 * (np.exp(e_lv) - 1.0) / n)
+    dz = np.matmul(delta_dmu, model.dec_w_mu.T, out=step_buffer(buf, "dz", shape))
+    dz += np.matmul(delta_dlv, model.dec_w_lv.T, out=step_buffer(buf, "dz_lv", shape))
+    de_mu = np.divide(e_mu, n, out=step_buffer(buf, "de_mu", shape))
+    de_mu += dz
+    de_lv = np.multiply(dz, eps, out=step_buffer(buf, "de_lv", shape))
+    de_lv *= 0.5
+    de_lv *= s
+    exp_e_lv -= 1.0  # the KL has read exp(e_lv); it becomes 0.5 * (exp(e_lv) - 1) / n
+    exp_e_lv *= 0.5
+    exp_e_lv /= n
+    de_lv += exp_e_lv
+    # Zero the clamped coordinates: the gate is e_lv_raw > min, then e_lv_raw < max.
+    de_lv *= np.greater(e_lv_raw, LOGVAR_MIN, out=step_buffer(buf, "gate", shape, bool))
+    de_lv *= np.less(e_lv_raw, LOGVAR_MAX, out=step_buffer(buf, "gate", shape, bool))
     g_enc_w_mu = X.T @ de_mu
     g_enc_b_mu = de_mu.sum(axis=0)
     g_enc_w_lv = X.T @ de_lv
@@ -157,10 +178,12 @@ def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
     if train.n < 1:
         raise DataError("training set is empty")
     model = init_vae(train.d, cfg, rng.split("init"))
+    buf = {}  # the step buffers, one set per batch row count
 
     def loss_and_grads(flat, idx, batch_rngs):
         eps = batch_rngs[0].normal((idx.shape[1], cfg.latent_dim))
-        loss, grads = vae_loss_and_grads(model.with_flat(flat[0]), train.features[idx[0]], eps)
+        loss, grads = vae_loss_and_grads(model.with_flat(flat[0]), train.features[idx[0]],
+                                         eps, buf)
         return [loss], flatten(grads)[None]
 
     for _, flat, _ in minibatch_adam(flatten(model.params())[None], loss_and_grads, train.n,

@@ -15,7 +15,7 @@ from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp
 from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
                            flatten, sigmoid)
 from tabuq.rng import SeededRng
-from tabuq.vae import VaeModel, _decode, _encode, decoder_nll, kl_to_standard_normal
+from tabuq.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, _decode, _encode, decoder_nll
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -35,6 +35,24 @@ def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
     return grad
 
 
+def sigmoid_reference(x: np.ndarray) -> np.ndarray:
+    """The logistic function branching on the sign of x: 1/(1 + exp(-x)) where
+    x >= 0, and exp(x)/(1 + exp(x)) elsewhere."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def kl_to_standard_normal(e_mu: np.ndarray, e_lv: np.ndarray) -> np.ndarray:
+    """Closed-form per-row KL(q(z|x) || N(0, I)) for diagonal Gaussians, as
+    vae_loss_and_grads computes it in its step buffers."""
+    return 0.5 * (e_mu * e_mu + np.exp(e_lv) - e_lv - 1.0).sum(axis=1)
+
+
 def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
     """Negative ELBO (reconstruction NLL plus KL), mean over the batch.
 
@@ -46,6 +64,29 @@ def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
     z = e_mu + np.exp(0.5 * e_lv) * eps
     d_mu, d_lv, _ = _decode(model, z)
     return float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
+
+
+def vae_loss_and_grads_reference(model: VaeModel, X: np.ndarray, eps: np.ndarray
+                                 ) -> tuple[float, tuple[np.ndarray, ...]]:
+    """vae_loss_and_grads as plain expressions on fresh arrays, exp(e_lv)
+    computed twice, in the order the step buffers keep."""
+    n = X.shape[0]
+    e_mu, e_lv, e_lv_raw = _encode(model, X)
+    s = np.exp(0.5 * e_lv)
+    z = e_mu + s * eps
+    d_mu, d_lv, d_lv_raw = _decode(model, z)
+    r = X - d_mu
+    inv_var = np.exp(-d_lv)
+    loss = float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
+    mask_x = ((d_lv_raw > LOGVAR_MIN) & (d_lv_raw < LOGVAR_MAX)).astype(np.float64)
+    mask_z = ((e_lv_raw > LOGVAR_MIN) & (e_lv_raw < LOGVAR_MAX)).astype(np.float64)
+    delta_dmu = -r * inv_var / n
+    delta_dlv = mask_x * 0.5 * (1.0 - r * r * inv_var) / n
+    dz = delta_dmu @ model.dec_w_mu.T + delta_dlv @ model.dec_w_lv.T
+    de_mu = dz + e_mu / n
+    de_lv = mask_z * (dz * eps * 0.5 * s + 0.5 * (np.exp(e_lv) - 1.0) / n)
+    return loss, (X.T @ de_mu, de_mu.sum(axis=0), X.T @ de_lv, de_lv.sum(axis=0),
+                  z.T @ delta_dmu, delta_dmu.sum(axis=0), z.T @ delta_dlv, delta_dlv.sum(axis=0))
 
 
 def dropout_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray]:

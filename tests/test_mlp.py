@@ -9,7 +9,7 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
-from tabuq.mlp import init_mlp
+from tabuq.mlp import _make_masks, init_mlp
 from tabuq.numeric import flatten
 
 from conftest import make_dataset
@@ -129,6 +129,66 @@ class TestGradients:
         mlp_loss_and_grads(model, SeededRng(1).normal((6, 3)), np.array([0, 1, 0, 0, 1, 0]),
                            True, dropout_masks(model, 6, SeededRng(2)))
         assert len(calls) == 1
+
+
+def _stacked_model(hidden, M, rng):
+    """M=None: one network with 2-D weights; else a stack of M networks."""
+    cfg = TrainConfig(hidden=hidden)
+    if M is None:
+        return init_mlp(4, cfg, rng)
+    inits = [init_mlp(4, cfg, rng.split(f"member{m}")) for m in range(M)]
+    return inits[0].with_flat(np.stack([flatten(m.params()) for m in inits]))
+
+
+def _assert_same_step(a, b):
+    (loss_a, gw_a, gb_a), (loss_b, gw_b, gb_b) = a, b
+    np.testing.assert_array_equal(loss_a, loss_b)
+    for ga, gb in zip((*gw_a, *gb_a), (*gw_b, *gb_b), strict=True):
+        np.testing.assert_array_equal(ga, gb)
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("weighting", [False, True])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("M", [None, 1, 3])
+    @pytest.mark.parametrize("hidden", [(6, 4), (100, 100)], ids=["6-4", "100-100"])
+    def test_buffered_step_equals_allocating_step(self, hidden, M, masked, weighting):
+        rng = SeededRng(20)
+        model = _stacked_model(hidden, M, rng.split("init"))
+        lead = () if M is None else (M,)
+        buf = {}
+        # Full, short, full: a reused buffer must not leak the last step's values.
+        for step, n in enumerate((256, 37, 256)):
+            step_rng = rng.split(f"step{step}")
+            X = step_rng.split("x").normal(lead + (n, 4), std=2.0)
+            y = (step_rng.split("y").random(lead + (n,)) < 0.3).astype(np.int64)
+            masks = None
+            if masked:
+                masks = _make_masks(model, n, [step_rng.split(f"m{m}") for m in range(M or 1)])
+                masks = [k[0] for k in masks] if M is None else masks
+            _assert_same_step(mlp_loss_and_grads(model, X, y, weighting, masks, buf),
+                              mlp_loss_and_grads(model, X, y, weighting, masks))
+            if step == 1:
+                two_shapes = dict(buf)
+        assert buf.keys() == two_shapes.keys()
+        assert all(buf[key] is two_shapes[key] for key in buf)
+        assert {shape for _, shape in buf} == {lead + (n, h) for n in (256, 37) for h in hidden}
+
+    def test_one_step_call_per_batch(self, toy_balanced, monkeypatch):
+        # perfbench's tracer counts steps by wrapping this module attribute.
+        calls = []
+        real = tabuq.mlp.mlp_loss_and_grads
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tabuq.mlp, "mlp_loss_and_grads", counted)
+        train, val, _ = toy_balanced
+        cfg = TrainConfig(hidden=(5,), batch_size=64, max_epochs=3, patience=None)
+        train_mlp(train, val, cfg, [SeededRng(0), SeededRng(1)])
+        assert len(calls) == cfg.max_epochs * math.ceil(train.n / cfg.batch_size)
+        assert calls[-1] == (2, train.n % cfg.batch_size, 2)
 
 
 class TestTrainMlp:

@@ -19,7 +19,7 @@ from tabuq.errors import ParameterError, ShapeError, TrainingError
 from tabuq.logistic import LogisticModel
 from tabuq.numeric import checked_inputs
 
-from oracles import finite_difference_gradient
+from oracles import finite_difference_gradient, sigmoid_reference
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -35,6 +35,34 @@ def test_sigmoid_symmetry_and_range(x):
     s = sigmoid(x)
     assert ((0 <= s) & (s <= 1)).all()
     np.testing.assert_allclose(s + sigmoid(-x), 1.0, atol=1e-12)
+
+
+def _same_bits(a, b):
+    """Equal values, NaN where the other has NaN, and equal signs elsewhere (so
+    +0 differs from -0); a NaN's sign bit means nothing and is not compared."""
+    numbers = ~np.isnan(a)
+    return (np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a[numbers]), np.signbit(b[numbers])))
+
+
+SIGMOID_EDGES = [0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0,
+                 np.inf, -np.inf, np.nan]
+
+
+def test_sigmoid_matches_the_branching_reference_bitwise():
+    rng = SeededRng(0)
+    for spread in (1.0, 30.0, 300.0):
+        x = rng.split(str(spread)).normal(100_000, std=spread)
+        assert _same_bits(sigmoid(x), sigmoid_reference(x))
+    edges = np.array(SIGMOID_EDGES)
+    assert _same_bits(sigmoid(edges), sigmoid_reference(edges))
+    assert _same_bits(sigmoid(edges.reshape(1, -1)), sigmoid_reference(edges.reshape(1, -1)))
+
+
+@given(hnp.arrays(np.float64, st.integers(0, 40),
+                  elements=st.floats(allow_nan=True, allow_infinity=True)))
+def test_sigmoid_matches_the_branching_reference_on_any_floats(x):
+    assert _same_bits(sigmoid(x), sigmoid_reference(x))
 
 
 def test_dropout_mask_rate_zero_is_identity():

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+import tabuq.vae
 from tabuq import SeededRng, VaeConfig, train_vae, vae_novelty_score
 from tabuq.errors import ShapeError, TrainingError
 from tabuq.numeric import flatten
 from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _decode, _encode,
-                       decoder_nll, init_vae, kl_to_standard_normal,
-                       vae_loss_and_grads)
+                       decoder_nll, init_vae, vae_loss_and_grads)
 
 from conftest import make_dataset
-from oracles import finite_difference_gradient, vae_loss
+from oracles import (finite_difference_gradient, kl_to_standard_normal, vae_loss,
+                     vae_loss_and_grads_reference)
 
 
 class TestInitAndShapes:
@@ -92,6 +93,60 @@ class TestGradients:
         fd = finite_difference_gradient(f, flatten(model.params()))
         denom = np.maximum(1e-8, np.abs(flat_grads) + np.abs(fd))
         assert (np.abs(flat_grads - fd) / denom).max() < 1e-4
+
+
+def _assert_same_step(a, b):
+    assert a[0] == b[0]
+    for ga, gb in zip(a[1], b[1], strict=True):
+        np.testing.assert_array_equal(ga, gb)
+
+
+class TestStepBuffers:
+    @pytest.mark.parametrize("latent", [2, 5, 500])
+    @pytest.mark.parametrize("rows", [(256, 7), (64, 37)], ids=["256-7", "64-37"])
+    def test_buffered_step_equals_allocating_and_reference_steps(self, latent, rows):
+        rng = SeededRng(30)
+        model = init_vae(4, VaeConfig(latent_dim=latent), rng.split("init"))
+        buf = {}
+        clamped = {"enc": np.zeros(3, bool), "dec": np.zeros(3, bool)}
+        # Full, short, full: a reused buffer must not leak the last step's values.
+        for step, n in enumerate(rows + rows[:1]):
+            step_rng = rng.split(f"step{step}")
+            # Row scales from 0.1 to 3000 drive both log-variances past their clamps.
+            X = step_rng.split("x").normal((n, 4)) * np.geomspace(0.1, 3000.0, n)[:, None]
+            eps = step_rng.split("eps").normal((n, latent))
+            buffered = vae_loss_and_grads(model, X, eps, buf)
+            _assert_same_step(buffered, vae_loss_and_grads(model, X, eps))
+            _assert_same_step(buffered, vae_loss_and_grads_reference(model, X, eps))
+            assert buffered[0] == vae_loss(model, X, eps)
+            e_mu, e_lv, e_lv_raw = _encode(model, X)
+            _, _, d_lv_raw = _decode(model, e_mu + np.exp(0.5 * e_lv) * eps)
+            for side, raw in (("enc", e_lv_raw), ("dec", d_lv_raw)):
+                clamped[side] |= [(raw < LOGVAR_MIN).any(), (raw > LOGVAR_MAX).any(),
+                                  ((LOGVAR_MIN < raw) & (raw < LOGVAR_MAX)).any()]
+            if step == 1:
+                two_shapes = dict(buf)
+        # Each log-variance was clamped below, clamped above and left free somewhere.
+        assert clamped["enc"].all() and clamped["dec"].all()
+        assert buf.keys() == two_shapes.keys()
+        assert all(buf[key] is two_shapes[key] for key in buf)
+        assert {shape for _, shape in buf} == {(n, latent) for n in rows}
+
+    def test_one_step_call_per_batch(self, toy_balanced, monkeypatch):
+        # perfbench's tracer counts steps by wrapping this module attribute.
+        calls = []
+        real = tabuq.vae.vae_loss_and_grads
+
+        def counted(*args, **kwargs):
+            calls.append(args[1].shape)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(tabuq.vae, "vae_loss_and_grads", counted)
+        train, _, _ = toy_balanced
+        cfg = VaeConfig(latent_dim=2, batch_size=64, epochs=3)
+        train_vae(train, cfg, SeededRng(0))
+        assert len(calls) == cfg.epochs * math.ceil(train.n / cfg.batch_size)
+        assert calls[-1] == (train.n % cfg.batch_size, 2)
 
 
 class TestTrainVae:
