@@ -8,9 +8,9 @@ single-class prefix). The cli module flattens these into CSV rows.
 Stochastic scoring draws from rng child streams named by their label path,
 not by consumed state, so scoring the same inputs twice gives bitwise equal
 results; this is what makes the factor-1 corruption baseline exactly 0.5. The
-VAE re-derives its stream on every call. MC dropout's keep-masks come from
-the same streams, but each row count's masks are drawn once and cached
-bit-packed in the method's scorer, so the corrupted copies of a test set
+VAE re-derives its stream on every call. MC dropout's keep bits come from
+the same streams, one rng/score/pass<t> draw per pass and row count, cached
+as drawn in the method's scorer, so the corrupted copies of a test set
 reuse the clean copy's masks.
 """
 
@@ -108,9 +108,9 @@ def train_method(name: str, train: Dataset, val: Dataset,
     Scoring closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
-    The MC-dropout closure also owns a cache, keyed by row count, of the
-    bit-packed keep-masks drawn from rng/score/pass<t>/layer<i>: each row
-    count's masks are drawn on its first call and reused after.
+    The MC-dropout closure also owns a cache, keyed by row count N, of the
+    packed keep bits drawn from rng/score/pass<t>, T * N * sum(ceil(h / 8))
+    bytes: each row count's bits are drawn on its first call and reused after.
     """
     weighting = settings.class_weighting
     if name == "single-nn":

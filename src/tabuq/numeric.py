@@ -41,21 +41,37 @@ def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:
     return X
 
 
-def keep_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
-    """Boolean dropout keep-mask: True with probability 1 - `rate`."""
+def keep_bits(rng: SeededRng, rows: int, row_bytes: int, rate: float) -> np.ndarray:
+    """(rows, row_bytes) uint8 dropout keep bits in little bit order, each 1 with probability
+    exactly 1 - `rate` (Knuth & Yao, 1976). Unit i reads its uniform U a bit per round (bit
+    i % 64 of word i // 64 of rng.random_raw) against the rate's next binary digit. It is
+    dropped where the rate's bit is larger, kept where U's is, and kept if tied to the end."""
     if not 0.0 <= rate < 1.0:
         raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
-    return rng.random(shape) >= rate
+    n_words = -(-rows * row_bytes // 8)
+    num, den = float(rate).as_integer_ratio()
+    keep = np.full(n_words, 2**64 - 1, np.uint64)
+    undecided = keep.copy()
+    for k in range(den.bit_length() - 2, -1, -1):  # the rate's digits, first to last
+        digit = np.uint64(2**64 - 1 if num >> k & 1 else 0)
+        differs = undecided & (rng.random_raw(n_words) ^ digit)
+        keep ^= differs & digit
+        undecided ^= differs
+        if not undecided.any():
+            break
+    return keep.astype("<u8", copy=False).view(np.uint8)[:rows * row_bytes].reshape(rows, row_bytes)
 
 
-def dropout_mask(rng: SeededRng, shape, rate: float) -> np.ndarray:
+def dropout_mask(rng: SeededRng, shape: tuple, rate: float) -> np.ndarray:
     """Inverted-dropout mask: 0 with probability `rate`, else 1/(1-rate).
 
     The mask has elementwise expectation 1, so no rescaling is needed at
-    inference time. The package applies keep_mask's masks and this scale as
+    inference time. The package applies keep_bits' masks and this scale as
     two multiplies (mlp._forward); the float form serves the benchmark and tests.
     """
-    return keep_mask(rng, shape, rate).astype(np.float64) / (1.0 - rate)
+    bits = keep_bits(rng, int(np.prod(shape[:-1])), -(-shape[-1] // 8), rate)
+    keep = np.unpackbits(bits, axis=-1, count=shape[-1], bitorder="little")
+    return keep.reshape(shape) / (1.0 - rate)
 
 
 ADAM_BETA1 = 0.9
@@ -116,32 +132,30 @@ def unflatten(flat: np.ndarray, like: Sequence[np.ndarray]) -> list[np.ndarray]:
 
 
 def minibatch_adam(flat: np.ndarray,
-                   loss_and_grads: Callable[[np.ndarray, np.ndarray, list[SeededRng]],
+                   loss_and_grads: Callable[[np.ndarray, np.ndarray, list[int], int, int],
                                             tuple[np.ndarray, np.ndarray]],
                    n_rows: int, batch_size: int, epochs: int, lr: float,
-                   rngs: Sequence[SeededRng], noise: str
-                   ) -> Iterator[tuple[int, np.ndarray, list[int]]]:
+                   rngs: Sequence[SeededRng]) -> Iterator[tuple[int, np.ndarray, list[int]]]:
     """Minibatch Adam over an (M, P) stack of flat parameter vectors, one
     member per stream of rngs, stepping in lockstep.
 
     Each epoch member m visits the rows in the order of rngs[m]/shuffle/<epoch>,
     in batches of `batch_size`. Batch b of epoch e calls loss_and_grads(params,
-    row indices, rngs) with a params row, an index row and rngs[m]/<noise>/<e>.<b>
-    per member still training, for their losses and stacked gradient; a
-    non-finite loss raises TrainingError. Each epoch yields (epoch, params,
-    members), row j of params being members[j]'s. The caller stops members by
-    removing them from that list, as os.walk's caller prunes dirnames.
-    Yielded arrays stay valid.
+    row indices, members, e, b), with a params row and an index row per member
+    still training, for their losses and stacked gradient; the callback derives
+    any noise from rngs[members[j]] and must not change members. A non-finite
+    loss raises TrainingError. Each epoch yields (epoch, params, members), row j
+    of params being members[j]'s. The caller stops members by removing them from
+    that list, as os.walk's caller prunes dirnames. Yielded arrays stay valid.
     """
     state = AdamState.for_params(flat, lr=lr)
     shuffle_rngs = [rng.split("shuffle") for rng in rngs]
-    noise_rngs = [rng.split(noise) for rng in rngs]
     members = list(range(len(rngs)))
     for epoch in range(epochs):
         orders = np.stack([shuffle_rngs[m].split(str(epoch)).permutation(n_rows) for m in members])
         for b, start in enumerate(range(0, n_rows, batch_size)):
             losses, grads = loss_and_grads(flat, orders[:, start:start + batch_size],
-                                           [noise_rngs[m].split(f"{epoch}.{b}") for m in members])
+                                           members, epoch, b)
             if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             flat = adam_step(flat, grads, state)

@@ -73,5 +73,8 @@ class SeededRng:
     def permutation(self, n: int) -> np.ndarray:
         return self._gen.permutation(n)
 
+    def random_raw(self, size: int) -> np.ndarray:
+        return self._gen.bit_generator.random_raw(size)
+
     def __repr__(self) -> str:
         return f"SeededRng(seed={self.seed}, path={'/'.join(self.path) or '<root>'})"

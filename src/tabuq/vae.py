@@ -180,14 +180,14 @@ def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
     model = init_vae(train.d, cfg, rng.split("init"))
     buf = {}  # the step buffers, one set per batch row count
 
-    def loss_and_grads(flat, idx, batch_rngs):
-        eps = batch_rngs[0].normal((idx.shape[1], cfg.latent_dim))
+    def loss_and_grads(flat, idx, members, epoch, batch):
+        eps = rng.split("eps").split(f"{epoch}.{batch}").normal((idx.shape[1], cfg.latent_dim))
         loss, grads = vae_loss_and_grads(model.with_flat(flat[0]), train.features[idx[0]],
                                          eps, buf)
         return [loss], flatten(grads)[None]
 
     for _, flat, _ in minibatch_adam(flatten(model.params())[None], loss_and_grads, train.n,
-                                     cfg.batch_size, cfg.epochs, cfg.lr, [rng], "eps"):
+                                     cfg.batch_size, cfg.epochs, cfg.lr, [rng]):
         pass
     return model.with_flat(flat[0])
 

@@ -42,22 +42,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def keep_draws(monkeypatch) -> list:
-    """The shape of every keep-mask MC-dropout scoring draws, in order.
+    """The (rows, row bytes) shape of every keep-bit draw MC-dropout scoring
+    makes, in order.
 
-    Scoring and training both draw through mlp._make_masks: scoring from
-    rng/pass<t>/layer<i>, training from rng/dropout/<e>.<b>/layer<i>.
+    Scoring and training both draw through mlp._make_masks: scoring one call
+    per pass from rng/pass<t>, training one call per epoch from each network's
+    rng/dropout/<e>.
     """
     import tabuq.mlp as mlp
 
     shapes = []
-    real = mlp.keep_mask
+    real = mlp._make_masks
 
-    def counted(rng, shape, rate):
-        if rng.path[-2].startswith("pass"):
-            shapes.append(shape)
-        return real(rng, shape, rate)
+    def counted(model, n_rows, rngs):
+        bits = real(model, n_rows, rngs)
+        if rngs[0].path[-1].startswith("pass"):
+            shapes.append(bits.shape[1:])
+        return bits
 
-    monkeypatch.setattr(mlp, "keep_mask", counted)
+    monkeypatch.setattr(mlp, "_make_masks", counted)
     return shapes
 
 

@@ -89,29 +89,62 @@ def vae_loss_and_grads_reference(model: VaeModel, X: np.ndarray, eps: np.ndarray
                   z.T @ delta_dmu, delta_dmu.sum(axis=0), z.T @ delta_dlv, delta_dlv.sum(axis=0))
 
 
+def keep_bits_reference(rng: SeededRng, rows: int, row_bytes: int, rate: float) -> np.ndarray:
+    """keep_bits one unit at a time in plain Python. Each round reads one raw
+    word per 64 units, and unit i takes bit i % 64 of word i // 64 as the next
+    bit of its uniform U. A unit is decided at the first bit that differs from
+    the rate's binary expansion: dropped where the rate's bit is 1, kept where
+    it is 0. Units left when the expansion ends are kept, since U >= rate. Unit
+    i is bit i % 8 of byte i // 8 of the result."""
+    n_units = 64 * -(-rows * row_bytes // 8)
+    num, den = rate.as_integer_ratio()
+    digits = [int(c) for c in format(num, f"0{den.bit_length() - 1}b")] if num else []
+    keep = [1] * n_units
+    undecided = list(range(n_units))
+    for digit in digits:
+        if not undecided:
+            break
+        words = [int(w) for w in rng.random_raw(n_units // 64)]
+        still = []
+        for i in undecided:
+            bit = words[i // 64] >> (i % 64) & 1
+            if bit == digit:
+                still.append(i)
+            elif digit == 1:
+                keep[i] = 0
+        undecided = still
+    out = [sum(keep[8 * j + b] << b for b in range(8)) for j in range(rows * row_bytes)]
+    return np.array(out, dtype=np.uint8).reshape(rows, row_bytes)
+
+
 def dropout_masks(model: MlpModel, n_rows: int, rng: SeededRng) -> list[np.ndarray]:
     """One network's (n_rows, width) boolean keep-mask per hidden layer, from
-    rng/layer<i>. keep_mask is looked up on tabuq.numeric at each call, so a
-    test that patches it there sees these draws too."""
-    return [tabuq.numeric.keep_mask(rng.split(f"layer{i}"), (n_rows, w.shape[1]),
-                                    model.dropout_rate)
-            for i, w in enumerate(model.weights[:-1])]
+    one keep_bits draw of rng: the row's bits unpacked whole, and each layer's
+    the next width of them after the padding of the layers before it to whole
+    bytes. keep_bits is looked up on tabuq.numeric at each call, so a test
+    that patches it there sees these draws too."""
+    widths = [w.shape[1] for w in model.weights[:-1]]
+    starts = np.cumsum([0] + [8 * -(-w // 8) for w in widths])
+    bits = tabuq.numeric.keep_bits(rng, n_rows, starts[-1] // 8, model.dropout_rate)
+    units = np.unpackbits(bits, axis=1, bitorder="little").astype(bool)
+    return [units[:, start:start + w] for start, w in zip(starts, widths)]
 
 
 def mc_dropout_reference(model: MlpModel, X: np.ndarray, rng: SeededRng,
                          T: int) -> np.ndarray:
     """MC dropout one plain forward pass at a time: pass t multiplies each
-    hidden layer's relu output by dropout_mask's float mask (0 or 1/(1-rate))
-    from rng/pass<t>/layer<i>."""
+    hidden layer's relu output by its columns of dropout_mask's float mask
+    (0 or 1/(1-rate)) of all hidden units, drawn from rng/pass<t>, each layer
+    padded to whole bytes."""
     X = np.asarray(X, dtype=np.float64)
+    widths = [w.shape[1] for w in model.weights[:-1]]
+    starts = np.cumsum([0] + [8 * -(-w // 8) for w in widths])
     passes = []
     for t in range(T):
-        pass_rng = rng.split(f"pass{t}")
+        mask = dropout_mask(rng.split(f"pass{t}"), (X.shape[0], starts[-1]), model.dropout_rate)
         h = X
-        for i, (w, b) in enumerate(zip(model.weights[:-1], model.biases[:-1])):
-            mask = dropout_mask(pass_rng.split(f"layer{i}"), (X.shape[0], w.shape[1]),
-                                model.dropout_rate)
-            h = np.maximum(h @ w + b, 0.0) * mask
+        for w, b, start in zip(model.weights[:-1], model.biases[:-1], starts):
+            h = np.maximum(h @ w + b, 0.0) * mask[:, start:start + w.shape[1]]
         p = sigmoid(h @ model.weights[-1] + model.biases[-1]).ravel()
         passes.append(np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP))
     return anchored_mean(np.stack(passes), axis=0)
@@ -134,7 +167,9 @@ def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
                         rng: SeededRng, weighting: bool) -> MlpModel:
     """One network trained on its own: minibatch Adam over its flat parameter
     vector, with the init, shuffle and dropout streams of rng, and early
-    stopping that restores the best-validation-epoch snapshot."""
+    stopping that restores the best-validation-epoch snapshot. Epoch e draws
+    one keep-mask row per training row from rng/dropout/<e>, and the batch at
+    rows [start, end) of the shuffled order takes mask rows [start, end)."""
     model = init_mlp(train.d, cfg, rng.split("init"))
     flat = flatten(model.params())
     state = AdamState.for_params(flat, lr=cfg.lr)
@@ -142,10 +177,11 @@ def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
     best, best_loss, epochs_since_improve = None, np.inf, 0
     for epoch in range(cfg.max_epochs):
         order = shuffle_rng.split(str(epoch)).permutation(train.n)
-        for b, start in enumerate(range(0, train.n, cfg.batch_size)):
+        epoch_masks = dropout_masks(model, train.n, noise_rng.split(str(epoch)))
+        for start in range(0, train.n, cfg.batch_size):
             idx = order[start:start + cfg.batch_size]
             step_model = model.with_flat(flat)
-            masks = dropout_masks(step_model, len(idx), noise_rng.split(f"{epoch}.{b}"))
+            masks = [m[start:start + len(idx)] for m in epoch_masks]
             loss, gw, gb = mlp_loss_and_grads(step_model, train.features[idx],
                                               train.labels[idx], weighting, masks)
             if not np.isfinite(loss):

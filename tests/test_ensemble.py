@@ -1,4 +1,5 @@
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_trainers_need_a_member(toy_balanced):
 
 # (data, config, M, weighting). The toy training set has 200 rows, so batch 7
 # leaves a short last batch. The [100,100] case overfits at lr 0.01, and its
-# members stop after 7, 2, 6, 6 and 6 epochs.
+# members stop after 5, 5, 5, 4 and 4 epochs.
 ENSEMBLE_CASES = {
     "toy": ("toy", TrainConfig.toy(), 5, False),
     "toy-weighted": ("toy", TrainConfig.toy(), 5, True),
@@ -97,19 +98,19 @@ ENSEMBLE_CASES = {
 }
 
 
-def steps_per_member(monkeypatch, train) -> tuple[tuple, Counter]:
-    """Run train() and count each member's gradient steps: every step draws
-    its first layer's keep-mask once, from rng/member<i>/dropout/<e>.<b>/layer0."""
+def epochs_per_member(monkeypatch, train) -> tuple[tuple, Counter]:
+    """Run train() and count each member's epochs: every epoch draws the
+    member's keep bits once, from rng/member<i>/dropout/<e>."""
     counts = Counter()
-    real = tabuq.numeric.keep_mask
+    real = tabuq.numeric.keep_bits
 
-    def counted(rng, shape, rate):
-        counts[rng.path[-4]] += rng.path[-1] == "layer0"
-        return real(rng, shape, rate)
+    def counted(rng, rows, row_bytes, rate):
+        counts[rng.path[-3]] += 1
+        return real(rng, rows, row_bytes, rate)
 
     with monkeypatch.context() as patch:
-        patch.setattr(tabuq.numeric, "keep_mask", counted)
-        patch.setattr(tabuq.mlp, "keep_mask", counted)
+        patch.setattr(tabuq.numeric, "keep_bits", counted)
+        patch.setattr(tabuq.mlp, "keep_bits", counted)
         return train(), counts
 
 
@@ -124,7 +125,7 @@ def test_stacked_ensemble_matches_per_member_training(case, toy_unbalanced, monk
     def reference():
         return oracles.deep_ensemble_reference(train, val, cfg, SeededRng(5), M, weighting)
 
-    expected, expected_steps = steps_per_member(monkeypatch, reference)
+    expected, expected_epochs = epochs_per_member(monkeypatch, reference)
     stepped_rows = []
     real_adam = tabuq.numeric.adam_step
 
@@ -133,13 +134,13 @@ def test_stacked_ensemble_matches_per_member_training(case, toy_unbalanced, monk
         return real_adam(params, grads, state)
 
     monkeypatch.setattr(tabuq.numeric, "adam_step", counted_adam)
-    members, steps = steps_per_member(
+    members, epochs = epochs_per_member(
         monkeypatch, lambda: train_deep_ensemble(train, val, cfg, SeededRng(5), M, weighting))
     assert len(members) == M
     for member, reference in zip(members, expected, strict=True):
         for a, b in zip(member.params(), reference.params(), strict=True):
             np.testing.assert_array_equal(a, b)
-    assert steps == expected_steps
-    assert sum(stepped_rows) == sum(expected_steps.values())
+    assert epochs == expected_epochs
+    assert sum(stepped_rows) == math.ceil(train.n / cfg.batch_size) * sum(epochs.values())
     if cfg.patience == 1:
-        assert len(set(steps.values())) > 1
+        assert len(set(epochs.values())) > 1

@@ -120,8 +120,8 @@ class TestTrainMethod:
         assert not np.array_equal(fitted.predict(test.features * 3.0), clean)
         np.testing.assert_array_equal(fitted.predict(test.features), clean)
         fitted.predict(test.features[:7])
-        width = st.mlp.hidden[0]
-        assert keep_draws == [(test.n, width)] * st.mc_passes + [(7, width)] * st.mc_passes
+        row_bytes = -(-st.mlp.hidden[0] // 8)
+        assert keep_draws == [(test.n, row_bytes)] * st.mc_passes + [(7, row_bytes)] * st.mc_passes
         # Each trained method owns its cache.
         train_method("mc-dropout", train, val, st, SeededRng(4)).predict(test.features)
         assert len(keep_draws) == 3 * st.mc_passes

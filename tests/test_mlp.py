@@ -9,7 +9,7 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
-from tabuq.mlp import _make_masks, init_mlp
+from tabuq.mlp import _layer_masks, _make_masks, init_mlp
 from tabuq.numeric import flatten
 
 from conftest import make_dataset
@@ -131,6 +131,22 @@ class TestGradients:
         assert len(calls) == 1
 
 
+class TestMakeMasks:
+    @pytest.mark.parametrize("rows", [1, 13, 2000])
+    @pytest.mark.parametrize("hidden", [(1,), (5,), (8,), (100,), (7, 3, 4)],
+                             ids=["1", "5", "8", "100", "7-3-4"])
+    def test_layer_masks_unpack_each_layers_padded_bytes(self, hidden, rows):
+        model = init_mlp(4, TrainConfig(hidden=hidden, dropout_rate=0.3), SeededRng(0))
+        streams = [SeededRng(1, ("m", str(m))) for m in range(2)]
+        bits = _make_masks(model, rows, streams)
+        assert bits.dtype == np.uint8
+        assert bits.shape == (2, rows, sum(-(-w // 8) for w in hidden))
+        for m, stream in enumerate(streams):
+            expected = dropout_masks(model, rows, SeededRng(1, stream.path))
+            for a, b in zip(_layer_masks(model, bits), expected, strict=True):
+                np.testing.assert_array_equal(a[m], b)
+
+
 def _stacked_model(hidden, M, rng):
     """M=None: one network with 2-D weights; else a stack of M networks."""
     cfg = TrainConfig(hidden=hidden)
@@ -164,8 +180,8 @@ class TestStepBuffers:
             y = (step_rng.split("y").random(lead + (n,)) < 0.3).astype(np.int64)
             masks = None
             if masked:
-                masks = _make_masks(model, n, [step_rng.split(f"m{m}") for m in range(M or 1)])
-                masks = [k[0] for k in masks] if M is None else masks
+                bits = _make_masks(model, n, [step_rng.split(f"m{m}") for m in range(M or 1)])
+                masks = _layer_masks(model, bits[0] if M is None else bits)
             _assert_same_step(mlp_loss_and_grads(model, X, y, weighting, masks, buf),
                               mlp_loss_and_grads(model, X, y, weighting, masks))
             if step == 1:
@@ -303,7 +319,7 @@ class TestMcDropoutCache:
     def test_same_row_count_draws_once(self, toy_mlp, keep_draws):
         cache = {}
         mc_dropout_predict(toy_mlp, np.zeros((6, 2)), SeededRng(0), 4, cache)
-        assert keep_draws == [(6, 5)] * 4
+        assert keep_draws == [(6, 1)] * 4
         mc_dropout_predict(toy_mlp, np.ones((6, 2)), SeededRng(0), 4, cache)
         assert len(keep_draws) == 4
         assert list(cache) == [6]
@@ -313,7 +329,7 @@ class TestMcDropoutCache:
         mc_dropout_predict(toy_mlp, np.zeros((6, 2)), SeededRng(0), 4, cache)
         mc_dropout_predict(toy_mlp, np.zeros((9, 2)), SeededRng(0), 4, cache)
         assert sorted(cache) == [6, 9]
-        assert keep_draws == [(6, 5)] * 4 + [(9, 5)] * 4
+        assert keep_draws == [(6, 1)] * 4 + [(9, 1)] * 4
 
     def test_more_passes_draw_only_the_new_ones(self, toy_mlp, keep_draws):
         cache = {}

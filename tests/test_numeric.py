@@ -17,9 +17,9 @@ from tabuq import (AdamState, SeededRng, adam_step, anchored_mean, dropout_mask,
                    sigmoid, unflatten, vae_novelty_score)
 from tabuq.errors import ParameterError, ShapeError, TrainingError
 from tabuq.logistic import LogisticModel
-from tabuq.numeric import checked_inputs
+from tabuq.numeric import checked_inputs, keep_bits
 
-from oracles import finite_difference_gradient, sigmoid_reference
+from oracles import finite_difference_gradient, keep_bits_reference, sigmoid_reference
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -85,6 +85,54 @@ def test_dropout_mask_deterministic():
 def test_dropout_mask_bad_rate(rate):
     with pytest.raises(ParameterError):
         dropout_mask(SeededRng(0), (2,), rate)
+
+
+KEEP_RATES = [0.0, 5e-324, 0.25, 0.3, 0.5, 0.9, 1 - 2**-53]
+
+
+@pytest.mark.parametrize("rows", [1, 13, 2000])
+@pytest.mark.parametrize("widths", [(1,), (5,), (8,), (100,), (7, 3, 4)],
+                         ids=["1", "5", "8", "100", "7-3-4"])
+@pytest.mark.parametrize("rate", KEEP_RATES)
+def test_keep_bits_match_the_unit_by_unit_reference(rate, widths, rows):
+    row_bytes = sum(-(-w // 8) for w in widths)
+    path = ("keep", repr(rate), str(widths), str(rows))
+    np.testing.assert_array_equal(keep_bits(SeededRng(30, path), rows, row_bytes, rate),
+                                  keep_bits_reference(SeededRng(30, path), rows, row_bytes, rate))
+
+
+@pytest.mark.parametrize("rate", [0.0, 0.3, 0.5, 0.9])
+def test_keep_bits_keep_fraction_is_one_minus_rate(rate):
+    n = 10**6
+    kept = int(np.unpackbits(keep_bits(SeededRng(31), 1000, n // 8000, rate)).sum())
+    p = 1.0 - rate
+    assert abs(kept / n - p) <= 5.0 * math.sqrt(p * (1.0 - p) / n)
+
+
+def test_keep_bits_depend_only_on_the_stream_path():
+    def draw(seed, label):
+        return keep_bits(SeededRng(seed).split(label), 50, 13, 0.3)
+
+    np.testing.assert_array_equal(draw(32, "a"), draw(32, "a"))
+    assert not np.array_equal(draw(32, "a"), draw(32, "b"))
+    assert not np.array_equal(draw(32, "a"), draw(33, "a"))
+
+
+@pytest.mark.parametrize("rate, max_rounds, kept", [(5e-324, 64, 10**6), (1 - 2**-53, 53, 0)])
+def test_keep_bits_extreme_rates_end(rate, max_rounds, kept, monkeypatch):
+    draws = []
+    real = SeededRng.random_raw
+    monkeypatch.setattr(SeededRng, "random_raw",
+                        lambda self, size: draws.append(size) or real(self, size))
+    bits = keep_bits(SeededRng(34), 1000, 125, rate)
+    assert 0 < len(draws) <= max_rounds
+    assert int(np.unpackbits(bits).sum()) == kept
+
+
+@pytest.mark.parametrize("rate", [1.0, 1.5, -0.1, -5e-324, float("nan")])
+def test_keep_bits_bad_rate(rate):
+    with pytest.raises(ParameterError, match="dropout rate"):
+        keep_bits(SeededRng(0), 2, 1, rate)
 
 
 def test_checked_inputs():
@@ -180,82 +228,86 @@ def test_adam_on_flat_vector_matches_per_array_bitwise():
 def test_minibatch_adam_batches_streams_and_epochs():
     seen = []
 
-    def loss_and_grads(flat, idx, batch_rngs):
-        (rows,), (batch_rng,) = idx, batch_rngs
-        seen.append((sorted(rows.tolist()), batch_rng.path))
+    def loss_and_grads(flat, idx, members, epoch, batch):
+        (rows,) = idx
+        seen.append((sorted(rows.tolist()), list(members), epoch, batch))
         return flat @ flat[0], 2.0 * flat
 
     root = SeededRng(0, ("fit",))
     epochs = [(epoch, flat.copy(), list(members)) for epoch, flat, members in minibatch_adam(
-        np.ones((1, 2)), loss_and_grads, 5, 2, 3, 0.1, [root], "noise")]
+        np.ones((1, 2)), loss_and_grads, 5, 2, 3, 0.1, [root])]
     assert [e for e, _, _ in epochs] == [0, 1, 2]
     assert [members for _, _, members in epochs] == [[0]] * 3
     assert epochs[-1][1][0, 0] < epochs[0][1][0, 0] < 1.0
-    assert [path for _, path in seen[:3]] == [("fit", "noise", f"0.{b}") for b in range(3)]
+    assert [call[1:] for call in seen] == [([0], e, b) for e in range(3) for b in range(3)]
     for epoch in range(3):
-        rows = [i for idx, _ in seen[3 * epoch:3 * epoch + 3] for i in idx]
+        rows = [i for idx, *_ in seen[3 * epoch:3 * epoch + 3] for i in idx]
         assert sorted(rows) == [0, 1, 2, 3, 4]
     first_epoch = root.split("shuffle").split("0").permutation(5)
     assert seen[0][0] == sorted(first_epoch[:2].tolist())
 
 
-def quadratic_steps(flat, idx, batch_rngs):
+def quadratic_steps(rngs):
     """Loss and gradient of a quadratic whose gradient depends on each
-    member's rows and noise stream, so a member moved or swapped shows."""
-    noise = np.stack([r.normal(flat.shape[1]) for r in batch_rngs])
-    grads = 2.0 * flat + noise + idx.sum(axis=1, keepdims=True)
-    return (flat * flat).sum(axis=1), grads
+    member's rows and its rngs[m]/noise/<e>.<b> stream, so a member moved or
+    swapped shows."""
+    def steps(flat, idx, members, epoch, batch):
+        noise = np.stack([rngs[m].split("noise").split(f"{epoch}.{batch}").normal(flat.shape[1])
+                          for m in members])
+        grads = 2.0 * flat + noise + idx.sum(axis=1, keepdims=True)
+        return (flat * flat).sum(axis=1), grads
+    return steps
 
 
 def test_minibatch_adam_stopped_member_leaves_the_stack():
     rngs = [SeededRng(0).split(f"member{m}") for m in range(3)]
     start = SeededRng(1).normal((3, 4))
     stacks = []
-    for epoch, flat, members in minibatch_adam(start, quadratic_steps, 7, 3, 4, 0.1,
-                                               rngs, "noise"):
+    for epoch, flat, members in minibatch_adam(start, quadratic_steps(rngs), 7, 3, 4, 0.1, rngs):
         stacks.append((list(members), flat))
         if epoch == 1:
             members.remove(1)
     assert [members for members, _ in stacks] == [[0, 1, 2]] * 2 + [[0, 2]] * 2
     for m in range(3):
         alone = [flat[0] for _, flat, _ in minibatch_adam(
-            start[m:m + 1], quadratic_steps, 7, 3, 4 if m != 1 else 2, 0.1, [rngs[m]], "noise")]
+            start[m:m + 1], quadratic_steps([rngs[m]]), 7, 3, 4 if m != 1 else 2, 0.1, [rngs[m]])]
         stacked = [flat[members.index(m)] for members, flat in stacks if m in members]
         np.testing.assert_array_equal(np.stack(stacked), np.stack(alone))
 
 
 def test_minibatch_adam_ends_when_every_member_stops():
-    gen = minibatch_adam(np.zeros((2, 3)), quadratic_steps, 4, 2, 5, 0.1,
-                         [SeededRng(0), SeededRng(1)], "noise")
+    rngs = [SeededRng(0), SeededRng(1)]
+    gen = minibatch_adam(np.zeros((2, 3)), quadratic_steps(rngs), 4, 2, 5, 0.1, rngs)
     for epoch, _, members in gen:
         members.clear()
     assert epoch == 0
 
 
 def test_minibatch_adam_non_finite_loss_names_epoch():
-    def loss_and_grads(flat, idx, batch_rngs):
+    def loss_and_grads(flat, idx, members, epoch, batch):
         return np.array([0.0, np.nan]), np.zeros_like(flat)
 
     with pytest.raises(TrainingError, match="epoch 0"):
         next(minibatch_adam(np.zeros((2, 3)), loss_and_grads, 4, 2, 1, 0.1,
-                            [SeededRng(0), SeededRng(1)], "noise"))
+                            [SeededRng(0), SeededRng(1)]))
 
 
-# sha256 of the trained parameter bytes, recorded before the MLP and the VAE
-# shared one trainer; vae-csv and ensemble-100x100 were recorded before the
-# training steps ran in reused buffers. vae-csv's 360 rows end each epoch on a
-# short batch, and ensemble-100x100's members stop after epochs 2, 4 and 5, so
-# both step on several shapes. Any change that moves a random stream or reorders
-# arithmetic changes them. The fits run in a child with one BLAS thread,
-# because a threaded matrix product may sum in another order; the digests
-# hold for numpy's OpenBLAS build on x86-64.
+# sha256 of the trained parameter bytes. vae-toy was recorded before the MLP
+# and the VAE shared one trainer, and vae-csv before the training steps ran in
+# reused buffers; the four MLP digests were recorded when dropout keep-masks
+# became packed random bits drawn once per network per epoch. vae-csv's 360
+# rows end each epoch on a short batch, and ensemble-100x100's members stop
+# after 5, 5 and 3 epochs, so both step on several shapes. Any change that
+# moves a random stream or reorders arithmetic changes them. The fits run in a
+# child with one BLAS thread, because a threaded matrix product may sum in
+# another order; the digests hold for numpy's OpenBLAS build on x86-64.
 TRAINED_DIGESTS = {
-    "mlp-toy": "90dd939de1c73da3dc40a96ca93b5d479975a341009a3f4abaf13765de038203",
-    "mlp-100x100": "d24bcacc25408090d1d55330bc403aaa09ec6c36fb560e835d531beb5c36ea3b",
+    "mlp-toy": "0bae626bc9a895196edca19f3ca4778b6c6b2786b6b083bba166d49a1708449c",
+    "mlp-100x100": "f3d9776d739bfc81d8191352ca60aa188b1b6637cc6bc3debd478372d0471294",
     "vae-toy": "8a62507157477ec1a2b4f8ebeb6bbe968a7527c8a48b97a1caf5472a7063bfb1",
-    "ensemble-toy": "abf08e44af4ffb652532085f40b925d071784911fa783eb7dc4e389147e040a4",
+    "ensemble-toy": "54213f009bb795097e008bbd6e734b83a8c903f52836cbdef377badc146f2885",
     "vae-csv": "91916e2dd380ca685b733fae706ccc3872994400c8db20e506cba983b95d80c0",
-    "ensemble-100x100": "51d52ae7ff2d17f165a9a73765a4c40ae975c08043d20e80a301632b3fb3adf4",
+    "ensemble-100x100": "47eb6a4ccbf3f51320520c52eff817148cde1e8654d8eea1bb410112d53e471a",
 }
 
 TRAINING_SCRIPT = """

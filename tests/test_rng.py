@@ -91,6 +91,7 @@ def test_lazy_child_draws_its_seed_sequence_stream(seed, parent, child, parent_d
     expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
     np.testing.assert_array_equal(node.random(5), expected.random(5))
     np.testing.assert_array_equal(node.permutation(7), expected.permutation(7))
+    np.testing.assert_array_equal(node.random_raw(3), expected.bit_generator.random_raw(3))
 
 
 def test_only_the_node_that_draws_builds_a_generator(monkeypatch):
