@@ -345,6 +345,84 @@ def test_trained_parameters_keep_their_bits():
     assert dict(line.split() for line in out.splitlines()) == TRAINED_DIGESTS
 
 
+# sha256 of every file small cli.run calls write, one run per experiment, each
+# over all five methods at toy sizes. They pin which stream each method trains
+# and scores on, and the paired VAE classifier, end to end. Like
+# TRAINED_DIGESTS, they run in a one-BLAS-thread child. Every path in a config
+# is relative, so the config echo in results.json is the same in any directory.
+OUTPUT_DIGESTS = {
+    "curve/results.csv":
+        "0093e030630636d401f8d70d15cad8821ab6256bb00e927f141b516f0c83cfe2",
+    "curve/results.json":
+        "b2671a8cedadcbd6aae46eef63884956670bcb5085728264866c2d4cc137ee8e",
+    "corrupt/results.csv":
+        "e5849b1f970df0f548bf28f87e0e2db556b0832db928c6fa1f2291f376d493ab",
+    "corrupt/results.json":
+        "b03d84b01bc79a1d64884308283eb529f4465cd571947473cf7313e87d484708",
+    "surfaces/results.csv":
+        "df62af8e56fae1782e13ad61a90f89c7f33c3639cd207312337b180a2bbfe476",
+    "surfaces/results.json":
+        "9b72cac576e4ac4a65e7d41b87c146bfa80012554fc4f8877a8d544191ea9740",
+    "surfaces/surfaces_bootstrap-lr_seed0.csv":
+        "db95fc84a27a7765a8d013f51d85054da4bb4bf1730807663339bf5bf263b951",
+    "surfaces/surfaces_mc-dropout_seed0.csv":
+        "74b5e33c5078b26ce2120077224ec96e80acb3a55f5cfd23a507fa66f99e612a",
+    "surfaces/surfaces_nn-ensemble_seed0.csv":
+        "d342c2c02991ae49069a6dabca287bbd64dc52a52b2baa34f7cc2939fb62027e",
+    "surfaces/surfaces_single-nn_seed0.csv":
+        "46e12a9e647b43ae46009f296589f2af8ef415e7a0a4533413aaa36da172a32e",
+    "surfaces/surfaces_vae_seed0.csv":
+        "720fe3f87ea4be4592fa535b44de35b06f03ef3173e8b7c0b29900f4623255b9",
+    "ood/results.csv":
+        "a726e8926f872f656cf63f7fbe2500083c86857d1de7876a2bcf3ca2efc76404",
+    "ood/results.json":
+        "85d0d933aabe98e52c4a5a7ee730e8904bc371f84e7ab686393b70b8ad725975",
+}
+
+OUTPUT_SCRIPT = """
+import csv
+import hashlib
+import json
+from pathlib import Path
+
+from tabuq import SeededRng, generate_synthetic
+from tabuq.cli import METHODS, run
+
+data = generate_synthetic(SeededRng(20), n=600, d=4, informative=2)
+held = SeededRng(21).permutation(data.n) < 120
+with open("groups.csv", "w", newline="") as fh:
+    writer = csv.writer(fh)
+    writer.writerow([*data.feature_names, "label", "group:held"])
+    writer.writerows([*map(repr, x), y, int(g)] for x, y, g in
+                     zip(data.features.tolist(), data.labels.tolist(), held.tolist()))
+
+SMALL = {"methods": list(METHODS), "seeds": [0], "hidden": [8], "batch_size": 32,
+         "max_epochs": 3, "vae_latent": 3, "vae_epochs": 2, "mc_passes": 10}
+RUNS = {
+    "curve": {"dataset": "csv:groups.csv", "experiment": "curve", "platt": True,
+              "class_weighting": True, "fractions": [0.5, 1.0]},
+    "corrupt": {"dataset": "csv:groups.csv", "experiment": "corrupt", "factors": [1, 10]},
+    "surfaces": {"dataset": "toy-unbalanced", "experiment": "surfaces",
+                 "grid_resolution": 5, "toy_n_train": 100, "logistic_c": 1.0},
+    "ood": {"dataset": "csv:groups.csv", "experiment": "ood:held", "seeds": [0, 1]},
+}
+for name, extra in RUNS.items():
+    Path(f"{name}.json").write_text(json.dumps({**SMALL, **extra, "out_dir": name}))
+    assert run(f"{name}.json", quiet=True) == 0, name
+    for path in sorted(Path(name).iterdir()):
+        print(f"{name}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
+"""
+
+
+def test_cli_outputs_keep_their_bytes(tmp_path):
+    src = Path(tabuq.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", OUTPUT_SCRIPT], env=env, cwd=tmp_path,
+                         capture_output=True, text=True, check=True).stdout
+    assert dict(line.split() for line in out.splitlines()) == OUTPUT_DIGESTS
+
+
 def test_finite_difference_on_square():
     g = finite_difference_gradient(lambda x: float((x ** 2).sum()),
                                    np.array([[3.0]]))
