@@ -11,7 +11,7 @@ import argparse
 from tabuq import SeededRng, VaeConfig
 from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
 from tabuq.evaluation import (METHODS, MethodSettings, corruption_experiment,
-                              train_method)
+                              train_methods)
 
 
 def main() -> None:
@@ -31,8 +31,7 @@ def main() -> None:
     settings = MethodSettings(class_weighting=True,
                               vae=VaeConfig(latent_dim=5))
 
-    fitted = [train_method(m, train, val, settings, rng.split(m))
-              for m in args.methods]
+    fitted = train_methods(args.methods, train, val, settings, rng)
     records = corruption_experiment(fitted, test, rng.split("corrupt"),
                                     tuple(args.factors))
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from tabuq import SeededRng, ToyConfig, generate_toy, grid_2d
-from tabuq.evaluation import METHODS, MethodSettings, toy_surfaces, train_with_classifier
+from tabuq.evaluation import METHODS, MethodSettings, toy_surfaces, train_methods
 
 
 def main() -> None:
@@ -38,17 +38,16 @@ def main() -> None:
     settings = MethodSettings.toy(class_weighting=args.weighted)
 
     args.out.mkdir(parents=True, exist_ok=True)
-    for name in METHODS:
-        fitted = train_with_classifier(name, train, val, settings, rng)
+    for fitted in train_methods(METHODS, train, val, settings, rng, paired=True):
         surfaces = toy_surfaces(fitted, grid)
         columns = ["x1", "x2"] + sorted(surfaces)
         table = np.column_stack([grid] + [surfaces[c] for c in columns[2:]])
-        path = args.out / f"{name}.csv"
+        path = args.out / f"{fitted.name}.csv"
         header = ",".join(columns)
         np.savetxt(path, table, delimiter=",", header=header, comments="")
         summary = "  ".join(f"{c} mean {surfaces[c].mean():.3f}"
                             for c in columns[2:])
-        print(f"{name:13s} -> {path}  ({summary})")
+        print(f"{fitted.name:13s} -> {path}  ({summary})")
 
 
 if __name__ == "__main__":

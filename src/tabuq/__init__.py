@@ -17,7 +17,7 @@ from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, CurvePoint,
                          FittedMethod, MethodSettings, SeedSweep,
                          confidence_performance, corruption_experiment,
                          curve_experiment, ood_experiment, seed_sweep,
-                         toy_surfaces, train_method, train_with_classifier)
+                         toy_surfaces, train_method, train_methods)
 from .logistic import (LogisticModel, predict_logistic, train_bootstrapped_lr,
                        train_logistic)
 from .metrics import (PlattParams, auc_roc, binary_entropy, ece, platt_apply,

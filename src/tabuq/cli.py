@@ -26,8 +26,7 @@ from .data import Dataset, ToyConfig, apply_scaler, fit_scaler, generate_toy, gr
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
 from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, MethodSettings,
                          Records, _scaled, corruption_experiment, curve_experiment,
-                         ood_experiment, seed_sweep, toy_surfaces, train_method,
-                         train_with_classifier)
+                         ood_experiment, seed_sweep, toy_surfaces, train_methods)
 from .mlp import TrainConfig
 from .rng import SeededRng
 from .vae import VaeConfig
@@ -271,13 +270,13 @@ def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
     else:
         grid_in = grid
     records: Records = {}
-    for name in cfg.methods:
-        fitted = train_with_classifier(name, train, val, cfg.settings, rng)
+    for fitted in train_methods(cfg.methods, train, val, cfg.settings, rng, paired=True):
         surfaces = toy_surfaces(fitted, grid_in)
-        tables[name] = (["x1", "x2", *surfaces], np.column_stack([grid, *surfaces.values()]))
-        records[(name, "grid", "n_points")] = float(grid.shape[0])
+        tables[fitted.name] = (["x1", "x2", *surfaces],
+                               np.column_stack([grid, *surfaces.values()]))
+        records[(fitted.name, "grid", "n_points")] = float(grid.shape[0])
         for c, values in surfaces.items():
-            records[(name, "grid", f"{c}_mean")] = float(np.mean(values))
+            records[(fitted.name, "grid", f"{c}_mean")] = float(np.mean(values))
     return records
 
 
@@ -295,8 +294,7 @@ def _execute(cfg: ExperimentConfig):
     def experiment(rng: SeededRng) -> Records:
         if cfg.experiment == "corrupt":
             train, val, test = _scaled(cfg.settings, *_seed_data(cfg, full, rng))
-            fitted = [train_method(m, train, val, cfg.settings, rng.split(m))
-                      for m in cfg.methods]
+            fitted = train_methods(cfg.methods, train, val, cfg.settings, rng)
             return corruption_experiment(fitted, test, rng.split("corrupt"),
                                          cfg.factors, cfg.n_corrupt_features)
         if cfg.experiment == "curve":
@@ -366,17 +364,25 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
         print(f"wrote {n_files} file(s) to {out}")
 
 
+def _out_dir_error(out_dir: str, reason) -> ConfigError:
+    return ConfigError(f"key 'out_dir': cannot write to {out_dir!r}: {reason}")
+
+
 def _check_out_dir(out_dir: str) -> None:
-    """Refuse, before any work, an out_dir that is or lies under a non-directory.
+    """Refuse, before any work, an out_dir that is or lies under a non-directory,
+    or whose path cannot even be looked up (a name too long, say).
 
     The nearest existing path of out_dir and its parents must be a
     directory; _write_outputs creates the rest.
     """
     for path in (Path(out_dir), *Path(out_dir).parents):
-        if path.exists():
+        try:
+            exists = path.exists()
+        except OSError as e:
+            raise _out_dir_error(out_dir, e.strerror or e) from e
+        if exists:
             if not path.is_dir():
-                raise ConfigError(f"key 'out_dir': cannot write to {out_dir!r}: "
-                                  f"{str(path)!r} is not a directory")
+                raise _out_dir_error(out_dir, f"{str(path)!r} is not a directory")
             return
 
 
@@ -394,6 +400,10 @@ def run(config_path, seed_override=None, out_override=None, quiet: bool = False)
         cfg = parse_config(raw, seed_override, out_override)
         _check_out_dir(cfg.out_dir)
         sweep, surface_tables = _execute(cfg)
+        try:
+            _write_outputs(cfg, sweep, surface_tables, quiet)
+        except OSError as e:  # out_dir passed the check but cannot be written
+            raise _out_dir_error(cfg.out_dir, e.strerror or e) from e
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1
@@ -403,8 +413,6 @@ def run(config_path, seed_override=None, out_override=None, quiet: bool = False)
     except (DataError, ShapeError, ParameterError, UndefinedMetricError, OSError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return 2
-
-    _write_outputs(cfg, sweep, surface_tables, quiet)
     return 0
 
 

@@ -8,10 +8,10 @@ single-class prefix). The cli module flattens these into CSV rows.
 Stochastic scoring draws from rng child streams named by their label path,
 not by consumed state, so scoring the same inputs twice gives bitwise equal
 results; this is what makes the factor-1 corruption baseline exactly 0.5. The
-VAE re-derives its stream on every call. MC dropout's keep bits come from
-the same streams, one rng/score/pass<t> draw per pass and row count, cached
-as drawn in the method's scorer, so the corrupted copies of a test set
-reuse the clean copy's masks.
+VAE re-derives its stream on every call, and MC dropout draws each pass's
+keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
+test set meet the clean copy's masks. train_methods is the one place that
+trains a seed's methods, each on rng/<method>.
 """
 
 from __future__ import annotations
@@ -103,14 +103,12 @@ class FittedMethod:
 
 def train_method(name: str, train: Dataset, val: Dataset,
                  settings: MethodSettings, rng: SeededRng) -> FittedMethod:
-    """Train one named method.
+    """Train one named method on rng.
 
     Scoring closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
-    The MC-dropout closure also owns a cache, keyed by row count N, of the
-    packed keep bits drawn from rng/score/pass<t>, T * N * sum(ceil(h / 8))
-    bytes: each row count's bits are drawn on its first call and reused after.
+    A fitted method holds its model and no scoring state.
     """
     weighting = settings.class_weighting
     if name == "single-nn":
@@ -122,9 +120,8 @@ def train_method(name: str, train: Dataset, val: Dataset,
         return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, model, X))
     if name == "mc-dropout":
         model, = train_mlp(train, val, settings.mlp, [rng.split("model")], weighting)
-        masks: dict = {}
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
-            model, X, rng.split("score"), settings.mc_passes, masks))
+            model, X, rng.split("score"), settings.mc_passes))
     if name == "bootstrap-lr":
         model = train_bootstrapped_lr(train, rng.split("model"), settings.ensemble_size,
                                       settings.logistic_c, weighting)
@@ -136,15 +133,16 @@ def train_method(name: str, train: Dataset, val: Dataset,
     raise ConfigError(f"unknown method {name!r}")
 
 
-def train_with_classifier(name: str, train: Dataset, val: Dataset,
-                          settings: MethodSettings, rng: SeededRng) -> FittedMethod:
-    """train_method on rng.split(name); the VAE, which has no classifier of
-    its own, is paired with a single NN trained on rng.split("vae-classifier")
-    for its probabilities."""
-    fitted = train_method(name, train, val, settings, rng.split(name))
-    if name == "vae":
-        fitted.predict = train_method("single-nn", train, val, settings,
-                                      rng.split("vae-classifier")).predict
+def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
+                  rng: SeededRng, paired: bool = False) -> list[FittedMethod]:
+    """One seed's methods, in the order named, each by train_method on
+    rng.split(name). With paired, the VAE, which has no classifier of its own,
+    takes the probabilities of a single NN trained on rng.split("vae-classifier")."""
+    fitted = [train_method(name, train, val, settings, rng.split(name)) for name in names]
+    for method in fitted:
+        if paired and method.name == "vae":
+            method.predict = train_method("single-nn", train, val, settings,
+                                          rng.split("vae-classifier")).predict
     return fitted
 
 
@@ -208,19 +206,18 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
     """
     train, val, test = _scaled(settings, train, val, test)
     records: Records = {}
-    for name in methods:
-        fitted = train_with_classifier(name, train, val, settings, rng)
+    for fitted in train_methods(methods, train, val, settings, rng, paired=True):
         probs, uncertainty = fitted.score(test.features)
         if use_platt:
             params = platt_fit(fitted.predict(val.features), val.labels)
             probs = platt_apply(params, probs)
-            records[(name, "platt", "a")] = params.a
-            records[(name, "platt", "b")] = params.b
+            records[(fitted.name, "platt", "a")] = params.a
+            records[(fitted.name, "platt", "b")] = params.b
         for point in confidence_performance(probs, uncertainty, test.labels, fractions):
             ctx = f"f={point.fraction:.2f}"
-            records[(name, ctx, "auc")] = point.auc
-            records[(name, ctx, "ece")] = point.ece
-            records[(name, ctx, "positive_fraction")] = point.positive_fraction
+            records[(fitted.name, ctx, "auc")] = point.auc
+            records[(fitted.name, ctx, "ece")] = point.ece
+            records[(fitted.name, ctx, "positive_fraction")] = point.positive_fraction
     return records
 
 
@@ -243,17 +240,16 @@ def ood_experiment(data: Dataset, tag: str, methods, settings: MethodSettings,
                              np.ones(ood.n, dtype=np.int64)])
     ctx = f"group={tag}"
     records: Records = {}
-    for name in methods:
-        probs, scores = train_method(name, train, val, settings,
-                                     rng.split(name)).score(joint)
-        records[(name, ctx, "detection_auc")] = auc_roc(scores, is_ood)
+    for fitted in train_methods(methods, train, val, settings, rng):
+        probs, scores = fitted.score(joint)
+        records[(fitted.name, ctx, "detection_auc")] = auc_roc(scores, is_ood)
         subgroup = None
         if probs is not None:
             try:
                 subgroup = auc_roc(probs[test.n:], ood.labels)
             except UndefinedMetricError:
                 pass
-        records[(name, ctx, "subgroup_auc")] = subgroup
+        records[(fitted.name, ctx, "subgroup_auc")] = subgroup
     return records
 
 

@@ -265,37 +265,30 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
 
 
 def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
-                       T: int = 100, cache: dict | None = None) -> np.ndarray:
+                       T: int = 100) -> np.ndarray:
     """Mean over T stochastic dropout forward passes; pass t's masks are
     _make_masks' keep bits from rng/pass<t>, as training draws them.
 
-    cache maps a row count N to the passes' keep bits drawn so far, as drawn:
-    T * N * sum(ceil(h / 8)) bytes over the hidden widths h. A caller scoring
-    several inputs with one model and rng path passes the same dict, so each
-    pass's bits for N rows are drawn once. Layer 0's relu(X @ W + b) is computed
-    once per call, and each pass runs in place with _forward's arithmetic.
+    Each call draws every pass's bits afresh, so the same X and rng path give
+    the same bits. Layer 0's relu(X @ W + b) is computed once per call, and
+    each pass runs in place with _forward's arithmetic.
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
     X = checked_inputs(X, model.n_inputs)
     n = X.shape[0]
-    cache = {} if cache is None else cache
-    keeps = cache.get(n, [])
-    keeps += [_make_masks(model, n, [rng.split(f"pass{t}")])[0] for t in range(len(keeps), T)]
-    cache[n] = keeps
-    scale = 1.0 / (1.0 - model.dropout_rate)
     first = np.maximum(X @ model.weights[0] + model.biases[0], 0.0)
     hidden = [np.empty((n, w.shape[1])) for w in model.weights[:-1]]
     passes = np.empty((T, n))
     for t in range(T):
-        keep = _layer_masks(model, keeps[t])
+        keep = _layer_masks(model, _make_masks(model, n, [rng.split(f"pass{t}")])[0])
         h = np.multiply(first, keep[0], out=hidden[0])
-        h *= scale
+        h *= 1.0 / (1.0 - model.dropout_rate)
         for i in range(1, len(hidden)):
             h = np.matmul(h, model.weights[i], out=hidden[i])
             h += model.biases[i]
             np.maximum(h, 0.0, out=h)
             h *= keep[i]
-            h *= scale
+            h *= 1.0 / (1.0 - model.dropout_rate)
         passes[t] = sigmoid(h @ model.weights[-1] + model.biases[-1]).ravel()
     return anchored_mean(np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes), axis=0)

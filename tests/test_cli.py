@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import math
 import re
@@ -384,6 +385,31 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"config error: key 'out_dir': cannot write to {out!r}: "
             f"{str(tmp_path / 'afile')!r} is not a directory\n")
+
+    def test_out_dir_name_too_long_exits_1_before_running(self, tmp_path, capsys, monkeypatch):
+        import tabuq.cli as cli
+
+        monkeypatch.setattr(cli, "_execute", lambda cfg: pytest.fail("the run started"))
+        out = str(tmp_path / ("x" * 300))
+        cfg = write_config(tmp_path, {**FAST, "out_dir": out})
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err == (
+            f"config error: key 'out_dir': cannot write to {out!r}: File name too long\n")
+
+    def test_out_dir_that_cannot_be_written_exits_1_naming_it(self, tmp_path, capsys,
+                                                             monkeypatch):
+        # Like "/proc/tabuq_out": the nearest existing parent is a directory,
+        # but making the output directory fails after the run.
+        def refused(self, *args, **kwargs):
+            raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+        monkeypatch.setattr(Path, "mkdir", refused)
+        out = str(tmp_path / "out")
+        cfg = write_config(tmp_path, {**FAST, "out_dir": out})
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err == (
+            f"config error: key 'out_dir': cannot write to {out!r}: Permission denied\n")
+        assert not (tmp_path / "out").exists()
 
     def test_ood_on_toy_dataset_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FAST, "experiment": "ood:held",

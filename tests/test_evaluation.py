@@ -8,7 +8,7 @@ from tabuq import (METHODS, MethodSettings, SeededRng, ToyConfig, TrainConfig,
                    corruption_experiment, curve_experiment, ece,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
                    predict_mlp, seed_sweep, toy_surfaces, train_method,
-                   train_mlp, train_with_classifier)
+                   train_methods, train_mlp)
 from tabuq.data import Dataset, exclude_group, split
 from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError,
                           UndefinedMetricError)
@@ -112,7 +112,7 @@ class TestTrainMethod:
             assert ((0 < probs) & (probs < 1)).all()
             np.testing.assert_array_equal(probs, fitted.predict(test.features))
 
-    def test_mc_dropout_scorer_draws_each_row_count_once(self, toy_world, keep_draws):
+    def test_mc_dropout_scorer_draws_every_pass_on_every_call(self, toy_world, keep_draws):
         train, val, test = toy_world
         st = MethodSettings.toy()
         fitted = train_method("mc-dropout", train, val, st, SeededRng(4))
@@ -121,10 +121,8 @@ class TestTrainMethod:
         np.testing.assert_array_equal(fitted.predict(test.features), clean)
         fitted.predict(test.features[:7])
         row_bytes = -(-st.mlp.hidden[0] // 8)
-        assert keep_draws == [(test.n, row_bytes)] * st.mc_passes + [(7, row_bytes)] * st.mc_passes
-        # Each trained method owns its cache.
-        train_method("mc-dropout", train, val, st, SeededRng(4)).predict(test.features)
-        assert len(keep_draws) == 3 * st.mc_passes
+        assert keep_draws == ([(test.n, row_bytes)] * st.mc_passes * 3
+                              + [(7, row_bytes)] * st.mc_passes)
 
     def test_unknown_method(self, toy_world):
         train, val, _ = toy_world
@@ -163,16 +161,40 @@ class TestTrainMethod:
     def test_vae_paired_with_its_classifier(self, toy_world):
         train, val, test = toy_world
         st, rng = MethodSettings.toy(), SeededRng(5)
-        paired = train_with_classifier("vae", train, val, st, rng)
+        single, paired = train_methods(["single-nn", "vae"], train, val, st, rng, paired=True)
         vae = train_method("vae", train, val, st, rng.split("vae"))
         classifier = train_method("single-nn", train, val, st, rng.split("vae-classifier"))
         probs, novelty = paired.score(test.features)
         np.testing.assert_array_equal(probs, classifier.predict(test.features))
         np.testing.assert_array_equal(novelty, vae.score(test.features)[1])
-        single = train_with_classifier("single-nn", train, val, st, rng)
         np.testing.assert_array_equal(
             single.predict(test.features),
             train_method("single-nn", train, val, st, rng.split("single-nn")).predict(test.features))
+        unpaired, = train_methods(["vae"], train, val, st, rng)
+        assert unpaired.predict is None
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_train_methods_keeps_each_stream_path(self, toy_world, monkeypatch, paired):
+        # The benchmark tracer swaps the module's train_method and tells the
+        # VAE's classifier apart by the last label of its stream path.
+        import tabuq.evaluation as evaluation
+
+        calls = []
+        real = evaluation.train_method
+
+        def recorded(name, train, val, settings, rng):
+            calls.append((name, rng.path))
+            return real(name, train, val, settings, rng)
+
+        monkeypatch.setattr(evaluation, "train_method", recorded)
+        train, val, _ = toy_world
+        rng = SeededRng(6).split("curve")
+        fitted = train_methods(["vae", "bootstrap-lr"], train, val, MethodSettings.toy(),
+                               rng, paired)
+        assert [f.name for f in fitted] == ["vae", "bootstrap-lr"]
+        assert calls == [("vae", ("curve", "vae")),
+                         ("bootstrap-lr", ("curve", "bootstrap-lr"))] + [
+            ("single-nn", ("curve", "vae-classifier"))] * paired
 
     def test_class_weighting_reaches_the_networks(self, toy_world):
         train, val, test = toy_world
@@ -436,8 +458,8 @@ class TestToySurfaces:
 
     def test_paired_vae_surface(self, toy_world):
         train, val, _ = toy_world
-        fitted = train_with_classifier("vae", train, val, MethodSettings.toy(),
-                                       SeededRng(29))
+        fitted, = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(29),
+                                paired=True)
         surfaces = toy_surfaces(fitted, grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 5))
         assert list(surfaces) == ["probability", "entropy", "novelty"]
         np.testing.assert_array_equal(
