@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -369,13 +370,12 @@ def _out_dir_error(out_dir: str, reason) -> ConfigError:
 
 
 def _check_out_dir(out_dir: str) -> None:
-    """Refuse, before any work, an out_dir that is or lies under a non-directory,
-    or whose path cannot even be looked up (a name too long, say).
-
-    The nearest existing path of out_dir and its parents must be a
-    directory; _write_outputs creates the rest.
-    """
-    for path in (Path(out_dir), *Path(out_dir).parents):
+    """Refuse, before any work, an out_dir that cannot be made: one that is or
+    lies under a non-directory, cannot be looked up (a name too long, say) or
+    cannot be created. The missing directories are made, parents first, and
+    removed deepest first, so none is left behind; _write_outputs makes them."""
+    target, missing = Path(os.path.normpath(out_dir)), []
+    for path in (target, *target.parents):
         try:
             exists = path.exists()
         except OSError as e:
@@ -383,7 +383,18 @@ def _check_out_dir(out_dir: str) -> None:
         if exists:
             if not path.is_dir():
                 raise _out_dir_error(out_dir, f"{str(path)!r} is not a directory")
-            return
+            break
+        missing.append(path)
+    made = []
+    try:
+        for path in reversed(missing):
+            path.mkdir()
+            made.append(path)
+    except OSError as e:
+        raise _out_dir_error(out_dir, e.strerror or e) from e
+    finally:
+        for path in reversed(made):
+            path.rmdir()
 
 
 def run(config_path, seed_override=None, out_override=None, quiet: bool = False) -> int:

@@ -11,7 +11,8 @@ results; this is what makes the factor-1 corruption baseline exactly 0.5. The
 VAE re-derives its stream on every call, and MC dropout draws each pass's
 keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
-trains a seed's methods, each on rng/<method>.
+trains a seed's methods, each on rng/<method>; it fits all their networks in
+one stacked train_mlp call, each on the stream its method would fit it on.
 """
 
 from __future__ import annotations
@@ -23,15 +24,16 @@ from typing import Callable
 import numpy as np
 
 from .data import Dataset, apply_scaler, corrupt_feature, exclude_group, fit_scaler, split
-from .ensemble import ensemble_predict, train_deep_ensemble
+from .ensemble import ensemble_predict
 from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
 from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
-from .mlp import TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
+from .mlp import MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
 from .rng import SeededRng
 from .vae import VaeConfig, train_vae, vae_novelty_score
 
 METHODS = ("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr", "vae")
+MLP_METHODS = METHODS[:3]
 DEFAULT_FRACTIONS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75,
                      0.80, 0.85, 0.90, 0.95, 1.00)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
@@ -101,25 +103,40 @@ class FittedMethod:
         return probs, binary_entropy(probs)
 
 
-def train_method(name: str, train: Dataset, val: Dataset,
-                 settings: MethodSettings, rng: SeededRng) -> FittedMethod:
+def _mlp_streams(name: str, rng: SeededRng, settings: MethodSettings) -> list[SeededRng]:
+    """The training stream of each network of a method trained on rng:
+    rng/model/member<i> per ensemble member, rng/model for single-nn and
+    mc-dropout, and none for the methods without an MLP."""
+    if name not in MLP_METHODS:
+        return []
+    model = rng.split("model")
+    if name == "nn-ensemble":
+        return [model.split(f"member{i}") for i in range(settings.ensemble_size)]
+    return [model]
+
+
+def train_method(name: str, train: Dataset, val: Dataset, settings: MethodSettings,
+                 rng: SeededRng, networks: tuple[MlpModel, ...] = ()) -> FittedMethod:
     """Train one named method on rng.
 
+    An MLP method takes its networks from train_methods' shared fit, or fits
+    them on _mlp_streams' streams when given none.
     Scoring closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
     A fitted method holds its model and no scoring state.
     """
     weighting = settings.class_weighting
+    if name in MLP_METHODS and not networks:
+        networks = train_mlp(train, val, settings.mlp, _mlp_streams(name, rng, settings),
+                             weighting)
     if name == "single-nn":
-        model, = train_mlp(train, val, settings.mlp, [rng.split("model")], weighting)
+        model, = networks
         return FittedMethod(name, predict=lambda X: predict_mlp(model, X))
     if name == "nn-ensemble":
-        model = train_deep_ensemble(train, val, settings.mlp, rng.split("model"),
-                                    settings.ensemble_size, weighting)
-        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, model, X))
+        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, networks, X))
     if name == "mc-dropout":
-        model, = train_mlp(train, val, settings.mlp, [rng.split("model")], weighting)
+        model, = networks
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
             model, X, rng.split("score"), settings.mc_passes))
     if name == "bootstrap-lr":
@@ -136,13 +153,26 @@ def train_method(name: str, train: Dataset, val: Dataset,
 def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
                   rng: SeededRng, paired: bool = False) -> list[FittedMethod]:
     """One seed's methods, in the order named, each by train_method on
-    rng.split(name). With paired, the VAE, which has no classifier of its own,
-    takes the probabilities of a single NN trained on rng.split("vae-classifier")."""
-    fitted = [train_method(name, train, val, settings, rng.split(name)) for name in names]
-    for method in fitted:
-        if paired and method.name == "vae":
-            method.predict = train_method("single-nn", train, val, settings,
-                                          rng.split("vae-classifier")).predict
+    rng.split(name), with its networks from one train_mlp call over every
+    method's streams (_mlp_streams), so each has the bits of its own fit. With
+    paired, the VAE, which has no classifier of its own, takes the
+    probabilities of a single NN trained on rng.split("vae-classifier")."""
+    jobs = [(name, rng.split(name)) for name in names]
+    paired = paired and any(name == "vae" for name, _ in jobs)
+    if paired:
+        jobs.append(("single-nn", rng.split("vae-classifier")))
+    streams = [_mlp_streams(name, method_rng, settings) for name, method_rng in jobs]
+    everyone = [s for group in streams for s in group]
+    networks = iter(train_mlp(train, val, settings.mlp, everyone, settings.class_weighting)
+                    if everyone else ())
+    fitted = [train_method(name, train, val, settings, method_rng,
+                           tuple(next(networks) for _ in group))
+              for (name, method_rng), group in zip(jobs, streams)]
+    if paired:
+        classifier = fitted.pop()
+        for method in fitted:
+            if method.name == "vae":
+                method.predict = classifier.predict
     return fitted
 
 

@@ -197,17 +197,25 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     """Mean decoder NLL over S latent samples; higher means more novel.
 
     The S reparameterization draws are shared across rows, so duplicate rows
-    always receive identical scores under a fixed seed.
+    always receive identical scores under a fixed seed. Three (rows, latent)
+    arrays are alive at once: e_mu, s = exp(e_lv / 2) made in place, and z.
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
     X = checked_inputs(X, model.n_features)
-    e_mu, e_lv, _ = _encode(model, X)
-    s = np.exp(0.5 * e_lv)
+    e_mu = X @ model.enc_w_mu
+    e_mu += model.enc_b_mu
+    s = X @ model.enc_w_lv
+    s += model.enc_b_lv
+    np.clip(s, LOGVAR_MIN, LOGVAR_MAX, out=s)
+    s *= 0.5
+    np.exp(s, out=s)
     eps = rng.normal((S, model.latent_dim))
+    z = np.empty_like(s)
     total = np.zeros(X.shape[0])
     for k in range(S):
-        z = e_mu + s * eps[k]
+        np.multiply(s, eps[k], out=z)
+        z += e_mu
         d_mu, d_lv, _ = _decode(model, z)
         total += decoder_nll(X, d_mu, d_lv)
     return total / S

@@ -89,6 +89,22 @@ def vae_loss_and_grads_reference(model: VaeModel, X: np.ndarray, eps: np.ndarray
                   z.T @ delta_dmu, delta_dmu.sum(axis=0), z.T @ delta_dlv, delta_dlv.sum(axis=0))
 
 
+def vae_novelty_score_reference(model: VaeModel, X: np.ndarray, rng: SeededRng,
+                                S: int) -> np.ndarray:
+    """vae_novelty_score on fresh arrays: the mean decoder NLL over S latent
+    samples z = e_mu + exp(e_lv / 2) * eps[k], one eps row per sample for every row."""
+    X = checked_inputs(X, model.n_features)
+    e_mu, e_lv, _ = _encode(model, X)
+    s = np.exp(0.5 * e_lv)
+    eps = rng.normal((S, model.latent_dim))
+    total = np.zeros(X.shape[0])
+    for k in range(S):
+        z = e_mu + s * eps[k]
+        d_mu, d_lv, _ = _decode(model, z)
+        total += decoder_nll(X, d_mu, d_lv)
+    return total / S
+
+
 def keep_bits_reference(rng: SeededRng, rows: int, row_bytes: int, rate: float) -> np.ndarray:
     """keep_bits one unit at a time in plain Python. Each round reads one raw
     word per 64 units, and unit i takes bit i % 64 of word i // 64 as the next

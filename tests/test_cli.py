@@ -398,8 +398,7 @@ class TestRun:
 
     def test_out_dir_that_cannot_be_written_exits_1_naming_it(self, tmp_path, capsys,
                                                              monkeypatch):
-        # Like "/proc/tabuq_out": the nearest existing parent is a directory,
-        # but making the output directory fails after the run.
+        # Making the output directory is refused, which the check finds first.
         def refused(self, *args, **kwargs):
             raise PermissionError(errno.EACCES, "Permission denied", str(self))
 
@@ -410,6 +409,43 @@ class TestRun:
         assert capsys.readouterr().err == (
             f"config error: key 'out_dir': cannot write to {out!r}: Permission denied\n")
         assert not (tmp_path / "out").exists()
+
+    def test_out_dir_that_cannot_be_made_exits_1_before_running(self, tmp_path, capsys,
+                                                               monkeypatch):
+        # Like "/proc/tabuq_out": the nearest existing parent is a directory,
+        # yet nothing can be made in it. Here the first level can be made, so
+        # the check must also remove what it made.
+        import tabuq.cli as cli
+        import tabuq.evaluation as evaluation
+
+        real_mkdir = Path.mkdir
+        out = tmp_path / "made" / "refused" / "out"
+
+        def mkdir(self, *args, **kwargs):
+            if self.name == "refused":
+                raise FileNotFoundError(errno.ENOENT, "No such file or directory", str(self))
+            return real_mkdir(self, *args, **kwargs)
+
+        def trained(*args, **kwargs):
+            pytest.fail("the run started")
+
+        monkeypatch.setattr(Path, "mkdir", mkdir)
+        monkeypatch.setattr(cli, "train_methods", trained)
+        monkeypatch.setattr(evaluation, "train_methods", trained)
+        cfg = write_config(tmp_path, {**FAST, "out_dir": str(out)})
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err == (f"config error: key 'out_dir': cannot write to "
+                                           f"{str(out)!r}: No such file or directory\n")
+        assert not (tmp_path / "made").exists()
+
+    def test_out_dir_check_leaves_no_directory_behind(self, tmp_path, capsys):
+        # The check makes and removes the output directories; a run that then
+        # fails on its data still leaves none.
+        out = tmp_path / "a" / "b"
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{tmp_path / 'no.csv'}",
+                                      "out_dir": str(out)})
+        assert run(cfg, quiet=True) == 2
+        assert not (tmp_path / "a").exists()
 
     def test_ood_on_toy_dataset_exits_1(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FAST, "experiment": "ood:held",

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -182,9 +183,9 @@ class TestTrainMethod:
         calls = []
         real = evaluation.train_method
 
-        def recorded(name, train, val, settings, rng):
+        def recorded(name, train, val, settings, rng, networks=()):
             calls.append((name, rng.path))
-            return real(name, train, val, settings, rng)
+            return real(name, train, val, settings, rng, networks)
 
         monkeypatch.setattr(evaluation, "train_method", recorded)
         train, val, _ = toy_world
@@ -213,6 +214,72 @@ class TestTrainMethod:
                          SeededRng(5))
         np.testing.assert_array_equal(a.predict(test.features),
                                       b.predict(test.features))
+
+
+class TestSharedFit:
+    """train_methods fits every network of a seed in one train_mlp call."""
+
+    @staticmethod
+    def record_fits(monkeypatch) -> list:
+        import tabuq.evaluation as evaluation
+
+        fits = []
+        real = evaluation.train_mlp
+
+        def recorded(*args, **kwargs):
+            fits.append(real(*args, **kwargs))
+            return fits[-1]
+
+        monkeypatch.setattr(evaluation, "train_mlp", recorded)
+        return fits
+
+    @pytest.mark.parametrize("patience", [None, 1])
+    @pytest.mark.parametrize("ensemble_size", [1, 3])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_each_network_has_the_bits_of_its_own_fit(self, toy_world, monkeypatch,
+                                                       paired, ensemble_size, patience):
+        import tabuq.mlp
+
+        stacked = []  # the number of networks still training in each epoch
+        real_adam = tabuq.mlp.minibatch_adam
+
+        def counted(*args, **kwargs):
+            for epoch, flat, members in real_adam(*args, **kwargs):
+                stacked.append(len(members))
+                yield epoch, flat, members
+
+        monkeypatch.setattr(tabuq.mlp, "minibatch_adam", counted)
+        fits = self.record_fits(monkeypatch)
+        train, val, test = toy_world
+        st = dataclasses.replace(
+            MethodSettings.toy(), ensemble_size=ensemble_size,
+            mlp=TrainConfig(hidden=(5,), batch_size=8, lr=1e-2, max_epochs=20, patience=patience))
+        rng = SeededRng(30)
+        shared = train_methods(METHODS, train, val, st, rng, paired)
+        if patience:  # some networks stop while others train on
+            assert len(set(stacked)) >= 2
+        (together,) = fits
+        fits.clear()
+        alone = [train_method(name, train, val, st, rng.split(name)) for name in METHODS]
+        if paired:
+            alone[-1].predict = train_method("single-nn", train, val, st,
+                                             rng.split("vae-classifier")).predict
+        networks = [net for fit in fits for net in fit]
+        assert len(together) == len(networks) == 2 + ensemble_size + paired
+        for a, b in zip(together, networks):
+            for pa, pb in zip(a.params(), b.params()):
+                np.testing.assert_array_equal(pa, pb)
+        for a, b in zip(shared, alone):
+            for pa, pb in zip(a.score(test.features), b.score(test.features)):
+                np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("names, paired, calls", [
+        (METHODS, True, 1), (METHODS, False, 1), (("bootstrap-lr", "vae"), False, 0)])
+    def test_one_train_mlp_call_per_seed(self, toy_world, monkeypatch, names, paired, calls):
+        fits = self.record_fits(monkeypatch)
+        train, val, _ = toy_world
+        train_methods(names, train, val, MethodSettings.toy(), SeededRng(31), paired)
+        assert len(fits) == calls
 
 
 class TestCurveExperiment:

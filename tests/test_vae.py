@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _decode, _encode,
 
 from conftest import make_dataset
 from oracles import (finite_difference_gradient, kl_to_standard_normal, vae_loss,
-                     vae_loss_and_grads_reference)
+                     vae_loss_and_grads_reference, vae_novelty_score_reference)
 
 
 class TestInitAndShapes:
@@ -217,3 +218,40 @@ class TestNoveltyScore:
         shell = 10.0 * shell / np.linalg.norm(shell, axis=1, keepdims=True)
         at_ten = vae_novelty_score(vae, shell, S=10, rng=rng.split("s10"))
         assert at_ten.mean() > at_zero.mean()
+
+
+def _scoring_case(latent: int, rows: int, clamped: bool):
+    """A 10-feature VAE and rows to score; with clamped, the encoder's
+    log-variance bias sits at +-15, past both ends of the clamp."""
+    rng = SeededRng(17).split(f"{latent}.{rows}.{clamped}")
+    model = init_vae(10, VaeConfig(latent_dim=latent), rng.split("init"))
+    if clamped:
+        model.enc_b_lv[:] = np.where(np.arange(latent) % 2, 15.0, -15.0)
+    return model, rng.split("X").normal((rows, 10))
+
+
+class TestNoveltyScoreBuffers:
+    @pytest.mark.parametrize("clamped", [False, True])
+    @pytest.mark.parametrize("S", [1, 10])
+    @pytest.mark.parametrize("rows", [1, 2000])
+    @pytest.mark.parametrize("latent", [2, 5, 500])
+    def test_matches_the_fresh_array_reference(self, latent, rows, S, clamped):
+        model, X = _scoring_case(latent, rows, clamped)
+        raw = X @ model.enc_w_lv + model.enc_b_lv
+        assert ((raw > LOGVAR_MAX) | (raw < LOGVAR_MIN)).any() == clamped
+        np.testing.assert_array_equal(
+            vae_novelty_score(model, X, SeededRng(18), S),
+            vae_novelty_score_reference(model, X, SeededRng(18), S))
+
+    def test_peak_memory_is_three_latent_arrays(self):
+        n, latent = 2000, 500
+        model, X = _scoring_case(latent, n, clamped=False)
+        tracemalloc.start()
+        try:
+            vae_novelty_score(model, X, SeededRng(19), 10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The slack, ten (rows, features) arrays, covers the decoder's temporaries;
+        # a fourth (rows, latent) array would take 8 MB more.
+        assert peak <= 3 * n * latent * 8 + 10 * n * X.shape[1] * 8
