@@ -260,7 +260,8 @@ def _seed_data(cfg: ExperimentConfig, full: Dataset | None,
 
 def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
                      rng: SeededRng, tables: dict) -> Records:
-    """Evaluate grid surfaces for each method; stash tables for later writing."""
+    """Evaluate grid surfaces for each method; stash each table in tables under
+    (method, rng.seed) for later writing."""
     if train.d != 2:
         raise DataError(f"surfaces need a 2-D dataset, got {train.d} features")
     grid = grid_2d(cfg.grid_bounds, cfg.grid_resolution)
@@ -273,8 +274,8 @@ def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
     records: Records = {}
     for fitted in train_methods(cfg.methods, train, val, cfg.settings, rng, paired=True):
         surfaces = toy_surfaces(fitted, grid_in)
-        tables[fitted.name] = (["x1", "x2", *surfaces],
-                               np.column_stack([grid, *surfaces.values()]))
+        tables[(fitted.name, rng.seed)] = (["x1", "x2", *surfaces],
+                                           np.column_stack([grid, *surfaces.values()]))
         records[(fitted.name, "grid", "n_points")] = float(grid.shape[0])
         for c, values in surfaces.items():
             records[(fitted.name, "grid", f"{c}_mean")] = float(np.mean(values))
@@ -307,11 +308,7 @@ def _execute(cfg: ExperimentConfig):
                                   rng.split("ood"), cfg.split_fractions)
         # surfaces
         train, val, _ = _seed_data(cfg, full, rng)
-        tables: dict = {}
-        recs = _surface_records(cfg, train, val, rng.split("surfaces"), tables)
-        for name, t in tables.items():
-            surface_tables[(name, rng.seed)] = t
-        return recs
+        return _surface_records(cfg, train, val, rng.split("surfaces"), surface_tables)
 
     return seed_sweep(experiment, cfg.seeds), surface_tables
 

@@ -116,20 +116,17 @@ def _mlp_streams(name: str, rng: SeededRng, settings: MethodSettings) -> list[Se
 
 
 def train_method(name: str, train: Dataset, val: Dataset, settings: MethodSettings,
-                 rng: SeededRng, networks: tuple[MlpModel, ...] = ()) -> FittedMethod:
+                 rng: SeededRng, networks: tuple[MlpModel, ...]) -> FittedMethod:
     """Train one named method on rng.
 
-    An MLP method takes its networks from train_methods' shared fit, or fits
-    them on _mlp_streams' streams when given none.
+    An MLP method is handed its networks, fitted by train_methods on
+    _mlp_streams(name, rng, settings); the others are handed none and fit
+    their own model on rng/model.
     Scoring closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
     A fitted method holds its model and no scoring state.
     """
-    weighting = settings.class_weighting
-    if name in MLP_METHODS and not networks:
-        networks = train_mlp(train, val, settings.mlp, _mlp_streams(name, rng, settings),
-                             weighting)
     if name == "single-nn":
         model, = networks
         return FittedMethod(name, predict=lambda X: predict_mlp(model, X))
@@ -141,7 +138,7 @@ def train_method(name: str, train: Dataset, val: Dataset, settings: MethodSettin
             model, X, rng.split("score"), settings.mc_passes))
     if name == "bootstrap-lr":
         model = train_bootstrapped_lr(train, rng.split("model"), settings.ensemble_size,
-                                      settings.logistic_c, weighting)
+                                      settings.logistic_c, settings.class_weighting)
         return FittedMethod(name, predict=lambda X: ensemble_predict(predict_logistic, model, X))
     if name == "vae":
         model = train_vae(train, settings.vae, rng.split("model"))

@@ -64,9 +64,6 @@ class SeededRng:
     def uniform(self, low: float, high: float, shape=None) -> np.ndarray:
         return self._gen.uniform(low, high, size=shape)
 
-    def random(self, shape=None) -> np.ndarray:
-        return self._gen.random(size=shape)
-
     def integers(self, low: int, high: int | None = None, size=None) -> np.ndarray:
         return self._gen.integers(low, high, size=size)
 

@@ -8,9 +8,11 @@ from typing import Callable
 
 import numpy as np
 
+import tabuq.evaluation
 import tabuq.numeric
 from tabuq.data import Dataset
 from tabuq.errors import ParameterError, TrainingError
+from tabuq.evaluation import FittedMethod, MethodSettings, _mlp_streams, train_method
 from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp_loss_and_grads
 from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
                            flatten, sigmoid)
@@ -221,3 +223,16 @@ def deep_ensemble_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
     """M networks trained one after another, member i on rng/member<i>."""
     return tuple(train_mlp_reference(train, val, cfg, rng.split(f"member{i}"), weighting)
                  for i in range(M))
+
+
+def fit_method_reference(name: str, train: Dataset, val: Dataset, settings: MethodSettings,
+                         rng: SeededRng) -> FittedMethod:
+    """One method trained on rng with no other method beside it: an MLP method's
+    networks come from one train_mlp call over its own streams
+    (_mlp_streams), not from the seed's shared fit. train_mlp is looked up on
+    tabuq.evaluation at each call, so a test that records the fits there sees
+    these too."""
+    streams = _mlp_streams(name, rng, settings)
+    networks = tuple(tabuq.evaluation.train_mlp(train, val, settings.mlp, streams,
+                                                settings.class_weighting) if streams else ())
+    return train_method(name, train, val, settings, rng, networks)

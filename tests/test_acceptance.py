@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import dropout_masks, finite_difference_gradient, vae_loss
+from oracles import dropout_masks, finite_difference_gradient, fit_method_reference, vae_loss
 
 from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig, auc_roc,
                    binary_entropy, ece, generate_toy, mlp_loss, mlp_loss_and_grads,
@@ -25,7 +25,7 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig, auc_ro
 from tabuq.cli import run
 from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
 from tabuq.evaluation import (METHODS, MethodSettings, confidence_performance,
-                              corruption_experiment, ood_experiment, train_method)
+                              corruption_experiment, ood_experiment, train_methods)
 from tabuq.mlp import init_mlp
 from tabuq.numeric import flatten, sigmoid
 from tabuq.vae import init_vae, vae_loss_and_grads
@@ -56,7 +56,7 @@ def test_criterion_1_gradient_correctness():
         model = init_mlp(d, TrainConfig(hidden=hidden, dropout_rate=0.5),
                          rng.split("init"))
         X = rng.split("x").normal((n, d))
-        y = (rng.split("y").random(n) < 0.5).astype(np.int64)
+        y = (rng.split("y").uniform(0.0, 1.0, n) < 0.5).astype(np.int64)
         if y.min() == y.max():
             y[0] = 1 - y[0]
         masks = dropout_masks(model, n, rng.split("mask"))
@@ -101,8 +101,8 @@ def test_criterion_2_metric_oracles():
     for i in range(1000):
         rng = SeededRng(1000 + i)
         n = int(rng.split("n").integers(2, 201))
-        scores = rng.split("s").random(n).round(1)  # coarse grid forces ties
-        labels = (rng.split("y").random(n) < 0.5).astype(np.int64)
+        scores = rng.split("s").uniform(0.0, 1.0, n).round(1)  # coarse grid forces ties
+        labels = (rng.split("y").uniform(0.0, 1.0, n) < 0.5).astype(np.int64)
         if labels.min() == labels.max():
             labels[0] = 1 - labels[0]
         if auc_roc(scores, labels) != pair_counting_auc(scores, labels):
@@ -140,8 +140,8 @@ def confident_quintile_positive_fraction(weighting: bool) -> float:
         val = generate_toy(toy, rng.split("val"))
         test = generate_toy(toy, rng.split("test"))
         settings = MethodSettings.toy(class_weighting=weighting)
-        fitted = train_method("nn-ensemble", train, val, settings,
-                              rng.split("m"))
+        fitted = fit_method_reference("nn-ensemble", train, val, settings,
+                                      rng.split("m"))
         probs, uncertainty = fitted.score(test.features)
         fracs.append(confidence_performance(probs, uncertainty, test.labels,
                                             fractions=(0.2,))[0]
@@ -181,8 +181,8 @@ def test_criterion_5_confidence_performance_direction():
         train, val, test = (apply_scaler(scaler, d)
                             for d in (train, val, test))
         settings = MethodSettings(class_weighting=True)
-        fitted = train_method("nn-ensemble", train, val, settings,
-                              rng.split("m"))
+        fitted = fit_method_reference("nn-ensemble", train, val, settings,
+                                      rng.split("m"))
         probs, uncertainty = fitted.score(test.features)
         p60, p100 = confidence_performance(probs, uncertainty, test.labels,
                                            fractions=(0.6, 1.0))
@@ -204,8 +204,7 @@ def test_criterion_6_corruption_detection():
     train, val, test = (apply_scaler(scaler, d) for d in (train, val, test))
     settings = MethodSettings(class_weighting=True,
                               vae=VaeConfig(latent_dim=5))
-    fitted = [train_method(m, train, val, settings, rng.split(m))
-              for m in METHODS]
+    fitted = train_methods(METHODS, train, val, settings, rng)
     rec = corruption_experiment(fitted, test, factors=(1, 10, 1000),
                                 rng=rng.split("corrupt"))
     base = [rec[(m, "factor=1", "detection_auc_mean")] for m in METHODS]
@@ -274,7 +273,7 @@ def test_criterion_8_cli_determinism(tmp_path):
 def test_criterion_9_platt_self_consistency():
     rng = SeededRng(7)
     p = rng.split("p").uniform(0.02, 0.98, (10_000,))
-    y = (rng.split("y").random((10_000,)) < p).astype(np.int64)
+    y = (rng.split("y").uniform(0.0, 1.0, (10_000,)) < p).astype(np.int64)
     params = platt_fit(p, y)
     identity_ok = abs(params.a - 1.0) <= 0.05 and abs(params.b) <= 0.05
 

@@ -438,6 +438,23 @@ class TestRun:
                                            f"{str(out)!r}: No such file or directory\n")
         assert not (tmp_path / "made").exists()
 
+    def test_out_dir_whose_results_file_cannot_be_written_exits_1_after_running(
+            self, tmp_path, capsys, monkeypatch):
+        # The check only makes directories, so a results.csv that is a
+        # directory is found when the outputs are written, once the run is done.
+        import tabuq.cli as cli
+
+        runs = []
+        real = cli._execute
+        monkeypatch.setattr(cli, "_execute", lambda cfg: runs.append(cfg) or real(cfg))
+        out = tmp_path / "out"
+        (out / "results.csv").mkdir(parents=True)
+        cfg = write_config(tmp_path, {**FAST, "out_dir": str(out)})
+        assert run(cfg, quiet=True) == 1
+        assert len(runs) == 1
+        assert capsys.readouterr().err == (
+            f"config error: key 'out_dir': cannot write to {str(out)!r}: Is a directory\n")
+
     def test_out_dir_check_leaves_no_directory_behind(self, tmp_path, capsys):
         # The check makes and removes the output directories; a run that then
         # fails on its data still leaves none.

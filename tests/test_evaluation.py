@@ -8,14 +8,14 @@ from tabuq import (METHODS, MethodSettings, SeededRng, ToyConfig, TrainConfig,
                    binary_entropy, confidence_performance,
                    corruption_experiment, curve_experiment, ece,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
-                   predict_mlp, seed_sweep, toy_surfaces, train_method,
-                   train_methods, train_mlp)
+                   predict_mlp, seed_sweep, toy_surfaces, train_methods, train_mlp)
 from tabuq.data import Dataset, exclude_group, split
 from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError,
                           UndefinedMetricError)
 from tabuq.metrics import auc_roc
 
 from conftest import make_dataset
+from oracles import fit_method_reference
 
 
 class TestConfidencePerformance:
@@ -33,8 +33,8 @@ class TestConfidencePerformance:
 
     def test_full_fraction_equals_full_set_metrics(self):
         rng = SeededRng(0)
-        probs = rng.random(40)
-        labels = (rng.random(40) < probs).astype(np.int64)
+        probs = rng.uniform(0.0, 1.0, 40)
+        labels = (rng.uniform(0.0, 1.0, 40) < probs).astype(np.int64)
         (point,) = confidence_performance(probs, binary_entropy(probs), labels,
                                           fractions=(1.0,))
         assert point.auc == auc_roc(probs, labels)
@@ -100,8 +100,7 @@ class TestTrainMethod:
     @pytest.mark.parametrize("name", METHODS)
     def test_each_method_scores_and_predicts(self, toy_world, name):
         train, val, test = toy_world
-        fitted = train_method(name, train, val, MethodSettings.toy(),
-                              SeededRng(1))
+        fitted, = train_methods([name], train, val, MethodSettings.toy(), SeededRng(1))
         assert fitted.name == name
         probs, unc = fitted.score(test.features)
         assert unc.shape == (test.n,)
@@ -116,7 +115,7 @@ class TestTrainMethod:
     def test_mc_dropout_scorer_draws_every_pass_on_every_call(self, toy_world, keep_draws):
         train, val, test = toy_world
         st = MethodSettings.toy()
-        fitted = train_method("mc-dropout", train, val, st, SeededRng(4))
+        fitted, = train_methods(["mc-dropout"], train, val, st, SeededRng(4))
         clean = fitted.predict(test.features)
         assert not np.array_equal(fitted.predict(test.features * 3.0), clean)
         np.testing.assert_array_equal(fitted.predict(test.features), clean)
@@ -128,31 +127,27 @@ class TestTrainMethod:
     def test_unknown_method(self, toy_world):
         train, val, _ = toy_world
         with pytest.raises(ConfigError, match="gradient-boost"):
-            train_method("gradient-boost", train, val, MethodSettings.toy(),
-                         SeededRng(2))
+            train_methods(["gradient-boost"], train, val, MethodSettings.toy(), SeededRng(2))
 
     def test_classifier_uncertainty_is_prediction_entropy(self, toy_world):
         train, val, test = toy_world
-        for name in ("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr"):
-            fitted = train_method(name, train, val, MethodSettings.toy(),
-                                  SeededRng(3))
+        for fitted in train_methods(("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr"),
+                                    train, val, MethodSettings.toy(), SeededRng(3)):
             probs, unc = fitted.score(test.features)
             np.testing.assert_array_equal(unc, binary_entropy(probs))
 
     def test_scoring_closures_are_pure(self, toy_world):
         # Repeated calls re-derive their rng children, so scores never drift.
         train, val, test = toy_world
-        for name in ("mc-dropout", "vae"):
-            fitted = train_method(name, train, val, MethodSettings.toy(),
-                                  SeededRng(4))
+        for fitted in train_methods(("mc-dropout", "vae"), train, val, MethodSettings.toy(),
+                                    SeededRng(4)):
             np.testing.assert_array_equal(fitted.score(test.features)[1],
                                           fitted.score(test.features)[1])
 
     def test_score_runs_each_model_once(self, toy_world):
         train, val, test = toy_world
         calls = []
-        fitted = train_method("mc-dropout", train, val, MethodSettings.toy(),
-                              SeededRng(4))
+        fitted, = train_methods(["mc-dropout"], train, val, MethodSettings.toy(), SeededRng(4))
         predict = fitted.predict
         fitted.predict = lambda X: calls.append("predict") or predict(X)
         fitted.uncertainty = lambda X: calls.append("uncertainty")
@@ -163,15 +158,13 @@ class TestTrainMethod:
         train, val, test = toy_world
         st, rng = MethodSettings.toy(), SeededRng(5)
         single, paired = train_methods(["single-nn", "vae"], train, val, st, rng, paired=True)
-        vae = train_method("vae", train, val, st, rng.split("vae"))
-        classifier = train_method("single-nn", train, val, st, rng.split("vae-classifier"))
+        alone, unpaired = train_methods(["single-nn", "vae"], train, val, st, rng)
+        classifier, = train_mlp(train, val, st.mlp, [rng.split("vae-classifier").split("model")],
+                                st.class_weighting)
         probs, novelty = paired.score(test.features)
-        np.testing.assert_array_equal(probs, classifier.predict(test.features))
-        np.testing.assert_array_equal(novelty, vae.score(test.features)[1])
-        np.testing.assert_array_equal(
-            single.predict(test.features),
-            train_method("single-nn", train, val, st, rng.split("single-nn")).predict(test.features))
-        unpaired, = train_methods(["vae"], train, val, st, rng)
+        np.testing.assert_array_equal(probs, predict_mlp(classifier, test.features))
+        np.testing.assert_array_equal(novelty, unpaired.score(test.features)[1])
+        np.testing.assert_array_equal(single.predict(test.features), alone.predict(test.features))
         assert unpaired.predict is None
 
     @pytest.mark.parametrize("paired", [False, True])
@@ -199,19 +192,17 @@ class TestTrainMethod:
 
     def test_class_weighting_reaches_the_networks(self, toy_world):
         train, val, test = toy_world
-        fitted = train_method("single-nn", train, val,
-                              MethodSettings.toy(class_weighting=True), SeededRng(6))
-        model, = train_mlp(train, val, TrainConfig.toy(), [SeededRng(6).split("model")],
-                           weighting=True)
+        fitted, = train_methods(["single-nn"], train, val,
+                                MethodSettings.toy(class_weighting=True), SeededRng(6))
+        model, = train_mlp(train, val, TrainConfig.toy(),
+                           [SeededRng(6).split("single-nn").split("model")], weighting=True)
         np.testing.assert_array_equal(fitted.predict(test.features),
                                       predict_mlp(model, test.features))
 
     def test_same_seed_same_method(self, toy_world):
         train, val, test = toy_world
-        a = train_method("nn-ensemble", train, val, MethodSettings.toy(),
-                         SeededRng(5))
-        b = train_method("nn-ensemble", train, val, MethodSettings.toy(),
-                         SeededRng(5))
+        a, = train_methods(["nn-ensemble"], train, val, MethodSettings.toy(), SeededRng(5))
+        b, = train_methods(["nn-ensemble"], train, val, MethodSettings.toy(), SeededRng(5))
         np.testing.assert_array_equal(a.predict(test.features),
                                       b.predict(test.features))
 
@@ -260,10 +251,10 @@ class TestSharedFit:
             assert len(set(stacked)) >= 2
         (together,) = fits
         fits.clear()
-        alone = [train_method(name, train, val, st, rng.split(name)) for name in METHODS]
+        alone = [fit_method_reference(name, train, val, st, rng.split(name)) for name in METHODS]
         if paired:
-            alone[-1].predict = train_method("single-nn", train, val, st,
-                                             rng.split("vae-classifier")).predict
+            alone[-1].predict = fit_method_reference("single-nn", train, val, st,
+                                                     rng.split("vae-classifier")).predict
         networks = [net for fit in fits for net in fit]
         assert len(together) == len(networks) == 2 + ensemble_size + paired
         for a, b in zip(together, networks):
@@ -425,8 +416,7 @@ class TestOodExperiment:
 class TestCorruptionExperiment:
     def test_factor_one_exactly_half_for_every_method(self, toy_world):
         train, val, test = toy_world
-        fitted = [train_method(m, train, val, MethodSettings.toy(),
-                               SeededRng(19).split(m)) for m in METHODS]
+        fitted = train_methods(METHODS, train, val, MethodSettings.toy(), SeededRng(19))
         records = corruption_experiment(fitted, test, factors=(1,),
                                         rng=SeededRng(20))
         for m in METHODS:
@@ -437,8 +427,7 @@ class TestCorruptionExperiment:
 
     def test_record_layout_and_std(self, toy_world):
         train, val, test = toy_world
-        fitted = [train_method("vae", train, val, MethodSettings.toy(),
-                               SeededRng(21))]
+        fitted = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(21))
         records = corruption_experiment(fitted, test, factors=(1000,),
                                         n_features=30, rng=SeededRng(22))
         # Toy data has 2 columns, so both are sampled despite n_features=30.
@@ -448,16 +437,14 @@ class TestCorruptionExperiment:
 
     def test_std_absent_for_single_feature(self, toy_world):
         train, val, test = toy_world
-        fitted = [train_method("vae", train, val, MethodSettings.toy(),
-                               SeededRng(23))]
+        fitted = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(23))
         records = corruption_experiment(fitted, test, factors=(10,),
                                         n_features=1, rng=SeededRng(24))
         assert records[("vae", "factor=10", "detection_auc_std")] is None
 
     def test_rerun_bitwise_identical(self, toy_world):
         train, val, test = toy_world
-        fitted = [train_method("mc-dropout", train, val, MethodSettings.toy(),
-                               SeededRng(25))]
+        fitted = train_methods(["mc-dropout"], train, val, MethodSettings.toy(), SeededRng(25))
         a = corruption_experiment(fitted, test, factors=(10,), rng=SeededRng(26))
         b = corruption_experiment(fitted, test, factors=(10,), rng=SeededRng(26))
         assert a == b
@@ -507,8 +494,7 @@ class TestSeedSweep:
 class TestToySurfaces:
     def test_classifier_surfaces(self, toy_world):
         train, val, _ = toy_world
-        fitted = train_method("single-nn", train, val, MethodSettings.toy(),
-                              SeededRng(28))
+        fitted, = train_methods(["single-nn"], train, val, MethodSettings.toy(), SeededRng(28))
         grid = grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 12)
         surfaces = toy_surfaces(fitted, grid)
         assert set(surfaces) == {"probability", "entropy"}
@@ -517,8 +503,7 @@ class TestToySurfaces:
 
     def test_vae_surface(self, toy_world):
         train, val, _ = toy_world
-        fitted = train_method("vae", train, val, MethodSettings.toy(),
-                              SeededRng(29))
+        fitted, = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(29))
         surfaces = toy_surfaces(fitted, grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 5))
         assert set(surfaces) == {"novelty"}
         assert surfaces["novelty"].shape == (25,)
@@ -534,8 +519,7 @@ class TestToySurfaces:
 
     def test_rejects_non_2d_grid(self, toy_world):
         train, val, _ = toy_world
-        fitted = train_method("single-nn", train, val, MethodSettings.toy(),
-                              SeededRng(30))
+        fitted, = train_methods(["single-nn"], train, val, MethodSettings.toy(), SeededRng(30))
         with pytest.raises(ShapeError):
             toy_surfaces(fitted, np.zeros((4, 3)))
 
@@ -557,8 +541,8 @@ class TestToySurfaces:
         for weighted in (False, True):
             st = MethodSettings(mlp=tc, class_weighting=weighted,
                                 standardize=False)
-            s = toy_surfaces(train_method("single-nn", train, val, st,
-                                          SeededRng(32)), grid)
+            fitted, = train_methods(["single-nn"], train, val, st, SeededRng(32))
+            s = toy_surfaces(fitted, grid)
             confident_pos = s["probability"] > 0.5
             entropies[weighted] = (s["entropy"][confident_pos].min()
                                    if confident_pos.any() else math.inf)

@@ -28,7 +28,7 @@ def test_predict_clamped_at_extremes():
 def test_objective_gradient_matches_finite_differences():
     rng = SeededRng(0)
     X = rng.split("x").normal((30, 4))
-    y = (rng.split("y").random(30) < 0.3).astype(np.int64)
+    y = (rng.split("y").uniform(0.0, 1.0, 30) < 0.3).astype(np.int64)
     params = rng.split("p").normal(5)
 
     _, grad = logistic_objective(params, X, y, w_pos=3.0, lam=0.7)
@@ -59,7 +59,7 @@ def test_separable_1d_reaches_full_accuracy():
 def test_strong_penalty_shrinks_weights_to_base_rate():
     rng = SeededRng(1)
     d = make_dataset(rng.normal((200, 2)),
-                     (rng.random(200) < 0.25).astype(np.int64))
+                     (rng.uniform(0.0, 1.0, 200) < 0.25).astype(np.int64))
     m = train_logistic(d, C=1e-9)
     assert np.abs(m.weights).max() < 1e-3
     base = d.labels.mean()

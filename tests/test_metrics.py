@@ -92,13 +92,13 @@ class TestAucRoc:
     def test_monotone_transform_invariance(self):
         rng = SeededRng(0)
         scores = rng.normal(50)
-        labels = (rng.random(50) < 0.4).astype(np.int64)
+        labels = (rng.uniform(0.0, 1.0, 50) < 0.4).astype(np.int64)
         assert auc_roc(scores, labels) == auc_roc(np.exp(scores), labels)
 
     def test_label_swap_antisymmetry(self):
         rng = SeededRng(1)
         scores = rng.normal(60)
-        labels = (rng.random(60) < 0.3).astype(np.int64)
+        labels = (rng.uniform(0.0, 1.0, 60) < 0.3).astype(np.int64)
         assert abs(auc_roc(scores, labels)
                    + auc_roc(scores, 1 - labels) - 1.0) < 1e-12
 
@@ -130,8 +130,8 @@ class TestEce:
     @pytest.mark.parametrize("K", [1, 7, 10])
     def test_matches_per_bin_loop(self, K):
         rng = SeededRng(2)
-        probs = np.concatenate([rng.random(500), [0.0, 1.0]])
-        outcomes = (rng.random(502) < probs).astype(np.int64)
+        probs = np.concatenate([rng.uniform(0.0, 1.0, 500), [0.0, 1.0]])
+        outcomes = (rng.uniform(0.0, 1.0, 502) < probs).astype(np.int64)
         total = 0.0
         for k in range(K):
             inside = (probs >= k / K) & ((probs < (k + 1) / K) | (k == K - 1))
@@ -168,23 +168,23 @@ class TestEce:
 
     def test_permutation_invariance(self):
         rng = SeededRng(3)
-        probs = rng.random(200)
-        outcomes = (rng.random(200) < probs).astype(np.int64)
+        probs = rng.uniform(0.0, 1.0, 200)
+        outcomes = (rng.uniform(0.0, 1.0, 200) < probs).astype(np.int64)
         perm = SeededRng(4).permutation(200)
         assert abs(ece(probs, outcomes) - ece(probs[perm], outcomes[perm])) < 1e-15
 
     def test_within_unit_interval(self):
         rng = SeededRng(5)
-        probs = rng.random(50)
-        outcomes = (rng.random(50) < 0.5).astype(np.int64)
+        probs = rng.uniform(0.0, 1.0, 50)
+        outcomes = (rng.uniform(0.0, 1.0, 50) < 0.5).astype(np.int64)
         assert 0.0 <= ece(probs, outcomes) <= 1.0
 
 
 class TestPlatt:
     def _calibrated_sample(self, seed, n=10_000):
         rng = SeededRng(seed)
-        probs = rng.split("p").random(n)
-        outcomes = (rng.split("y").random(n) < probs).astype(np.int64)
+        probs = rng.split("p").uniform(0.0, 1.0, n)
+        outcomes = (rng.split("y").uniform(0.0, 1.0, n) < probs).astype(np.int64)
         return probs, outcomes
 
     def test_fit_recovers_identity_on_calibrated_data(self):
@@ -204,8 +204,8 @@ class TestPlatt:
 
     def test_apply_preserves_auc_for_positive_slope(self):
         rng = SeededRng(7)
-        probs = rng.random(100)
-        labels = (rng.random(100) < probs).astype(np.int64)
+        probs = rng.uniform(0.0, 1.0, 100)
+        labels = (rng.uniform(0.0, 1.0, 100) < probs).astype(np.int64)
         params = PlattParams(a=2.5, b=-0.4)
         assert auc_roc(probs, labels) == auc_roc(
             platt_apply(params, probs), labels)
@@ -227,8 +227,8 @@ class TestPlatt:
     @pytest.mark.parametrize("slope, shift", [(1.0, 0.0), (2.5, 0.0), (0.4, 0.8), (1.7, -1.2)])
     def test_fit_has_the_bits_of_the_written_out_objective(self, n, slope, shift):
         rng = SeededRng(n)
-        probs = 0.02 + 0.96 * rng.split("p").random(n)
-        outcomes = (rng.split("y").random(n) < probs).astype(np.int64)
+        probs = 0.02 + 0.96 * rng.split("p").uniform(0.0, 1.0, n)
+        outcomes = (rng.split("y").uniform(0.0, 1.0, n) < probs).astype(np.int64)
         outcomes[:2] = (0, 1)
         distorted = sigmoid(slope * np.log(probs / (1.0 - probs)) + shift)
         t = _logit(distorted)

@@ -103,7 +103,7 @@ class TestGradients:
         cfg = TrainConfig(hidden=(6, 4), dropout_rate=0.5)
         model = init_mlp(5, cfg, rng.split("init"))
         X = rng.split("x").normal((9, 5))
-        y = (rng.split("y").random(9) < 0.4).astype(np.int64)
+        y = (rng.split("y").uniform(0.0, 1.0, 9) < 0.4).astype(np.int64)
         masks = dropout_masks(model, 9, rng.split("mask"))
 
         _, grads_w, grads_b = mlp_loss_and_grads(model, X, y, weighting, masks)
@@ -177,7 +177,7 @@ class TestStepBuffers:
         for step, n in enumerate((256, 37, 256)):
             step_rng = rng.split(f"step{step}")
             X = step_rng.split("x").normal(lead + (n, 4), std=2.0)
-            y = (step_rng.split("y").random(lead + (n,)) < 0.3).astype(np.int64)
+            y = (step_rng.split("y").uniform(0.0, 1.0, lead + (n,)) < 0.3).astype(np.int64)
             masks = None
             if masked:
                 bits = _make_masks(model, n, [step_rng.split(f"m{m}") for m in range(M or 1)])

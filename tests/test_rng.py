@@ -56,7 +56,7 @@ def test_wrappers_shapes_and_ranges():
     assert r.normal((3, 4)).shape == (3, 4)
     u = r.uniform(-2.0, 5.0, 1000)
     assert u.min() >= -2.0 and u.max() < 5.0
-    x = r.random(10)
+    x = r.uniform(0.0, 1.0, 10)
     assert ((0 <= x) & (x < 1)).all()
     ints = r.integers(0, 4, size=100)
     assert set(ints.tolist()) <= {0, 1, 2, 3}
@@ -84,12 +84,12 @@ def test_lazy_child_draws_its_seed_sequence_stream(seed, parent, child, parent_d
     node = SeededRng(seed)
     for label in parent:
         node = node.split(label)
-    node.random(parent_draws)
+    node.uniform(0.0, 1.0, parent_draws)
     for label in child:
         node = node.split(label)
     entropy = [seed, *(_label_hash(label) for label in parent + child)]
     expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-    np.testing.assert_array_equal(node.random(5), expected.random(5))
+    np.testing.assert_array_equal(node.uniform(0.0, 1.0, 5), expected.random(5))
     np.testing.assert_array_equal(node.permutation(7), expected.permutation(7))
     np.testing.assert_array_equal(node.random_raw(3), expected.bit_generator.random_raw(3))
 
@@ -103,7 +103,7 @@ def test_only_the_node_that_draws_builds_a_generator(monkeypatch):
         return real(entropy)
 
     monkeypatch.setattr(np.random, "SeedSequence", counted)
-    SeededRng(0).split("a").split("b").random(1)
+    SeededRng(0).split("a").split("b").uniform(0.0, 1.0, 1)
     assert len(built) == 1
 
 
