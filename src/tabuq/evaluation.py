@@ -12,12 +12,15 @@ VAE re-derives its stream on every call, and MC dropout draws each pass's
 keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
 trains a seed's methods, each on rng/<method>; it fits all their networks in
-one stacked train_mlp call, each on the stream its method would fit it on.
+one stacked train_mlp call, each on the stream its method would fit it on,
+and the VAE beside that call on a worker thread when its steps are large.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -30,13 +33,21 @@ from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
 from .mlp import MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
 from .rng import SeededRng
-from .vae import VaeConfig, train_vae, vae_novelty_score
+from .vae import VaeConfig, VaeModel, train_vae, vae_novelty_score
 
 METHODS = ("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr", "vae")
 MLP_METHODS = METHODS[:3]
 DEFAULT_FRACTIONS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75,
                      0.80, 0.85, 0.90, 0.95, 1.00)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+# train_methods fits the VAE on a worker thread, beside the seed's train_mlp
+# call, when min(vae batch, train rows) * latent reaches this; smaller steps
+# run mostly in Python and only contend for the GIL. Measured crossover, one
+# BLAS thread on two cores, beside the MLP fit of a 10k-row CSV (5 epochs):
+# mixed at 8,192 (8 of 14 alternating pairs won), -4% at 16,384 (13 of 15;
+# an earlier 9 pairs read +2%), -5% at 24,576 (15 of 15) and -40% at the CSV
+# defaults' 128,000. Toy data stays below it, at 240.
+VAE_OVERLAP_MIN = 16_384
 
 RecordKey = tuple[str, str, str]
 Records = dict[RecordKey, "float | None"]
@@ -116,24 +127,24 @@ def _mlp_streams(name: str, rng: SeededRng, settings: MethodSettings) -> list[Se
 
 
 def train_method(name: str, train: Dataset, val: Dataset, settings: MethodSettings,
-                 rng: SeededRng, networks: tuple[MlpModel, ...]) -> FittedMethod:
+                 rng: SeededRng, models: tuple[MlpModel | VaeModel, ...]) -> FittedMethod:
     """Train one named method on rng.
 
     An MLP method is handed its networks, fitted by train_methods on
-    _mlp_streams(name, rng, settings); the others are handed none and fit
-    their own model on rng/model.
+    _mlp_streams(name, rng, settings), and the VAE its model, fitted on
+    rng/model; bootstrap-lr is handed none and fits its own on rng/model.
     Scoring closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
     A fitted method holds its model and no scoring state.
     """
     if name == "single-nn":
-        model, = networks
+        model, = models
         return FittedMethod(name, predict=lambda X: predict_mlp(model, X))
     if name == "nn-ensemble":
-        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, networks, X))
+        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_mlp, models, X))
     if name == "mc-dropout":
-        model, = networks
+        model, = models
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
             model, X, rng.split("score"), settings.mc_passes))
     if name == "bootstrap-lr":
@@ -141,10 +152,34 @@ def train_method(name: str, train: Dataset, val: Dataset, settings: MethodSettin
                                       settings.logistic_c, settings.class_weighting)
         return FittedMethod(name, predict=lambda X: ensemble_predict(predict_logistic, model, X))
     if name == "vae":
-        model = train_vae(train, settings.vae, rng.split("model"))
+        model, = models
         return FittedMethod(name, uncertainty=lambda X: vae_novelty_score(
             model, X, rng.split("score"), settings.vae.samples))
     raise ConfigError(f"unknown method {name!r}")
+
+
+def _fit_on_worker(fit: Callable[[], object]) -> tuple[threading.Thread, Callable[[], object]]:
+    """Start fit() on a new thread, in a copy of the caller's context (so under
+    its numpy error state). Returns the thread and a function that, once the
+    thread is joined, returns fit's result or raises its error."""
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((fit(), None))
+        except BaseException as e:  # raised again by result(), on the caller's thread
+            outcome.append((None, e))
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
+                              name="tabuq-vae")
+    thread.start()
+
+    def result():
+        value, error = outcome[0]
+        if error is not None:
+            raise error
+        return value
+    return thread, result
 
 
 def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
@@ -153,17 +188,38 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     rng.split(name), with its networks from one train_mlp call over every
     method's streams (_mlp_streams), so each has the bits of its own fit. With
     paired, the VAE, which has no classifier of its own, takes the
-    probabilities of a single NN trained on rng.split("vae-classifier")."""
+    probabilities of a single NN trained on rng.split("vae-classifier").
+
+    The VAE trains on rng/vae/model. When an MLP fit runs and
+    min(VAE batch, train rows) * latent reaches VAE_OVERLAP_MIN, it trains on
+    a worker thread during the train_mlp call, which is joined before any
+    method is built; otherwise at its place in the order. Either way it has
+    the same bits, a train_mlp error wins over a VAE error, and a VAE error
+    is raised at the VAE's place.
+    """
     jobs = [(name, rng.split(name)) for name in names]
-    paired = paired and any(name == "vae" for name, _ in jobs)
+    vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
+    paired = paired and vae_rng is not None
     if paired:
         jobs.append(("single-nn", rng.split("vae-classifier")))
     streams = [_mlp_streams(name, method_rng, settings) for name, method_rng in jobs]
     everyone = [s for group in streams for s in group]
-    networks = iter(train_mlp(train, val, settings.mlp, everyone, settings.class_weighting)
-                    if everyone else ())
+
+    def fit_vae():
+        return train_vae(train, settings.vae, vae_rng)
+
+    worker = None
+    vae_step = min(settings.vae.batch_size, train.n) * settings.vae.latent_dim
+    if vae_rng is not None and everyone and vae_step >= VAE_OVERLAP_MIN:
+        worker, fit_vae = _fit_on_worker(fit_vae)
+    try:
+        networks = iter(train_mlp(train, val, settings.mlp, everyone, settings.class_weighting)
+                        if everyone else ())
+    finally:
+        if worker is not None:
+            worker.join()
     fitted = [train_method(name, train, val, settings, method_rng,
-                           tuple(next(networks) for _ in group))
+                           (fit_vae(),) if name == "vae" else tuple(next(networks) for _ in group))
               for (name, method_rng), group in zip(jobs, streams)]
     if paired:
         classifier = fitted.pop()

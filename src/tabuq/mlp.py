@@ -5,7 +5,7 @@ sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
 binary cross-entropy over an (M, P) stack of M networks' flat parameter
 vectors as one network of (M, in, out) weights. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
-Each train_mlp call owns shape-keyed step buffers (numeric.step_buffer), freed
+Each train_mlp call owns name-keyed step buffers (numeric.step_buffer), freed
 when it returns; the step functions allocate afresh when given none.
 """
 
@@ -173,7 +173,8 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
     positive where the pre-activation is unless the mask is 0, and there the
     gradient is 0 already. w is computed once, for the loss and for dL/dz.
     A stack of networks (see _forward) takes (M, N) labels and returns M losses.
-    Its hidden activations, deltas and relu gates are step buffers (see _forward).
+    Its hidden activations and relu gates are step buffers (see _forward), and each
+    delta takes the memory of the layer input it is gated by.
     """
     y_hat, inputs = _forward(model, X, masks, buf)
     y = np.asarray(labels, dtype=np.float64)[..., None]
@@ -188,12 +189,14 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
         grads_w[i] = np.swapaxes(inputs[i], -1, -2) @ delta
         grads_b[i] = delta.sum(axis=-2)
         if i > 0:
-            delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2),
-                              out=step_buffer(buf, f"delta{i}", inputs[i].shape))
+            # Layer i's input is read for the last time by its relu gate, so
+            # the next delta takes its memory.
+            gate = np.greater(inputs[i], 0, out=step_buffer(buf, "gate", inputs[i].shape, bool))
+            delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2), out=inputs[i])
             if masks is not None:
                 delta *= masks[i - 1]
                 delta *= 1.0 / (1.0 - model.dropout_rate)
-            delta *= np.greater(inputs[i], 0, out=step_buffer(buf, "gate", inputs[i].shape, bool))
+            delta *= gate
     return loss, grads_w, grads_b
 
 
@@ -234,7 +237,7 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
 
     inits = [init_mlp(train.d, cfg, rng.split("init")) for rng in rngs]
     template = inits[0]
-    buf = {}  # the step buffers, one set per (members, batch rows) shape
+    buf = {}  # the step buffers, one per intermediate, shared by every stack and batch shape
     bits = None  # the epoch's keep bits of the members still training
 
     def loss_and_grads(flat, idx, members, epoch, batch):

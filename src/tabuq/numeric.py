@@ -7,6 +7,7 @@ form that never overflows.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -25,12 +26,16 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 def step_buffer(buf: dict | None, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
     """An uninitialized array for a step's intermediate `name`: fresh without buf,
-    else buf's (name, shape) entry, made on first use and reused by later steps."""
+    else a contiguous view of the start of buf's one flat `name` array, which
+    grows to the largest size asked and is reused by later steps of any shape.
+    Each name keeps one dtype."""
     if buf is None:
         return np.empty(shape, dtype)
-    if (name, shape) not in buf:
-        buf[name, shape] = np.empty(shape, dtype)
-    return buf[name, shape]
+    size = math.prod(shape)
+    flat = buf.get(name)
+    if flat is None or flat.size < size:
+        flat = buf[name] = np.empty(size, dtype)
+    return flat[:size].reshape(shape)
 
 
 def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:

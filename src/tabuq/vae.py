@@ -6,7 +6,7 @@ diagonal Gaussian over feature space with a learned per-dimension variance.
 Training runs `numeric.minibatch_adam` on the negative ELBO over one flat
 vector of all eight parameter arrays, with one reparameterized latent sample
 per datum per step; log-variances are clamped to [-10, 10]. Each train_vae
-call owns shape-keyed step buffers (numeric.step_buffer), freed when it
+call owns name-keyed step buffers (numeric.step_buffer), freed when it
 returns; the step allocates afresh when given none.
 """
 
@@ -133,11 +133,13 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
     g_dec_w_lv = z.T @ delta_dlv
     g_dec_b_lv = delta_dlv.sum(axis=0)
 
-    dz = np.matmul(delta_dmu, model.dec_w_mu.T, out=step_buffer(buf, "dz", shape))
-    dz += np.matmul(delta_dlv, model.dec_w_lv.T, out=step_buffer(buf, "dz_lv", shape))
-    de_mu = np.divide(e_mu, n, out=step_buffer(buf, "de_mu", shape))
+    # The backward arrays reuse the memory of forward ones read for the last
+    # time above: dz takes z's, its second term kl's, de_mu e_mu's, de_lv e_lv's.
+    dz = np.matmul(delta_dmu, model.dec_w_mu.T, out=z)
+    dz += np.matmul(delta_dlv, model.dec_w_lv.T, out=kl)
+    de_mu = np.divide(e_mu, n, out=e_mu)
     de_mu += dz
-    de_lv = np.multiply(dz, eps, out=step_buffer(buf, "de_lv", shape))
+    de_lv = np.multiply(dz, eps, out=e_lv)
     de_lv *= 0.5
     de_lv *= s
     exp_e_lv -= 1.0  # the KL has read exp(e_lv); it becomes 0.5 * (exp(e_lv) - 1) / n
@@ -178,7 +180,7 @@ def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
     if train.n < 1:
         raise DataError("training set is empty")
     model = init_vae(train.d, cfg, rng.split("init"))
-    buf = {}  # the step buffers, one set per batch row count
+    buf = {}  # the step buffers, one per intermediate, shared by every batch size
 
     def loss_and_grads(flat, idx, members, epoch, batch):
         eps = rng.split("eps").split(f"{epoch}.{batch}").normal((idx.shape[1], cfg.latent_dim))

@@ -64,6 +64,47 @@ def keep_draws(monkeypatch) -> list:
     return shapes
 
 
+@pytest.fixture
+def handed_buffers(monkeypatch) -> list:
+    """(name, array) for every step buffer that tabuq.mlp and tabuq.vae take
+    from a buf dict, in order."""
+    import tabuq.mlp
+    import tabuq.numeric
+    import tabuq.vae
+
+    handed = []
+    real = tabuq.numeric.step_buffer
+
+    def recorded(buf, name, shape, dtype=np.float64):
+        out = real(buf, name, shape, dtype)
+        if buf is not None:
+            handed.append((name, out))
+        return out
+
+    for module in (tabuq.mlp, tabuq.vae):
+        monkeypatch.setattr(module, "step_buffer", recorded)
+    return handed
+
+
+def check_step_buffers(buf: dict, steps: list) -> None:
+    """After steps of a full, a short and a full batch, each a list of
+    handed_buffers' (name, array): buf holds one flat array per name, grown to
+    the largest size asked, and the last two steps' buffers are contiguous
+    views into it, so the short batch's share the full batch's memory. (The
+    first step may outgrow a name's array, when it asks for it twice.)"""
+    full, short, again = steps
+    names = [name for name, _ in full]
+    assert buf.keys() == set(names)
+    for name, flat in buf.items():
+        assert flat.ndim == 1
+        assert flat.size == max(a.size for n, a in full if n == name)
+    for (name, a), (_, b) in zip(short, again, strict=True):
+        assert a.size < b.size
+        assert a.flags.c_contiguous and b.flags.c_contiguous
+        assert np.shares_memory(a, buf[name]) and np.shares_memory(a, b)
+    assert [name for name, _ in short] == [name for name, _ in again] == names
+
+
 def make_dataset(X, y, groups=None) -> Dataset:
     X = np.asarray(X, dtype=np.float64)
     names = tuple(f"x{i + 1}" for i in range(X.shape[1]))

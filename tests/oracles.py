@@ -17,7 +17,7 @@ from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp
 from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
                            flatten, sigmoid)
 from tabuq.rng import SeededRng
-from tabuq.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, _decode, _encode, decoder_nll
+from tabuq.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, _decode, _encode, decoder_nll, train_vae
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -229,9 +229,12 @@ def fit_method_reference(name: str, train: Dataset, val: Dataset, settings: Meth
                          rng: SeededRng) -> FittedMethod:
     """One method trained on rng with no other method beside it: an MLP method's
     networks come from one train_mlp call over its own streams
-    (_mlp_streams), not from the seed's shared fit. train_mlp is looked up on
-    tabuq.evaluation at each call, so a test that records the fits there sees
-    these too."""
+    (_mlp_streams), not from the seed's shared fit, and the VAE trains on
+    rng/model on this thread. train_mlp is looked up on tabuq.evaluation at
+    each call, so a test that records the fits there sees these too."""
+    if name == "vae":
+        return train_method(name, train, val, settings, rng,
+                            (train_vae(train, settings.vae, rng.split("model")),))
     streams = _mlp_streams(name, rng, settings)
     networks = tuple(tabuq.evaluation.train_mlp(train, val, settings.mlp, streams,
                                                 settings.class_weighting) if streams else ())

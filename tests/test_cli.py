@@ -4,6 +4,7 @@ import json
 import math
 import re
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabuq import __version__
+from tabuq import __version__, evaluation
 from tabuq.cli import CSV_HEADER, KNOWN_KEYS, format_value, main, parse_config, run
 from tabuq.errors import ConfigError
 
@@ -278,6 +279,39 @@ class TestRun:
         with np.errstate(all="ignore"):
             assert run(cfg, quiet=True) == 3
         assert "training error" in capsys.readouterr().err
+
+    def test_vae_error_beside_the_mlp_fit_exits_3_as_in_order(self, tmp_path, capsys,
+                                                              monkeypatch):
+        # Above the gate the VAE fits on a worker thread while the MLP fit
+        # runs; its error must reach the exit code and message of a fit in order.
+        data = tmp_path / "plain.csv"
+        rows = ["a,b,label"] + [f"{i},{i % 3},{i % 2}" for i in range(100)]
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {
+            "dataset": f"csv:{data}", "experiment": "curve",
+            "methods": ["single-nn", "vae"], "seeds": [0], "fractions": [1.0],
+            "hidden": [4], "max_epochs": 2, "batch_size": 16,
+            "vae_latent": -(-evaluation.VAE_OVERLAP_MIN // 50), "vae_epochs": 2,
+            "vae_lr": 1e300, "out_dir": str(tmp_path / "out")})
+        on_worker = []
+        real = evaluation.train_vae
+
+        def recorded(*args):
+            on_worker.append(threading.current_thread() is not threading.main_thread())
+            return real(*args)
+
+        monkeypatch.setattr(evaluation, "train_vae", recorded)
+        errors = []
+        for gate in (evaluation.VAE_OVERLAP_MIN, math.inf):
+            monkeypatch.setattr(evaluation, "VAE_OVERLAP_MIN", gate)
+            threads = threading.active_count()
+            with np.errstate(all="ignore"):
+                assert run(cfg, quiet=True) == 3
+            assert threading.active_count() == threads
+            errors.append(capsys.readouterr().err)
+        assert on_worker == [True, False]
+        assert errors[0] == errors[1]
+        assert errors[0].startswith("training error: seed 0: non-finite training loss at epoch")
 
     @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
     def test_non_finite_cell_exits_2_naming_row_and_column(self, tmp_path, capsys, cell):

@@ -1,5 +1,11 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +16,8 @@ from tabuq import (METHODS, MethodSettings, SeededRng, ToyConfig, TrainConfig,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
                    predict_mlp, seed_sweep, toy_surfaces, train_methods, train_mlp)
 from tabuq.data import Dataset, exclude_group, split
-from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError,
+from tabuq import evaluation
+from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError, TrainingError,
                           UndefinedMetricError)
 from tabuq.metrics import auc_roc
 
@@ -176,9 +183,9 @@ class TestTrainMethod:
         calls = []
         real = evaluation.train_method
 
-        def recorded(name, train, val, settings, rng, networks=()):
+        def recorded(name, train, val, settings, rng, models):
             calls.append((name, rng.path))
-            return real(name, train, val, settings, rng, networks)
+            return real(name, train, val, settings, rng, models)
 
         monkeypatch.setattr(evaluation, "train_method", recorded)
         train, val, _ = toy_world
@@ -271,6 +278,133 @@ class TestSharedFit:
         train, val, _ = toy_world
         train_methods(names, train, val, MethodSettings.toy(), SeededRng(31), paired)
         assert len(fits) == calls
+
+
+OVERLAP_SCRIPT = """
+import dataclasses, hashlib, math, threading
+import tabuq.evaluation as evaluation
+from tabuq import METHODS, MethodSettings, SeededRng, TrainConfig, generate_synthetic, split
+
+train, val, test = split(generate_synthetic(SeededRng(3), n=1000), (0.6, 0.2, 0.2), SeededRng(4))
+st = dataclasses.replace(MethodSettings(mlp=TrainConfig(max_epochs=2)), mc_passes=10)
+st = dataclasses.replace(st, vae=dataclasses.replace(st.vae, epochs=2))
+assert min(st.vae.batch_size, train.n) * st.vae.latent_dim >= evaluation.VAE_OVERLAP_MIN
+threads = []
+real = evaluation.train_vae
+evaluation.train_vae = lambda *a: threads.append(threading.current_thread().name) or real(*a)
+for gate in (evaluation.VAE_OVERLAP_MIN, math.inf):
+    evaluation.VAE_OVERLAP_MIN = gate
+    h = hashlib.sha256()
+    for fitted in evaluation.train_methods(METHODS, train, val, st, SeededRng(5), paired=True):
+        for scores in fitted.score(test.features):
+            h.update(scores.tobytes())
+    print(threads[-1], h.hexdigest())
+"""
+
+
+class TestOverlappedVaeFit:
+    """Above VAE_OVERLAP_MIN, train_methods fits the VAE on a worker thread
+    during the train_mlp call, with the bits of a fit at its place in order."""
+
+    @staticmethod
+    def settings(train: Dataset) -> MethodSettings:
+        # The smallest latent whose steps reach the gate.
+        st = MethodSettings.toy()
+        latent = -(-evaluation.VAE_OVERLAP_MIN // min(st.vae.batch_size, train.n))
+        return dataclasses.replace(st, vae=dataclasses.replace(st.vae, latent_dim=latent))
+
+    @staticmethod
+    def record_vae_fits(monkeypatch, fail: bool = False) -> list:
+        """(fitted on a worker thread, model or None) per train_vae call; with
+        fail, each call raises TrainingError("vae fit") instead, after 0.2 s,
+        so that a worker left unjoined is still running when the caller returns."""
+        fits = []
+        real = evaluation.train_vae
+
+        def recorded(*args):
+            on_worker = threading.current_thread() is not threading.main_thread()
+            fits.append((on_worker, None if fail else real(*args)))
+            if fail:
+                time.sleep(0.2)
+                raise TrainingError("vae fit")
+            return fits[-1][1]
+
+        monkeypatch.setattr(evaluation, "train_vae", recorded)
+        return fits
+
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_same_bits_as_the_fit_in_order(self, toy_world, monkeypatch, paired):
+        fits = self.record_vae_fits(monkeypatch)
+        train, val, test = toy_world
+        st, rng = self.settings(train), SeededRng(40)
+        threads = threading.active_count()
+        overlapped = train_methods(METHODS, train, val, st, rng, paired)
+        assert threading.active_count() == threads
+        monkeypatch.setattr(evaluation, "VAE_OVERLAP_MIN", math.inf)
+        in_order = train_methods(METHODS, train, val, st, rng, paired)
+        (worker, a), (caller, b) = fits
+        assert worker and not caller
+        for pa, pb in zip(a.params(), b.params(), strict=True):
+            np.testing.assert_array_equal(pa, pb)
+        for x, y in zip(overlapped, in_order, strict=True):
+            assert x.name == y.name
+            for sx, sy in zip(x.score(test.features), y.score(test.features)):
+                np.testing.assert_array_equal(sx, sy)
+
+    def test_same_bits_with_two_blas_threads(self):
+        src = Path(evaluation.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "2",
+               "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+        out = subprocess.run([sys.executable, "-c", OVERLAP_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        (worker, overlapped), (caller, in_order) = (line.split() for line in out.splitlines())
+        assert worker == "tabuq-vae" and caller == "MainThread"
+        assert overlapped == in_order
+
+    @pytest.mark.parametrize("names, paired", [(("single-nn", "vae"), True),
+                                               (("vae", "nn-ensemble"), False)])
+    def test_below_the_gate_or_without_an_mlp_fit_the_vae_fits_in_order(
+            self, toy_world, monkeypatch, names, paired):
+        fits = self.record_vae_fits(monkeypatch)
+        train, val, _ = toy_world
+        st = MethodSettings.toy()
+        assert min(st.vae.batch_size, train.n) * st.vae.latent_dim < evaluation.VAE_OVERLAP_MIN
+        train_methods(names, train, val, st, SeededRng(41), paired)
+        train_methods(["vae", "bootstrap-lr"], train, val, self.settings(train), SeededRng(41))
+        assert [worker for worker, _ in fits] == [False, False]
+
+    def test_vae_error_raised_at_the_vae_place(self, toy_world, monkeypatch):
+        fits = self.record_vae_fits(monkeypatch, fail=True)
+        built = []
+        real = evaluation.train_method
+
+        def recorded(name, *args):
+            built.append(name)
+            return real(name, *args)
+
+        monkeypatch.setattr(evaluation, "train_method", recorded)
+        train, val, _ = toy_world
+        threads = threading.active_count()
+        with pytest.raises(TrainingError, match="vae fit"):
+            train_methods(["single-nn", "bootstrap-lr", "vae", "mc-dropout"], train, val,
+                          self.settings(train), SeededRng(42), paired=True)
+        assert threading.active_count() == threads
+        assert [worker for worker, _ in fits] == [True]
+        assert built == ["single-nn", "bootstrap-lr"]
+
+    def test_mlp_error_wins_over_vae_error(self, toy_world, monkeypatch):
+        fits = self.record_vae_fits(monkeypatch, fail=True)
+
+        def failing(*args):
+            raise TrainingError("mlp fit")
+
+        monkeypatch.setattr(evaluation, "train_mlp", failing)
+        train, val, _ = toy_world
+        threads = threading.active_count()
+        with pytest.raises(TrainingError, match="mlp fit"):
+            train_methods(METHODS, train, val, self.settings(train), SeededRng(43), paired=True)
+        assert threading.active_count() == threads
+        assert [worker for worker, _ in fits] == [True]
 
 
 class TestCurveExperiment:

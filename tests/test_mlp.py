@@ -12,7 +12,7 @@ from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
 from tabuq.mlp import _layer_masks, _make_masks, init_mlp
 from tabuq.numeric import flatten
 
-from conftest import make_dataset
+from conftest import check_step_buffers, make_dataset
 from oracles import dropout_masks, finite_difference_gradient, mc_dropout_reference
 
 
@@ -168,11 +168,13 @@ class TestStepBuffers:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("M", [None, 1, 3])
     @pytest.mark.parametrize("hidden", [(6, 4), (100, 100)], ids=["6-4", "100-100"])
-    def test_buffered_step_equals_allocating_step(self, hidden, M, masked, weighting):
+    def test_buffered_step_equals_allocating_step(self, hidden, M, masked, weighting,
+                                                  handed_buffers):
         rng = SeededRng(20)
         model = _stacked_model(hidden, M, rng.split("init"))
         lead = () if M is None else (M,)
         buf = {}
+        steps = []
         # Full, short, full: a reused buffer must not leak the last step's values.
         for step, n in enumerate((256, 37, 256)):
             step_rng = rng.split(f"step{step}")
@@ -182,13 +184,17 @@ class TestStepBuffers:
             if masked:
                 bits = _make_masks(model, n, [step_rng.split(f"m{m}") for m in range(M or 1)])
                 masks = _layer_masks(model, bits[0] if M is None else bits)
+            handed_buffers.clear()
             _assert_same_step(mlp_loss_and_grads(model, X, y, weighting, masks, buf),
                               mlp_loss_and_grads(model, X, y, weighting, masks))
+            steps.append(list(handed_buffers))
             if step == 1:
                 two_shapes = dict(buf)
         assert buf.keys() == two_shapes.keys()
         assert all(buf[key] is two_shapes[key] for key in buf)
-        assert {shape for _, shape in buf} == {lead + (n, h) for n in (256, 37) for h in hidden}
+        check_step_buffers(buf, steps)
+        assert {a.shape for step in steps for _, a in step} == {
+            lead + (n, h) for n in (256, 37) for h in hidden}
 
     def test_one_step_call_per_batch(self, toy_balanced, monkeypatch):
         # perfbench's tracer counts steps by wrapping this module attribute.

@@ -11,7 +11,7 @@ from tabuq.numeric import flatten
 from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _decode, _encode,
                        decoder_nll, init_vae, vae_loss_and_grads)
 
-from conftest import make_dataset
+from conftest import check_step_buffers, make_dataset
 from oracles import (finite_difference_gradient, kl_to_standard_normal, vae_loss,
                      vae_loss_and_grads_reference, vae_novelty_score_reference)
 
@@ -105,10 +105,12 @@ def _assert_same_step(a, b):
 class TestStepBuffers:
     @pytest.mark.parametrize("latent", [2, 5, 500])
     @pytest.mark.parametrize("rows", [(256, 7), (64, 37)], ids=["256-7", "64-37"])
-    def test_buffered_step_equals_allocating_and_reference_steps(self, latent, rows):
+    def test_buffered_step_equals_allocating_and_reference_steps(self, latent, rows,
+                                                                 handed_buffers):
         rng = SeededRng(30)
         model = init_vae(4, VaeConfig(latent_dim=latent), rng.split("init"))
         buf = {}
+        steps = []
         clamped = {"enc": np.zeros(3, bool), "dec": np.zeros(3, bool)}
         # Full, short, full: a reused buffer must not leak the last step's values.
         for step, n in enumerate(rows + rows[:1]):
@@ -116,7 +118,9 @@ class TestStepBuffers:
             # Row scales from 0.1 to 3000 drive both log-variances past their clamps.
             X = step_rng.split("x").normal((n, 4)) * np.geomspace(0.1, 3000.0, n)[:, None]
             eps = step_rng.split("eps").normal((n, latent))
+            handed_buffers.clear()
             buffered = vae_loss_and_grads(model, X, eps, buf)
+            steps.append(list(handed_buffers))
             _assert_same_step(buffered, vae_loss_and_grads(model, X, eps))
             _assert_same_step(buffered, vae_loss_and_grads_reference(model, X, eps))
             assert buffered[0] == vae_loss(model, X, eps)
@@ -131,7 +135,8 @@ class TestStepBuffers:
         assert clamped["enc"].all() and clamped["dec"].all()
         assert buf.keys() == two_shapes.keys()
         assert all(buf[key] is two_shapes[key] for key in buf)
-        assert {shape for _, shape in buf} == {(n, latent) for n in rows}
+        check_step_buffers(buf, steps)
+        assert {a.shape for step in steps for _, a in step} == {(n, latent) for n in rows}
 
     def test_one_step_call_per_batch(self, toy_balanced, monkeypatch):
         # perfbench's tracer counts steps by wrapping this module attribute.
