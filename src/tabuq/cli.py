@@ -27,7 +27,8 @@ from .data import Dataset, ToyConfig, apply_scaler, fit_scaler, generate_toy, gr
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
 from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, MethodSettings,
                          Records, _scaled, corruption_experiment, curve_experiment,
-                         ood_experiment, seed_sweep, toy_surfaces, train_methods)
+                         factor_context, fraction_context, ood_experiment, seed_sweep,
+                         toy_surfaces, train_methods)
 from .mlp import TrainConfig
 from .rng import SeededRng
 from .vae import VaeConfig
@@ -132,6 +133,17 @@ def _as_numbers(raw: dict, key: str, default, valid, rule: str) -> tuple[float, 
                  for v in _as_list(raw.get(key, list(default)), key))
 
 
+def _distinct(values: tuple, key: str, context) -> tuple:
+    """values, or ConfigError if two share a context(value): one record."""
+    first = {}
+    for v in values:
+        ctx = context(v)
+        if ctx in first:
+            raise ConfigError(f"key {key!r}: {first[ctx]!r} and {v!r} both give {ctx}")
+        first[ctx] = v
+    return values
+
+
 def parse_config(raw: dict, seed_override=None, out_override=None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -176,6 +188,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         else _as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds")))
     if not seeds:
         raise ConfigError("key 'seeds' must name at least one seed")
+    _distinct(seeds, "seeds", lambda s: f"seed {s}")
 
     # Every method default comes from the preset; the config overrides it.
     preset = MethodSettings.toy() if is_toy else MethodSettings()
@@ -237,9 +250,11 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         settings=settings,
         toy_n_train=_as_int(raw.get("toy_n_train", ToyConfig.n_train), "toy_n_train", 2),
         split_fractions=split_fractions,
-        fractions=_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
-                              lambda f: 0 < f <= 1, "in (0, 1]"),
-        factors=_as_numbers(raw, "factors", (10, 1000), _positive, "positive and finite"),
+        fractions=_distinct(_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
+                                        lambda f: 0 < f <= 1, "in (0, 1]"),
+                            "fractions", fraction_context),
+        factors=_distinct(_as_numbers(raw, "factors", (10, 1000), _positive,
+                                      "positive and finite"), "factors", factor_context),
         n_corrupt_features=_as_int(raw.get("n_corrupt_features", 30), "n_corrupt_features", 1),
         grid_bounds=grid_bounds,
         grid_resolution=_as_int(raw.get("grid_resolution", 50), "grid_resolution", 2),

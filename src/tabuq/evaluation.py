@@ -53,6 +53,16 @@ RecordKey = tuple[str, str, str]
 Records = dict[RecordKey, "float | None"]
 
 
+def fraction_context(fraction: float) -> str:
+    """The record context of a confidence-performance point."""
+    return f"f={fraction:.2f}"
+
+
+def factor_context(factor: float) -> str:
+    """The record context of a corruption factor."""
+    return f"factor={factor:g}"
+
+
 @dataclass(frozen=True)
 class CurvePoint:
     fraction: float
@@ -126,8 +136,8 @@ def _mlp_streams(name: str, rng: SeededRng, settings: MethodSettings) -> list[Se
     return [model]
 
 
-def train_method(name: str, train: Dataset, val: Dataset, settings: MethodSettings,
-                 rng: SeededRng, models: tuple[MlpModel | VaeModel, ...]) -> FittedMethod:
+def train_method(name: str, train: Dataset, settings: MethodSettings, rng: SeededRng,
+                 models: tuple[MlpModel | VaeModel, ...]) -> FittedMethod:
     """Train one named method on rng.
 
     An MLP method is handed its networks, fitted by train_methods on
@@ -218,7 +228,7 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     finally:
         if worker is not None:
             worker.join()
-    fitted = [train_method(name, train, val, settings, method_rng,
+    fitted = [train_method(name, train, settings, method_rng,
                            (fit_vae(),) if name == "vae" else tuple(next(networks) for _ in group))
               for (name, method_rng), group in zip(jobs, streams)]
     if paired:
@@ -297,7 +307,7 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
             records[(fitted.name, "platt", "a")] = params.a
             records[(fitted.name, "platt", "b")] = params.b
         for point in confidence_performance(probs, uncertainty, test.labels, fractions):
-            ctx = f"f={point.fraction:.2f}"
+            ctx = fraction_context(point.fraction)
             records[(fitted.name, ctx, "auc")] = point.auc
             records[(fitted.name, ctx, "ece")] = point.ece
             records[(fitted.name, ctx, "positive_fraction")] = point.positive_fraction
@@ -358,10 +368,10 @@ def corruption_experiment(methods, test: Dataset, rng: SeededRng,
                 perturbed = corrupt_feature(test, int(j), factor)
                 scores = np.concatenate([clean, fitted.score(perturbed.features)[1]])
                 auc = auc_roc(scores, is_pert)
-                ctx = f"factor={factor:g}.feature={test.feature_names[j]}"
+                ctx = f"{factor_context(factor)}.feature={test.feature_names[j]}"
                 records[(fitted.name, ctx, "detection_auc")] = auc
                 aucs.append(auc)
-            ctx = f"factor={factor:g}"
+            ctx = factor_context(factor)
             records[(fitted.name, ctx, "detection_auc_mean")] = float(np.mean(aucs))
             records[(fitted.name, ctx, "detection_auc_std")] = (
                 float(np.std(aucs, ddof=1)) if len(aucs) >= 2 else None)

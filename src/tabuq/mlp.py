@@ -5,8 +5,9 @@ sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
 binary cross-entropy over an (M, P) stack of M networks' flat parameter
 vectors as one network of (M, in, out) weights. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
-Each train_mlp call owns name-keyed step buffers (numeric.step_buffer), freed
-when it returns; the step functions allocate afresh when given none.
+MC dropout's passes run through the training step's _forward. Each train_mlp
+and mc_dropout_predict call owns name-keyed step buffers (numeric.step_buffer),
+freed when it returns; _forward and the step allocate afresh when given none.
 """
 
 from __future__ import annotations
@@ -273,25 +274,21 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     _make_masks' keep bits from rng/pass<t>, as training draws them.
 
     Each call draws every pass's bits afresh, so the same X and rng path give
-    the same bits. Layer 0's relu(X @ W + b) is computed once per call, and
-    each pass runs in place with _forward's arithmetic.
+    the same bits. Layer 0's relu(X @ W + b) is computed once per call; each
+    pass masks it into a step buffer and runs _forward on the network's
+    tail, in the step buffers of one dict per call.
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
     X = checked_inputs(X, model.n_inputs)
     n = X.shape[0]
     first = np.maximum(X @ model.weights[0] + model.biases[0], 0.0)
-    hidden = [np.empty((n, w.shape[1])) for w in model.weights[:-1]]
+    tail = MlpModel(model.weights[1:], model.biases[1:], model.dropout_rate)
+    buf = {}
     passes = np.empty((T, n))
     for t in range(T):
         keep = _layer_masks(model, _make_masks(model, n, [rng.split(f"pass{t}")])[0])
-        h = np.multiply(first, keep[0], out=hidden[0])
+        h = np.multiply(first, keep[0], out=step_buffer(buf, "first", first.shape))
         h *= 1.0 / (1.0 - model.dropout_rate)
-        for i in range(1, len(hidden)):
-            h = np.matmul(h, model.weights[i], out=hidden[i])
-            h += model.biases[i]
-            np.maximum(h, 0.0, out=h)
-            h *= keep[i]
-            h *= 1.0 / (1.0 - model.dropout_rate)
-        passes[t] = sigmoid(h @ model.weights[-1] + model.biases[-1]).ravel()
+        passes[t] = _forward(tail, h, keep[1:], buf)[0].ravel()
     return anchored_mean(np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes), axis=0)

@@ -5,9 +5,10 @@ produces a diagonal Gaussian over the latent space; the decoder produces a
 diagonal Gaussian over feature space with a learned per-dimension variance.
 Training runs `numeric.minibatch_adam` on the negative ELBO over one flat
 vector of all eight parameter arrays, with one reparameterized latent sample
-per datum per step; log-variances are clamped to [-10, 10]. Each train_vae
-call owns name-keyed step buffers (numeric.step_buffer), freed when it
-returns; the step allocates afresh when given none.
+per datum per step; log-variances are clamped to [-10, 10]. Training and
+novelty scoring share one encoder, _encode, and one decoder, _decode. Each
+train_vae call owns name-keyed step buffers (numeric.step_buffer), freed when
+it returns; _encode and the step allocate afresh when given none.
 """
 
 from __future__ import annotations
@@ -74,21 +75,19 @@ class VaeConfig:
 
 
 def _encode(model: VaeModel, X: np.ndarray,
-            buf: dict | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Latent mean, clamped log-variance, and the pre-clamp raw log-variance."""
+            buf: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Latent mean and clamped log-variance, in step buffers."""
     shape = (X.shape[0], model.latent_dim)
     e_mu = np.matmul(X, model.enc_w_mu, out=step_buffer(buf, "e_mu", shape))
     e_mu += model.enc_b_mu
-    e_lv_raw = np.matmul(X, model.enc_w_lv, out=step_buffer(buf, "e_lv_raw", shape))
-    e_lv_raw += model.enc_b_lv
-    e_lv = np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX, out=step_buffer(buf, "e_lv", shape))
-    return e_mu, e_lv, e_lv_raw
+    e_lv = np.matmul(X, model.enc_w_lv, out=step_buffer(buf, "e_lv", shape))
+    e_lv += model.enc_b_lv
+    return e_mu, np.clip(e_lv, LOGVAR_MIN, LOGVAR_MAX, out=e_lv)
 
 
-def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    d_mu = z @ model.dec_w_mu + model.dec_b_mu
-    d_lv_raw = z @ model.dec_w_lv + model.dec_b_lv
-    return d_mu, np.clip(d_lv_raw, LOGVAR_MIN, LOGVAR_MAX), d_lv_raw
+def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    d_lv = z @ model.dec_w_lv + model.dec_b_lv
+    return z @ model.dec_w_mu + model.dec_b_mu, np.clip(d_lv, LOGVAR_MIN, LOGVAR_MAX, out=d_lv)
 
 
 def decoder_nll(X: np.ndarray, d_mu: np.ndarray, d_lv: np.ndarray) -> np.ndarray:
@@ -109,12 +108,16 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
     X = checked_inputs(X, model.n_features)
     n = X.shape[0]
     shape = (n, model.latent_dim)
-    e_mu, e_lv, e_lv_raw = _encode(model, X, buf)
+    e_mu, e_lv = _encode(model, X, buf)
+    # The clamp's gate, read before de_lv takes e_lv's memory. A clamped value
+    # equals its bound, so min < e_lv < max reads the same as on the raw value.
+    gate = np.greater(e_lv, LOGVAR_MIN, out=step_buffer(buf, "gate", shape, bool))
+    gate &= np.less(e_lv, LOGVAR_MAX, out=step_buffer(buf, "gate_max", shape, bool))
     s = np.multiply(0.5, e_lv, out=step_buffer(buf, "s", shape))
     np.exp(s, out=s)
     z = np.multiply(s, eps, out=step_buffer(buf, "z", shape))
     z += e_mu
-    d_mu, d_lv, d_lv_raw = _decode(model, z)
+    d_mu, d_lv = _decode(model, z)
     r = X - d_mu
     inv_var = np.exp(-d_lv)
     exp_e_lv = np.exp(e_lv, out=step_buffer(buf, "exp_e_lv", shape))
@@ -124,7 +127,7 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
     kl -= 1.0
     loss = float((decoder_nll(X, d_mu, d_lv) + 0.5 * kl.sum(axis=1)).mean())
 
-    mask_x = ((d_lv_raw > LOGVAR_MIN) & (d_lv_raw < LOGVAR_MAX)).astype(np.float64)
+    mask_x = ((d_lv > LOGVAR_MIN) & (d_lv < LOGVAR_MAX)).astype(np.float64)
 
     delta_dmu = -r * inv_var / n
     delta_dlv = mask_x * 0.5 * (1.0 - r * r * inv_var) / n
@@ -146,9 +149,7 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
     exp_e_lv *= 0.5
     exp_e_lv /= n
     de_lv += exp_e_lv
-    # Zero the clamped coordinates: the gate is e_lv_raw > min, then e_lv_raw < max.
-    de_lv *= np.greater(e_lv_raw, LOGVAR_MIN, out=step_buffer(buf, "gate", shape, bool))
-    de_lv *= np.less(e_lv_raw, LOGVAR_MAX, out=step_buffer(buf, "gate", shape, bool))
+    de_lv *= gate
     g_enc_w_mu = X.T @ de_mu
     g_enc_b_mu = de_mu.sum(axis=0)
     g_enc_w_lv = X.T @ de_lv
@@ -200,16 +201,13 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
 
     The S reparameterization draws are shared across rows, so duplicate rows
     always receive identical scores under a fixed seed. Three (rows, latent)
-    arrays are alive at once: e_mu, s = exp(e_lv / 2) made in place, and z.
+    arrays are alive at once: _encode's e_mu, s = exp(e_lv / 2) made in place
+    on its e_lv, and z.
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
     X = checked_inputs(X, model.n_features)
-    e_mu = X @ model.enc_w_mu
-    e_mu += model.enc_b_mu
-    s = X @ model.enc_w_lv
-    s += model.enc_b_lv
-    np.clip(s, LOGVAR_MIN, LOGVAR_MAX, out=s)
+    e_mu, s = _encode(model, X)
     s *= 0.5
     np.exp(s, out=s)
     eps = rng.normal((S, model.latent_dim))
@@ -218,6 +216,6 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     for k in range(S):
         np.multiply(s, eps[k], out=z)
         z += e_mu
-        d_mu, d_lv, _ = _decode(model, z)
+        d_mu, d_lv = _decode(model, z)
         total += decoder_nll(X, d_mu, d_lv)
     return total / S

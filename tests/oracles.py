@@ -17,7 +17,7 @@ from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp
 from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
                            flatten, sigmoid)
 from tabuq.rng import SeededRng
-from tabuq.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, _decode, _encode, decoder_nll, train_vae
+from tabuq.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, decoder_nll, train_vae
 
 
 def finite_difference_gradient(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -55,6 +55,16 @@ def kl_to_standard_normal(e_mu: np.ndarray, e_lv: np.ndarray) -> np.ndarray:
     return 0.5 * (e_mu * e_mu + np.exp(e_lv) - e_lv - 1.0).sum(axis=1)
 
 
+def encode_reference(model: VaeModel, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The encoder's latent mean and raw, unclamped log-variance."""
+    return X @ model.enc_w_mu + model.enc_b_mu, X @ model.enc_w_lv + model.enc_b_lv
+
+
+def decode_reference(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The decoder's feature mean and raw, unclamped log-variance."""
+    return z @ model.dec_w_mu + model.dec_b_mu, z @ model.dec_w_lv + model.dec_b_lv
+
+
 def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
     """Negative ELBO (reconstruction NLL plus KL), mean over the batch.
 
@@ -62,21 +72,25 @@ def vae_loss(model: VaeModel, X: np.ndarray, eps: np.ndarray) -> float:
     the loss a deterministic function of the parameters for gradient checks.
     """
     X = checked_inputs(X, model.n_features)
-    e_mu, e_lv, _ = _encode(model, X)
-    z = e_mu + np.exp(0.5 * e_lv) * eps
-    d_mu, d_lv, _ = _decode(model, z)
+    e_mu, e_lv_raw = encode_reference(model, X)
+    e_lv = np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX)
+    d_mu, d_lv_raw = decode_reference(model, e_mu + np.exp(0.5 * e_lv) * eps)
+    d_lv = np.clip(d_lv_raw, LOGVAR_MIN, LOGVAR_MAX)
     return float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
 
 
 def vae_loss_and_grads_reference(model: VaeModel, X: np.ndarray, eps: np.ndarray
                                  ) -> tuple[float, tuple[np.ndarray, ...]]:
     """vae_loss_and_grads as plain expressions on fresh arrays, exp(e_lv)
-    computed twice, in the order the step buffers keep."""
+    computed twice, in the order the step buffers keep. The clamp gates read
+    the raw log-variances."""
     n = X.shape[0]
-    e_mu, e_lv, e_lv_raw = _encode(model, X)
+    e_mu, e_lv_raw = encode_reference(model, X)
+    e_lv = np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX)
     s = np.exp(0.5 * e_lv)
     z = e_mu + s * eps
-    d_mu, d_lv, d_lv_raw = _decode(model, z)
+    d_mu, d_lv_raw = decode_reference(model, z)
+    d_lv = np.clip(d_lv_raw, LOGVAR_MIN, LOGVAR_MAX)
     r = X - d_mu
     inv_var = np.exp(-d_lv)
     loss = float((decoder_nll(X, d_mu, d_lv) + kl_to_standard_normal(e_mu, e_lv)).mean())
@@ -96,14 +110,13 @@ def vae_novelty_score_reference(model: VaeModel, X: np.ndarray, rng: SeededRng,
     """vae_novelty_score on fresh arrays: the mean decoder NLL over S latent
     samples z = e_mu + exp(e_lv / 2) * eps[k], one eps row per sample for every row."""
     X = checked_inputs(X, model.n_features)
-    e_mu, e_lv, _ = _encode(model, X)
-    s = np.exp(0.5 * e_lv)
+    e_mu, e_lv_raw = encode_reference(model, X)
+    s = np.exp(0.5 * np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX))
     eps = rng.normal((S, model.latent_dim))
     total = np.zeros(X.shape[0])
     for k in range(S):
-        z = e_mu + s * eps[k]
-        d_mu, d_lv, _ = _decode(model, z)
-        total += decoder_nll(X, d_mu, d_lv)
+        d_mu, d_lv_raw = decode_reference(model, e_mu + s * eps[k])
+        total += decoder_nll(X, d_mu, np.clip(d_lv_raw, LOGVAR_MIN, LOGVAR_MAX))
     return total / S
 
 
@@ -233,9 +246,9 @@ def fit_method_reference(name: str, train: Dataset, val: Dataset, settings: Meth
     rng/model on this thread. train_mlp is looked up on tabuq.evaluation at
     each call, so a test that records the fits there sees these too."""
     if name == "vae":
-        return train_method(name, train, val, settings, rng,
+        return train_method(name, train, settings, rng,
                             (train_vae(train, settings.vae, rng.split("model")),))
     streams = _mlp_streams(name, rng, settings)
     networks = tuple(tabuq.evaluation.train_mlp(train, val, settings.mlp, streams,
                                                 settings.class_weighting) if streams else ())
-    return train_method(name, train, val, settings, rng, networks)
+    return train_method(name, train, settings, rng, networks)

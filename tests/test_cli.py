@@ -94,6 +94,33 @@ class TestParseConfig:
         cfg = parse_config({**BASE, "seeds": [0, 1]}, seed_override=[7, 9])
         assert cfg.seeds == (7, 9)
 
+    # Values that collapse into one record would write rows twice or
+    # overwrite one point with another, so they are refused by key.
+    @pytest.mark.parametrize("extra, override, message", [
+        ({"seeds": [3, 3]}, None, "key 'seeds': 3 and 3 both give seed 3"),
+        ({"seeds": [0, 1]}, [5, 2, 5], "key 'seeds': 5 and 5 both give seed 5"),
+        ({"fractions": [0.501, 0.504, 1.0]}, None,
+         "key 'fractions': 0.501 and 0.504 both give f=0.50"),
+        ({"factors": [10, 10.0000001]}, None,
+         "key 'factors': 10.0 and 10.0000001 both give factor=10"),
+    ], ids=["seeds", "seed-override", "fractions", "factors"])
+    def test_values_writing_one_record_rejected(self, extra, override, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            parse_config({**BASE, **extra}, seed_override=override)
+
+    def test_values_with_distinct_contexts_accepted(self):
+        cfg = parse_config({**BASE, "seeds": [3, 4], "fractions": [0.5, 0.51, 1.0],
+                            "factors": [10, 10.5, 1e-3]})
+        assert (cfg.seeds, cfg.fractions, cfg.factors) == (
+            (3, 4), (0.5, 0.51, 1.0), (10.0, 10.5, 1e-3))
+
+    def test_fractions_writing_one_record_exit_1(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, {**FAST, "fractions": [0.501, 0.504, 1.0],
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 1
+        assert "key 'fractions'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_out_override_wins(self, tmp_path):
         cfg = parse_config({**BASE, "out_dir": "a"}, out_override=tmp_path / "b")
         assert cfg.out_dir.endswith("b")

@@ -183,9 +183,9 @@ class TestTrainMethod:
         calls = []
         real = evaluation.train_method
 
-        def recorded(name, train, val, settings, rng, models):
+        def recorded(name, train, settings, rng, models):
             calls.append((name, rng.path))
-            return real(name, train, val, settings, rng, models)
+            return real(name, train, settings, rng, models)
 
         monkeypatch.setattr(evaluation, "train_method", recorded)
         train, val, _ = toy_world

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 
@@ -8,12 +9,13 @@ import tabuq.vae
 from tabuq import SeededRng, VaeConfig, train_vae, vae_novelty_score
 from tabuq.errors import ShapeError, TrainingError
 from tabuq.numeric import flatten
-from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _decode, _encode,
-                       decoder_nll, init_vae, vae_loss_and_grads)
+from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _encode, decoder_nll, init_vae,
+                       vae_loss_and_grads)
 
 from conftest import check_step_buffers, make_dataset
-from oracles import (finite_difference_gradient, kl_to_standard_normal, vae_loss,
-                     vae_loss_and_grads_reference, vae_novelty_score_reference)
+from oracles import (decode_reference, encode_reference, finite_difference_gradient,
+                     kl_to_standard_normal, vae_loss, vae_loss_and_grads_reference,
+                     vae_novelty_score_reference)
 
 
 class TestInitAndShapes:
@@ -73,7 +75,7 @@ class TestDensityTerms:
     def test_logvar_clamped(self):
         m = init_vae(2, VaeConfig(latent_dim=2), SeededRng(4))
         X = SeededRng(5).normal((3, 2), std=1e6)
-        _, e_lv, _ = _encode(m, X)
+        _, e_lv = _encode(m, X)
         assert e_lv.min() >= LOGVAR_MIN and e_lv.max() <= LOGVAR_MAX
 
 
@@ -124,8 +126,9 @@ class TestStepBuffers:
             _assert_same_step(buffered, vae_loss_and_grads(model, X, eps))
             _assert_same_step(buffered, vae_loss_and_grads_reference(model, X, eps))
             assert buffered[0] == vae_loss(model, X, eps)
-            e_mu, e_lv, e_lv_raw = _encode(model, X)
-            _, _, d_lv_raw = _decode(model, e_mu + np.exp(0.5 * e_lv) * eps)
+            e_mu, e_lv_raw = encode_reference(model, X)
+            e_lv = np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX)
+            _, d_lv_raw = decode_reference(model, e_mu + np.exp(0.5 * e_lv) * eps)
             for side, raw in (("enc", e_lv_raw), ("dec", d_lv_raw)):
                 clamped[side] |= [(raw < LOGVAR_MIN).any(), (raw > LOGVAR_MAX).any(),
                                   ((LOGVAR_MIN < raw) & (raw < LOGVAR_MAX)).any()]
@@ -137,6 +140,23 @@ class TestStepBuffers:
         assert all(buf[key] is two_shapes[key] for key in buf)
         check_step_buffers(buf, steps)
         assert {a.shape for step in steps for _, a in step} == {(n, latent) for n in rows}
+
+    def test_log_variances_exactly_on_the_bounds_get_no_gradient(self):
+        # A raw log-variance on a bound is the one place where a gate read on
+        # the clamped value could differ from one read on the raw value.
+        rng = SeededRng(31)
+        lo, hi = LOGVAR_MIN, LOGVAR_MAX
+        model = dataclasses.replace(
+            init_vae(4, VaeConfig(latent_dim=3), rng.split("init")),
+            enc_w_lv=np.zeros((4, 3)), enc_b_lv=np.array([lo, hi, lo]),
+            dec_w_lv=np.zeros((3, 4)), dec_b_lv=np.array([hi, lo, hi, lo]))
+        X = rng.split("x").normal((9, 4))
+        eps = rng.split("eps").normal((9, 3))
+        buffered = vae_loss_and_grads(model, X, eps, {})
+        _assert_same_step(buffered, vae_loss_and_grads(model, X, eps))
+        _assert_same_step(buffered, vae_loss_and_grads_reference(model, X, eps))
+        for grad in buffered[1][2:4] + buffered[1][6:8]:
+            assert (grad == 0.0).all()
 
     def test_one_step_call_per_batch(self, toy_balanced, monkeypatch):
         # perfbench's tracer counts steps by wrapping this module attribute.
