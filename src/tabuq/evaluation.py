@@ -13,14 +13,14 @@ keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
 trains a seed's methods, each on rng/<method>; it fits all their networks in
 one stacked train_mlp call, each on the stream its method would fit it on,
-and the VAE beside that call on a worker thread when its steps are large.
+and the VAE beside that call on a worker thread when both fits' steps are
+large. Large MC-dropout calls split their passes over the same kind of
+worker (numeric.beside_worker); threads change no bits.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,7 +31,8 @@ from .ensemble import ensemble_predict
 from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
 from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
-from .mlp import MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
+from .mlp import MC_SPLIT_MIN, MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
+from .numeric import beside_worker
 from .rng import SeededRng
 from .vae import VaeConfig, VaeModel, train_vae, vae_novelty_score
 
@@ -41,12 +42,16 @@ DEFAULT_FRACTIONS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75,
                      0.80, 0.85, 0.90, 0.95, 1.00)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 # train_methods fits the VAE on a worker thread, beside the seed's train_mlp
-# call, when min(vae batch, train rows) * latent reaches this; smaller steps
-# run mostly in Python and only contend for the GIL. Measured crossover, one
-# BLAS thread on two cores, beside the MLP fit of a 10k-row CSV (5 epochs):
-# mixed at 8,192 (8 of 14 alternating pairs won), -4% at 16,384 (13 of 15;
-# an earlier 9 pairs read +2%), -5% at 24,576 (15 of 15) and -40% at the CSV
-# defaults' 128,000. Toy data stays below it, at 240.
+# call, when min(vae batch, train rows) * latent reaches this and the MLP step
+# (networks * min(batch, train rows) * widest hidden layer) reaches
+# mlp.MC_SPLIT_MIN; smaller steps run mostly in Python and only contend for
+# the GIL. Measured crossover, one BLAS thread on two cores, beside the MLP
+# fit of a 10k-row CSV (5 epochs): mixed at 8,192 (8 of 14 alternating pairs
+# won), -4% at 16,384 (13 of 15; an earlier 9 pairs read +2%), -5% at 24,576
+# (15 of 15) and -40% at the CSV defaults' 128,000. Beside the toy MLP fit
+# (MLP step 8 * 8 * 5 = 320) it ran 11-41% slower at VAE steps of 12,800 to
+# 102,400. Toy data stays below both gates; the CSV workloads' MLP step is
+# 7-8 * 256 * 100, at least 179,200.
 VAE_OVERLAP_MIN = 16_384
 
 RecordKey = tuple[str, str, str]
@@ -168,30 +173,6 @@ def train_method(name: str, train: Dataset, settings: MethodSettings, rng: Seede
     raise ConfigError(f"unknown method {name!r}")
 
 
-def _fit_on_worker(fit: Callable[[], object]) -> tuple[threading.Thread, Callable[[], object]]:
-    """Start fit() on a new thread, in a copy of the caller's context (so under
-    its numpy error state). Returns the thread and a function that, once the
-    thread is joined, returns fit's result or raises its error."""
-    outcome = []
-
-    def run():
-        try:
-            outcome.append((fit(), None))
-        except BaseException as e:  # raised again by result(), on the caller's thread
-            outcome.append((None, e))
-
-    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,),
-                              name="tabuq-vae")
-    thread.start()
-
-    def result():
-        value, error = outcome[0]
-        if error is not None:
-            raise error
-        return value
-    return thread, result
-
-
 def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
                   rng: SeededRng, paired: bool = False) -> list[FittedMethod]:
     """One seed's methods, in the order named, each by train_method on
@@ -200,12 +181,11 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     paired, the VAE, which has no classifier of its own, takes the
     probabilities of a single NN trained on rng.split("vae-classifier").
 
-    The VAE trains on rng/vae/model. When an MLP fit runs and
-    min(VAE batch, train rows) * latent reaches VAE_OVERLAP_MIN, it trains on
-    a worker thread during the train_mlp call, which is joined before any
-    method is built; otherwise at its place in the order. Either way it has
-    the same bits, a train_mlp error wins over a VAE error, and a VAE error
-    is raised at the VAE's place.
+    The VAE trains on rng/vae/model. When the VAE and MLP steps are both
+    large (see VAE_OVERLAP_MIN), it trains on a worker thread during the
+    train_mlp call, which is joined before any method is built; otherwise at
+    its place in the order. Either way it has the same bits, a train_mlp
+    error wins over a VAE error, and a VAE error is raised at the VAE's place.
     """
     jobs = [(name, rng.split(name)) for name in names]
     vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
@@ -218,16 +198,17 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     def fit_vae():
         return train_vae(train, settings.vae, vae_rng)
 
-    worker = None
+    def fit_mlps():
+        return train_mlp(train, val, settings.mlp, everyone,
+                         settings.class_weighting) if everyone else ()
+
     vae_step = min(settings.vae.batch_size, train.n) * settings.vae.latent_dim
-    if vae_rng is not None and everyone and vae_step >= VAE_OVERLAP_MIN:
-        worker, fit_vae = _fit_on_worker(fit_vae)
-    try:
-        networks = iter(train_mlp(train, val, settings.mlp, everyone, settings.class_weighting)
-                        if everyone else ())
-    finally:
-        if worker is not None:
-            worker.join()
+    mlp_step = len(everyone) * min(settings.mlp.batch_size, train.n) * max(settings.mlp.hidden)
+    if vae_rng is not None and vae_step >= VAE_OVERLAP_MIN and mlp_step >= MC_SPLIT_MIN:
+        networks, fit_vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae")
+    else:
+        networks = fit_mlps()
+    networks = iter(networks)
     fitted = [train_method(name, train, settings, method_rng,
                            (fit_vae(),) if name == "vae" else tuple(next(networks) for _ in group))
               for (name, method_rng), group in zip(jobs, streams)]

@@ -7,7 +7,9 @@ form that never overflows.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -36,6 +38,38 @@ def step_buffer(buf: dict | None, name: str, shape: tuple, dtype=np.float64) -> 
     if flat is None or flat.size < size:
         flat = buf[name] = np.empty(size, dtype)
     return flat[:size].reshape(shape)
+
+
+def beside_worker(job: Callable[[], object], main: Callable[[], object],
+                  name: str) -> tuple[object, Callable[[], object]]:
+    """Run job() on a new thread named `name` while main() runs on the calling thread.
+
+    The thread runs in a copy of the caller's contextvars context, so under its
+    numpy error state, and is joined before this returns or raises; an error of
+    main() is raised first. Returns main()'s result and a function that returns
+    job()'s, or raises job()'s error on the caller. The package's one worker thread.
+    """
+    outcome = []
+
+    def run():
+        try:
+            outcome.append((job(), None))
+        except BaseException as e:  # raised again by result(), on the caller's thread
+            outcome.append((None, e))
+
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(run,), name=name)
+    thread.start()
+    try:
+        value = main()
+    finally:
+        thread.join()
+
+    def result():
+        job_value, error = outcome[0]
+        if error is not None:
+            raise error
+        return job_value
+    return value, result
 
 
 def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:

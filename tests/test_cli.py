@@ -309,15 +309,16 @@ class TestRun:
 
     def test_vae_error_beside_the_mlp_fit_exits_3_as_in_order(self, tmp_path, capsys,
                                                               monkeypatch):
-        # Above the gate the VAE fits on a worker thread while the MLP fit
+        # Above the gates the VAE fits on a worker thread while the MLP fit
         # runs; its error must reach the exit code and message of a fit in order.
+        # The single NN and the VAE's classifier, at batch 16, reach the MLP gate.
         data = tmp_path / "plain.csv"
         rows = ["a,b,label"] + [f"{i},{i % 3},{i % 2}" for i in range(100)]
         data.write_text("\n".join(rows) + "\n")
         cfg = write_config(tmp_path, {
             "dataset": f"csv:{data}", "experiment": "curve",
             "methods": ["single-nn", "vae"], "seeds": [0], "fractions": [1.0],
-            "hidden": [4], "max_epochs": 2, "batch_size": 16,
+            "hidden": [-(-evaluation.MC_SPLIT_MIN // 32)], "max_epochs": 2, "batch_size": 16,
             "vae_latent": -(-evaluation.VAE_OVERLAP_MIN // 50), "vae_epochs": 2,
             "vae_lr": 1e300, "out_dir": str(tmp_path / "out")})
         on_worker = []

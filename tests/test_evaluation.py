@@ -308,10 +308,14 @@ class TestOverlappedVaeFit:
 
     @staticmethod
     def settings(train: Dataset) -> MethodSettings:
-        # The smallest latent whose steps reach the gate.
+        # The smallest latent whose steps reach the VAE gate, and a full-batch
+        # MLP whose hidden layer is wide enough for one network to reach the MLP gate.
         st = MethodSettings.toy()
         latent = -(-evaluation.VAE_OVERLAP_MIN // min(st.vae.batch_size, train.n))
-        return dataclasses.replace(st, vae=dataclasses.replace(st.vae, latent_dim=latent))
+        mlp = dataclasses.replace(st.mlp, batch_size=train.n,
+                                  hidden=(-(-evaluation.MC_SPLIT_MIN // train.n),))
+        return dataclasses.replace(st, mlp=mlp,
+                                   vae=dataclasses.replace(st.vae, latent_dim=latent))
 
     @staticmethod
     def record_vae_fits(monkeypatch, fail: bool = False) -> list:
@@ -372,6 +376,21 @@ class TestOverlappedVaeFit:
         train_methods(names, train, val, st, SeededRng(41), paired)
         train_methods(["vae", "bootstrap-lr"], train, val, self.settings(train), SeededRng(41))
         assert [worker for worker, _ in fits] == [False, False]
+
+    def test_large_vae_beside_the_toy_mlp_fits_in_order(self, toy_world, monkeypatch):
+        # A Python-bound toy MLP fit (200 rows, batch 8, hidden 5) beside a VAE
+        # whose steps reach VAE_OVERLAP_MIN: overlapping them only made both slower.
+        fits = self.record_vae_fits(monkeypatch)
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        train, val, _ = toy_world
+        st = MethodSettings.toy()
+        st = dataclasses.replace(st, vae=dataclasses.replace(st.vae, latent_dim=82))
+        assert (train.n, st.mlp.batch_size, st.mlp.hidden) == (200, 8, (5,))
+        assert min(st.vae.batch_size, train.n) * 82 >= evaluation.VAE_OVERLAP_MIN
+        train_methods(METHODS, train, val, st, SeededRng(44), paired=True)
+        assert [worker for worker, _ in fits] == [False]
+        assert started == []
 
     def test_vae_error_raised_at_the_vae_place(self, toy_world, monkeypatch):
         fits = self.record_vae_fits(monkeypatch, fail=True)

@@ -1,5 +1,10 @@
 import dataclasses
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,20 +310,125 @@ class TestMcDropout:
         p = mc_dropout_predict(toy_mlp, X, T=25, rng=SeededRng(9))
         assert ((0.0 < p) & (p < 1.0)).all()
 
-    @pytest.mark.parametrize("T", [1, 100])
+    @pytest.mark.parametrize("T, gate", [(1, math.inf), (100, math.inf), (1, 0), (100, 0)],
+                             ids=["1", "100", "1-split", "100-split"])
     @pytest.mark.parametrize("n", [1, 13, 2000])
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("hidden", [(5,), (100, 100), (7, 3, 4)],
                              ids=["5", "100-100", "7-3-4"])
-    def test_matches_per_pass_reference_cold_and_warm(self, hidden, rate, n, T):
+    def test_matches_per_pass_reference_cold_and_warm(self, monkeypatch, hidden, rate, n, T,
+                                                      gate):
         # A first call and a repeat call on the same rows and stream path
         # give the reference's bits, as the corrupted copies of a test set
-        # meet the clean copy's masks.
+        # meet the clean copy's masks, with MC_SPLIT_MIN forced shut (inf: the
+        # calling thread alone) and forced open (0: passes split over two threads).
+        monkeypatch.setattr(tabuq.mlp, "MC_SPLIT_MIN", gate)
         m = init_mlp(4, TrainConfig(hidden=hidden, dropout_rate=rate), SeededRng(10))
         for X in (SeededRng(11).normal((n, 4)), SeededRng(12).normal((n, 4), std=30.0)):
             expected = mc_dropout_reference(m, X, SeededRng(13), T)
             for _ in range(2):
                 np.testing.assert_array_equal(mc_dropout_predict(m, X, SeededRng(13), T), expected)
+
+
+SPLIT_SCRIPT = """
+import hashlib, math, threading
+import tabuq.mlp as mlp
+from tabuq import SeededRng, TrainConfig
+
+m = mlp.init_mlp(4, TrainConfig(hidden=(100, 100)), SeededRng(20))
+X = SeededRng(21).normal((2000, 4))
+assert 2000 * 100 >= mlp.MC_SPLIT_MIN
+real = mlp._forward
+names = set()
+mlp._forward = lambda *a: names.add(threading.current_thread().name) or real(*a)
+for gate in (mlp.MC_SPLIT_MIN, math.inf):
+    mlp.MC_SPLIT_MIN = gate
+    names.clear()
+    h = hashlib.sha256(mlp.mc_dropout_predict(m, X, SeededRng(22), 20).tobytes()).hexdigest()
+    print(",".join(sorted(names)), h)
+"""
+
+
+class PassError(Exception):
+    pass
+
+
+class TestMcDropoutWorker:
+    """Above MC_SPLIT_MIN the passes run on the calling thread and one worker."""
+
+    @staticmethod
+    def above_the_gate():
+        m = init_mlp(4, TrainConfig(hidden=(100, 100)), SeededRng(20))
+        return m, SeededRng(21).normal((-(-tabuq.mlp.MC_SPLIT_MIN // 100), 4))
+
+    def test_worker_error_reaches_the_caller(self, monkeypatch):
+        m, X = self.above_the_gate()
+        real = tabuq.mlp._forward
+
+        def failing(*args):
+            if threading.current_thread() is not threading.main_thread():
+                raise PassError("pass failed off the main thread")
+            return real(*args)
+
+        monkeypatch.setattr(tabuq.mlp, "_forward", failing)
+        threads = threading.active_count()
+        with pytest.raises(PassError, match="^pass failed off the main thread$"):
+            mc_dropout_predict(m, X, SeededRng(22), 10)
+        assert threading.active_count() == threads
+
+    def test_passes_on_both_threads_run_under_the_callers_error_state(self, monkeypatch):
+        m, X = self.above_the_gate()
+        seen = []
+        real = tabuq.mlp._forward
+
+        def recorded(*args):
+            seen.append((threading.current_thread() is threading.main_thread(), np.geterr()))
+            return real(*args)
+
+        monkeypatch.setattr(tabuq.mlp, "_forward", recorded)
+        with np.errstate(all="raise"):
+            expected = np.geterr()
+            mc_dropout_predict(m, X, SeededRng(23), 10)
+        assert expected != np.geterr()
+        assert {main for main, _ in seen} == {True, False}
+        assert all(err == expected for _, err in seen)
+
+    def test_concurrent_calls_under_a_short_switch_interval_keep_their_bits(self, monkeypatch):
+        # Three callers, each with its own worker, on two cores, switching as
+        # often as the interpreter allows: every call still has its one-thread bits.
+        m, X = self.above_the_gate()
+        gate = tabuq.mlp.MC_SPLIT_MIN
+        monkeypatch.setattr(tabuq.mlp, "MC_SPLIT_MIN", math.inf)
+        expected = [mc_dropout_predict(m, X, SeededRng(s), 12) for s in range(3)]
+        monkeypatch.setattr(tabuq.mlp, "MC_SPLIT_MIN", gate)
+        got = [None] * 3
+
+        def call(s):
+            got[s] = mc_dropout_predict(m, X, SeededRng(s), 12)
+
+        callers = [threading.Thread(target=call, args=(s,)) for s in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        for a, b in zip(got, expected, strict=True):
+            np.testing.assert_array_equal(a, b)
+
+    def test_same_bits_with_two_blas_threads(self):
+        src = Path(tabuq.mlp.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(src), "OMP_NUM_THREADS": "2",
+               "OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "2"}
+        out = subprocess.run([sys.executable, "-c", SPLIT_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True).stdout
+        (split, threaded), (alone, one_thread) = (line.split() for line in out.splitlines())
+        assert split == "MainThread,tabuq-mc-dropout" and alone == "MainThread"
+        assert threaded == one_thread
 
 
 class TestMcDropoutCache:
