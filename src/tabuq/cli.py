@@ -23,9 +23,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .data import Dataset, ToyConfig, apply_scaler, fit_scaler, generate_toy, grid_2d, load_csv, split
+from .data import Dataset, ToyConfig, generate_toy, grid_2d, load_csv, split
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
-from .evaluation import (DEFAULT_FRACTIONS, DEFAULT_SEEDS, METHODS, MethodSettings,
+from .evaluation import (DEFAULT_FACTORS, DEFAULT_FRACTIONS, DEFAULT_N_CORRUPT_FEATURES,
+                         DEFAULT_SEEDS, DEFAULT_SPLIT_FRACTIONS, METHODS, MethodSettings,
                          Records, _scaled, corruption_experiment, curve_experiment,
                          factor_context, fraction_context, ood_experiment, seed_sweep,
                          toy_surfaces, train_methods)
@@ -224,7 +225,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     except ParameterError as e:
         raise ConfigError(str(e)) from e
 
-    fracs = raw.get("split_fractions", [0.6, 0.2, 0.2])
+    fracs = raw.get("split_fractions", list(DEFAULT_SPLIT_FRACTIONS))
     if not isinstance(fracs, list) or len(fracs) != 3:
         raise ConfigError(f"key 'split_fractions' must be three numbers, got {fracs!r}")
     split_fractions = tuple(_as_number(f, "split_fractions") for f in fracs)
@@ -253,9 +254,10 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         fractions=_distinct(_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
                                         lambda f: 0 < f <= 1, "in (0, 1]"),
                             "fractions", fraction_context),
-        factors=_distinct(_as_numbers(raw, "factors", (10, 1000), _positive,
+        factors=_distinct(_as_numbers(raw, "factors", DEFAULT_FACTORS, _positive,
                                       "positive and finite"), "factors", factor_context),
-        n_corrupt_features=_as_int(raw.get("n_corrupt_features", 30), "n_corrupt_features", 1),
+        n_corrupt_features=_as_int(raw.get("n_corrupt_features", DEFAULT_N_CORRUPT_FEATURES),
+                                   "n_corrupt_features", 1),
         grid_bounds=grid_bounds,
         grid_resolution=_as_int(raw.get("grid_resolution", 50), "grid_resolution", 2),
         echo=raw)
@@ -280,15 +282,11 @@ def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
     if train.d != 2:
         raise DataError(f"surfaces need a 2-D dataset, got {train.d} features")
     grid = grid_2d(cfg.grid_bounds, cfg.grid_resolution)
-    if cfg.settings.standardize:
-        scaler = fit_scaler(train)
-        train, val = apply_scaler(scaler, train), apply_scaler(scaler, val)
-        grid_in = (grid - scaler.mean) / scaler.std
-    else:
-        grid_in = grid
+    train, val, grid_in = _scaled(cfg.settings, train, val,
+                                  Dataset(grid, np.zeros(len(grid)), train.feature_names))
     records: Records = {}
     for fitted in train_methods(cfg.methods, train, val, cfg.settings, rng, paired=True):
-        surfaces = toy_surfaces(fitted, grid_in)
+        surfaces = toy_surfaces(fitted, grid_in.features)
         tables[(fitted.name, rng.seed)] = (["x1", "x2", *surfaces],
                                            np.column_stack([grid, *surfaces.values()]))
         records[(fitted.name, "grid", "n_points")] = float(grid.shape[0])

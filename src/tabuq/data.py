@@ -30,15 +30,17 @@ class Dataset:
 
     def __post_init__(self):
         features = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
+        labels = np.asarray(self.labels)
         if features.ndim != 2:
             raise ShapeError(f"features must be 2-D, got ndim={features.ndim}")
         if labels.shape != (features.shape[0],):
             raise ShapeError(
                 f"labels shape {labels.shape} does not match {features.shape[0]} rows")
+        # Checked before the cast, which would truncate a label of 0.3 to 0.
         if labels.size and not np.isin(labels, (0, 1)).all():
-            bad = labels[~np.isin(labels, (0, 1))][0]
-            raise DataError(f"labels must be 0 or 1, found {bad}")
+            bad = labels[~np.isin(labels, (0, 1))].tolist()[0]
+            raise DataError(f"labels must be 0 or 1, found {bad!r}")
+        labels = labels.astype(np.int64, copy=False)
         names = tuple(self.feature_names)
         if len(names) != features.shape[1]:
             raise ShapeError(

@@ -41,6 +41,9 @@ MLP_METHODS = METHODS[:3]
 DEFAULT_FRACTIONS = (0.50, 0.55, 0.60, 0.65, 0.70, 0.75,
                      0.80, 0.85, 0.90, 0.95, 1.00)
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
+DEFAULT_SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
+DEFAULT_FACTORS = (10, 1000)
+DEFAULT_N_CORRUPT_FEATURES = 30
 # train_methods fits the VAE on a worker thread, beside the seed's train_mlp
 # call, when min(vae batch, train rows) * latent reaches this and the MLP step
 # (networks * min(batch, train rows) * widest hidden layer) reaches
@@ -240,6 +243,8 @@ def confidence_performance(probability: np.ndarray, uncertainty: np.ndarray,
         raise DataError("cannot compute a curve over an empty prediction set")
     if not ((probability >= 0.0) & (probability <= 1.0)).all():
         raise ParameterError("probabilities must lie in [0, 1]")
+    if np.isnan(uncertainty).any():
+        raise ParameterError("uncertainties must not be NaN")
     if len(set(label.tolist())) < 2:
         raise UndefinedMetricError("confidence-performance needs both classes present")
     order = np.argsort(uncertainty, kind="mergesort")
@@ -296,7 +301,7 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
 
 
 def ood_experiment(data: Dataset, tag: str, methods, settings: MethodSettings,
-                   rng: SeededRng, split_fractions=(0.6, 0.2, 0.2)) -> Records:
+                   rng: SeededRng, split_fractions=DEFAULT_SPLIT_FRACTIONS) -> Records:
     """Group-holdout OOD detection, every method on the same rows.
 
     The tagged rows are excluded, the rest is split once on rng/split, and
@@ -328,7 +333,8 @@ def ood_experiment(data: Dataset, tag: str, methods, settings: MethodSettings,
 
 
 def corruption_experiment(methods, test: Dataset, rng: SeededRng,
-                          factors=(10, 1000), n_features: int = 30) -> Records:
+                          factors=DEFAULT_FACTORS,
+                          n_features: int = DEFAULT_N_CORRUPT_FEATURES) -> Records:
     """Single-feature corruption detection for already-trained methods.
 
     Samples min(n_features, D) feature columns without replacement, corrupts

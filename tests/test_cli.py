@@ -51,6 +51,8 @@ class TestParseConfig:
         assert cfg.settings.logistic_c == pytest.approx(1e-2)
         assert cfg.settings.vae.latent_dim == 500
         assert cfg.settings.standardize is True
+        assert cfg.split_fractions == (0.6, 0.2, 0.2)
+        assert cfg.factors == (10, 1000) and cfg.n_corrupt_features == 30
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="n_esembles"):
@@ -633,6 +635,18 @@ class TestSurfaces:
         text = (surf_out / "results.csv").read_text()
         assert "surfaces,bootstrap-lr,0,grid,n_points,25.0" in text
         assert "surfaces,vae,0,grid,novelty_mean," in text
+
+    def test_three_feature_csv_exits_2_writing_nothing(self, tmp_path, capsys):
+        data = tmp_path / "wide.csv"
+        data.write_text("a,b,c,label\n" + "".join(f"{i},{i % 3},{i % 5},{i % 2}\n"
+                                                  for i in range(20)))
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
+                                      "experiment": "surfaces",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 2
+        assert capsys.readouterr().err == (
+            "data error: seed 0: surfaces need a 2-D dataset, got 3 features\n")
+        assert not (tmp_path / "out").exists()
 
 
 class TestMain:

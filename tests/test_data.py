@@ -22,6 +22,18 @@ class TestDataset:
         with pytest.raises(DataError, match="2"):
             make_dataset([[1.0], [2.0]], [0, 2])
 
+    @pytest.mark.parametrize("labels, found", [([0.3, 0.9, 1.0], r"0\.3"), (["0", "1", "1"], "'0'")],
+                             ids=["fraction", "string"])
+    def test_rejects_labels_before_casting_them(self, labels, found):
+        with pytest.raises(DataError, match=f"^labels must be 0 or 1, found {found}$"):
+            Dataset(np.zeros((3, 1)), labels, ("a",))
+
+    @pytest.mark.parametrize("labels", [[True, False, True], [1, 0, 1], [1.0, 0.0, 1.0]],
+                             ids=["bool", "int", "float"])
+    def test_accepts_zero_one_labels_of_any_dtype(self, labels):
+        d = Dataset(np.zeros((3, 1)), labels, ("a",))
+        assert d.labels.dtype == np.int64 and d.labels.tolist() == [1, 0, 1]
+
     def test_rejects_label_shape_mismatch(self):
         with pytest.raises(ShapeError):
             make_dataset([[1.0], [2.0]], [0, 1, 1])

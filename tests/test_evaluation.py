@@ -21,7 +21,6 @@ from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError, Tr
                           UndefinedMetricError)
 from tabuq.metrics import auc_roc
 
-from conftest import make_dataset
 from oracles import fit_method_reference
 
 
@@ -37,6 +36,8 @@ class TestConfidencePerformance:
     def test_nan_probability_rejected(self):
         with pytest.raises(ParameterError):
             confidence_performance([math.nan, 0.5], [0.1, 0.2], [1, 0])
+        with pytest.raises(ParameterError, match="uncertainties must not be NaN"):
+            confidence_performance([0.2, 0.8, 0.6, 0.3], [math.nan, 0.1, 0.2, 0.3], [0, 1, 1, 0])
 
     def test_full_fraction_equals_full_set_metrics(self):
         rng = SeededRng(0)

@@ -1,0 +1,39 @@
+"""No module imports a name it never uses.
+
+No linter is installed, so this reads each file's syntax tree: every name an
+import binds must be read as a name somewhere in the same file. The package's
+__init__.py is skipped, because its imports are the public names it exports.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(path for folder in ("src/tabuq", "scripts", "tests")
+               for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """The names source imports and never reads, with their line numbers."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in read]
+
+
+def test_the_check_finds_an_unused_import():
+    source = "import os\nimport a.b\nfrom c import d, e as f\nfrom __future__ import annotations\nos, a, f\n"
+    assert unused_imports(source) == ["line 3: d"]
+
+
+@pytest.mark.parametrize("path", FILES, ids=lambda p: p.relative_to(ROOT).as_posix())
+def test_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

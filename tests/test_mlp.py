@@ -17,7 +17,7 @@ from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
 from tabuq.mlp import _layer_masks, _make_masks, init_mlp
 from tabuq.numeric import flatten
 
-from conftest import check_step_buffers, make_dataset
+from conftest import check_step_buffers
 from oracles import dropout_masks, finite_difference_gradient, mc_dropout_reference
 
 
@@ -250,6 +250,14 @@ class TestTrainMlp:
         X[0, 0] = np.nan
         with pytest.raises(TrainingError, match="epoch"):
             train_mlp(train.with_features(X), val, TrainConfig.toy(),
+                      [SeededRng(0)])
+
+    def test_nan_validation_feature_with_patience_raises_training_error(self, toy_balanced):
+        train, val, _ = toy_balanced
+        X = val.features.copy()
+        X[0, 1] = np.nan
+        with pytest.raises(TrainingError, match=r"^non-finite validation loss at epoch 0$"):
+            train_mlp(train, val.with_features(X), TrainConfig(hidden=(5,), patience=2),
                       [SeededRng(0)])
 
     def test_best_snapshot_no_worse_than_final_epoch(self):

@@ -377,6 +377,20 @@ OUTPUT_DIGESTS = {
         "a726e8926f872f656cf63f7fbe2500083c86857d1de7876a2bcf3ca2efc76404",
     "ood/results.json":
         "85d0d933aabe98e52c4a5a7ee730e8904bc371f84e7ab686393b70b8ad725975",
+    "surfaces-scaled/results.csv":
+        "4542aca6aafd0252fdb044516565c985d4c01b6263cb0cda511226bf6bbb00a8",
+    "surfaces-scaled/results.json":
+        "03664103244c75c24182ba687cbb691fcd9c58fe71582c1f58c99d554880bac2",
+    "surfaces-scaled/surfaces_bootstrap-lr_seed0.csv":
+        "f1479535b9d7428402b5dcd831fdc472b0e1fe3a85e9c4e431faa548cb6c8f5b",
+    "surfaces-scaled/surfaces_mc-dropout_seed0.csv":
+        "1c3594edc2c34fa6f50d333cc4f732556383c588c2446689e878310b8830eb6f",
+    "surfaces-scaled/surfaces_nn-ensemble_seed0.csv":
+        "401cc9b0447a58a0bee39c06b3c346804c319329c1e83e88ba9cbbe7b09227cd",
+    "surfaces-scaled/surfaces_single-nn_seed0.csv":
+        "5c9f6c08148b0eed1d25d845c0626d0a6479707c7def387e30eca4e1a1549be9",
+    "surfaces-scaled/surfaces_vae_seed0.csv":
+        "167c98db79c6df5e120d61e13cb589a5b4bbeb07915e32ddc67e87ad1b1d1d57",
 }
 
 OUTPUT_SCRIPT = """
@@ -406,6 +420,7 @@ RUNS = {
                  "grid_resolution": 5, "toy_n_train": 100, "logistic_c": 1.0},
     "ood": {"dataset": "csv:groups.csv", "experiment": "ood:held", "seeds": [0, 1]},
 }
+RUNS["surfaces-scaled"] = {**RUNS["surfaces"], "standardize": True}  # scales the grid too
 for name, extra in RUNS.items():
     Path(f"{name}.json").write_text(json.dumps({**SMALL, **extra, "out_dir": name}))
     assert run(f"{name}.json", quiet=True) == 0, name
@@ -472,6 +487,17 @@ def test_minimize_gd_respects_iteration_cap():
                                   max_iter=5)
     assert iters == 5
     assert gnorm > 0.0
+
+
+def test_minimize_gd_without_a_descent_direction_returns_x0():
+    # NaN everywhere off x0 fails every Armijo check, so the line search
+    # halves the step below its floor and gives up in the first iteration.
+    def f_and_grad(x):
+        return (math.nan if x.any() else 0.0), np.array([3.0, 4.0])
+
+    x, gnorm, iters = minimize_gd(f_and_grad, np.zeros(2))
+    np.testing.assert_array_equal(x, np.zeros(2))
+    assert (gnorm, iters) == (5.0, 1)
 
 
 def test_minimize_gd_monotone_under_armijo():
