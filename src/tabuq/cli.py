@@ -196,34 +196,33 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     mlp, vae = preset.mlp, preset.vae
     hidden = _as_list(raw.get("hidden", list(mlp.hidden)), "hidden")
     patience = raw.get("patience", mlp.patience)
-    logistic_c = raw.get("logistic_c", preset.logistic_c)
-    try:
-        mlp_cfg = TrainConfig(
-            hidden=tuple(_as_int(h, "hidden", 1) for h in hidden),
-            dropout_rate=_as_number(raw.get("dropout_rate", mlp.dropout_rate), "dropout_rate",
-                                    lambda v: 0 <= v < 1, "in [0, 1)"),
-            lr=_as_number(raw.get("lr", mlp.lr), "lr", _positive, "positive and finite"),
-            batch_size=_as_int(raw.get("batch_size", mlp.batch_size), "batch_size", 1),
-            max_epochs=_as_int(raw.get("max_epochs", mlp.max_epochs), "max_epochs", 1),
-            patience=None if patience is None else _as_int(patience, "patience", 1))
-        vae_cfg = VaeConfig(
-            latent_dim=_as_int(raw.get("vae_latent", vae.latent_dim), "vae_latent", 1),
-            batch_size=_as_int(raw.get("vae_batch_size", vae.batch_size), "vae_batch_size", 1),
-            epochs=_as_int(raw.get("vae_epochs", vae.epochs), "vae_epochs", 1),
-            lr=_as_number(raw.get("vae_lr", vae.lr), "vae_lr", _positive, "positive and finite"),
-            samples=_as_int(raw.get("vae_samples", vae.samples), "vae_samples", 1))
-        settings = MethodSettings(
-            mlp=mlp_cfg, vae=vae_cfg,
-            ensemble_size=_as_int(raw.get("ensemble_size", preset.ensemble_size),
-                                  "ensemble_size", 1),
-            mc_passes=_as_int(raw.get("mc_passes", preset.mc_passes), "mc_passes", 1),
-            logistic_c=(math.inf if logistic_c is None else _as_number(
-                logistic_c, "logistic_c", lambda v: v > 0, "positive")),
-            class_weighting=_as_bool(raw.get("class_weighting", preset.class_weighting),
-                                     "class_weighting"),
-            standardize=_as_bool(raw.get("standardize", preset.standardize), "standardize"))
-    except ParameterError as e:
-        raise ConfigError(str(e)) from e
+    # A config says "no penalty" as null, the toy preset as math.inf.
+    logistic_c = raw.get("logistic_c",
+                         None if preset.logistic_c == math.inf else preset.logistic_c)
+    mlp_cfg = TrainConfig(
+        hidden=tuple(_as_int(h, "hidden", 1) for h in hidden),
+        dropout_rate=_as_number(raw.get("dropout_rate", mlp.dropout_rate), "dropout_rate",
+                                lambda v: 0 <= v < 1, "in [0, 1)"),
+        lr=_as_number(raw.get("lr", mlp.lr), "lr", _positive, "positive and finite"),
+        batch_size=_as_int(raw.get("batch_size", mlp.batch_size), "batch_size", 1),
+        max_epochs=_as_int(raw.get("max_epochs", mlp.max_epochs), "max_epochs", 1),
+        patience=None if patience is None else _as_int(patience, "patience", 1))
+    vae_cfg = VaeConfig(
+        latent_dim=_as_int(raw.get("vae_latent", vae.latent_dim), "vae_latent", 1),
+        batch_size=_as_int(raw.get("vae_batch_size", vae.batch_size), "vae_batch_size", 1),
+        epochs=_as_int(raw.get("vae_epochs", vae.epochs), "vae_epochs", 1),
+        lr=_as_number(raw.get("vae_lr", vae.lr), "vae_lr", _positive, "positive and finite"),
+        samples=_as_int(raw.get("vae_samples", vae.samples), "vae_samples", 1))
+    settings = MethodSettings(
+        mlp=mlp_cfg, vae=vae_cfg,
+        ensemble_size=_as_int(raw.get("ensemble_size", preset.ensemble_size),
+                              "ensemble_size", 1),
+        mc_passes=_as_int(raw.get("mc_passes", preset.mc_passes), "mc_passes", 1),
+        logistic_c=(math.inf if logistic_c is None else _as_number(
+            logistic_c, "logistic_c", _positive, "null or positive and finite")),
+        class_weighting=_as_bool(raw.get("class_weighting", preset.class_weighting),
+                                 "class_weighting"),
+        standardize=_as_bool(raw.get("standardize", preset.standardize), "standardize"))
 
     fracs = raw.get("split_fractions", list(DEFAULT_SPLIT_FRACTIONS))
     if not isinstance(fracs, list) or len(fracs) != 3:
@@ -334,12 +333,18 @@ def format_value(value) -> str:
 
 
 def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) -> None:
+    labelled = [*zip(sweep.seeds, sweep.per_seed), ("mean", sweep.mean), ("std", sweep.std)]
+    # results.json is strict JSON, which has no NaN or infinity.
+    for seed, records in labelled:
+        for (method, context, metric), value in records.items():
+            if value is not None and not math.isfinite(value):
+                raise DataError(f"seed {seed}: method {method!r}, context {context!r}, "
+                                f"metric {metric!r} is {value!r}, which JSON cannot hold")
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     # csv.writer quotes a field holding a comma or a quote, such as a context
     # that names a feature "x,1"; every other field is written as is.
-    labelled = [*zip(sweep.seeds, sweep.per_seed), ("mean", sweep.mean), ("std", sweep.std)]
     with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER.split(","))

@@ -13,9 +13,9 @@ keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
 trains a seed's methods, each on rng/<method>; it fits all their networks in
 one stacked train_mlp call, each on the stream its method would fit it on,
-and the VAE beside that call on a worker thread when both fits' steps are
-large. Large MC-dropout calls split their passes over the same kind of
-worker (numeric.beside_worker); threads change no bits.
+and the VAE beside that call on a worker thread when the smaller of the two
+fits' steps reaches numeric.WORKER_MIN. Large MC-dropout calls split their
+passes over the same worker (numeric.beside_worker); threads change no bits.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .ensemble import ensemble_predict
 from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
 from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
-from .mlp import MC_SPLIT_MIN, MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
+from .mlp import MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
 from .numeric import beside_worker
 from .rng import SeededRng
 from .vae import VaeConfig, VaeModel, train_vae, vae_novelty_score
@@ -44,19 +44,6 @@ DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 DEFAULT_SPLIT_FRACTIONS = (0.6, 0.2, 0.2)
 DEFAULT_FACTORS = (10, 1000)
 DEFAULT_N_CORRUPT_FEATURES = 30
-# train_methods fits the VAE on a worker thread, beside the seed's train_mlp
-# call, when min(vae batch, train rows) * latent reaches this and the MLP step
-# (networks * min(batch, train rows) * widest hidden layer) reaches
-# mlp.MC_SPLIT_MIN; smaller steps run mostly in Python and only contend for
-# the GIL. Measured crossover, one BLAS thread on two cores, beside the MLP
-# fit of a 10k-row CSV (5 epochs): mixed at 8,192 (8 of 14 alternating pairs
-# won), -4% at 16,384 (13 of 15; an earlier 9 pairs read +2%), -5% at 24,576
-# (15 of 15) and -40% at the CSV defaults' 128,000. Beside the toy MLP fit
-# (MLP step 8 * 8 * 5 = 320) it ran 11-41% slower at VAE steps of 12,800 to
-# 102,400. Toy data stays below both gates; the CSV workloads' MLP step is
-# 7-8 * 256 * 100, at least 179,200.
-VAE_OVERLAP_MIN = 16_384
-
 RecordKey = tuple[str, str, str]
 Records = dict[RecordKey, "float | None"]
 
@@ -184,11 +171,14 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     paired, the VAE, which has no classifier of its own, takes the
     probabilities of a single NN trained on rng.split("vae-classifier").
 
-    The VAE trains on rng/vae/model. When the VAE and MLP steps are both
-    large (see VAE_OVERLAP_MIN), it trains on a worker thread during the
-    train_mlp call, which is joined before any method is built; otherwise at
-    its place in the order. Either way it has the same bits, a train_mlp
-    error wins over a VAE error, and a VAE error is raised at the VAE's place.
+    The VAE trains on rng/vae/model. numeric.beside_worker's step is the
+    smaller of the VAE step, min(vae batch, train rows) * latent, and the MLP
+    step, networks * min(batch, train rows) * widest hidden layer (0 without
+    a VAE). At or above numeric.WORKER_MIN the VAE trains on a worker thread
+    during the train_mlp call, which is joined before any method is built;
+    otherwise at its place in the order. Either way it has the same bits, a
+    train_mlp error wins over a VAE error, and a VAE error is raised at the
+    VAE's place.
     """
     jobs = [(name, rng.split(name)) for name in names]
     vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
@@ -207,10 +197,8 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
 
     vae_step = min(settings.vae.batch_size, train.n) * settings.vae.latent_dim
     mlp_step = len(everyone) * min(settings.mlp.batch_size, train.n) * max(settings.mlp.hidden)
-    if vae_rng is not None and vae_step >= VAE_OVERLAP_MIN and mlp_step >= MC_SPLIT_MIN:
-        networks, fit_vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae")
-    else:
-        networks = fit_mlps()
+    networks, fit_vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae",
+                                      min(vae_step, mlp_step) if vae_rng is not None else 0)
     networks = iter(networks)
     fitted = [train_method(name, train, settings, method_rng,
                            (fit_vae(),) if name == "vae" else tuple(next(networks) for _ in group))

@@ -7,11 +7,11 @@ vectors as one network of (M, in, out) weights. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
 MC dropout's passes run through the training step's _forward. A train_mlp call
 owns one dict of name-keyed step buffers (numeric.step_buffer), and an
-mc_dropout_predict call one per thread it runs passes on, freed when it
+mc_dropout_predict call one per thread it may run passes on, freed when it
 returns; _forward and the step allocate afresh when given none.
 Large MC-dropout calls split their passes between the calling thread and one
-worker thread (MC_SPLIT_MIN); each pass writes its own row, with the bits of
-the one-thread loop.
+worker thread (numeric.WORKER_MIN); each pass writes its own row, with the
+bits of the one-thread loop.
 """
 
 from __future__ import annotations
@@ -29,15 +29,6 @@ from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
 PROB_CLAMP = 1e-15
-# mc_dropout_predict splits its passes between two threads when scored rows *
-# widest hidden layer reaches this; below it a pass is mostly Python and the
-# threads only contend for the GIL. Median time of 100 passes on two threads
-# against one, 15 alternating pairs, one BLAS thread on two cores: 12,500
-# (2,500 rows x [5], the toy grid) 2.11x, 40,000 (2,000 x [20, 20]) 1.29x,
-# 30,000 (300 x [100, 100]) 1.19x, 70,000 (700 x [100, 100]) 0.75x, 100,000
-# (1,000 x [100]) 0.80-0.99x, 100,000 (1,000 x [100, 100]) 0.69x and 200,000
-# (2,000 x [100, 100], the CSV workloads) 0.58x.
-MC_SPLIT_MIN = 65_536
 
 
 @dataclass(frozen=True)
@@ -290,9 +281,9 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     the same bits. Layer 0's relu(X @ W + b) is computed once per call; each
     pass masks it into a step buffer and runs _forward on the network's
     tail, in the step buffers of its thread's dict, writing its own row of
-    passes. When T > 2 and rows * widest hidden layer reach MC_SPLIT_MIN,
-    passes 0 and 1 fill the two dicts on the calling thread, and the rest are
-    split between it and one worker thread (numeric.beside_worker).
+    passes. Passes 0 and 1 fill the two dicts on the calling thread; the rest
+    are split between it and one worker thread by numeric.beside_worker, with
+    rows * widest hidden layer as the step (0 when T <= 2).
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
@@ -309,15 +300,13 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
             h *= 1.0 / (1.0 - model.dropout_rate)
             passes[t] = _forward(tail, h, keep[1:], buf)[0].ravel()
 
+    # Passes 0 and 1 allocate both dicts here: buffers first allocated on
+    # the worker would stay in its malloc arena and lift the peak RSS.
     buf, worker_buf = {}, {}
-    if T > 2 and n * max(w.shape[-1] for w in model.weights[:-1]) >= MC_SPLIT_MIN:
-        # Passes 0 and 1 allocate both dicts here: buffers first allocated on
-        # the worker would stay in its malloc arena and lift the peak RSS.
-        run([0], buf)
-        run([1], worker_buf)
-        mid = (T + 2) // 2
-        beside_worker(lambda: run(range(mid, T), worker_buf), lambda: run(range(2, mid), buf),
-                      "tabuq-mc-dropout")[1]()
-    else:
-        run(range(T), buf)
+    run([0], buf)
+    run(range(1, min(T, 2)), worker_buf)
+    mid = (T + 2) // 2
+    step = n * max(w.shape[-1] for w in model.weights[:-1]) if T > 2 else 0
+    beside_worker(lambda: run(range(mid, T), worker_buf), lambda: run(range(2, mid), buf),
+                  "tabuq-mc-dropout", step)[1]()
     return anchored_mean(np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes), axis=0)

@@ -49,6 +49,17 @@ def sigmoid_reference(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def pair_counting_auc(scores, labels) -> float:
+    """O(n^2) AUC: the share of (positive, negative) pairs ranked correctly,
+    ties counting 1/2. Each count is an integer, so the result is exact."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels)
+    pos = scores[labels == 1][:, None]
+    neg = scores[labels == 0][None, :]
+    wins = float((pos > neg).sum()) + 0.5 * float((pos == neg).sum())
+    return wins / (pos.size * neg.size)
+
+
 def kl_to_standard_normal(e_mu: np.ndarray, e_lv: np.ndarray) -> np.ndarray:
     """Closed-form per-row KL(q(z|x) || N(0, I)) for diagonal Gaussians, as
     vae_loss_and_grads computes it in its step buffers."""

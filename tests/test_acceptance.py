@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 
 from conftest import ACCEPTANCE_LINES
-from oracles import dropout_masks, finite_difference_gradient, fit_method_reference, vae_loss
+from oracles import (dropout_masks, finite_difference_gradient, fit_method_reference,
+                     pair_counting_auc, vae_loss)
 
 from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, VaeConfig, auc_roc,
                    binary_entropy, ece, generate_toy, mlp_loss, mlp_loss_and_grads,
@@ -87,13 +88,6 @@ def test_criterion_1_gradient_correctness():
                   f"{worst:.1e} (tol 1e-4), {elapsed:.1f}s (budget 30s)")
     assert worst <= GRAD_TOL
     assert elapsed < 30.0
-
-
-def pair_counting_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    pos = scores[labels == 1][:, None]
-    neg = scores[labels == 0][None, :]
-    wins = float((pos > neg).sum()) + 0.5 * float((pos == neg).sum())
-    return wins / (pos.size * neg.size)
 
 
 def test_criterion_2_metric_oracles():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabuq import __version__, evaluation
+from tabuq import __version__, evaluation, numeric
 from tabuq.cli import CSV_HEADER, KNOWN_KEYS, format_value, main, parse_config, run
 from tabuq.errors import ConfigError
 
@@ -311,17 +311,17 @@ class TestRun:
 
     def test_vae_error_beside_the_mlp_fit_exits_3_as_in_order(self, tmp_path, capsys,
                                                               monkeypatch):
-        # Above the gates the VAE fits on a worker thread while the MLP fit
+        # Above the gate the VAE fits on a worker thread while the MLP fit
         # runs; its error must reach the exit code and message of a fit in order.
-        # The single NN and the VAE's classifier, at batch 16, reach the MLP gate.
+        # The single NN and the VAE's classifier, at batch 16, reach the gate.
         data = tmp_path / "plain.csv"
         rows = ["a,b,label"] + [f"{i},{i % 3},{i % 2}" for i in range(100)]
         data.write_text("\n".join(rows) + "\n")
         cfg = write_config(tmp_path, {
             "dataset": f"csv:{data}", "experiment": "curve",
             "methods": ["single-nn", "vae"], "seeds": [0], "fractions": [1.0],
-            "hidden": [-(-evaluation.MC_SPLIT_MIN // 32)], "max_epochs": 2, "batch_size": 16,
-            "vae_latent": -(-evaluation.VAE_OVERLAP_MIN // 50), "vae_epochs": 2,
+            "hidden": [-(-numeric.WORKER_MIN // 32)], "max_epochs": 2, "batch_size": 16,
+            "vae_latent": -(-numeric.WORKER_MIN // 50), "vae_epochs": 2,
             "vae_lr": 1e300, "out_dir": str(tmp_path / "out")})
         on_worker = []
         real = evaluation.train_vae
@@ -332,8 +332,8 @@ class TestRun:
 
         monkeypatch.setattr(evaluation, "train_vae", recorded)
         errors = []
-        for gate in (evaluation.VAE_OVERLAP_MIN, math.inf):
-            monkeypatch.setattr(evaluation, "VAE_OVERLAP_MIN", gate)
+        for gate in (numeric.WORKER_MIN, math.inf):
+            monkeypatch.setattr(numeric, "WORKER_MIN", gate)
             threads = threading.active_count()
             with np.errstate(all="ignore"):
                 assert run(cfg, quiet=True) == 3
@@ -393,6 +393,30 @@ class TestRun:
         assert run(cfg, quiet=True) == 1
         err = capsys.readouterr().err
         assert err.startswith("config error") and repr(key) in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("literal", ["1e400", "-1e400", "Infinity", "NaN", "0"])
+    def test_logistic_c_must_be_null_or_positive_and_finite(self, tmp_path, capsys, literal):
+        # json reads 1e400 as inf, which results.json would echo as Infinity.
+        cfg = write_config(tmp_path, {**FAST, "out_dir": str(tmp_path / "out")})
+        cfg.write_text(cfg.read_text().replace('"logistic_c": 1.0', f'"logistic_c": {literal}'))
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: key 'logistic_c' must be null or positive and finite, got ")
+        assert not (tmp_path / "out").exists()
+
+    def test_non_finite_record_exits_2_writing_nothing(self, tmp_path, capsys):
+        # A grid at +-1e300 sends the VAE's novelty to inf, and its std over
+        # the two seeds to NaN; strict JSON holds neither.
+        cfg = write_config(tmp_path, {
+            "dataset": "toy-balanced", "experiment": "surfaces", "methods": ["vae"],
+            "seeds": [0, 1], "grid_bounds": [[-1e300, 1e300], [-1e300, 1e300]],
+            "grid_resolution": 3, "out_dir": str(tmp_path / "out")})
+        with np.errstate(all="ignore"):
+            assert run(cfg, quiet=True) == 2
+        assert capsys.readouterr().err == (
+            "data error: seed 0: method 'vae', context 'grid', metric 'novelty_mean' is inf, "
+            "which JSON cannot hold\n")
         assert not (tmp_path / "out").exists()
 
     def test_ood_run_scores_every_method_on_a_held_group(self, tmp_path):

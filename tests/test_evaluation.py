@@ -16,7 +16,7 @@ from tabuq import (METHODS, MethodSettings, SeededRng, ToyConfig, TrainConfig,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
                    predict_mlp, seed_sweep, toy_surfaces, train_methods, train_mlp)
 from tabuq.data import Dataset, exclude_group, split
-from tabuq import evaluation
+from tabuq import evaluation, numeric
 from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError, TrainingError,
                           UndefinedMetricError)
 from tabuq.metrics import auc_roc
@@ -284,17 +284,18 @@ class TestSharedFit:
 OVERLAP_SCRIPT = """
 import dataclasses, hashlib, math, threading
 import tabuq.evaluation as evaluation
+import tabuq.numeric as numeric
 from tabuq import METHODS, MethodSettings, SeededRng, TrainConfig, generate_synthetic, split
 
 train, val, test = split(generate_synthetic(SeededRng(3), n=1000), (0.6, 0.2, 0.2), SeededRng(4))
 st = dataclasses.replace(MethodSettings(mlp=TrainConfig(max_epochs=2)), mc_passes=10)
 st = dataclasses.replace(st, vae=dataclasses.replace(st.vae, epochs=2))
-assert min(st.vae.batch_size, train.n) * st.vae.latent_dim >= evaluation.VAE_OVERLAP_MIN
+assert min(st.vae.batch_size, train.n) * st.vae.latent_dim >= numeric.WORKER_MIN
 threads = []
 real = evaluation.train_vae
 evaluation.train_vae = lambda *a: threads.append(threading.current_thread().name) or real(*a)
-for gate in (evaluation.VAE_OVERLAP_MIN, math.inf):
-    evaluation.VAE_OVERLAP_MIN = gate
+for gate in (numeric.WORKER_MIN, math.inf):
+    numeric.WORKER_MIN = gate
     h = hashlib.sha256()
     for fitted in evaluation.train_methods(METHODS, train, val, st, SeededRng(5), paired=True):
         for scores in fitted.score(test.features):
@@ -304,17 +305,17 @@ for gate in (evaluation.VAE_OVERLAP_MIN, math.inf):
 
 
 class TestOverlappedVaeFit:
-    """Above VAE_OVERLAP_MIN, train_methods fits the VAE on a worker thread
+    """Above numeric.WORKER_MIN, train_methods fits the VAE on a worker thread
     during the train_mlp call, with the bits of a fit at its place in order."""
 
     @staticmethod
     def settings(train: Dataset) -> MethodSettings:
-        # The smallest latent whose steps reach the VAE gate, and a full-batch
-        # MLP whose hidden layer is wide enough for one network to reach the MLP gate.
+        # The smallest latent whose VAE step reaches the gate, and a full-batch
+        # MLP whose hidden layer is wide enough for one network's step to reach it.
         st = MethodSettings.toy()
-        latent = -(-evaluation.VAE_OVERLAP_MIN // min(st.vae.batch_size, train.n))
+        latent = -(-numeric.WORKER_MIN // min(st.vae.batch_size, train.n))
         mlp = dataclasses.replace(st.mlp, batch_size=train.n,
-                                  hidden=(-(-evaluation.MC_SPLIT_MIN // train.n),))
+                                  hidden=(-(-numeric.WORKER_MIN // train.n),))
         return dataclasses.replace(st, mlp=mlp,
                                    vae=dataclasses.replace(st.vae, latent_dim=latent))
 
@@ -345,7 +346,7 @@ class TestOverlappedVaeFit:
         threads = threading.active_count()
         overlapped = train_methods(METHODS, train, val, st, rng, paired)
         assert threading.active_count() == threads
-        monkeypatch.setattr(evaluation, "VAE_OVERLAP_MIN", math.inf)
+        monkeypatch.setattr(numeric, "WORKER_MIN", math.inf)
         in_order = train_methods(METHODS, train, val, st, rng, paired)
         (worker, a), (caller, b) = fits
         assert worker and not caller
@@ -373,22 +374,22 @@ class TestOverlappedVaeFit:
         fits = self.record_vae_fits(monkeypatch)
         train, val, _ = toy_world
         st = MethodSettings.toy()
-        assert min(st.vae.batch_size, train.n) * st.vae.latent_dim < evaluation.VAE_OVERLAP_MIN
+        assert min(st.vae.batch_size, train.n) * st.vae.latent_dim < numeric.WORKER_MIN
         train_methods(names, train, val, st, SeededRng(41), paired)
         train_methods(["vae", "bootstrap-lr"], train, val, self.settings(train), SeededRng(41))
         assert [worker for worker, _ in fits] == [False, False]
 
     def test_large_vae_beside_the_toy_mlp_fits_in_order(self, toy_world, monkeypatch):
         # A Python-bound toy MLP fit (200 rows, batch 8, hidden 5) beside a VAE
-        # whose steps reach VAE_OVERLAP_MIN: overlapping them only made both slower.
+        # whose steps reach numeric.WORKER_MIN: overlapping them only made both slower.
         fits = self.record_vae_fits(monkeypatch)
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         train, val, _ = toy_world
         st = MethodSettings.toy()
-        st = dataclasses.replace(st, vae=dataclasses.replace(st.vae, latent_dim=82))
+        st = dataclasses.replace(st, vae=dataclasses.replace(st.vae, latent_dim=328))
         assert (train.n, st.mlp.batch_size, st.mlp.hidden) == (200, 8, (5,))
-        assert min(st.vae.batch_size, train.n) * 82 >= evaluation.VAE_OVERLAP_MIN
+        assert min(st.vae.batch_size, train.n) * 328 >= numeric.WORKER_MIN
         train_methods(METHODS, train, val, st, SeededRng(44), paired=True)
         assert [worker for worker, _ in fits] == [False]
         assert started == []

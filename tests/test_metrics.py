@@ -10,17 +10,7 @@ from tabuq import (SeededRng, auc_roc, binary_entropy, ece, minimize_gd, platt_a
 from tabuq.errors import ParameterError, UndefinedMetricError
 from tabuq.metrics import PlattParams, _logit, midranks
 
-from oracles import platt_objective_reference
-
-
-def pair_counting_auc(scores, labels):
-    """O(n^2) oracle: fraction of (pos, neg) pairs ranked correctly, ties 1/2."""
-    scores = np.asarray(scores, dtype=np.float64)
-    labels = np.asarray(labels)
-    pos = scores[labels == 1]
-    neg = scores[labels == 0]
-    wins = sum((p > n) + 0.5 * (p == n) for p in pos for n in neg)
-    return float(wins) / (len(pos) * len(neg))
+from oracles import pair_counting_auc, platt_objective_reference
 
 
 class TestBinaryEntropy:

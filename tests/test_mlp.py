@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tabuq.mlp
+import tabuq.numeric
 from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
@@ -328,9 +329,9 @@ class TestMcDropout:
                                                       gate):
         # A first call and a repeat call on the same rows and stream path
         # give the reference's bits, as the corrupted copies of a test set
-        # meet the clean copy's masks, with MC_SPLIT_MIN forced shut (inf: the
+        # meet the clean copy's masks, with numeric.WORKER_MIN forced shut (inf: the
         # calling thread alone) and forced open (0: passes split over two threads).
-        monkeypatch.setattr(tabuq.mlp, "MC_SPLIT_MIN", gate)
+        monkeypatch.setattr(tabuq.numeric, "WORKER_MIN", gate)
         m = init_mlp(4, TrainConfig(hidden=hidden, dropout_rate=rate), SeededRng(10))
         for X in (SeededRng(11).normal((n, 4)), SeededRng(12).normal((n, 4), std=30.0)):
             expected = mc_dropout_reference(m, X, SeededRng(13), T)
@@ -341,16 +342,17 @@ class TestMcDropout:
 SPLIT_SCRIPT = """
 import hashlib, math, threading
 import tabuq.mlp as mlp
+import tabuq.numeric as numeric
 from tabuq import SeededRng, TrainConfig
 
 m = mlp.init_mlp(4, TrainConfig(hidden=(100, 100)), SeededRng(20))
 X = SeededRng(21).normal((2000, 4))
-assert 2000 * 100 >= mlp.MC_SPLIT_MIN
+assert 2000 * 100 >= numeric.WORKER_MIN
 real = mlp._forward
 names = set()
 mlp._forward = lambda *a: names.add(threading.current_thread().name) or real(*a)
-for gate in (mlp.MC_SPLIT_MIN, math.inf):
-    mlp.MC_SPLIT_MIN = gate
+for gate in (numeric.WORKER_MIN, math.inf):
+    numeric.WORKER_MIN = gate
     names.clear()
     h = hashlib.sha256(mlp.mc_dropout_predict(m, X, SeededRng(22), 20).tobytes()).hexdigest()
     print(",".join(sorted(names)), h)
@@ -362,12 +364,31 @@ class PassError(Exception):
 
 
 class TestMcDropoutWorker:
-    """Above MC_SPLIT_MIN the passes run on the calling thread and one worker."""
+    """Above numeric.WORKER_MIN the passes run on the calling thread and one worker."""
 
     @staticmethod
     def above_the_gate():
         m = init_mlp(4, TrainConfig(hidden=(100, 100)), SeededRng(20))
-        return m, SeededRng(21).normal((-(-tabuq.mlp.MC_SPLIT_MIN // 100), 4))
+        return m, SeededRng(21).normal((-(-tabuq.numeric.WORKER_MIN // 100), 4))
+
+    @pytest.mark.parametrize("T", [1, 2])
+    def test_two_passes_or_fewer_start_no_thread(self, monkeypatch, T):
+        m, X = self.above_the_gate()
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        np.testing.assert_array_equal(mc_dropout_predict(m, X, SeededRng(24), T),
+                                      mc_dropout_reference(m, X, SeededRng(24), T))
+        assert started == []
+
+    def test_the_toy_grid_starts_no_thread(self, monkeypatch):
+        # 2,500 rows x [5], the surfaces experiment's grid, is below the gate.
+        m = init_mlp(2, TrainConfig.toy(), SeededRng(25))
+        X = SeededRng(26).normal((2500, 2))
+        assert 2500 * 5 < tabuq.numeric.WORKER_MIN
+        started = []
+        monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+        mc_dropout_predict(m, X, SeededRng(27), 100)
+        assert started == []
 
     def test_worker_error_reaches_the_caller(self, monkeypatch):
         m, X = self.above_the_gate()
@@ -405,10 +426,10 @@ class TestMcDropoutWorker:
         # Three callers, each with its own worker, on two cores, switching as
         # often as the interpreter allows: every call still has its one-thread bits.
         m, X = self.above_the_gate()
-        gate = tabuq.mlp.MC_SPLIT_MIN
-        monkeypatch.setattr(tabuq.mlp, "MC_SPLIT_MIN", math.inf)
+        gate = tabuq.numeric.WORKER_MIN
+        monkeypatch.setattr(tabuq.numeric, "WORKER_MIN", math.inf)
         expected = [mc_dropout_predict(m, X, SeededRng(s), 12) for s in range(3)]
-        monkeypatch.setattr(tabuq.mlp, "MC_SPLIT_MIN", gate)
+        monkeypatch.setattr(tabuq.numeric, "WORKER_MIN", gate)
         got = [None] * 3
 
         def call(s):

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,8 @@ from tabuq import (AdamState, SeededRng, adam_step, anchored_mean, dropout_mask,
                    sigmoid, unflatten, vae_novelty_score)
 from tabuq.errors import ParameterError, ShapeError, TrainingError
 from tabuq.logistic import LogisticModel
-from tabuq.numeric import checked_inputs, keep_bits
+from tabuq import numeric
+from tabuq.numeric import beside_worker, checked_inputs, keep_bits
 
 from oracles import finite_difference_gradient, keep_bits_reference, sigmoid_reference
 
@@ -152,6 +154,27 @@ def test_every_model_refuses_a_wrong_width_with_one_message(toy_mlp, toy_vae):
                     lambda: predict_logistic(LogisticModel(np.zeros(2), 0.0), X)):
         with pytest.raises(ShapeError, match=re.escape("model expects (N, 2) inputs, got (4, 3)")):
             predict()
+
+
+class JobError(Exception):
+    pass
+
+
+def test_beside_worker_below_the_gate_runs_job_on_the_caller_when_asked(monkeypatch):
+    started, ran = [], []
+    monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
+
+    def job():
+        ran.append(("job", threading.current_thread() is threading.main_thread()))
+        raise JobError("job failed")
+
+    value, result = beside_worker(job, lambda: ran.append(("main", True)) or 7, "tabuq-test",
+                                  numeric.WORKER_MIN - 1)
+    assert value == 7 and ran == [("main", True)]
+    with pytest.raises(JobError, match="^job failed$"):
+        result()
+    assert ran == [("main", True), ("job", True)]
+    assert started == []
 
 
 def test_adam_zero_gradient_keeps_params():
@@ -421,9 +444,16 @@ RUNS = {
     "ood": {"dataset": "csv:groups.csv", "experiment": "ood:held", "seeds": [0, 1]},
 }
 RUNS["surfaces-scaled"] = {**RUNS["surfaces"], "standardize": True}  # scales the grid too
+
+
+def refuse(constant):
+    raise ValueError(f"results.json holds {constant}, which strict JSON does not")
+
+
 for name, extra in RUNS.items():
     Path(f"{name}.json").write_text(json.dumps({**SMALL, **extra, "out_dir": name}))
     assert run(f"{name}.json", quiet=True) == 0, name
+    json.loads(Path(name, "results.json").read_text(), parse_constant=refuse)
     for path in sorted(Path(name).iterdir()):
         print(f"{name}/{path.name}", hashlib.sha256(path.read_bytes()).hexdigest())
 """

@@ -1,0 +1,71 @@
+"""The package's one worker thread.
+
+Read from each module's syntax tree: no module under src/tabuq but numeric.py
+imports a thread or process module, and a threading.Thread is built only
+inside numeric.beside_worker, which decides whether to start it.
+"""
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tabuq"
+MODULES = sorted(PACKAGE.glob("*.py"))
+THREAD_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+
+
+def thread_imports(source: str) -> list[str]:
+    """The thread or process modules source imports, with their line numbers."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if any(name == m or name.startswith(m + ".") for m in THREAD_MODULES)]
+    return found
+
+
+def thread_builders(source: str) -> list[str]:
+    """The outermost function around each call of Thread or <x>.Thread in
+    source ("<module>" outside any), with its line number."""
+    found = []
+
+    def visit(node, where):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            if name == "Thread":
+                found.append(f"line {node.lineno}: {where}")
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if (where == "<module>" and isinstance(
+                child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))) else where
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_the_checks_find_thread_modules_and_builders():
+    source = ("import threading, os\nfrom concurrent import futures\n"
+              "from multiprocessing.pool import Pool\nimport _thread as t\n"
+              "from threading import Thread\n"
+              "def f():\n    def g():\n        return threading.Thread(target=g)\n"
+              "Thread(target=f)\n")
+    assert thread_imports(source) == [
+        "line 1: threading", "line 2: concurrent.futures", "line 3: multiprocessing.pool.Pool",
+        "line 4: _thread", "line 5: threading.Thread"]
+    assert thread_builders(source) == ["line 8: f", "line 9: <module>"]
+
+
+def test_only_numeric_imports_a_thread_module():
+    imports = {path.name: thread_imports(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert [name for name, found in imports.items() if found] == ["numeric.py"]
+    assert [line.partition(": ")[2] for line in imports["numeric.py"]] == ["threading"]
+
+
+def test_only_beside_worker_builds_a_thread():
+    builders = {path.name: thread_builders(path.read_text(encoding="utf-8")) for path in MODULES}
+    assert {name: [line.partition(": ")[2] for line in found]
+            for name, found in builders.items() if found} == {"numeric.py": ["beside_worker"]}
