@@ -145,6 +145,14 @@ def _distinct(values: tuple, key: str, context) -> tuple:
     return values
 
 
+def _seeds(values) -> tuple[int, ...]:
+    # A seed outside [0, 2**64) would alias another one's random streams.
+    seeds = tuple(_as_int(s, "seeds", 0, 2**64 - 1) for s in values)
+    if not seeds:
+        raise ConfigError("key 'seeds' must name at least one seed")
+    return _distinct(seeds, "seeds", lambda s: f"seed {s}")
+
+
 def parse_config(raw: dict, seed_override=None, out_override=None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -183,13 +191,14 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     if len(set(methods)) < len(methods):
         raise ConfigError(f"key 'methods' names a method twice: {list(methods)!r}")
 
-    # A seed outside [0, 2**64) would alias another one's random streams.
-    seeds = tuple(_as_int(s, "seeds", 0, 2**64 - 1) for s in (
-        seed_override if seed_override is not None
-        else _as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds")))
-    if not seeds:
-        raise ConfigError("key 'seeds' must name at least one seed")
-    _distinct(seeds, "seeds", lambda s: f"seed {s}")
+    # results.json echoes the config, so its own seeds and out_dir are
+    # checked even where a flag overrides them.
+    seeds = _seeds(_as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds"))
+    if seed_override is not None:
+        seeds = _seeds(seed_override)
+    out_dir = _as_str(raw.get("out_dir", "results"), "out_dir")
+    if out_override is not None:
+        out_dir = str(out_override)
 
     # Every method default comes from the preset; the config overrides it.
     preset = MethodSettings.toy() if is_toy else MethodSettings()
@@ -242,9 +251,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
 
     return ExperimentConfig(
         dataset=dataset, experiment=experiment, ood_tag=ood_tag, methods=methods,
-        seeds=seeds,
-        out_dir=(str(out_override) if out_override is not None
-                 else _as_str(raw.get("out_dir", "results"), "out_dir")),
+        seeds=seeds, out_dir=out_dir,
         platt=_as_bool(raw.get("platt", False), "platt"),
         label_column=_as_str(raw.get("label_column", "label"), "label_column"),
         settings=settings,
@@ -332,6 +339,15 @@ def format_value(value) -> str:
     return repr(float(value))
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    # csv.writer quotes a field holding a comma or a quote, such as a context
+    # that names a feature "x,1", and writes a float as its repr.
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) -> None:
     labelled = [*zip(sweep.seeds, sweep.per_seed), ("mean", sweep.mean), ("std", sweep.std)]
     # results.json is strict JSON, which has no NaN or infinity.
@@ -343,14 +359,10 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    # csv.writer quotes a field holding a comma or a quote, such as a context
-    # that names a feature "x,1"; every other field is written as is.
-    with open(out / "results.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
-        writer.writerows((cfg.experiment, method, seed, context, metric, format_value(value))
-                         for seed, records in labelled
-                         for (method, context, metric), value in records.items())
+    _write_csv(out / "results.csv", CSV_HEADER.split(","),
+               ((cfg.experiment, method, seed, context, metric, format_value(value))
+                for seed, records in labelled
+                for (method, context, metric), value in records.items()))
 
     def record_list(records: Records) -> list:
         return [{"method": m, "context": c, "metric": k, "value": v}
@@ -370,10 +382,7 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
                                       encoding="utf-8")
 
     for (name, seed), (columns, table) in surface_tables.items():
-        rows = [",".join(columns)]
-        rows += [",".join(map(repr, row)) for row in table.tolist()]
-        (out / f"surfaces_{name}_seed{seed}.csv").write_text(
-            "\n".join(rows) + "\n", encoding="utf-8")
+        _write_csv(out / f"surfaces_{name}_seed{seed}.csv", columns, table.tolist())
 
     if not quiet:
         n_files = 2 + len(surface_tables)

@@ -11,11 +11,12 @@ results; this is what makes the factor-1 corruption baseline exactly 0.5. The
 VAE re-derives its stream on every call, and MC dropout draws each pass's
 keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
-trains a seed's methods, each on rng/<method>; it fits all their networks in
-one stacked train_mlp call, each on the stream its method would fit it on,
-and the VAE beside that call on a worker thread when the smaller of the two
-fits' steps reaches numeric.WORKER_MIN. Large MC-dropout calls split their
-passes over the same worker (numeric.beside_worker); threads change no bits.
+fits a seed's models, each method's on rng/<method>, and train_method only
+wraps them: all networks train in one stacked train_mlp call, each on the
+stream its method would fit it on, and the VAE beside that call on a worker
+thread when the smaller of the two fits' steps reaches numeric.WORKER_MIN.
+Large MC-dropout calls split their passes over the same worker
+(numeric.beside_worker); threads change no bits.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from .ensemble import ensemble_predict
 from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
 from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
-from .mlp import MlpModel, TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
+from .mlp import TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
 from .numeric import beside_worker
 from .rng import SeededRng
-from .vae import VaeConfig, VaeModel, train_vae, vae_novelty_score
+from .vae import VaeConfig, train_vae, vae_novelty_score
 
 METHODS = ("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr", "vae")
 MLP_METHODS = METHODS[:3]
@@ -131,17 +132,16 @@ def _mlp_streams(name: str, rng: SeededRng, settings: MethodSettings) -> list[Se
     return [model]
 
 
-def train_method(name: str, train: Dataset, settings: MethodSettings, rng: SeededRng,
-                 models: tuple[MlpModel | VaeModel, ...]) -> FittedMethod:
-    """Train one named method on rng.
+def train_method(name: str, settings: MethodSettings, rng: SeededRng,
+                 models: tuple) -> FittedMethod:
+    """Wrap one named method's fitted models, as train_methods hands them over.
 
-    An MLP method is handed its networks, fitted by train_methods on
-    _mlp_streams(name, rng, settings), and the VAE its model, fitted on
-    rng/model; bootstrap-lr is handed none and fits its own on rng/model.
-    Scoring closures call rng.split("score") afresh on each invocation, so a
+    An MLP method gets its networks, bootstrap-lr its members, and the VAE
+    its model followed, when paired, by its classifier network. Scoring
+    closures call rng.split("score") afresh on each invocation, so a
     stochastic scorer applied twice to identical inputs returns identical
     outputs (the stream is derived from the label path, not consumed state).
-    A fitted method holds its model and no scoring state.
+    A fitted method holds its models and no scoring state.
     """
     if name == "single-nn":
         model, = models
@@ -153,23 +153,22 @@ def train_method(name: str, train: Dataset, settings: MethodSettings, rng: Seede
         return FittedMethod(name, predict=lambda X: mc_dropout_predict(
             model, X, rng.split("score"), settings.mc_passes))
     if name == "bootstrap-lr":
-        model = train_bootstrapped_lr(train, rng.split("model"), settings.ensemble_size,
-                                      settings.logistic_c, settings.class_weighting)
-        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_logistic, model, X))
+        return FittedMethod(name, predict=lambda X: ensemble_predict(predict_logistic, models, X))
     if name == "vae":
-        model, = models
-        return FittedMethod(name, uncertainty=lambda X: vae_novelty_score(
+        model, *classifier = models
+        predict = (lambda X: predict_mlp(classifier[0], X)) if classifier else None
+        return FittedMethod(name, predict=predict, uncertainty=lambda X: vae_novelty_score(
             model, X, rng.split("score"), settings.vae.samples))
     raise ConfigError(f"unknown method {name!r}")
 
 
 def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
                   rng: SeededRng, paired: bool = False) -> list[FittedMethod]:
-    """One seed's methods, in the order named, each by train_method on
-    rng.split(name), with its networks from one train_mlp call over every
-    method's streams (_mlp_streams), so each has the bits of its own fit. With
-    paired, the VAE, which has no classifier of its own, takes the
-    probabilities of a single NN trained on rng.split("vae-classifier").
+    """One seed's methods, in the order named, each fitted on rng.split(name)
+    and wrapped by train_method. Every network comes from one train_mlp call
+    over every method's streams (_mlp_streams), so each has the bits of its
+    own fit, and bootstrap-lr's members are fitted at its place. With paired,
+    the VAE is also handed the network of a single NN on rng/vae-classifier.
 
     The VAE trains on rng/vae/model. numeric.beside_worker's step is the
     smaller of the VAE step, min(vae batch, train rows) * latent, and the MLP
@@ -182,10 +181,9 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     """
     jobs = [(name, rng.split(name)) for name in names]
     vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
-    paired = paired and vae_rng is not None
-    if paired:
-        jobs.append(("single-nn", rng.split("vae-classifier")))
-    streams = [_mlp_streams(name, method_rng, settings) for name, method_rng in jobs]
+    streams = [_mlp_streams("single-nn", rng.split("vae-classifier"), settings)
+               if name == "vae" and paired else _mlp_streams(name, r, settings)
+               for name, r in jobs]
     everyone = [s for group in streams for s in group]
 
     def fit_vae():
@@ -200,14 +198,16 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     networks, fit_vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae",
                                       min(vae_step, mlp_step) if vae_rng is not None else 0)
     networks = iter(networks)
-    fitted = [train_method(name, train, settings, method_rng,
-                           (fit_vae(),) if name == "vae" else tuple(next(networks) for _ in group))
-              for (name, method_rng), group in zip(jobs, streams)]
-    if paired:
-        classifier = fitted.pop()
-        for method in fitted:
-            if method.name == "vae":
-                method.predict = classifier.predict
+    fitted = []
+    for (name, method_rng), group in zip(jobs, streams):
+        models = tuple(next(networks) for _ in group)
+        if name == "vae":
+            models = (fit_vae(), *models)
+        elif name == "bootstrap-lr":
+            models = train_bootstrapped_lr(train, method_rng.split("model"),
+                                           settings.ensemble_size, settings.logistic_c,
+                                           settings.class_weighting)
+        fitted.append(train_method(name, settings, method_rng, models))
     return fitted
 
 

@@ -62,8 +62,8 @@ def train_logistic(train: Dataset, C: float = 1e-2,
     """Deterministic full-batch fit to gradient-norm 1e-6 (or 1e4 iterations)."""
     if train.n < 1:
         raise DataError("training set is empty")
-    if C <= 0:
-        raise DataError(f"inverse regularization C must be positive, got {C}")
+    if not C > 0:
+        raise ParameterError(f"inverse regularization C must be positive, got {C}")
     y = train.labels.astype(np.float64)
     if weighting and (y.sum() == 0 or y.sum() == y.size):
         raise DataError("class weighting needs both classes in the training data")

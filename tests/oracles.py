@@ -13,6 +13,7 @@ import tabuq.numeric
 from tabuq.data import Dataset
 from tabuq.errors import ParameterError, TrainingError
 from tabuq.evaluation import FittedMethod, MethodSettings, _mlp_streams, train_method
+from tabuq.logistic import train_bootstrapped_lr
 from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp_loss_and_grads
 from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
                            flatten, sigmoid)
@@ -253,13 +254,18 @@ def fit_method_reference(name: str, train: Dataset, val: Dataset, settings: Meth
                          rng: SeededRng) -> FittedMethod:
     """One method trained on rng with no other method beside it: an MLP method's
     networks come from one train_mlp call over its own streams
-    (_mlp_streams), not from the seed's shared fit, and the VAE trains on
-    rng/model on this thread. train_mlp is looked up on tabuq.evaluation at
-    each call, so a test that records the fits there sees these too."""
+    (_mlp_streams), not from the seed's shared fit, and the VAE and
+    bootstrap-lr's members train on rng/model on this thread. train_mlp is
+    looked up on tabuq.evaluation at each call, so a test that records the
+    fits there sees these too."""
     if name == "vae":
-        return train_method(name, train, settings, rng,
+        return train_method(name, settings, rng,
                             (train_vae(train, settings.vae, rng.split("model")),))
+    if name == "bootstrap-lr":
+        return train_method(name, settings, rng, train_bootstrapped_lr(
+            train, rng.split("model"), settings.ensemble_size, settings.logistic_c,
+            settings.class_weighting))
     streams = _mlp_streams(name, rng, settings)
     networks = tuple(tabuq.evaluation.train_mlp(train, val, settings.mlp, streams,
                                                 settings.class_weighting) if streams else ())
-    return train_method(name, train, settings, rng, networks)
+    return train_method(name, settings, rng, networks)

@@ -697,6 +697,18 @@ class TestMain:
         assert "key 'seeds'" in capsys.readouterr().err
         assert not out.exists()
 
+    # results.json echoes the config, so a value a flag overrides must still be
+    # one strict JSON can hold: the config's own seeds and out_dir are checked.
+    @pytest.mark.parametrize("extra, flags, key", [
+        ({"seeds": [math.nan]}, ["--seed-override", "0"], "seeds"),
+        ({"out_dir": math.inf}, [], "out_dir")], ids=["seeds", "out_dir"])
+    def test_overridden_config_value_still_checked(self, tmp_path, capsys, extra, flags, key):
+        cfg = write_config(tmp_path, {**FAST, **extra})
+        out = tmp_path / "cli-out"
+        assert main(["--config", str(cfg), *flags, "--out", str(out), "--quiet"]) == 1
+        assert f"config error: key {key!r}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_progress_line_unless_quiet(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {**FAST, "out_dir": str(tmp_path / "o")})
         assert main(["--config", str(cfg)]) == 0

@@ -177,16 +177,17 @@ class TestTrainMethod:
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_train_methods_keeps_each_stream_path(self, toy_world, monkeypatch, paired):
-        # The benchmark tracer swaps the module's train_method and tells the
-        # VAE's classifier apart by the last label of its stream path.
+        # The benchmark tracer swaps the module's train_method, binds its name
+        # and rng, and labels each span by the method; the VAE's classifier is
+        # handed to the VAE's own call, so no call is made on its stream path.
         import tabuq.evaluation as evaluation
 
         calls = []
         real = evaluation.train_method
 
-        def recorded(name, train, settings, rng, models):
+        def recorded(name, settings, rng, models):
             calls.append((name, rng.path))
-            return real(name, train, settings, rng, models)
+            return real(name, settings, rng, models)
 
         monkeypatch.setattr(evaluation, "train_method", recorded)
         train, val, _ = toy_world
@@ -194,9 +195,9 @@ class TestTrainMethod:
         fitted = train_methods(["vae", "bootstrap-lr"], train, val, MethodSettings.toy(),
                                rng, paired)
         assert [f.name for f in fitted] == ["vae", "bootstrap-lr"]
+        assert (fitted[0].predict is not None) == paired
         assert calls == [("vae", ("curve", "vae")),
-                         ("bootstrap-lr", ("curve", "bootstrap-lr"))] + [
-            ("single-nn", ("curve", "vae-classifier"))] * paired
+                         ("bootstrap-lr", ("curve", "bootstrap-lr"))]
 
     def test_class_weighting_reaches_the_networks(self, toy_world):
         train, val, test = toy_world
@@ -232,11 +233,9 @@ class TestSharedFit:
         monkeypatch.setattr(evaluation, "train_mlp", recorded)
         return fits
 
-    @pytest.mark.parametrize("patience", [None, 1])
-    @pytest.mark.parametrize("ensemble_size", [1, 3])
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_each_network_has_the_bits_of_its_own_fit(self, toy_world, monkeypatch,
-                                                       paired, ensemble_size, patience):
+    def check_own_fits(self, toy_world, monkeypatch, names, paired, ensemble_size, patience):
+        """Each network of the shared fit, and each method's scores, have the
+        bits of the method fitted alone (fit_method_reference)."""
         import tabuq.mlp
 
         stacked = []  # the number of networks still training in each epoch
@@ -254,23 +253,39 @@ class TestSharedFit:
             MethodSettings.toy(), ensemble_size=ensemble_size,
             mlp=TrainConfig(hidden=(5,), batch_size=8, lr=1e-2, max_epochs=20, patience=patience))
         rng = SeededRng(30)
-        shared = train_methods(METHODS, train, val, st, rng, paired)
+        shared = train_methods(names, train, val, st, rng, paired)
         if patience:  # some networks stop while others train on
             assert len(set(stacked)) >= 2
         (together,) = fits
         fits.clear()
-        alone = [fit_method_reference(name, train, val, st, rng.split(name)) for name in METHODS]
-        if paired:
-            alone[-1].predict = fit_method_reference("single-nn", train, val, st,
-                                                     rng.split("vae-classifier")).predict
+        alone = []
+        for name in names:  # the classifier's network sits at the VAE's place
+            fitted = fit_method_reference(name, train, val, st, rng.split(name))
+            if name == "vae" and paired:
+                fitted = dataclasses.replace(fitted, predict=fit_method_reference(
+                    "single-nn", train, val, st, rng.split("vae-classifier")).predict)
+            alone.append(fitted)
         networks = [net for fit in fits for net in fit]
         assert len(together) == len(networks) == 2 + ensemble_size + paired
         for a, b in zip(together, networks):
             for pa, pb in zip(a.params(), b.params()):
                 np.testing.assert_array_equal(pa, pb)
-        for a, b in zip(shared, alone):
+        for a, b in zip(shared, alone, strict=True):
+            assert a.name == b.name
             for pa, pb in zip(a.score(test.features), b.score(test.features)):
                 np.testing.assert_array_equal(pa, pb)
+
+    @pytest.mark.parametrize("patience", [None, 1])
+    @pytest.mark.parametrize("ensemble_size", [1, 3])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_each_network_has_the_bits_of_its_own_fit(self, toy_world, monkeypatch,
+                                                       paired, ensemble_size, patience):
+        self.check_own_fits(toy_world, monkeypatch, METHODS, paired, ensemble_size, patience)
+
+    def test_vae_named_first_with_its_classifier(self, toy_world, monkeypatch):
+        # The classifier's network moves from last in the stack to first.
+        names = ("vae", *METHODS[:-1])
+        self.check_own_fits(toy_world, monkeypatch, names, True, 3, 1)
 
     @pytest.mark.parametrize("names, paired, calls", [
         (METHODS, True, 1), (METHODS, False, 1), (("bootstrap-lr", "vae"), False, 0)])

@@ -5,7 +5,7 @@ import pytest
 
 from tabuq import (LogisticModel, SeededRng, ToyConfig, ensemble_predict, generate_toy,
                    predict_logistic, train_bootstrapped_lr, train_logistic)
-from tabuq.errors import DataError
+from tabuq.errors import DataError, ParameterError
 from tabuq.logistic import logistic_objective
 
 from conftest import make_dataset
@@ -81,6 +81,15 @@ def test_weighting_requires_both_classes():
     d = make_dataset([[1.0], [2.0]], [0, 0])
     with pytest.raises(DataError):
         train_logistic(d, C=1.0, weighting=True)
+
+
+@pytest.mark.parametrize("C", [0.0, -1.0, math.nan])
+def test_c_not_positive_refused(C):
+    # NaN fails C <= 0 too, and its NaN loss would stop the line search at
+    # the starting point: zero weights and the warm-start bias.
+    d = make_dataset([[1.0], [2.0]], [0, 1])
+    with pytest.raises(ParameterError, match="C must be positive"):
+        train_logistic(d, C=C)
 
 
 def test_weighting_shifts_probabilities_up():

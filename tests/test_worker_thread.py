@@ -1,8 +1,10 @@
-"""The package's one worker thread.
+"""The package's one worker thread, and its one fit site.
 
 Read from each module's syntax tree: no module under src/tabuq but numeric.py
 imports a thread or process module, and a threading.Thread is built only
-inside numeric.beside_worker, which decides whether to start it.
+inside numeric.beside_worker, which decides whether to start it. In
+evaluation.py, only train_methods calls a trainer; train_method only wraps
+the models it is handed.
 """
 import ast
 from pathlib import Path
@@ -10,6 +12,7 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "tabuq"
 MODULES = sorted(PACKAGE.glob("*.py"))
 THREAD_MODULES = ("threading", "_thread", "concurrent.futures", "multiprocessing")
+TRAINERS = ("train_mlp", "train_vae", "train_bootstrapped_lr")
 
 
 def thread_imports(source: str) -> list[str]:
@@ -27,16 +30,16 @@ def thread_imports(source: str) -> list[str]:
     return found
 
 
-def thread_builders(source: str) -> list[str]:
-    """The outermost function around each call of Thread or <x>.Thread in
-    source ("<module>" outside any), with its line number."""
+def callers(source: str, names) -> list[str]:
+    """The outermost function around each call of <name> or <x>.<name> in
+    source, for each of names ("<module>" outside any), with its line number."""
     found = []
 
     def visit(node, where):
         if isinstance(node, ast.Call):
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name == "Thread":
+            if name in names:
                 found.append(f"line {node.lineno}: {where}")
         for child in ast.iter_child_nodes(node):
             inner = child.name if (where == "<module>" and isinstance(
@@ -56,7 +59,7 @@ def test_the_checks_find_thread_modules_and_builders():
     assert thread_imports(source) == [
         "line 1: threading", "line 2: concurrent.futures", "line 3: multiprocessing.pool.Pool",
         "line 4: _thread", "line 5: threading.Thread"]
-    assert thread_builders(source) == ["line 8: f", "line 9: <module>"]
+    assert callers(source, ("Thread",)) == ["line 8: f", "line 9: <module>"]
 
 
 def test_only_numeric_imports_a_thread_module():
@@ -66,6 +69,14 @@ def test_only_numeric_imports_a_thread_module():
 
 
 def test_only_beside_worker_builds_a_thread():
-    builders = {path.name: thread_builders(path.read_text(encoding="utf-8")) for path in MODULES}
+    builders = {path.name: callers(path.read_text(encoding="utf-8"), ("Thread",))
+                for path in MODULES}
     assert {name: [line.partition(": ")[2] for line in found]
             for name, found in builders.items() if found} == {"numeric.py": ["beside_worker"]}
+
+
+def test_only_train_methods_calls_a_trainer():
+    source = (PACKAGE / "evaluation.py").read_text(encoding="utf-8")
+    found = {name: [line.partition(": ")[2] for line in callers(source, (name,))]
+             for name in TRAINERS}
+    assert found == {name: ["train_methods"] for name in TRAINERS}
