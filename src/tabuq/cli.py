@@ -6,7 +6,8 @@ seeds. Results land in the output directory as results.csv (flat records),
 results.json (config echo plus per-seed and aggregate records), and, for the
 surfaces experiment, one grid CSV per method and seed.
 
-Exit codes: 0 success, 1 config error, 2 data error, 3 training failure.
+Exit codes: 0 success (or --help), 1 config error or bad command line, 2 data
+error, 3 training failure.
 """
 
 from __future__ import annotations
@@ -455,26 +456,22 @@ def _parse_seed_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.replace(",", " ").split()]
     except ValueError:
-        raise ConfigError(f"--seed-override must be integers, got {text!r}") from None
+        raise argparse.ArgumentTypeError(f"must be integers, got {text!r}") from None
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="tabuq",
                                      description="Run an uncertainty experiment from a JSON config.")
     parser.add_argument("--config", required=True, help="path to the JSON config")
-    parser.add_argument("--seed-override",
+    parser.add_argument("--seed-override", type=_parse_seed_list,
                         help="comma-separated seeds replacing the config's list")
     parser.add_argument("--out", help="output directory override")
     parser.add_argument("--quiet", action="store_true", help="suppress progress output")
-    args = parser.parse_args(argv)
-    seeds = None
-    if args.seed_override is not None:
-        try:
-            seeds = _parse_seed_list(args.seed_override)
-        except ConfigError as e:
-            print(f"config error: {e}", file=sys.stderr)
-            return 1
-    return run(args.config, seed_override=seeds, out_override=args.out,
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as e:  # argparse exits 0 after --help and 2 on a bad command line
+        return 0 if e.code == 0 else 1
+    return run(args.config, seed_override=args.seed_override, out_override=args.out,
                quiet=args.quiet)
 
 

@@ -11,10 +11,11 @@ results; this is what makes the factor-1 corruption baseline exactly 0.5. The
 VAE re-derives its stream on every call, and MC dropout draws each pass's
 keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
-fits a seed's models, each method's on rng/<method>, and train_method only
-wraps them: all networks train in one stacked train_mlp call, each on the
-stream its method would fit it on, and the VAE beside that call on a worker
-thread when the smaller of the two fits' steps reaches numeric.WORKER_MIN.
+fits a seed's models, each method's on rng/<method>, and it fits them all
+before train_method wraps any: all networks train in one stacked train_mlp
+call, each on the stream its method would fit it on, and the VAE beside that
+call on a worker thread when the smaller of the two fits' steps reaches
+numeric.WORKER_MIN, right after it otherwise.
 Large MC-dropout calls split their passes over the same worker
 (numeric.beside_worker); threads change no bits.
 """
@@ -29,7 +30,8 @@ import numpy as np
 
 from .data import Dataset, apply_scaler, corrupt_feature, exclude_group, fit_scaler, split
 from .ensemble import ensemble_predict
-from .errors import ConfigError, DataError, ParameterError, ShapeError, UndefinedMetricError
+from .errors import (ConfigError, DataError, ParameterError, ShapeError, TrainingError,
+                     UndefinedMetricError)
 from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
 from .mlp import TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
@@ -164,30 +166,31 @@ def train_method(name: str, settings: MethodSettings, rng: SeededRng,
 
 def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
                   rng: SeededRng, paired: bool = False) -> list[FittedMethod]:
-    """One seed's methods, in the order named, each fitted on rng.split(name)
-    and wrapped by train_method. Every network comes from one train_mlp call
-    over every method's streams (_mlp_streams), so each has the bits of its
-    own fit, and bootstrap-lr's members are fitted at its place. With paired,
-    the VAE is also handed the network of a single NN on rng/vae-classifier.
+    """One seed's methods, in the order named, each wrapped by train_method on
+    rng.split(name) once every model of the seed is fitted. Every network
+    comes from one train_mlp call over every method's streams (_mlp_streams),
+    so each has the bits of its own fit; with paired, the VAE is also handed
+    the network of a single NN on rng/vae-classifier. The VAE trains on
+    rng/vae/model beside that call, and bootstrap-lr's members on
+    rng/bootstrap-lr/model after it.
 
-    The VAE trains on rng/vae/model. numeric.beside_worker's step is the
-    smaller of the VAE step, min(vae batch, train rows) * latent, and the MLP
-    step, networks * min(batch, train rows) * widest hidden layer (0 without
-    a VAE). At or above numeric.WORKER_MIN the VAE trains on a worker thread
-    during the train_mlp call, which is joined before any method is built;
-    otherwise at its place in the order. Either way it has the same bits, a
-    train_mlp error wins over a VAE error, and a VAE error is raised at the
-    VAE's place.
+    numeric.beside_worker's step is the smaller of the VAE step, min(vae batch,
+    train rows) * latent, and the MLP step, networks * min(batch, train rows) *
+    widest hidden layer (0 without a VAE). At or above numeric.WORKER_MIN the
+    VAE trains on a worker thread during the train_mlp call; otherwise right
+    after it. Either way it has the same bits, and the errors come in the
+    order of the fits: train_mlp's, then the VAE's, then bootstrap-lr's.
     """
     jobs = [(name, rng.split(name)) for name in names]
     vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
+    lr_rng = next((r.split("model") for name, r in jobs if name == "bootstrap-lr"), None)
     streams = [_mlp_streams("single-nn", rng.split("vae-classifier"), settings)
                if name == "vae" and paired else _mlp_streams(name, r, settings)
                for name, r in jobs]
     everyone = [s for group in streams for s in group]
 
     def fit_vae():
-        return train_vae(train, settings.vae, vae_rng)
+        return None if vae_rng is None else train_vae(train, settings.vae, vae_rng)
 
     def fit_mlps():
         return train_mlp(train, val, settings.mlp, everyone,
@@ -195,20 +198,15 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
 
     vae_step = min(settings.vae.batch_size, train.n) * settings.vae.latent_dim
     mlp_step = len(everyone) * min(settings.mlp.batch_size, train.n) * max(settings.mlp.hidden)
-    networks, fit_vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae",
-                                      min(vae_step, mlp_step) if vae_rng is not None else 0)
+    networks, vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae",
+                                  min(vae_step, mlp_step) if vae_rng is not None else 0)
+    members = () if lr_rng is None else train_bootstrapped_lr(
+        train, lr_rng, settings.ensemble_size, settings.logistic_c, settings.class_weighting)
+    models = {"vae": (vae,), "bootstrap-lr": members}
     networks = iter(networks)
-    fitted = []
-    for (name, method_rng), group in zip(jobs, streams):
-        models = tuple(next(networks) for _ in group)
-        if name == "vae":
-            models = (fit_vae(), *models)
-        elif name == "bootstrap-lr":
-            models = train_bootstrapped_lr(train, method_rng.split("model"),
-                                           settings.ensemble_size, settings.logistic_c,
-                                           settings.class_weighting)
-        fitted.append(train_method(name, settings, method_rng, models))
-    return fitted
+    return [train_method(name, settings, method_rng,
+                         models.get(name, ()) + tuple(next(networks) for _ in group))
+            for (name, method_rng), group in zip(jobs, streams)]
 
 
 def confidence_performance(probability: np.ndarray, uncertainty: np.ndarray,
@@ -358,8 +356,9 @@ def seed_sweep(experiment: Callable[[SeededRng], Records],
     """Run an experiment closure once per seed and aggregate per record key.
 
     Mean and std cover the seeds where a value is present; std needs at
-    least two present values and is otherwise None. Errors propagate with
-    the failing seed prepended to the message.
+    least two present values and is otherwise None. A toolkit error (one of
+    tabuq.errors) is raised again as its own type, with the failing seed
+    prepended to its message; any other error propagates unchanged.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
@@ -368,11 +367,9 @@ def seed_sweep(experiment: Callable[[SeededRng], Records],
     for seed in seeds:
         try:
             per_seed.append(experiment(SeededRng(seed)))
-        except Exception as e:
-            try:
-                raise type(e)(f"seed {seed}: {e}") from e
-            except TypeError:
-                raise RuntimeError(f"seed {seed}: {e}") from e
+        except (ConfigError, DataError, ParameterError, ShapeError, TrainingError,
+                UndefinedMetricError) as e:
+            raise type(e)(f"seed {seed}: {e}") from e
     mean: Records = {}
     std: Records = {}
     for key in dict.fromkeys(key for rec in per_seed for key in rec):

@@ -282,8 +282,9 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     pass masks it into a step buffer and runs _forward on the network's
     tail, in the step buffers of its thread's dict, writing its own row of
     passes. Passes 0 and 1 fill the two dicts on the calling thread; the rest
-    are split between it and one worker thread by numeric.beside_worker, with
-    rows * widest hidden layer as the step (0 when T <= 2).
+    are split between it and one worker thread by numeric.beside_worker,
+    which returns once both halves have run, with rows * widest hidden layer
+    as the step (0 when T <= 2).
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
@@ -308,5 +309,5 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     mid = (T + 2) // 2
     step = n * max(w.shape[-1] for w in model.weights[:-1]) if T > 2 else 0
     beside_worker(lambda: run(range(mid, T), worker_buf), lambda: run(range(2, mid), buf),
-                  "tabuq-mc-dropout", step)[1]()
+                  "tabuq-mc-dropout", step)
     return anchored_mean(np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes), axis=0)

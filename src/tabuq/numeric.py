@@ -52,26 +52,25 @@ WORKER_MIN = 65_536
 
 
 def beside_worker(job: Callable[[], object], main: Callable[[], object],
-                  name: str, step: int) -> tuple[object, Callable[[], object]]:
-    """Run job() on a new thread named `name` while main() runs on the calling
-    thread, when `step` (the caller's measure of one unit of work) reaches
-    WORKER_MIN; below it no thread starts.
+                  name: str, step: int) -> tuple[object, object]:
+    """(main(), job()), with job() run on a new thread named `name` while
+    main() runs on the calling thread when `step` (the caller's measure of one
+    unit of work) reaches WORKER_MIN. Below it no thread starts, and job() runs
+    on the calling thread right after main().
 
     The thread runs in a copy of the caller's contextvars context, so under its
-    numpy error state, and is joined before this returns or raises; an error of
-    main() is raised first. Returns main()'s result and a function that returns
-    job()'s, or raises job()'s error on the caller. Below the gate that function
-    is job itself, run on the caller when it is called. The package's one
-    worker thread.
+    numpy error state, and is joined before this returns or raises. An error of
+    main() is raised first, then job()'s, with its own type and message, on the
+    calling thread. The package's one worker thread.
     """
     if step < WORKER_MIN:
-        return main(), job
+        return main(), job()
     outcome = []
 
     def run():
         try:
             outcome.append((job(), None))
-        except BaseException as e:  # raised again by result(), on the caller's thread
+        except BaseException as e:  # raised again on the caller's thread, below
             outcome.append((None, e))
 
     thread = threading.Thread(target=contextvars.copy_context().run, args=(run,), name=name)
@@ -80,13 +79,10 @@ def beside_worker(job: Callable[[], object], main: Callable[[], object],
         value = main()
     finally:
         thread.join()
-
-    def result():
-        job_value, error = outcome[0]
-        if error is not None:
-            raise error
-        return job_value
-    return value, result
+    job_value, error = outcome[0]
+    if error is not None:
+        raise error
+    return value, job_value
 
 
 def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:

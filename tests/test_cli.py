@@ -688,6 +688,16 @@ class TestMain:
         assert main(["--config", str(cfg), "--seed-override", "seven"]) == 1
         assert "seed-override" in capsys.readouterr().err
 
+    # Exit code 2 is a data error's, so argparse's own exit 2 becomes 1.
+    @pytest.mark.parametrize("argv", [["--bogus"], []], ids=["unknown-flag", "no-config"])
+    def test_bad_command_line_exits_1(self, capsys, argv):
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith("usage: tabuq")
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: tabuq")
+
     @pytest.mark.parametrize("override", ["-1", str(2**64), "0,18446744073709551616"])
     def test_seed_override_outside_64_bits_exits_1(self, tmp_path, capsys, override):
         cfg = write_config(tmp_path, FAST)

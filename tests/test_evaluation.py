@@ -321,7 +321,7 @@ for gate in (numeric.WORKER_MIN, math.inf):
 
 class TestOverlappedVaeFit:
     """Above numeric.WORKER_MIN, train_methods fits the VAE on a worker thread
-    during the train_mlp call, with the bits of a fit at its place in order."""
+    during the train_mlp call, with the bits of a fit on the calling thread."""
 
     @staticmethod
     def settings(train: Dataset) -> MethodSettings:
@@ -409,7 +409,7 @@ class TestOverlappedVaeFit:
         assert [worker for worker, _ in fits] == [False]
         assert started == []
 
-    def test_vae_error_raised_at_the_vae_place(self, toy_world, monkeypatch):
+    def test_vae_error_raised_before_any_method_is_built(self, toy_world, monkeypatch):
         fits = self.record_vae_fits(monkeypatch, fail=True)
         built = []
         real = evaluation.train_method
@@ -426,7 +426,24 @@ class TestOverlappedVaeFit:
                           self.settings(train), SeededRng(42), paired=True)
         assert threading.active_count() == threads
         assert [worker for worker, _ in fits] == [True]
-        assert built == ["single-nn", "bootstrap-lr"]
+        assert built == []
+
+    # Without an MLP method the step is 0 and the VAE fits on the caller; the
+    # single NN opens the gate, so the VAE fits on the worker beside it.
+    @pytest.mark.parametrize("names, on_worker", [(("bootstrap-lr", "vae"), False),
+                                                  (("bootstrap-lr", "vae", "single-nn"), True)])
+    def test_vae_error_wins_over_bootstrap_lr_error(self, toy_world, monkeypatch,
+                                                    names, on_worker):
+        fits = self.record_vae_fits(monkeypatch, fail=True)
+
+        def failing(*args):
+            raise TrainingError("bootstrap-lr fit")
+
+        monkeypatch.setattr(evaluation, "train_bootstrapped_lr", failing)
+        train, val, _ = toy_world
+        with pytest.raises(TrainingError, match="vae fit"):
+            train_methods(names, train, val, self.settings(train), SeededRng(45))
+        assert [worker for worker, _ in fits] == [on_worker]
 
     def test_mlp_error_wins_over_vae_error(self, toy_world, monkeypatch):
         fits = self.record_vae_fits(monkeypatch, fail=True)
@@ -655,6 +672,18 @@ class TestSeedSweep:
 
         with pytest.raises(DataError, match="seed 0: boom"):
             seed_sweep(experiment, seeds=(0,))
+
+    @pytest.mark.parametrize("error", [
+        TypeError("unsupported operand"), MemoryError("Unable to allocate 14.6 TiB"),
+        UnicodeDecodeError("utf-8", b"\xff", 0, 1, "invalid start byte")],
+        ids=lambda e: type(e).__name__)
+    def test_foreign_errors_propagate_unchanged(self, error):
+        def experiment(rng):
+            raise error
+
+        with pytest.raises(type(error)) as raised:
+            seed_sweep(experiment, seeds=(3,))
+        assert raised.value is error
 
     def test_no_seeds_rejected(self):
         with pytest.raises(ParameterError):

@@ -160,21 +160,41 @@ class JobError(Exception):
     pass
 
 
-def test_beside_worker_below_the_gate_runs_job_on_the_caller_when_asked(monkeypatch):
+def test_beside_worker_below_the_gate_runs_main_then_job_on_the_caller(monkeypatch):
     started, ran = [], []
     monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
 
-    def job():
-        ran.append(("job", threading.current_thread() is threading.main_thread()))
-        raise JobError("job failed")
+    def recorded(name, value):
+        def run():
+            ran.append((name, threading.current_thread() is threading.main_thread()))
+            return value
+        return run
 
-    value, result = beside_worker(job, lambda: ran.append(("main", True)) or 7, "tabuq-test",
-                                  numeric.WORKER_MIN - 1)
-    assert value == 7 and ran == [("main", True)]
-    with pytest.raises(JobError, match="^job failed$"):
-        result()
+    assert beside_worker(recorded("job", 8), recorded("main", 7), "tabuq-test",
+                         numeric.WORKER_MIN - 1) == (7, 8)
     assert ran == [("main", True), ("job", True)]
     assert started == []
+
+
+def test_beside_worker_above_the_gate_raises_main_error_first_then_job_error():
+    def failing(error):
+        def run():
+            raise error
+        return run
+
+    def thread_name():
+        return threading.current_thread().name
+
+    threads = threading.active_count()
+    assert beside_worker(thread_name, thread_name, "tabuq-test",
+                         numeric.WORKER_MIN) == ("MainThread", "tabuq-test")
+    with pytest.raises(TrainingError, match="^main failed$"):
+        beside_worker(failing(JobError("job failed")), failing(TrainingError("main failed")),
+                      "tabuq-test", numeric.WORKER_MIN)
+    with pytest.raises(JobError, match="^job failed$"):
+        beside_worker(failing(JobError("job failed")), lambda: 7, "tabuq-test",
+                      numeric.WORKER_MIN)
+    assert threading.active_count() == threads
 
 
 def test_adam_zero_gradient_keeps_params():

@@ -3,8 +3,9 @@
 Read from each module's syntax tree: no module under src/tabuq but numeric.py
 imports a thread or process module, and a threading.Thread is built only
 inside numeric.beside_worker, which decides whether to start it. In
-evaluation.py, only train_methods calls a trainer; train_method only wraps
-the models it is handed.
+evaluation.py, only train_methods calls a trainer, and every such call comes
+before its first train_method call; train_method only wraps the models it is
+handed.
 """
 import ast
 from pathlib import Path
@@ -30,6 +31,12 @@ def thread_imports(source: str) -> list[str]:
     return found
 
 
+def call_name(node: ast.Call) -> str | None:
+    """<name> for a call of <name> or <x>.<name>."""
+    func = node.func
+    return func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+
+
 def callers(source: str, names) -> list[str]:
     """The outermost function around each call of <name> or <x>.<name> in
     source, for each of names ("<module>" outside any), with its line number."""
@@ -37,8 +44,7 @@ def callers(source: str, names) -> list[str]:
 
     def visit(node, where):
         if isinstance(node, ast.Call):
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+            name = call_name(node)
             if name in names:
                 found.append(f"line {node.lineno}: {where}")
         for child in ast.iter_child_nodes(node):
@@ -48,6 +54,17 @@ def callers(source: str, names) -> list[str]:
 
     visit(ast.parse(source), "<module>")
     return found
+
+
+def statements_calling(source: str, function: str, names) -> list[tuple[int, str]]:
+    """(index of the statement in the body of source's top-level `function`,
+    name) for each call of one of names, nested functions and loops included,
+    sorted. A call inside a loop shares the loop's index with every other."""
+    func = next(node for node in ast.parse(source).body
+                if isinstance(node, ast.FunctionDef) and node.name == function)
+    return sorted((i, name) for i, statement in enumerate(func.body)
+                  for node in ast.walk(statement) if isinstance(node, ast.Call)
+                  and (name := call_name(node)) in names)
 
 
 def test_the_checks_find_thread_modules_and_builders():
@@ -60,6 +77,11 @@ def test_the_checks_find_thread_modules_and_builders():
         "line 1: threading", "line 2: concurrent.futures", "line 3: multiprocessing.pool.Pool",
         "line 4: _thread", "line 5: threading.Thread"]
     assert callers(source, ("Thread",)) == ["line 8: f", "line 9: <module>"]
+    source = ("def f():\n    def g():\n        return train_mlp()\n"
+              "    for m in g():\n        train_vae()\n        m.train_method()\n"
+              "    return [train_method(x) for x in ()]\ntrain_mlp()\n")
+    assert statements_calling(source, "f", ("train_mlp", "train_vae", "train_method")) == [
+        (0, "train_mlp"), (1, "train_method"), (1, "train_vae"), (2, "train_method")]
 
 
 def test_only_numeric_imports_a_thread_module():
@@ -80,3 +102,11 @@ def test_only_train_methods_calls_a_trainer():
     found = {name: [line.partition(": ")[2] for line in callers(source, (name,))]
              for name in TRAINERS}
     assert found == {name: ["train_methods"] for name in TRAINERS}
+
+
+def test_train_methods_fits_every_model_before_it_wraps_any():
+    source = (PACKAGE / "evaluation.py").read_text(encoding="utf-8")
+    found = statements_calling(source, "train_methods", (*TRAINERS, "train_method"))
+    assert {name for _, name in found} == {*TRAINERS, "train_method"}
+    fits = [i for i, name in found if name in TRAINERS]
+    assert max(fits) < min(i for i, name in found if name == "train_method")
