@@ -48,6 +48,13 @@ KNOWN_KEYS = frozenset({
     "n_corrupt_features", "grid_bounds", "grid_resolution",
 })
 
+# Caps on the model sizes a config may ask for, so that a mistyped width is a
+# config error and not an allocation failure inside training: each hidden
+# width and the VAE latent size, and the weights between adjacent hidden
+# layers (at the cap, one network's such matrix takes 800 MB).
+MAX_WIDTH = 100_000
+MAX_LAYER_WEIGHTS = 100_000_000
+
 
 @dataclass
 class ExperimentConfig:
@@ -204,13 +211,18 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     # Every method default comes from the preset; the config overrides it.
     preset = MethodSettings.toy() if is_toy else MethodSettings()
     mlp, vae = preset.mlp, preset.vae
-    hidden = _as_list(raw.get("hidden", list(mlp.hidden)), "hidden")
+    hidden = tuple(_as_int(h, "hidden", 1, MAX_WIDTH)
+                   for h in _as_list(raw.get("hidden", list(mlp.hidden)), "hidden"))
+    for a, b in zip(hidden, hidden[1:]):
+        if a * b > MAX_LAYER_WEIGHTS:
+            raise ConfigError(f"key 'hidden' allows at most {MAX_LAYER_WEIGHTS} weights between "
+                              f"adjacent hidden layers, got {a} x {b}")
     patience = raw.get("patience", mlp.patience)
     # A config says "no penalty" as null, the toy preset as math.inf.
     logistic_c = raw.get("logistic_c",
                          None if preset.logistic_c == math.inf else preset.logistic_c)
     mlp_cfg = TrainConfig(
-        hidden=tuple(_as_int(h, "hidden", 1) for h in hidden),
+        hidden=hidden,
         dropout_rate=_as_number(raw.get("dropout_rate", mlp.dropout_rate), "dropout_rate",
                                 lambda v: 0 <= v < 1, "in [0, 1)"),
         lr=_as_number(raw.get("lr", mlp.lr), "lr", _positive, "positive and finite"),
@@ -218,7 +230,7 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
         max_epochs=_as_int(raw.get("max_epochs", mlp.max_epochs), "max_epochs", 1),
         patience=None if patience is None else _as_int(patience, "patience", 1))
     vae_cfg = VaeConfig(
-        latent_dim=_as_int(raw.get("vae_latent", vae.latent_dim), "vae_latent", 1),
+        latent_dim=_as_int(raw.get("vae_latent", vae.latent_dim), "vae_latent", 1, MAX_WIDTH),
         batch_size=_as_int(raw.get("vae_batch_size", vae.batch_size), "vae_batch_size", 1),
         epochs=_as_int(raw.get("vae_epochs", vae.epochs), "vae_epochs", 1),
         lr=_as_number(raw.get("vae_lr", vae.lr), "vae_lr", _positive, "positive and finite"),

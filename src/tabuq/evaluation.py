@@ -13,9 +13,9 @@ keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
 fits a seed's models, each method's on rng/<method>, and it fits them all
 before train_method wraps any: all networks train in one stacked train_mlp
-call, each on the stream its method would fit it on, and the VAE beside that
-call on a worker thread when the smaller of the two fits' steps reaches
-numeric.WORKER_MIN, right after it otherwise.
+call, each on the stream its method would fit it on, and the VAE, then
+bootstrap-LR, beside that call on a worker thread when the smaller of the
+MLP and VAE steps reaches numeric.WORKER_MIN, right after it otherwise.
 Large MC-dropout calls split their passes over the same worker
 (numeric.beside_worker); threads change no bits.
 """
@@ -170,16 +170,16 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
     rng.split(name) once every model of the seed is fitted. Every network
     comes from one train_mlp call over every method's streams (_mlp_streams),
     so each has the bits of its own fit; with paired, the VAE is also handed
-    the network of a single NN on rng/vae-classifier. The VAE trains on
-    rng/vae/model beside that call, and bootstrap-lr's members on
-    rng/bootstrap-lr/model after it.
+    the network of a single NN on rng/vae-classifier. Beside that call, one
+    job trains the VAE on rng/vae/model and then bootstrap-lr's members on
+    rng/bootstrap-lr/model.
 
     numeric.beside_worker's step is the smaller of the VAE step, min(vae batch,
     train rows) * latent, and the MLP step, networks * min(batch, train rows) *
     widest hidden layer (0 without a VAE). At or above numeric.WORKER_MIN the
-    VAE trains on a worker thread during the train_mlp call; otherwise right
-    after it. Either way it has the same bits, and the errors come in the
-    order of the fits: train_mlp's, then the VAE's, then bootstrap-lr's.
+    job runs on a worker thread during the train_mlp call; otherwise right
+    after it. Either way every model has the same bits, and the errors come
+    in the order of the fits: train_mlp's, then the VAE's, then bootstrap-lr's.
     """
     jobs = [(name, rng.split(name)) for name in names]
     vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
@@ -189,8 +189,10 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
                for name, r in jobs]
     everyone = [s for group in streams for s in group]
 
-    def fit_vae():
-        return None if vae_rng is None else train_vae(train, settings.vae, vae_rng)
+    def fit_vae_and_lr():
+        vae = None if vae_rng is None else train_vae(train, settings.vae, vae_rng)
+        return vae, () if lr_rng is None else train_bootstrapped_lr(
+            train, lr_rng, settings.ensemble_size, settings.logistic_c, settings.class_weighting)
 
     def fit_mlps():
         return train_mlp(train, val, settings.mlp, everyone,
@@ -198,10 +200,9 @@ def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
 
     vae_step = min(settings.vae.batch_size, train.n) * settings.vae.latent_dim
     mlp_step = len(everyone) * min(settings.mlp.batch_size, train.n) * max(settings.mlp.hidden)
-    networks, vae = beside_worker(fit_vae, fit_mlps, "tabuq-vae",
-                                  min(vae_step, mlp_step) if vae_rng is not None else 0)
-    members = () if lr_rng is None else train_bootstrapped_lr(
-        train, lr_rng, settings.ensemble_size, settings.logistic_c, settings.class_weighting)
+    networks, (vae, members) = beside_worker(
+        fit_vae_and_lr, fit_mlps, "tabuq-vae",
+        min(vae_step, mlp_step) if vae_rng is not None else 0)
     models = {"vae": (vae,), "bootstrap-lr": members}
     networks = iter(networks)
     return [train_method(name, settings, method_rng,

@@ -6,9 +6,11 @@ diagonal Gaussian over feature space with a learned per-dimension variance.
 Training runs `numeric.minibatch_adam` on the negative ELBO over one flat
 vector of all eight parameter arrays, with one reparameterized latent sample
 per datum per step; log-variances are clamped to [-10, 10]. Training and
-novelty scoring share one encoder, _encode, and one decoder, _decode. Each
-train_vae call owns name-keyed step buffers (numeric.step_buffer), freed when
-it returns; _encode and the step allocate afresh when given none.
+novelty scoring share one encoder, _encode. Training decodes each step's
+sample through _decode; novelty scoring decodes all its samples in one matrix
+product instead, which the decoder's linearity allows. Each train_vae call
+owns name-keyed step buffers (numeric.step_buffer), freed when it returns;
+_encode and the step allocate afresh when given none.
 """
 
 from __future__ import annotations
@@ -200,22 +202,37 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     """Mean decoder NLL over S latent samples; higher means more novel.
 
     The S reparameterization draws are shared across rows, so duplicate rows
-    always receive identical scores under a fixed seed. Three (rows, latent)
-    arrays are alive at once: _encode's e_mu, s = exp(e_lv / 2) made in place
-    on its e_lv, and z.
+    always receive identical scores under a fixed seed. The decoder is linear,
+    so every sample's outputs come from one product: with W = [dec_w_mu |
+    dec_w_lv] and M[:, k] = eps[k][:, None] * W, sample k's decoder outputs are
+    e_mu @ W + b plus block k of s @ M, where s = exp(e_lv / 2). e_mu is freed
+    once e_mu @ W + b is made, and s is made in place on e_lv, so at most two
+    (rows, latent) arrays are alive at once; the NLL runs in place on the
+    product's (rows, S, features) halves.
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
     X = checked_inputs(X, model.n_features)
+    n, d = X.shape
+    W = np.concatenate([model.dec_w_mu, model.dec_w_lv], axis=1)
     e_mu, s = _encode(model, X)
+    mean = e_mu @ W
+    mean += np.concatenate([model.dec_b_mu, model.dec_b_lv])
+    del e_mu
     s *= 0.5
     np.exp(s, out=s)
     eps = rng.normal((S, model.latent_dim))
-    z = np.empty_like(s)
-    total = np.zeros(X.shape[0])
-    for k in range(S):
-        np.multiply(s, eps[k], out=z)
-        z += e_mu
-        d_mu, d_lv = _decode(model, z)
-        total += decoder_nll(X, d_mu, d_lv)
-    return total / S
+    M = (eps.T[:, :, None] * W[:, None, :]).reshape(model.latent_dim, S * 2 * d)
+    out = (s @ M).reshape(n, S, 2 * d)
+    del s
+    out += mean[:, None, :]
+    d_mu, d_lv = out[:, :, :d], out[:, :, d:]
+    np.clip(d_lv, LOGVAR_MIN, LOGVAR_MAX, out=d_lv)
+    # decoder_nll's terms, in its order, written over d_mu.
+    r = np.subtract(X[:, None, :], d_mu, out=d_mu)
+    r *= r
+    inv_var = np.negative(d_lv)
+    r *= np.exp(inv_var, out=inv_var)
+    r += d_lv
+    r += LOG_2PI
+    return (0.5 * r.sum(axis=2)).sum(axis=1) / S

@@ -119,8 +119,9 @@ def vae_loss_and_grads_reference(model: VaeModel, X: np.ndarray, eps: np.ndarray
 
 def vae_novelty_score_reference(model: VaeModel, X: np.ndarray, rng: SeededRng,
                                 S: int) -> np.ndarray:
-    """vae_novelty_score on fresh arrays: the mean decoder NLL over S latent
-    samples z = e_mu + exp(e_lv / 2) * eps[k], one eps row per sample for every row."""
+    """vae_novelty_score one sample at a time, on fresh arrays: the mean decoder
+    NLL over S latent samples z = e_mu + exp(e_lv / 2) * eps[k], one eps row per
+    sample for every row, each decoded on its own."""
     X = checked_inputs(X, model.n_features)
     e_mu, e_lv_raw = encode_reference(model, X)
     s = np.exp(0.5 * np.clip(e_lv_raw, LOGVAR_MIN, LOGVAR_MAX))

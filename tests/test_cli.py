@@ -395,6 +395,18 @@ class TestRun:
         assert err.startswith("config error") and repr(key) in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("hidden", [10**12], "key 'hidden' must be at most 100000, got 1000000000000"),
+        ("hidden", [5, 20000, 20000], "key 'hidden' allows at most 100000000 weights "
+                                      "between adjacent hidden layers, got 20000 x 20000"),
+        ("vae_latent", 100001, "key 'vae_latent' must be at most 100000, got 100001")])
+    def test_huge_model_exits_1_naming_the_key_and_its_cap(self, tmp_path, capsys,
+                                                           key, value, message):
+        cfg = write_config(tmp_path, {**FAST, key: value, "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("literal", ["1e400", "-1e400", "Infinity", "NaN", "0"])
     def test_logistic_c_must_be_null_or_positive_and_finite(self, tmp_path, capsys, literal):
         # json reads 1e400 as inf, which results.json would echo as Infinity.

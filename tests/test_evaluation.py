@@ -320,8 +320,9 @@ for gate in (numeric.WORKER_MIN, math.inf):
 
 
 class TestOverlappedVaeFit:
-    """Above numeric.WORKER_MIN, train_methods fits the VAE on a worker thread
-    during the train_mlp call, with the bits of a fit on the calling thread."""
+    """Above numeric.WORKER_MIN, train_methods fits the VAE and then
+    bootstrap-LR on a worker thread during the train_mlp call, with the bits
+    of a fit on the calling thread."""
 
     @staticmethod
     def settings(train: Dataset) -> MethodSettings:
@@ -335,12 +336,13 @@ class TestOverlappedVaeFit:
                                    vae=dataclasses.replace(st.vae, latent_dim=latent))
 
     @staticmethod
-    def record_vae_fits(monkeypatch, fail: bool = False) -> list:
-        """(fitted on a worker thread, model or None) per train_vae call; with
-        fail, each call raises TrainingError("vae fit") instead, after 0.2 s,
-        so that a worker left unjoined is still running when the caller returns."""
+    def record_fits(monkeypatch, trainer: str = "train_vae", fail: bool = False) -> list:
+        """(fitted on a worker thread, fitted model(s) or None) per call of
+        evaluation's trainer; with fail, each call raises TrainingError("vae fit") instead,
+        after 0.2 s, so that a worker left unjoined is still running when the
+        caller returns."""
         fits = []
-        real = evaluation.train_vae
+        real = getattr(evaluation, trainer)
 
         def recorded(*args):
             on_worker = threading.current_thread() is not threading.main_thread()
@@ -350,12 +352,13 @@ class TestOverlappedVaeFit:
                 raise TrainingError("vae fit")
             return fits[-1][1]
 
-        monkeypatch.setattr(evaluation, "train_vae", recorded)
+        monkeypatch.setattr(evaluation, trainer, recorded)
         return fits
 
     @pytest.mark.parametrize("paired", [False, True])
     def test_same_bits_as_the_fit_in_order(self, toy_world, monkeypatch, paired):
-        fits = self.record_vae_fits(monkeypatch)
+        fits = self.record_fits(monkeypatch)
+        lr_fits = self.record_fits(monkeypatch, "train_bootstrapped_lr")
         train, val, test = toy_world
         st, rng = self.settings(train), SeededRng(40)
         threads = threading.active_count()
@@ -367,6 +370,12 @@ class TestOverlappedVaeFit:
         assert worker and not caller
         for pa, pb in zip(a.params(), b.params(), strict=True):
             np.testing.assert_array_equal(pa, pb)
+        (worker, a), (caller, b) = lr_fits
+        assert worker and not caller
+        assert len(a) == len(b) == st.ensemble_size
+        for ma, mb in zip(a, b, strict=True):
+            np.testing.assert_array_equal(ma.weights, mb.weights)
+            assert ma.bias == mb.bias
         for x, y in zip(overlapped, in_order, strict=True):
             assert x.name == y.name
             for sx, sy in zip(x.score(test.features), y.score(test.features)):
@@ -386,7 +395,7 @@ class TestOverlappedVaeFit:
                                                (("vae", "nn-ensemble"), False)])
     def test_below_the_gate_or_without_an_mlp_fit_the_vae_fits_in_order(
             self, toy_world, monkeypatch, names, paired):
-        fits = self.record_vae_fits(monkeypatch)
+        fits = self.record_fits(monkeypatch)
         train, val, _ = toy_world
         st = MethodSettings.toy()
         assert min(st.vae.batch_size, train.n) * st.vae.latent_dim < numeric.WORKER_MIN
@@ -394,10 +403,30 @@ class TestOverlappedVaeFit:
         train_methods(["vae", "bootstrap-lr"], train, val, self.settings(train), SeededRng(41))
         assert [worker for worker, _ in fits] == [False, False]
 
+    # Below the gate (toy sizes), or without a VAE (step 0) beside an MLP step
+    # that reaches the gate, every fit runs on the calling thread: the MLP
+    # stack, the VAE, then bootstrap-LR.
+    @pytest.mark.parametrize("names, toy", [(("bootstrap-lr", "vae", "single-nn"), True),
+                                            (("bootstrap-lr", "single-nn"), False)])
+    def test_below_the_gate_or_without_a_vae_every_fit_runs_in_order(
+            self, toy_world, monkeypatch, names, toy):
+        order = []
+        for trainer in ("train_mlp", "train_vae", "train_bootstrapped_lr"):
+            def recorded(*args, trainer=trainer, real=getattr(evaluation, trainer)):
+                order.append((trainer, threading.current_thread() is threading.main_thread()))
+                return real(*args)
+
+            monkeypatch.setattr(evaluation, trainer, recorded)
+        train, val, _ = toy_world
+        st = MethodSettings.toy() if toy else self.settings(train)
+        train_methods(names, train, val, st, SeededRng(46), paired=True)
+        assert order == [("train_mlp", True), *[("train_vae", True)] * toy,
+                         ("train_bootstrapped_lr", True)]
+
     def test_large_vae_beside_the_toy_mlp_fits_in_order(self, toy_world, monkeypatch):
         # A Python-bound toy MLP fit (200 rows, batch 8, hidden 5) beside a VAE
         # whose steps reach numeric.WORKER_MIN: overlapping them only made both slower.
-        fits = self.record_vae_fits(monkeypatch)
+        fits = self.record_fits(monkeypatch)
         started = []
         monkeypatch.setattr(threading.Thread, "start", lambda thread: started.append(thread))
         train, val, _ = toy_world
@@ -410,7 +439,7 @@ class TestOverlappedVaeFit:
         assert started == []
 
     def test_vae_error_raised_before_any_method_is_built(self, toy_world, monkeypatch):
-        fits = self.record_vae_fits(monkeypatch, fail=True)
+        fits = self.record_fits(monkeypatch, fail=True)
         built = []
         real = evaluation.train_method
 
@@ -434,7 +463,7 @@ class TestOverlappedVaeFit:
                                                   (("bootstrap-lr", "vae", "single-nn"), True)])
     def test_vae_error_wins_over_bootstrap_lr_error(self, toy_world, monkeypatch,
                                                     names, on_worker):
-        fits = self.record_vae_fits(monkeypatch, fail=True)
+        fits = self.record_fits(monkeypatch, fail=True)
 
         def failing(*args):
             raise TrainingError("bootstrap-lr fit")
@@ -446,7 +475,7 @@ class TestOverlappedVaeFit:
         assert [worker for worker, _ in fits] == [on_worker]
 
     def test_mlp_error_wins_over_vae_error(self, toy_world, monkeypatch):
-        fits = self.record_vae_fits(monkeypatch, fail=True)
+        fits = self.record_fits(monkeypatch, fail=True)
 
         def failing(*args):
             raise TrainingError("mlp fit")

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import tabuq.vae
-from tabuq import SeededRng, VaeConfig, train_vae, vae_novelty_score
+from tabuq import SeededRng, VaeConfig, corrupt_feature, train_vae, vae_novelty_score
 from tabuq.errors import ShapeError, TrainingError
 from tabuq.numeric import flatten
 from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _encode, decoder_nll, init_vae,
@@ -261,22 +261,41 @@ class TestNoveltyScoreBuffers:
     @pytest.mark.parametrize("rows", [1, 2000])
     @pytest.mark.parametrize("latent", [2, 5, 500])
     def test_matches_the_fresh_array_reference(self, latent, rows, S, clamped):
+        # The reference decodes one sample at a time, the scorer all samples in
+        # one product, so the two sum in another order and may differ by rounding.
         model, X = _scoring_case(latent, rows, clamped)
         raw = X @ model.enc_w_lv + model.enc_b_lv
         assert ((raw > LOGVAR_MAX) | (raw < LOGVAR_MIN)).any() == clamped
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             vae_novelty_score(model, X, SeededRng(18), S),
-            vae_novelty_score_reference(model, X, SeededRng(18), S))
+            vae_novelty_score_reference(model, X, SeededRng(18), S), rtol=1e-14, atol=0)
 
-    def test_peak_memory_is_three_latent_arrays(self):
-        n, latent = 2000, 500
+    def test_a_repeated_row_scores_the_same_in_every_row_block(self):
+        model, X = _scoring_case(500, 2001, clamped=False)
+        X[2000] = X[0]
+        scores = vae_novelty_score(model, X, SeededRng(20), 10)
+        assert scores[0] == scores[2000]
+
+    def test_corruption_by_factor_one_keeps_every_score(self):
+        # The unit form of the exact 0.5 detection AUC at corruption factor 1.
+        model, X = _scoring_case(500, 2000, clamped=False)
+        d = make_dataset(X, np.zeros(len(X), dtype=np.int64))
+        for j in (0, 9):
+            np.testing.assert_array_equal(
+                vae_novelty_score(model, corrupt_feature(d, j, 1.0).features, SeededRng(21), 10),
+                vae_novelty_score(model, X, SeededRng(21), 10))
+
+    def test_peak_memory_is_two_latent_arrays_and_the_product(self):
+        n, latent, S = 2000, 500, 10
         model, X = _scoring_case(latent, n, clamped=False)
+        d = X.shape[1]
         tracemalloc.start()
         try:
-            vae_novelty_score(model, X, SeededRng(19), 10)
+            vae_novelty_score(model, X, SeededRng(19), S)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # The slack, ten (rows, features) arrays, covers the decoder's temporaries;
-        # a fourth (rows, latent) array would take 8 MB more.
-        assert peak <= 3 * n * latent * 8 + 10 * n * X.shape[1] * 8
+        # The slack, ten (rows, features) arrays, covers the stacked decoder maps,
+        # the per-row means and the NLL's temporaries; a third (rows, latent)
+        # array would take 8 MB more.
+        assert peak <= 2 * n * latent * 8 + n * S * 2 * d * 8 + 10 * n * d * 8
