@@ -2,9 +2,12 @@
 
 A single JSON config drives dataset construction, method training, and one
 of four experiments (curve, ood:<tag>, corrupt, surfaces) across a list of
-seeds. Results land in the output directory as results.csv (flat records),
-results.json (config echo plus per-seed and aggregate records), and, for the
-surfaces experiment, one grid CSV per method and seed.
+seeds. Each key is checked by its row of KEYS; a key the config leaves out
+takes its default from ExperimentConfig or from the dataset's MethodSettings
+preset. Results land in the output directory as results.csv (flat records),
+results.json (the config echo, the resolved settings the run used, and
+per-seed and aggregate records), and, for the surfaces experiment, one grid
+CSV per method and seed.
 
 Exit codes: 0 success (or --help), 1 config error or bad command line, 2 data
 error, 3 training failure.
@@ -18,7 +21,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -31,51 +34,39 @@ from .evaluation import (DEFAULT_FACTORS, DEFAULT_FRACTIONS, DEFAULT_N_CORRUPT_F
                          Records, _scaled, corruption_experiment, curve_experiment,
                          factor_context, fraction_context, ood_experiment, seed_sweep,
                          toy_surfaces, train_methods)
-from .mlp import TrainConfig
 from .rng import SeededRng
-from .vae import VaeConfig
 
 EXPERIMENTS = ("curve", "ood", "corrupt", "surfaces")
 CSV_HEADER = "experiment,method,seed,context,metric,value"
 
-# Keys a config file may contain; anything else is rejected by name.
-KNOWN_KEYS = frozenset({
-    "dataset", "experiment", "methods", "seeds", "class_weighting", "platt",
-    "out_dir", "label_column", "standardize", "hidden", "dropout_rate", "lr",
-    "batch_size", "max_epochs", "patience", "ensemble_size", "mc_passes",
-    "logistic_c", "vae_latent", "vae_epochs", "vae_batch_size", "vae_lr",
-    "vae_samples", "toy_n_train", "split_fractions", "fractions", "factors",
-    "n_corrupt_features", "grid_bounds", "grid_resolution",
-})
-
-# Caps on the model sizes a config may ask for, so that a mistyped width is a
-# config error and not an allocation failure inside training: each hidden
-# width and the VAE latent size, and the weights between adjacent hidden
-# layers (at the cap, one network's such matrix takes 800 MB).
+# Caps on the sizes a config may ask for, so that a mistyped size is a config
+# error and not an allocation failure. At its cap, each keeps the largest array
+# it sizes within 800 MB (one network's weights between adjacent hidden layers
+# at MAX_LAYER_WEIGHTS), at CSV defaults on 10,000 rows of 10 features.
 MAX_WIDTH = 100_000
 MAX_LAYER_WEIGHTS = 100_000_000
 
 
 @dataclass
 class ExperimentConfig:
-    """Validated configuration with every default resolved."""
+    """Validated configuration; a key left out takes its default here or in the preset."""
 
     dataset: str
     experiment: str
-    ood_tag: str | None
-    methods: tuple[str, ...]
-    seeds: tuple[int, ...]
-    out_dir: str
-    platt: bool
-    label_column: str
     settings: MethodSettings
-    toy_n_train: int
-    split_fractions: tuple[float, float, float]
-    fractions: tuple[float, ...]
-    factors: tuple[float, ...]
-    n_corrupt_features: int
-    grid_bounds: tuple[tuple[float, float], tuple[float, float]]
-    grid_resolution: int
+    ood_tag: str | None = None
+    methods: tuple[str, ...] = METHODS
+    seeds: tuple[int, ...] = DEFAULT_SEEDS
+    out_dir: str = "results"
+    platt: bool = False
+    label_column: str = "label"
+    toy_n_train: int = ToyConfig.n_train
+    split_fractions: tuple[float, float, float] = DEFAULT_SPLIT_FRACTIONS
+    fractions: tuple[float, ...] = DEFAULT_FRACTIONS
+    factors: tuple[float, ...] = DEFAULT_FACTORS
+    n_corrupt_features: int = DEFAULT_N_CORRUPT_FEATURES
+    grid_bounds: tuple[tuple[float, float], tuple[float, float]] = ((-8.0, 8.0), (-8.0, 8.0))
+    grid_resolution: int = 50
     echo: dict = field(default_factory=dict)
 
     @property
@@ -86,16 +77,22 @@ class ExperimentConfig:
     def csv_path(self) -> str:
         return self.dataset[len("csv:"):]
 
+    @property
+    def resolved(self) -> dict:
+        """The config of every setting the run used, out_dir aside; no penalty is null."""
+        s = self.settings
+        parts = {"run": self, "method": s, "mlp": s.mlp, "vae": s.vae}
+        doc = {"dataset": self.dataset, "experiment": self.experiment}
+        for key, (part, name, *_) in KEYS.items():
+            if key != "out_dir":  # where the files landed, not what ran
+                value = getattr(parts[part], name)
+                doc[key] = None if value == math.inf else value
+        return doc
 
-def _require(raw: dict, key: str):
-    if key not in raw:
-        raise ConfigError(f"missing required key {key!r}")
-    return raw[key]
 
-
-def _as_bool(value, key: str) -> bool:
-    if not isinstance(value, bool):
-        raise ConfigError(f"key {key!r} must be true or false, got {value!r}")
+def _typed(value, key: str, kind: type, rule: str):
+    if not isinstance(value, kind):
+        raise ConfigError(f"key {key!r} must be {rule}, got {value!r}")
     return value
 
 
@@ -121,25 +118,10 @@ def _as_int(value, key: str, minimum: int | None = None, maximum: int | None = N
     return value
 
 
-def _as_str(value, key: str) -> str:
-    if not isinstance(value, str):
-        raise ConfigError(f"key {key!r} must be a string, got {value!r}")
-    return value
-
-
-def _positive(v: float) -> bool:
-    return 0 < v < math.inf
-
-
 def _as_list(value, key: str) -> list:
     if not isinstance(value, list) or not value:
         raise ConfigError(f"key {key!r} must be a non-empty list, got {value!r}")
     return value
-
-
-def _as_numbers(raw: dict, key: str, default, valid, rule: str) -> tuple[float, ...]:
-    return tuple(_as_number(v, key, valid, rule)
-                 for v in _as_list(raw.get(key, list(default)), key))
 
 
 def _distinct(values: tuple, key: str, context) -> tuple:
@@ -153,12 +135,98 @@ def _distinct(values: tuple, key: str, context) -> tuple:
     return values
 
 
-def _seeds(values) -> tuple[int, ...]:
+def _seeds(values, key: str) -> tuple[int, ...]:
     # A seed outside [0, 2**64) would alias another one's random streams.
-    seeds = tuple(_as_int(s, "seeds", 0, 2**64 - 1) for s in values)
+    seeds = tuple(_as_int(s, key, 0, 2**64 - 1) for s in values)
     if not seeds:
-        raise ConfigError("key 'seeds' must name at least one seed")
-    return _distinct(seeds, "seeds", lambda s: f"seed {s}")
+        raise ConfigError(f"key {key!r} must name at least one seed")
+    return _distinct(seeds, key, lambda s: f"seed {s}")
+
+
+def _numbers(value, key: str, valid, rule: str, context) -> tuple[float, ...]:
+    return _distinct(tuple(_as_number(v, key, valid, rule) for v in _as_list(value, key)),
+                     key, context)
+
+
+def _methods(value, key: str) -> tuple[str, ...]:
+    methods = tuple(_as_list(value, key))
+    for m in methods:
+        if m not in METHODS:
+            raise ConfigError(f"unknown method {m!r} in key {key!r}")
+    if len(set(methods)) < len(methods):
+        raise ConfigError(f"key {key!r} names a method twice: {list(methods)!r}")
+    return methods
+
+
+def _hidden(value, key: str) -> tuple[int, ...]:
+    hidden = tuple(_as_int(h, key, 1, MAX_WIDTH) for h in _as_list(value, key))
+    for a, b in zip(hidden, hidden[1:]):
+        if a * b > MAX_LAYER_WEIGHTS:
+            raise ConfigError(f"key {key!r} allows at most {MAX_LAYER_WEIGHTS} weights between "
+                              f"adjacent hidden layers, got {a} x {b}")
+    return hidden
+
+
+def _split_fractions(value, key: str) -> tuple[float, float, float]:
+    if not isinstance(value, list) or len(value) != 3:
+        raise ConfigError(f"key {key!r} must be three numbers, got {value!r}")
+    fractions = tuple(_as_number(f, key) for f in value)
+    if not (all(f > 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9):
+        raise ConfigError(
+            f"key {key!r} must be three positive fractions summing to 1, got {value!r}")
+    return fractions
+
+
+def _grid_bounds(value, key: str) -> tuple[tuple[float, float], tuple[float, float]]:
+    if not (isinstance(value, list) and len(value) == 2
+            and all(isinstance(b, list) and len(b) == 2 for b in value)):
+        raise ConfigError(f"key {key!r} must be [[min,max],[min,max]], got {value!r}")
+    bounds = tuple((_as_number(lo, key), _as_number(hi, key)) for lo, hi in value)
+    if any(lo >= hi for lo, hi in bounds):
+        raise ConfigError(f"key {key!r} must have min < max on each axis, got {value!r}")
+    return bounds
+
+
+POSITIVE = (lambda v: 0 < v < math.inf, "positive and finite")
+
+# Every optional key: the part it sets (the run's ExperimentConfig, or the
+# dataset's MethodSettings preset, its mlp or its vae), that part's field, and
+# the check(value, key, *args) that makes the field's value. Checked in order.
+KEYS = {
+    "methods": ("run", "methods", _methods),
+    "seeds": ("run", "seeds", lambda v, key: _seeds(_as_list(v, key), key)),
+    "out_dir": ("run", "out_dir", _typed, str, "a string"),
+    "hidden": ("mlp", "hidden", _hidden),
+    "dropout_rate": ("mlp", "dropout_rate", _as_number, lambda v: 0 <= v < 1, "in [0, 1)"),
+    "lr": ("mlp", "lr", _as_number, *POSITIVE),
+    "batch_size": ("mlp", "batch_size", _as_int, 1),
+    "max_epochs": ("mlp", "max_epochs", _as_int, 1),
+    "patience": ("mlp", "patience", lambda v, key: None if v is None else _as_int(v, key, 1)),
+    "vae_latent": ("vae", "latent_dim", _as_int, 1, MAX_WIDTH),
+    "vae_batch_size": ("vae", "batch_size", _as_int, 1),
+    "vae_epochs": ("vae", "epochs", _as_int, 1),
+    "vae_lr": ("vae", "lr", _as_number, *POSITIVE),
+    "vae_samples": ("vae", "samples", _as_int, 1, 500),  # (rows, samples, 2 * features)
+    "ensemble_size": ("method", "ensemble_size", _as_int, 1, 3_000),  # (members, rows, 26 B)
+    "mc_passes": ("method", "mc_passes", _as_int, 1, 10_000),  # (passes, rows)
+    # A config says "no penalty" as null, the toy preset as math.inf.
+    "logistic_c": ("method", "logistic_c", lambda v, key: math.inf if v is None else _as_number(
+        v, key, POSITIVE[0], "null or positive and finite")),
+    "class_weighting": ("method", "class_weighting", _typed, bool, "true or false"),
+    "standardize": ("method", "standardize", _typed, bool, "true or false"),
+    "split_fractions": ("run", "split_fractions", _split_fractions),
+    "grid_bounds": ("run", "grid_bounds", _grid_bounds),
+    "platt": ("run", "platt", _typed, bool, "true or false"),
+    "label_column": ("run", "label_column", _typed, str, "a string"),
+    "toy_n_train": ("run", "toy_n_train", _as_int, 2, 1_000_000),  # (rows, widest hidden)
+    "fractions": ("run", "fractions", _numbers, lambda f: 0 < f <= 1, "in (0, 1]", fraction_context),
+    "factors": ("run", "factors", _numbers, *POSITIVE, factor_context),
+    "n_corrupt_features": ("run", "n_corrupt_features", _as_int, 1),
+    "grid_resolution": ("run", "grid_resolution", _as_int, 2, 1_000),  # (points, widest hidden)
+}
+
+# Keys a config file may contain; anything else is rejected by name.
+KNOWN_KEYS = frozenset({"dataset", "experiment", *KEYS})
 
 
 def parse_config(raw: dict, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -167,8 +235,11 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     unknown = sorted(set(raw) - KNOWN_KEYS)
     if unknown:
         raise ConfigError(f"unknown config key {unknown[0]!r}")
+    for key in ("dataset", "experiment"):
+        if key not in raw:
+            raise ConfigError(f"missing required key {key!r}")
 
-    dataset = _require(raw, "dataset")
+    dataset, experiment = raw["dataset"], raw["experiment"]
     if dataset not in ("toy-balanced", "toy-unbalanced") and not (
             isinstance(dataset, str) and dataset.startswith("csv:")):
         raise ConfigError(
@@ -176,7 +247,6 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
             f"got {dataset!r}")
     is_toy = dataset.startswith("toy-")
 
-    experiment = _require(raw, "experiment")
     ood_tag = None
     if isinstance(experiment, str) and experiment.startswith("ood:"):
         ood_tag = experiment[len("ood:"):]
@@ -192,94 +262,21 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     if kind == "ood" and is_toy:
         raise ConfigError("key 'experiment': ood needs a csv dataset with group columns")
 
-    methods = tuple(_as_list(raw.get("methods", list(METHODS)), "methods"))
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r} in key 'methods'")
-    if len(set(methods)) < len(methods):
-        raise ConfigError(f"key 'methods' names a method twice: {list(methods)!r}")
-
+    given = {"run": {}, "method": {}, "mlp": {}, "vae": {}}
+    for key, (part, name, check, *args) in KEYS.items():
+        if key in raw:
+            given[part][name] = check(raw[key], key, *args)
     # results.json echoes the config, so its own seeds and out_dir are
     # checked even where a flag overrides them.
-    seeds = _seeds(_as_list(raw.get("seeds", list(DEFAULT_SEEDS)), "seeds"))
     if seed_override is not None:
-        seeds = _seeds(seed_override)
-    out_dir = _as_str(raw.get("out_dir", "results"), "out_dir")
+        given["run"]["seeds"] = _seeds(seed_override, "seeds")
     if out_override is not None:
-        out_dir = str(out_override)
+        given["run"]["out_dir"] = str(out_override)
 
-    # Every method default comes from the preset; the config overrides it.
     preset = MethodSettings.toy() if is_toy else MethodSettings()
-    mlp, vae = preset.mlp, preset.vae
-    hidden = tuple(_as_int(h, "hidden", 1, MAX_WIDTH)
-                   for h in _as_list(raw.get("hidden", list(mlp.hidden)), "hidden"))
-    for a, b in zip(hidden, hidden[1:]):
-        if a * b > MAX_LAYER_WEIGHTS:
-            raise ConfigError(f"key 'hidden' allows at most {MAX_LAYER_WEIGHTS} weights between "
-                              f"adjacent hidden layers, got {a} x {b}")
-    patience = raw.get("patience", mlp.patience)
-    # A config says "no penalty" as null, the toy preset as math.inf.
-    logistic_c = raw.get("logistic_c",
-                         None if preset.logistic_c == math.inf else preset.logistic_c)
-    mlp_cfg = TrainConfig(
-        hidden=hidden,
-        dropout_rate=_as_number(raw.get("dropout_rate", mlp.dropout_rate), "dropout_rate",
-                                lambda v: 0 <= v < 1, "in [0, 1)"),
-        lr=_as_number(raw.get("lr", mlp.lr), "lr", _positive, "positive and finite"),
-        batch_size=_as_int(raw.get("batch_size", mlp.batch_size), "batch_size", 1),
-        max_epochs=_as_int(raw.get("max_epochs", mlp.max_epochs), "max_epochs", 1),
-        patience=None if patience is None else _as_int(patience, "patience", 1))
-    vae_cfg = VaeConfig(
-        latent_dim=_as_int(raw.get("vae_latent", vae.latent_dim), "vae_latent", 1, MAX_WIDTH),
-        batch_size=_as_int(raw.get("vae_batch_size", vae.batch_size), "vae_batch_size", 1),
-        epochs=_as_int(raw.get("vae_epochs", vae.epochs), "vae_epochs", 1),
-        lr=_as_number(raw.get("vae_lr", vae.lr), "vae_lr", _positive, "positive and finite"),
-        samples=_as_int(raw.get("vae_samples", vae.samples), "vae_samples", 1))
-    settings = MethodSettings(
-        mlp=mlp_cfg, vae=vae_cfg,
-        ensemble_size=_as_int(raw.get("ensemble_size", preset.ensemble_size),
-                              "ensemble_size", 1),
-        mc_passes=_as_int(raw.get("mc_passes", preset.mc_passes), "mc_passes", 1),
-        logistic_c=(math.inf if logistic_c is None else _as_number(
-            logistic_c, "logistic_c", _positive, "null or positive and finite")),
-        class_weighting=_as_bool(raw.get("class_weighting", preset.class_weighting),
-                                 "class_weighting"),
-        standardize=_as_bool(raw.get("standardize", preset.standardize), "standardize"))
-
-    fracs = raw.get("split_fractions", list(DEFAULT_SPLIT_FRACTIONS))
-    if not isinstance(fracs, list) or len(fracs) != 3:
-        raise ConfigError(f"key 'split_fractions' must be three numbers, got {fracs!r}")
-    split_fractions = tuple(_as_number(f, "split_fractions") for f in fracs)
-    if not (all(f > 0 for f in split_fractions) and abs(sum(split_fractions) - 1.0) <= 1e-9):
-        raise ConfigError(
-            f"key 'split_fractions' must be three positive fractions summing to 1, got {fracs!r}")
-    bounds = raw.get("grid_bounds", [[-8.0, 8.0], [-8.0, 8.0]])
-    if not (isinstance(bounds, list) and len(bounds) == 2
-            and all(isinstance(b, list) and len(b) == 2 for b in bounds)):
-        raise ConfigError(f"key 'grid_bounds' must be [[min,max],[min,max]], got {bounds!r}")
-    grid_bounds = tuple((_as_number(lo, "grid_bounds"), _as_number(hi, "grid_bounds"))
-                        for lo, hi in bounds)
-    if any(lo >= hi for lo, hi in grid_bounds):
-        raise ConfigError(f"key 'grid_bounds' must have min < max on each axis, got {bounds!r}")
-
-    return ExperimentConfig(
-        dataset=dataset, experiment=experiment, ood_tag=ood_tag, methods=methods,
-        seeds=seeds, out_dir=out_dir,
-        platt=_as_bool(raw.get("platt", False), "platt"),
-        label_column=_as_str(raw.get("label_column", "label"), "label_column"),
-        settings=settings,
-        toy_n_train=_as_int(raw.get("toy_n_train", ToyConfig.n_train), "toy_n_train", 2),
-        split_fractions=split_fractions,
-        fractions=_distinct(_as_numbers(raw, "fractions", DEFAULT_FRACTIONS,
-                                        lambda f: 0 < f <= 1, "in (0, 1]"),
-                            "fractions", fraction_context),
-        factors=_distinct(_as_numbers(raw, "factors", DEFAULT_FACTORS, _positive,
-                                      "positive and finite"), "factors", factor_context),
-        n_corrupt_features=_as_int(raw.get("n_corrupt_features", DEFAULT_N_CORRUPT_FEATURES),
-                                   "n_corrupt_features", 1),
-        grid_bounds=grid_bounds,
-        grid_resolution=_as_int(raw.get("grid_resolution", 50), "grid_resolution", 2),
-        echo=raw)
+    settings = replace(preset, mlp=replace(preset.mlp, **given["mlp"]),
+                       vae=replace(preset.vae, **given["vae"]), **given["method"])
+    return ExperimentConfig(dataset, experiment, settings, ood_tag, echo=raw, **given["run"])
 
 
 def _seed_data(cfg: ExperimentConfig, full: Dataset | None,
@@ -384,6 +381,7 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
     doc = {
         "toolkit_version": __version__,
         "config": cfg.echo,
+        "resolved": cfg.resolved,
         "experiment": cfg.experiment,
         "seeds": list(sweep.seeds),
         "per_seed": [{"seed": s, "records": record_list(r)}

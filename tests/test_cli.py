@@ -5,6 +5,7 @@ import math
 import re
 import tempfile
 import threading
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -151,9 +152,12 @@ class TestParseConfig:
         max_leaves=8))
     def test_any_json_value_parses_or_raises_config_error(self, key, value):
         try:
-            parse_config({**BASE, key: value})
+            cfg = parse_config({**BASE, key: value})
         except ConfigError:
-            pass
+            return
+        # The resolved settings, as results.json holds them, give the same run.
+        again = parse_config(json.loads(json.dumps(cfg.resolved)))
+        assert replace(again, echo={}, out_dir="") == replace(cfg, echo={}, out_dir="")
 
 
 class TestFormatValue:
@@ -399,7 +403,13 @@ class TestRun:
         ("hidden", [10**12], "key 'hidden' must be at most 100000, got 1000000000000"),
         ("hidden", [5, 20000, 20000], "key 'hidden' allows at most 100000000 weights "
                                       "between adjacent hidden layers, got 20000 x 20000"),
-        ("vae_latent", 100001, "key 'vae_latent' must be at most 100000, got 100001")])
+        ("vae_latent", 100001, "key 'vae_latent' must be at most 100000, got 100001"),
+        ("grid_resolution", 10**6, "key 'grid_resolution' must be at most 1000, got 1000000"),
+        ("toy_n_train", 10**12, "key 'toy_n_train' must be at most 1000000, got 1000000000000"),
+        ("mc_passes", 10**12, "key 'mc_passes' must be at most 10000, got 1000000000000"),
+        ("vae_samples", 10**12, "key 'vae_samples' must be at most 500, got 1000000000000"),
+        ("ensemble_size", 10**12,
+         "key 'ensemble_size' must be at most 3000, got 1000000000000")])
     def test_huge_model_exits_1_naming_the_key_and_its_cap(self, tmp_path, capsys,
                                                            key, value, message):
         cfg = write_config(tmp_path, {**FAST, key: value, "out_dir": str(tmp_path / "out")})
@@ -576,12 +586,21 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_readme_key_table_names_every_known_key():
+    # One row per key; each default cell holds the key's default as JSON.
     text = README.read_text(encoding="utf-8")
-    table = text[text.index("| key | meaning | default |"):].split("\n\n")[0]
-    first_cells = [line.split("|")[1] for line in table.splitlines()[2:]]
-    keys = [k for cell in first_cells for k in re.findall(r"`([a-z_]+)`", cell)]
+    table = text[text.index("| key | meaning | toy default | CSV default |"):].split("\n\n")[0]
+    rows = [[cell.strip() for cell in line.split("|")[1:-1]] for line in table.splitlines()[2:]]
+    keys = [re.fullmatch(r"`([a-z_]+)`", row[0]).group(1) for row in rows]
     assert len(keys) == len(set(keys))
     assert set(keys) == KNOWN_KEYS
+    for column, dataset in ((2, "toy-balanced"), (3, "csv:d.csv")):
+        cfg = parse_config({"dataset": dataset, "experiment": "curve"})
+        defaults = json.loads(json.dumps({**cfg.resolved, "out_dir": cfg.out_dir}))
+        for key, row in zip(keys, rows):
+            if key in ("dataset", "experiment"):
+                assert row[column] == "required"
+            else:
+                assert json.loads(row[column].strip("`")) == defaults[key], (key, dataset)
 
 
 # Cells a faulty fuzzed CSV may hold besides plain numbers.

@@ -394,20 +394,21 @@ def test_trained_parameters_keep_their_bits():
 # TRAINED_DIGESTS, they run in a one-BLAS-thread child. Every path in a config
 # is relative, so the config echo in results.json is the same in any directory.
 # The surfaces runs' VAE entries were recorded when novelty scoring began to
-# decode all its samples in one matrix product, which rounds differently.
+# decode all its samples in one matrix product, which rounds differently. The
+# results.json entries were recorded when it gained the resolved settings.
 OUTPUT_DIGESTS = {
     "curve/results.csv":
         "0093e030630636d401f8d70d15cad8821ab6256bb00e927f141b516f0c83cfe2",
     "curve/results.json":
-        "b2671a8cedadcbd6aae46eef63884956670bcb5085728264866c2d4cc137ee8e",
+        "022c18e414c9b464f92d80d1b082ec638c36440a80fe44013cdae7f2e0a46788",
     "corrupt/results.csv":
         "e5849b1f970df0f548bf28f87e0e2db556b0832db928c6fa1f2291f376d493ab",
     "corrupt/results.json":
-        "b03d84b01bc79a1d64884308283eb529f4465cd571947473cf7313e87d484708",
+        "a0ab8971d357d3dd7f5c23fdb3456cc3d49b0c1752e83bfe5636ac4d5353415b",
     "surfaces/results.csv":
         "f91015768c6d9e80bf6924c43169adc794054bc920b3c8e9986873dbb8a0eb39",
     "surfaces/results.json":
-        "ed6cc1b3705605aa08b721d5b81bc59b4e743cf64a18ba9ac8d6e1a50b2ace5a",
+        "e63893e04d0cab31dcd613fd52126f24dd5b296a6f441a0b2dde1c7fe4e53dc3",
     "surfaces/surfaces_bootstrap-lr_seed0.csv":
         "db95fc84a27a7765a8d013f51d85054da4bb4bf1730807663339bf5bf263b951",
     "surfaces/surfaces_mc-dropout_seed0.csv":
@@ -421,11 +422,11 @@ OUTPUT_DIGESTS = {
     "ood/results.csv":
         "a726e8926f872f656cf63f7fbe2500083c86857d1de7876a2bcf3ca2efc76404",
     "ood/results.json":
-        "85d0d933aabe98e52c4a5a7ee730e8904bc371f84e7ab686393b70b8ad725975",
+        "72ddb4014bbfd14b8cdae28ae0df7378192e021c3b58630692f247f25f9f3c2c",
     "surfaces-scaled/results.csv":
         "cfa9c2be970d3da3a09a7bfbf2e0909368fcfb7e9386c38cdf9e1b8ab13a4dc8",
     "surfaces-scaled/results.json":
-        "2fcf559124c0668db6f7a791e460b07995c2ae7e76a62f4828a3f1ed05180fec",
+        "94e0f18c3151c8db7c81bce4c867e7c4c178b49c2485c743752ac1da70f2100f",
     "surfaces-scaled/surfaces_bootstrap-lr_seed0.csv":
         "f1479535b9d7428402b5dcd831fdc472b0e1fe3a85e9c4e431faa548cb6c8f5b",
     "surfaces-scaled/surfaces_mc-dropout_seed0.csv":
