@@ -8,7 +8,7 @@ AUC sits at exactly 0.5 and anything else would be a bug.
 """
 import argparse
 
-from tabuq import SeededRng, VaeConfig
+from tabuq import SeededRng, VaeConfig, pin_blas_threads
 from tabuq.data import apply_scaler, fit_scaler, generate_synthetic, split
 from tabuq.evaluation import (METHODS, MethodSettings, corruption_experiment,
                               train_methods)
@@ -22,6 +22,7 @@ def main() -> None:
                         default=[1, 10, 100, 1000])
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
+    pin_blas_threads()
 
     rng = SeededRng(args.seed)
     data = generate_synthetic(rng.split("data"))

@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from tabuq import Dataset, SeededRng, VaeConfig
+from tabuq import Dataset, SeededRng, VaeConfig, pin_blas_threads
 from tabuq.data import generate_synthetic
 from tabuq.evaluation import METHODS, MethodSettings, ood_experiment
 
@@ -36,6 +36,7 @@ def main() -> None:
                         default=[0.0, 1.0, 3.0])
     parser.add_argument("--group-size", type=int, default=1500)
     args = parser.parse_args()
+    pin_blas_threads()
 
     settings = MethodSettings(class_weighting=True,
                               vae=VaeConfig(latent_dim=5))

@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from tabuq import SeededRng
+from tabuq import SeededRng, pin_blas_threads
 from tabuq.data import generate_synthetic, split
 from tabuq.evaluation import METHODS, MethodSettings, curve_experiment
 
@@ -25,6 +25,7 @@ def main() -> None:
     parser.add_argument("--platt", action="store_true",
                         help="recalibrate on the validation split first")
     args = parser.parse_args()
+    pin_blas_threads()
 
     settings = MethodSettings(class_weighting=True)
     per_seed = []

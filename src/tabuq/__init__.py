@@ -26,7 +26,7 @@ from .mlp import (MlpModel, TrainConfig, mc_dropout_predict, mlp_loss,
                   mlp_loss_and_grads, positive_weight, predict_mlp, train_mlp,
                   weighted_bce_loss)
 from .numeric import (AdamState, adam_step, anchored_mean, dropout_mask, flatten,
-                      minibatch_adam, minimize_gd, sigmoid, unflatten)
+                      minibatch_adam, minimize_gd, pin_blas_threads, sigmoid, unflatten)
 from .rng import SeededRng
 from .vae import VaeConfig, VaeModel, train_vae, vae_novelty_score
 

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, pin_blas_threads
 from .data import Dataset, ToyConfig, generate_toy, grid_2d, load_csv, split
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
 from .evaluation import (DEFAULT_FACTORS, DEFAULT_FRACTIONS, DEFAULT_N_CORRUPT_FEATURES,
@@ -293,8 +293,9 @@ def _seed_data(cfg: ExperimentConfig, full: Dataset | None,
 
 def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
                      rng: SeededRng, tables: dict) -> Records:
-    """Evaluate grid surfaces for each method; stash each table in tables under
-    (method, rng.seed) for later writing."""
+    """Evaluate grid surfaces for each method; stash each (surface names,
+    (points, surfaces) array) in tables under (method, rng.seed) for later
+    writing beside the grid."""
     if train.d != 2:
         raise DataError(f"surfaces need a 2-D dataset, got {train.d} features")
     grid = grid_2d(cfg.grid_bounds, cfg.grid_resolution)
@@ -303,8 +304,7 @@ def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
     records: Records = {}
     for fitted in train_methods(cfg.methods, train, val, cfg.settings, rng, paired=True):
         surfaces = toy_surfaces(fitted, grid_in.features)
-        tables[(fitted.name, rng.seed)] = (["x1", "x2", *surfaces],
-                                           np.column_stack([grid, *surfaces.values()]))
+        tables[(fitted.name, rng.seed)] = (list(surfaces), np.column_stack(list(surfaces.values())))
         records[(fitted.name, "grid", "n_points")] = float(grid.shape[0])
         for c, values in surfaces.items():
             records[(fitted.name, "grid", f"{c}_mean")] = float(np.mean(values))
@@ -315,7 +315,7 @@ def _execute(cfg: ExperimentConfig):
     """Run the configured experiment across seeds.
 
     Returns (sweep, surface_tables) where surface_tables maps
-    (method, seed) -> (columns, array) and is empty except for surfaces runs.
+    (method, seed) -> (surface names, array) and is empty except for surfaces runs.
     """
     full = None
     if not cfg.is_toy:
@@ -392,8 +392,15 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
     (out / "results.json").write_text(json.dumps(doc, indent=2) + "\n",
                                       encoding="utf-8")
 
+    # Every table shares the grid's x1,x2 columns, so their text is made once;
+    # repr gives the bytes csv.writer writes for a float.
+    grid_text = [f"{x1!r},{x2!r}," for x1, x2 in
+                 grid_2d(cfg.grid_bounds, cfg.grid_resolution).tolist()] if surface_tables else []
     for (name, seed), (columns, table) in surface_tables.items():
-        _write_csv(out / f"surfaces_{name}_seed{seed}.csv", columns, table.tolist())
+        with open(out / f"surfaces_{name}_seed{seed}.csv", "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(["x1", "x2", *columns])
+            fh.writelines(f"{point}{','.join(map(repr, row))}\n"
+                          for point, row in zip(grid_text, table.tolist(), strict=True))
 
     if not quiet:
         n_files = 2 + len(surface_tables)
@@ -481,6 +488,7 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:  # argparse exits 0 after --help and 2 on a bad command line
         return 0 if e.code == 0 else 1
+    pin_blas_threads()
     return run(args.config, seed_override=args.seed_override, out_override=args.out,
                quiet=args.quiet)
 

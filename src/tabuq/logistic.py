@@ -1,4 +1,4 @@
-"""L2-penalized logistic regression trained by full-batch gradient descent.
+"""L2-penalized logistic regression trained full-batch by L-BFGS (numeric.minimize_gd).
 
 The objective is mean weighted BCE plus lambda/2 * ||w||^2 with
 lambda = 1/(C*N) and the bias unpenalized; C=inf means no penalty. Class
@@ -59,7 +59,7 @@ def logistic_objective(params: np.ndarray, X: np.ndarray, y: np.ndarray,
 
 def train_logistic(train: Dataset, C: float = 1e-2,
                    weighting: bool = False) -> LogisticModel:
-    """Deterministic full-batch fit to gradient-norm 1e-6 (or 1e4 iterations)."""
+    """Deterministic full-batch L-BFGS fit to gradient-norm 1e-6 (or 1e4 iterations)."""
     if train.n < 1:
         raise DataError("training set is empty")
     if not C > 0:
@@ -69,9 +69,9 @@ def train_logistic(train: Dataset, C: float = 1e-2,
         raise DataError("class weighting needs both classes in the training data")
     w_pos = positive_weight(train.labels) if weighting else 1.0
     lam = 0.0 if np.isinf(C) else 1.0 / (C * train.n)
-    # Warm-start the bias at the intercept-only optimum. With a strong ridge
-    # the line search is forced to tiny steps, and a zero-initialized bias
-    # could not cross to the base-rate logit within the iteration cap.
+    # Warm-start the bias at the intercept-only optimum, the base-rate logit.
+    # Where each fit ends within its tolerance, and so every recorded output,
+    # depends on this start.
     x0 = np.zeros(train.d + 1)
     x0[-1] = float(np.log(np.clip(w_pos * y.sum(), 1e-12, None))
                    - np.log(np.clip((1.0 - y).sum(), 1e-12, None)))

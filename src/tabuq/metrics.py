@@ -103,11 +103,11 @@ def _logit(p: np.ndarray) -> np.ndarray:
 
 
 def platt_fit(val_probs, val_labels) -> PlattParams:
-    """Fit sigmoid(a * logit(p) + b) to validation outcomes by gradient descent.
+    """Fit sigmoid(a * logit(p) + b) to validation outcomes by L-BFGS.
 
-    Minimizes the unweighted, unpenalized BCE of logistic_objective over the
-    one feature logit(p), to gradient-norm tolerance 1e-8, starting from the
-    identity transform (a, b) = (1, 0).
+    Minimizes (numeric.minimize_gd) the unweighted, unpenalized BCE of
+    logistic_objective over the one feature logit(p), to gradient-norm
+    tolerance 1e-8, starting from the identity transform (a, b) = (1, 0).
     """
     t = _logit(val_probs)
     y = _check_binary_labels(val_labels).astype(np.float64)

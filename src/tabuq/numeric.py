@@ -85,6 +85,35 @@ def beside_worker(job: Callable[[], object], main: Callable[[], object],
     return value, job_value
 
 
+def pin_blas_threads() -> tuple[str | None, bool]:
+    """Set numpy's bundled OpenBLAS to one thread; returns (the library's path,
+    or None if numpy bundles none, whether it now reports one thread).
+
+    For a process that owns its thread budget, as the CLI does: the package
+    runs its own second thread (beside_worker), and a threaded product sums in
+    another order, so other thread counts write other bits. With another BLAS
+    build, or a library without the scipy-openblas symbols, nothing changes.
+    """
+    import ctypes
+    import glob
+    import os
+
+    libs = sorted(glob.glob(os.path.join(os.path.dirname(os.path.dirname(np.__file__)),
+                                         "numpy.libs", "libscipy_openblas*.so*")))
+    if not libs:
+        return None, False
+    try:
+        lib = ctypes.CDLL(libs[0])
+        set_threads = lib.scipy_openblas_set_num_threads64_
+        get_threads = lib.scipy_openblas_get_num_threads64_
+    except (OSError, AttributeError):
+        return libs[0], False
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads(1)
+    return libs[0], get_threads() == 1
+
+
 def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:
     """X as float64, or ShapeError unless it has ndim axes and `width` columns."""
     X = np.asarray(X, dtype=np.float64)
@@ -231,33 +260,77 @@ def anchored_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
     return first + (values - np.expand_dims(first, axis)).mean(axis=axis)
 
 
+# minimize_gd keeps the (s, y) pairs of its last this-many steps.
+LBFGS_MEMORY = 8
+
+
 def minimize_gd(f_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
                 x0: np.ndarray, tol: float = 1e-6,
                 max_iter: int = 10_000) -> tuple[np.ndarray, float, int]:
-    """Full-batch gradient descent with backtracking line search.
+    """Minimize by L-BFGS directions (Liu & Nocedal, 1989) with a backtracking
+    Armijo line search.
 
-    Deterministic: no randomness, fixed halving/doubling of the step size.
-    Stops when the gradient L2 norm drops to `tol` or after `max_iter`
-    iterations. Returns (x, gradient norm, iterations used).
+    The direction is -H g, H being the inverse-Hessian estimate that the
+    two-loop recursion builds from the last LBFGS_MEMORY steps' pairs
+    s = x_new - x, y = g_new - g, starting from (s.y / y.y) I of the newest.
+    A step whose s.y is not positive keeps no pair and drops the others: on a
+    nonconvex stretch they would steer every later step. With no pairs, or
+    when g.d is not negative (or is NaN), the direction is -g. The line search
+    tries steps 1, 1/2, 1/4, ... until f(x + step d) <= f(x) + 1e-4 step g.d,
+    and gives up below a step of 1e-20.
+
+    Deterministic: no randomness. Stops when the gradient L2 norm drops to
+    `tol`, when no step descends, or after `max_iter` iterations. Returns
+    (x, gradient norm, iterations used).
     """
     x = np.asarray(x0, dtype=np.float64).copy()
     fx, g = f_and_grad(x)
-    step = 1.0
+    pairs: list[tuple[np.ndarray, np.ndarray, float]] = []  # (s, y, s.y), oldest first
     it = 0
     for it in range(1, max_iter + 1):
         gnorm = float(np.sqrt(np.sum(g * g)))
         if gnorm <= tol:
             return x, gnorm, it - 1
-        step = step * 2.0
+        d = -_lbfgs_product(g, pairs)
+        slope = float(g @ d)
+        if not slope < 0.0:
+            pairs.clear()
+            d, slope = -g, -gnorm * gnorm
+        step = 1.0
         while True:
-            x_new = x - step * g
+            x_new = x + step * d
             f_new, g_new = f_and_grad(x_new)
             # NaN loss fails the comparison and backtracks too.
-            if f_new <= fx - 1e-4 * step * gnorm * gnorm:
+            if f_new <= fx + 1e-4 * step * slope:
                 break
             step *= 0.5
             if step < 1e-20:
                 # No descent possible at floating-point resolution.
                 return x, gnorm, it
+        s, y = x_new - x, g_new - g
+        sy = float(s @ y)
+        if sy > 0.0:
+            pairs.append((s, y, sy))
+            del pairs[:-LBFGS_MEMORY]
+        else:
+            pairs.clear()
         x, fx, g = x_new, f_new, g_new
     return x, float(np.sqrt(np.sum(g * g))), it
+
+
+def _lbfgs_product(g: np.ndarray, pairs: list[tuple[np.ndarray, np.ndarray, float]]) -> np.ndarray:
+    """H g by the two-loop recursion: H is the BFGS inverse-Hessian estimate
+    that the (s, y, s.y) pairs, oldest first, update from (s.y / y.y) I of
+    the newest, or I with no pairs."""
+    q = g.copy()
+    alphas = []
+    for s, y, sy in reversed(pairs):
+        alpha = float(s @ q) / sy
+        q -= alpha * y
+        alphas.append(alpha)
+    if pairs:
+        _, y, sy = pairs[-1]
+        q *= sy / float(y @ y)
+    for (s, y, sy), alpha in zip(pairs, reversed(alphas)):
+        q += (alpha - float(y @ q) / sy) * s
+    return q

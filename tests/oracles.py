@@ -207,6 +207,35 @@ def platt_objective_reference(params: np.ndarray, t: np.ndarray,
     return loss, np.array([float(t @ dz), float(dz.sum())])
 
 
+def minimize_gd_reference(f_and_grad: Callable[[np.ndarray], tuple[float, np.ndarray]],
+                          x0: np.ndarray, tol: float = 1e-6,
+                          max_iter: int = 10_000) -> tuple[np.ndarray, float, int]:
+    """Steepest descent with a backtracking Armijo line search that starts each
+    iteration at twice the last accepted step (from 2), halves it until
+    f(x - step g) <= f(x) - 1e-4 step |g|^2, and gives up below 1e-20. Stops
+    at gradient norm `tol` or after `max_iter` iterations; returns (x,
+    gradient norm, iterations used), as numeric.minimize_gd does."""
+    x = np.asarray(x0, dtype=np.float64).copy()
+    fx, g = f_and_grad(x)
+    step = 1.0
+    it = 0
+    for it in range(1, max_iter + 1):
+        gnorm = float(np.sqrt(np.sum(g * g)))
+        if gnorm <= tol:
+            return x, gnorm, it - 1
+        step = step * 2.0
+        while True:
+            x_new = x - step * g
+            f_new, g_new = f_and_grad(x_new)
+            if f_new <= fx - 1e-4 * step * gnorm * gnorm:
+                break
+            step *= 0.5
+            if step < 1e-20:
+                return x, gnorm, it
+        x, fx, g = x_new, f_new, g_new
+    return x, float(np.sqrt(np.sum(g * g))), it
+
+
 def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
                         rng: SeededRng, weighting: bool) -> MlpModel:
     """One network trained on its own: minibatch Adam over its flat parameter

@@ -2,7 +2,10 @@ import csv
 import errno
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import threading
 from dataclasses import replace
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabuq import __version__, evaluation, numeric
+from tabuq import SeededRng, __version__, evaluation, generate_synthetic, numeric
 from tabuq.cli import CSV_HEADER, KNOWN_KEYS, format_value, main, parse_config, run
 from tabuq.errors import ConfigError
 
@@ -754,3 +757,29 @@ class TestMain:
         cfg = write_config(tmp_path, {**FAST, "out_dir": str(tmp_path / "o")})
         assert main(["--config", str(cfg)]) == 0
         assert "wrote" in capsys.readouterr().out
+
+    # A threaded BLAS product sums in another order, so before the CLI pinned
+    # BLAS itself these children wrote three results.csv files of two kinds.
+    def test_run_writes_the_one_thread_bytes_at_any_blas_setting(self, tmp_path):
+        if numeric.pin_blas_threads()[0] is None:
+            pytest.skip("numpy bundles no scipy-openblas library to pin")
+        data = generate_synthetic(SeededRng(20), n=600, d=4, informative=2)
+        with open(tmp_path / "data.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([*data.feature_names, "label"])
+            writer.writerows([*map(repr, x), y]
+                             for x, y in zip(data.features.tolist(), data.labels.tolist()))
+        cfg = write_config(tmp_path, {"dataset": "csv:data.csv", "seeds": [0], "platt": True,
+                                      "hidden": [100, 100], "max_epochs": 2})
+        unpinned = {k: v for k, v in os.environ.items()
+                    if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        unpinned["PYTHONPATH"] = str(Path(numeric.__file__).resolve().parents[1])
+        written = {}
+        for threads in ("1", None, "2"):
+            env = unpinned if threads is None else {**unpinned, "OPENBLAS_NUM_THREADS": threads}
+            out = tmp_path / f"threads-{threads}"
+            subprocess.run([sys.executable, "-m", "tabuq", "--config", str(cfg), "--out", str(out),
+                            "--quiet"], env=env, cwd=tmp_path, check=True)
+            written[threads] = (out / "results.csv").read_bytes()
+        assert written[None] == written["1"]
+        assert written["2"] == written["1"]

@@ -395,22 +395,25 @@ def test_trained_parameters_keep_their_bits():
 # is relative, so the config echo in results.json is the same in any directory.
 # The surfaces runs' VAE entries were recorded when novelty scoring began to
 # decode all its samples in one matrix product, which rounds differently. The
-# results.json entries were recorded when it gained the resolved settings.
+# results.json entries were recorded when it gained the resolved settings. The
+# curve run's and the surfaces runs' results and bootstrap-lr grids were
+# recorded when minimize_gd took L-BFGS directions, which end its logistic and
+# Platt fits at other points within their tolerances.
 OUTPUT_DIGESTS = {
     "curve/results.csv":
-        "0093e030630636d401f8d70d15cad8821ab6256bb00e927f141b516f0c83cfe2",
+        "d94301c0050396dceead0d8ac57b80da9a797bb23f2b2b35911ba4a653cc7ee6",
     "curve/results.json":
-        "022c18e414c9b464f92d80d1b082ec638c36440a80fe44013cdae7f2e0a46788",
+        "f305631bdf0c633a65639c554a7bfcd43e41532fb71cdd3630304d026e5eee8d",
     "corrupt/results.csv":
         "e5849b1f970df0f548bf28f87e0e2db556b0832db928c6fa1f2291f376d493ab",
     "corrupt/results.json":
         "a0ab8971d357d3dd7f5c23fdb3456cc3d49b0c1752e83bfe5636ac4d5353415b",
     "surfaces/results.csv":
-        "f91015768c6d9e80bf6924c43169adc794054bc920b3c8e9986873dbb8a0eb39",
+        "a7404600c10875e60655a1db8888da438d6922c256cbe50ec990213208808034",
     "surfaces/results.json":
-        "e63893e04d0cab31dcd613fd52126f24dd5b296a6f441a0b2dde1c7fe4e53dc3",
+        "8d45d25fa7d93565512b8fdd72423529f14575dca1524188f5c680f0ce691568",
     "surfaces/surfaces_bootstrap-lr_seed0.csv":
-        "db95fc84a27a7765a8d013f51d85054da4bb4bf1730807663339bf5bf263b951",
+        "b17d6879c7a630c19f3e41fb740fd420117e33f1123d67db080490cdeed8274e",
     "surfaces/surfaces_mc-dropout_seed0.csv":
         "74b5e33c5078b26ce2120077224ec96e80acb3a55f5cfd23a507fa66f99e612a",
     "surfaces/surfaces_nn-ensemble_seed0.csv":
@@ -424,11 +427,11 @@ OUTPUT_DIGESTS = {
     "ood/results.json":
         "72ddb4014bbfd14b8cdae28ae0df7378192e021c3b58630692f247f25f9f3c2c",
     "surfaces-scaled/results.csv":
-        "cfa9c2be970d3da3a09a7bfbf2e0909368fcfb7e9386c38cdf9e1b8ab13a4dc8",
+        "e63931dd70783381591305e62a029fa9f4785af407d8c658d4268c01b5811bef",
     "surfaces-scaled/results.json":
-        "94e0f18c3151c8db7c81bce4c867e7c4c178b49c2485c743752ac1da70f2100f",
+        "f0f9f86eb27ac35986b632eb97b5fc76da55b71730e57ff787fd01580d89efea",
     "surfaces-scaled/surfaces_bootstrap-lr_seed0.csv":
-        "f1479535b9d7428402b5dcd831fdc472b0e1fe3a85e9c4e431faa548cb6c8f5b",
+        "7c774288e8976163eda52502eed664b47d8d325352f8987b887931532c689b40",
     "surfaces-scaled/surfaces_mc-dropout_seed0.csv":
         "1c3594edc2c34fa6f50d333cc4f732556383c588c2446689e878310b8830eb6f",
     "surfaces-scaled/surfaces_nn-ensemble_seed0.csv":
@@ -564,3 +567,29 @@ def test_minimize_gd_monotone_under_armijo():
         x, _, _ = minimize_gd(f_and_grad, x, tol=0.0, max_iter=1)
         losses.append(f_and_grad(x)[0])
     assert all(b <= a + 1e-12 for a, b in zip(losses, losses[1:]))
+
+
+def test_minimize_gd_solves_rosenbrock():
+    # The valley is nonconvex in places, where a step's s.y is not positive and
+    # the L-BFGS memory restarts. Steepest descent stops at its 10,000-iteration
+    # cap here with the gradient norm near 1e-4.
+    def f_and_grad(x):
+        a, b = x
+        return (float((1.0 - a) ** 2 + 100.0 * (b - a * a) ** 2),
+                np.array([-2.0 * (1.0 - a) - 400.0 * a * (b - a * a), 200.0 * (b - a * a)]))
+
+    x, gnorm, iters = minimize_gd(f_and_grad, np.array([-1.2, 1.0]), tol=1e-8)
+    np.testing.assert_allclose(x, 1.0, atol=1e-6)
+    assert gnorm <= 1e-8
+    assert iters <= 60
+
+
+def test_minimize_gd_solves_an_ill_conditioned_quadratic():
+    # Curvatures 1 to 1e4. It takes more steps than the L-BFGS memory holds,
+    # so the oldest pairs are dropped; steepest descent stops at its cap.
+    h = np.logspace(0.0, 4.0, 4)
+    x, gnorm, iters = minimize_gd(lambda x: (float(0.5 * (h * x * x).sum()), h * x),
+                                  np.ones(4), tol=1e-8)
+    np.testing.assert_allclose(x, 0.0, atol=1e-11)
+    assert gnorm <= 1e-8
+    assert iters <= 60
