@@ -146,10 +146,11 @@ def load_csv(path, label_column: str = "label") -> Dataset:
     """Read a UTF-8 comma-separated file with a mandatory header row.
 
     Columns named `group:<tag>` must hold 0/1 and become boolean group
-    masks; every other non-label column must be numeric and finite and
-    becomes a feature. No column may be named twice. A leading byte-order
-    mark is dropped. A byte that is not UTF-8, or a line the csv module
-    cannot parse, is a DataError naming the line.
+    masks, and none may be the label column; every other non-label column
+    must be numeric and finite and becomes a feature. No column may be
+    named twice. A leading byte-order mark is dropped. A byte that is not
+    UTF-8, or a line the csv module cannot parse, is a DataError naming the
+    line.
     """
     path = Path(path)
     # Split on \n, \r and \r\n only, as a file opened with newline="" is.
@@ -172,6 +173,8 @@ def load_csv(path, label_column: str = "label") -> Dataset:
             raise DataError(f"{path}: column {name!r} appears more than once")
     if label_column not in header:
         raise DataError(f"{path}: missing label column {label_column!r}")
+    if label_column.startswith("group:"):
+        raise DataError(f"{path}: label column {label_column!r} is a group column")
     label_idx = header.index(label_column)
     group_cols = [(i, name[len("group:"):]) for i, name in enumerate(header)
                   if name.startswith("group:")]

@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tabuq import SeededRng, __version__, evaluation, generate_synthetic, numeric
+from tabuq import (Dataset, MethodSettings, SeededRng, VaeConfig, __version__, apply_scaler,
+                   evaluation, fit_scaler, generate_synthetic, numeric, split)
 from tabuq.cli import CSV_HEADER, KNOWN_KEYS, format_value, main, parse_config, run
 from tabuq.errors import ConfigError
 
@@ -468,6 +469,21 @@ class TestRun:
         assert values.pop(("vae", "subgroup_auc")) == "absent"
         assert all(0.0 <= float(v) <= 1.0 for v in values.values())
 
+    def test_group_column_as_label_exits_2_naming_it(self, tmp_path, capsys):
+        # The column used to be both the label and the group, so ood:x held
+        # out every positive, fitted on one class and wrote detection AUC 0.5.
+        data = tmp_path / "d.csv"
+        with open(data, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "group:x"])
+            writer.writerows([(i * 7) % 11, int(i % 5 == 0)] for i in range(300))
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}", "experiment": "ood:x",
+                                      "label_column": "group:x",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 2
+        assert "d.csv: label column 'group:x' is a group column" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("header, name", [(["a", "label", "label"], "label"),
                                               (["a", "a", "label"], "a")],
                              ids=["label_twice", "feature_twice"])
@@ -604,6 +620,58 @@ def test_readme_key_table_names_every_known_key():
                 assert row[column] == "required"
             else:
                 assert json.loads(row[column].strip("`")) == defaults[key], (key, dataset)
+
+
+def test_readme_synthetic_recipe_gives_the_experiments_records(tmp_path, monkeypatch):
+    # The recipe's CSV holds seed 0's synthetic draw, its held-out group and
+    # its shift to the bit, so each config writes the records the experiment
+    # gives on SeededRng(0)'s streams, called on the draw itself with the
+    # settings the configs carry. Narrowed to bootstrap-lr for speed.
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Synthetic data\n"):text.index("## Layout\n")]
+    recipe = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    configs = [json.loads(block) for block in re.findall(r"```json\n(.*?)```", section, re.S)]
+    monkeypatch.chdir(tmp_path)
+    exec(recipe, {})
+    written = {}
+    for config in configs:
+        if config["dataset"].startswith("csv:"):
+            assert config["seeds"] == [0]
+            path = write_config(tmp_path, {**config, "methods": ["bootstrap-lr"]})
+            assert main(["--config", str(path), "--quiet"]) == 0
+            doc = json.loads((tmp_path / config["out_dir"] / "results.json").read_text())
+            written[config["experiment"]] = [(r["method"], r["context"], r["metric"], r["value"])
+                                             for r in doc["per_seed"][0]["records"]]
+    assert list(written) == ["curve", "corrupt", "ood:held"]
+
+    rng, methods = SeededRng(0), ["bootstrap-lr"]
+    settings = MethodSettings(class_weighting=True, vae=VaeConfig(latent_dim=5))
+    data = generate_synthetic(rng.split("data"))
+    train, val, test = split(data, (0.6, 0.2, 0.2), rng.split("split"))
+    fractions = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
+    curve = evaluation.curve_experiment(train, val, test, methods, settings, rng.split("curve"),
+                                        fractions, use_platt=True)
+    scaler = fit_scaler(train)
+    fitted = evaluation.train_methods(methods, apply_scaler(scaler, train),
+                                      apply_scaler(scaler, val), settings, rng)
+    corrupt = evaluation.corruption_experiment(fitted, apply_scaler(scaler, test),
+                                               rng.split("corrupt"), (1, 10, 100, 1000))
+    pick = rng.split("group").permutation(data.n)[:1500]
+    X = data.features.copy()
+    X[pick] += 3.0 * X.std(axis=0)
+    held = np.isin(np.arange(data.n), pick)
+    ood = evaluation.ood_experiment(Dataset(X, data.labels, data.feature_names, {"held": held}),
+                                    "held", methods, settings, rng.split("ood"))
+    for experiment, records in (("curve", curve), ("corrupt", corrupt), ("ood:held", ood)):
+        assert written[experiment] == [(*key, value) for key, value in records.items()]
+
+    curve_contexts = {context for _, context, _, _ in written["curve"]}
+    assert curve_contexts == {"platt", *(f"f={f:.2f}" for f in fractions)}
+    factor_one = {metric: value for _, context, metric, value in written["corrupt"]
+                  if context == "factor=1"}
+    assert factor_one == {"detection_auc_mean": 0.5, "detection_auc_std": 0.0}
+    assert ("bootstrap-lr", "group=held", "detection_auc") in {
+        record[:3] for record in written["ood:held"]}
 
 
 # Cells a faulty fuzzed CSV may hold besides plain numbers.

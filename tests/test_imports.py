@@ -1,7 +1,7 @@
 """No module imports a name it never uses.
 
 No linter is installed, so this reads the syntax tree of each file of the
-package, scripts/, tests/ and perfbench/: every name an import binds must be
+package, tests/ and perfbench/: every name an import binds must be
 read as a name somewhere in the same file. The package's __init__.py is
 skipped, because its imports are the public names it exports.
 """
@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(path for folder in ("src/tabuq", "scripts", "tests", "perfbench")
+FILES = sorted(path for folder in ("src/tabuq", "tests", "perfbench")
                for path in (ROOT / folder).glob("*.py") if path.name != "__init__.py")
 
 
