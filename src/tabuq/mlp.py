@@ -6,9 +6,10 @@ binary cross-entropy over an (M, P) stack of M networks' flat parameter
 vectors as one network of (M, in, out) weights. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
 MC dropout's passes run through the training step's _forward. A train_mlp call
-owns one dict of name-keyed step buffers (numeric.step_buffer), and an
-mc_dropout_predict call one per thread it may run passes on, freed when it
-returns; _forward and the step allocate afresh when given none.
+owns one dict of name-keyed step buffers (numeric.step_buffer) and one (M, P)
+gradient buffer, and an mc_dropout_predict call one dict per thread it may run
+passes on, freed when it returns; _forward and the step allocate afresh when
+given none.
 Large MC-dropout calls split their passes between the calling thread and one
 worker thread (numeric.WORKER_MIN); each pass writes its own row, with the
 bits of the one-thread loop.
@@ -16,6 +17,7 @@ bits of the one-thread loop.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,8 +25,8 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
-from .numeric import (anchored_mean, beside_worker, checked_inputs, flatten, keep_bits,
-                      minibatch_adam, sigmoid, step_buffer, unflatten)
+from .numeric import (anchored_mean, beside_worker, checked_inputs, dropout_scale, flatten,
+                      keep_bits, minibatch_adam, sigmoid, step_buffer, unflatten)
 from .rng import SeededRng
 
 LOG_CLAMP = 1e-12
@@ -77,6 +79,10 @@ class TrainConfig:
             raise ParameterError(f"max_epochs must be at least 1, got {self.max_epochs}")
         if not self.hidden or any(h < 1 for h in self.hidden):
             raise ParameterError(f"hidden sizes must be positive, got {self.hidden}")
+        if not 0.0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
+        if not 0.0 <= self.dropout_rate < 1.0:
+            raise ParameterError(f"dropout_rate must be in [0, 1), got {self.dropout_rate}")
 
     @classmethod
     def toy(cls) -> "TrainConfig":
@@ -142,12 +148,21 @@ def _make_masks(model: MlpModel, n_rows: int, rngs: Sequence[SeededRng]) -> np.n
     return np.stack([keep_bits(r, n_rows, row_bytes, model.dropout_rate) for r in rngs])
 
 
-def _layer_masks(model: MlpModel, bits: np.ndarray) -> list[np.ndarray]:
-    """Each hidden layer's boolean keep-mask, unpacked from its bytes of _make_masks' bits."""
-    widths = [w.shape[-1] for w in model.weights[:-1]]
-    starts = np.cumsum([0] + [-(-w // 8) for w in widths])
+def _mask_layout(model: MlpModel) -> list[tuple[int, int, int]]:
+    """(width, first byte, end byte) of each hidden layer's keep bits in a row of _make_masks'."""
+    layout, lo = [], 0
+    for w in model.weights[:-1]:
+        width = w.shape[-1]
+        layout.append((width, lo, lo + -(-width // 8)))
+        lo = layout[-1][2]
+    return layout
+
+
+def _layer_masks(layout: list[tuple[int, int, int]], bits: np.ndarray) -> list[np.ndarray]:
+    """Each hidden layer's boolean keep-mask, unpacked from its bytes of _make_masks' bits
+    by the network's _mask_layout, which a caller makes once."""
     return [np.unpackbits(bits[..., lo:hi], axis=-1, count=w, bitorder="little").view(bool)
-            for w, lo, hi in zip(widths, starts, starts[1:])]
+            for w, lo, hi in layout]
 
 
 def predict_mlp(model: MlpModel, X: np.ndarray) -> np.ndarray:
@@ -167,7 +182,7 @@ def mlp_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray,
 
 def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
                        weighting: bool, masks: list[np.ndarray] | None = None,
-                       buf: dict | None = None
+                       buf: dict | None = None, grads: Sequence[np.ndarray] | None = None
                        ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
     """Loss plus analytic gradients for every weight matrix and bias vector.
 
@@ -179,7 +194,10 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
     gradient is 0 already. w is computed once, for the loss and for dL/dz.
     A stack of networks (see _forward) takes (M, N) labels and returns M losses.
     Its hidden activations and relu gates are step buffers (see _forward), and each
-    delta takes the memory of the layer input it is gated by.
+    delta takes the memory of the layer input it is gated by. The output layer
+    has width 1, so its backward product is an outer product, computed as a
+    broadcast multiply. Given `grads`, arrays shaped as model.params(), the
+    gradients are written into them, and they are returned.
     """
     y_hat, inputs = _forward(model, X, masks, buf)
     y = np.asarray(labels, dtype=np.float64)[..., None]
@@ -188,16 +206,19 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
     loss = weighted_bce_loss(y_hat[..., 0], labels, w)
 
     delta = ((1.0 - y) * y_hat - np.asarray(w)[..., None, None] * y * (1.0 - y_hat)) / n
-    grads_w: list[np.ndarray] = [None] * len(model.weights)
-    grads_b: list[np.ndarray] = [None] * len(model.biases)
-    for i in range(len(model.weights) - 1, -1, -1):
-        grads_w[i] = np.swapaxes(inputs[i], -1, -2) @ delta
-        grads_b[i] = delta.sum(axis=-2)
+    k = len(model.weights)
+    grads_w, grads_b = [None] * k, [None] * k
+    if grads is None:
+        grads = [None] * (2 * k)
+    for i in range(k - 1, -1, -1):
+        grads_w[i] = np.matmul(np.swapaxes(inputs[i], -1, -2), delta, out=grads[i])
+        grads_b[i] = delta.sum(axis=-2, out=grads[k + i])
         if i > 0:
             # Layer i's input is read for the last time by its relu gate, so
             # the next delta takes its memory.
             gate = np.greater(inputs[i], 0, out=step_buffer(buf, "gate", inputs[i].shape, bool))
-            delta = np.matmul(delta, np.swapaxes(model.weights[i], -1, -2), out=inputs[i])
+            backward = np.multiply if i == k - 1 else np.matmul
+            delta = backward(delta, np.swapaxes(model.weights[i], -1, -2), out=inputs[i])
             if masks is not None:
                 delta *= masks[i - 1]
                 delta *= 1.0 / (1.0 - model.dropout_rate)
@@ -230,6 +251,16 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
     M * n_rows * sum(ceil(w / 8)) bytes, 780 KB for five [100, 100] nets on 6,000 rows.
     Each stops early on its own validation loss, and then takes no more steps.
     weighting turns on the class-weighted loss (see weighted_bce_loss).
+
+    minibatch_adam owns the stacked parameters and steps them in place. This
+    call owns the step buffers and one (M, P) gradient buffer, whose leading
+    rows, one per member still training, each step's gradients are written
+    into with out=. The stacked model's views of the parameters and the layer
+    views of those gradient rows are made again only when the parameter array
+    changes, when a member stops; the keep bits' layer byte ranges are made
+    once. A best-epoch snapshot is a copy of the member's parameters, and a
+    returned network views its snapshot, or with no early stopping its row of
+    the final parameters.
     """
     if not rngs:
         raise ParameterError("need at least one network to train, got no streams")
@@ -242,34 +273,40 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
 
     inits = [init_mlp(train.d, cfg, rng.split("init")) for rng in rngs]
     template = inits[0]
+    layout = _mask_layout(template)
     buf = {}  # the step buffers, one per intermediate, shared by every stack and batch shape
+    grad = np.empty((len(rngs), sum(a.size for a in template.params())))
     bits = None  # the epoch's keep bits of the members still training
+    views = None  # (params, the stacked model viewing it, its rows of grad, their layer views)
 
     def loss_and_grads(flat, idx, members, epoch, batch):
-        nonlocal bits
+        nonlocal bits, views
         if batch == 0:
             bits = _make_masks(template, train.n, [rngs[m].split("dropout").split(str(epoch))
                                                    for m in members])
-        masks = _layer_masks(template, bits[:, batch * cfg.batch_size:(batch + 1) * cfg.batch_size])
-        loss, gw, gb = mlp_loss_and_grads(template.with_flat(flat), train.features[idx],
-                                          train.labels[idx], weighting, masks, buf)
-        return loss, np.concatenate([g.reshape(len(idx), -1) for g in (*gw, *gb)], axis=1)
+        if views is None or views[0] is not flat:
+            rows = grad[:len(members)]
+            views = flat, template.with_flat(flat), rows, unflatten(rows, template.params())
+        _, model, rows, layer_grads = views
+        masks = _layer_masks(layout, bits[:, batch * cfg.batch_size:(batch + 1) * cfg.batch_size])
+        loss, _, _ = mlp_loss_and_grads(model, train.features[idx], train.labels[idx],
+                                        weighting, masks, buf, layer_grads)
+        return loss, rows
 
-    best = {}  # member -> (best val loss, its snapshot, epochs since it improved)
+    best = {}  # member -> (best val loss, a copy of its params then, epochs since it improved)
     for epoch, flat, members in minibatch_adam(np.stack([flatten(m.params()) for m in inits]),
                                                loss_and_grads, train.n, cfg.batch_size,
                                                cfg.max_epochs, cfg.lr, rngs):
         for m, row in zip(list(members) if cfg.patience else (), flat):
-            model = template.with_flat(row)
-            val_loss = mlp_loss(model, val.features, val.labels, weighting)
+            val_loss = mlp_loss(template.with_flat(row), val.features, val.labels, weighting)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss at epoch {epoch}")
             loss, snapshot, stale = best.get(m, (np.inf, None, 0))
-            best[m] = (val_loss, model, 0) if val_loss < loss else (loss, snapshot, stale + 1)
+            best[m] = (val_loss, row.copy(), 0) if val_loss < loss else (loss, snapshot, stale + 1)
             if best[m][2] >= cfg.patience:
                 members.remove(m)
     # Without early stopping best stays empty and every member is still in flat.
-    return tuple(best[m][1] if best else template.with_flat(flat[m]) for m in range(len(rngs)))
+    return tuple(template.with_flat(best[m][1] if best else flat[m]) for m in range(len(rngs)))
 
 
 def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
@@ -278,27 +315,31 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     _make_masks' keep bits from rng/pass<t>, as training draws them.
 
     Each call draws every pass's bits afresh, so the same X and rng path give
-    the same bits. Layer 0's relu(X @ W + b) is computed once per call; each
-    pass masks it into a step buffer and runs _forward on the network's
-    tail, in the step buffers of its thread's dict, writing its own row of
-    passes. Passes 0 and 1 fill the two dicts on the calling thread; the rest
-    are split between it and one worker thread by numeric.beside_worker,
-    which returns once both halves have run, with rows * widest hidden layer
-    as the step (0 when T <= 2).
+    the same bits. Layer 0's relu(X @ W + b), times the dropout scale
+    1/(1 - rate), and the keep bits' layer byte ranges are computed once per
+    call; each pass masks layer 0 into a step buffer with one multiply, which
+    gives the bits of masking first and scaling second, and runs _forward on
+    the network's tail, in the step buffers of its thread's dict, writing its
+    own row of passes. Passes 0 and 1 fill the two dicts on the calling
+    thread; the rest are split between it and one worker thread by
+    numeric.beside_worker, which returns once both halves have run, with
+    rows * widest hidden layer as the step (0 when T <= 2).
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
     X = checked_inputs(X, model.n_inputs)
     n = X.shape[0]
+    # Scaling before masking is exact: (x * s) * keep == (x * keep) * s for keep in {0, 1}.
     first = np.maximum(X @ model.weights[0] + model.biases[0], 0.0)
+    first *= dropout_scale(model.dropout_rate)
     tail = MlpModel(model.weights[1:], model.biases[1:], model.dropout_rate)
+    layout = _mask_layout(model)
     passes = np.empty((T, n))
 
     def run(ts, buf):
         for t in ts:
-            keep = _layer_masks(model, _make_masks(model, n, [rng.split(f"pass{t}")])[0])
+            keep = _layer_masks(layout, _make_masks(model, n, [rng.split(f"pass{t}")])[0])
             h = np.multiply(first, keep[0], out=step_buffer(buf, "first", first.shape))
-            h *= 1.0 / (1.0 - model.dropout_rate)
             passes[t] = _forward(tail, h, keep[1:], buf)[0].ravel()
 
     # Passes 0 and 1 allocate both dicts here: buffers first allocated on

@@ -10,7 +10,7 @@ from __future__ import annotations
 import contextvars
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -122,13 +122,20 @@ def checked_inputs(X, width: int, ndim: int = 2) -> np.ndarray:
     return X
 
 
+def dropout_scale(rate: float) -> float:
+    """1/(1 - rate), inverted dropout's scale of a kept unit, or ParameterError
+    unless rate is in [0, 1)."""
+    if not 0.0 <= rate < 1.0:
+        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    return 1.0 / (1.0 - rate)
+
+
 def keep_bits(rng: SeededRng, rows: int, row_bytes: int, rate: float) -> np.ndarray:
     """(rows, row_bytes) uint8 dropout keep bits in little bit order, each 1 with probability
     exactly 1 - `rate` (Knuth & Yao, 1976). Unit i reads its uniform U a bit per round (bit
     i % 64 of word i // 64 of rng.random_raw) against the rate's next binary digit. It is
     dropped where the rate's bit is larger, kept where U's is, and kept if tied to the end."""
-    if not 0.0 <= rate < 1.0:
-        raise ParameterError(f"dropout rate must be in [0, 1), got {rate}")
+    dropout_scale(rate)  # rejects a rate outside [0, 1)
     n_words = -(-rows * row_bytes // 8)
     num, den = float(rate).as_integer_ratio()
     keep = np.full(n_words, 2**64 - 1, np.uint64)
@@ -162,7 +169,8 @@ ADAM_EPSILON = 1e-8
 
 @dataclass
 class AdamState:
-    """Adam moment estimates for one flat parameter vector, or a stack of them.
+    """Adam moment estimates for one flat parameter vector, or a stack of them,
+    and the step buffers (see step_buffer) of adam_step's temporaries.
 
     Owned by exactly one training loop; `adam_step` mutates it in place.
     """
@@ -171,6 +179,7 @@ class AdamState:
     v: np.ndarray
     t: int = 0
     lr: float = 1e-3
+    buf: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def for_params(cls, params: np.ndarray, lr: float = 1e-3) -> "AdamState":
@@ -179,7 +188,11 @@ class AdamState:
 
 
 def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
-    """One bias-corrected Adam update. Returns new params; mutates `state`."""
+    """One bias-corrected Adam update of params, in place; returns params and
+    mutates `state`, whose moments are updated in place too. Every element
+    rounds as in params - lr * m_hat / (sqrt(v_hat) + eps) on fresh arrays,
+    each operation being the same one in the same order. Its two temporaries
+    are step buffers of state.buf, so a state reuses them from step to step."""
     params = np.asarray(params, dtype=np.float64)
     grads = np.asarray(grads, dtype=np.float64)
     if params.shape != grads.shape or params.shape != state.m.shape:
@@ -187,11 +200,22 @@ def adam_step(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.nda
             f"adam_step shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"moments {state.m.shape}")
     state.t += 1
-    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
-    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
-    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
-    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
-    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    step = step_buffer(state.buf, "step", params.shape)
+    denom = step_buffer(state.buf, "denom", params.shape)
+    state.m *= ADAM_BETA1
+    state.m += np.multiply(1.0 - ADAM_BETA1, grads, out=step)
+    state.v *= ADAM_BETA2
+    np.multiply(1.0 - ADAM_BETA2, grads, out=step)
+    step *= grads
+    state.v += step
+    np.divide(state.m, 1.0 - ADAM_BETA1 ** state.t, out=step)  # m_hat
+    np.divide(state.v, 1.0 - ADAM_BETA2 ** state.t, out=denom)  # v_hat
+    np.sqrt(denom, out=denom)
+    denom += ADAM_EPSILON
+    step *= state.lr
+    step /= denom
+    params -= step
+    return params
 
 
 def flatten(arrays: Sequence[np.ndarray]) -> np.ndarray:
@@ -227,8 +251,16 @@ def minibatch_adam(flat: np.ndarray,
     any noise from rngs[members[j]] and must not change members. A non-finite
     loss raises TrainingError. Each epoch yields (epoch, params, members), row j
     of params being members[j]'s. The caller stops members by removing them from
-    that list, as os.walk's caller prunes dirnames. Yielded arrays stay valid.
+    that list, as os.walk's caller prunes dirnames.
+
+    The generator owns the parameter stack, a copy of `flat`, and its Adam
+    moments, and steps them in place (adam_step) in its AdamState's step
+    buffers. So the params array it passes and yields is one array from step
+    to step until a member stops; then the rows of those still training are
+    copied into a new one. A yielded array changes when the generator resumes,
+    so a caller that keeps a snapshot copies it.
     """
+    flat = np.array(flat, dtype=np.float64)
     state = AdamState.for_params(flat, lr=lr)
     shuffle_rngs = [rng.split("shuffle") for rng in rngs]
     members = list(range(len(rngs)))
@@ -239,13 +271,14 @@ def minibatch_adam(flat: np.ndarray,
                                            members, epoch, b)
             if not np.isfinite(losses).all():
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            flat = adam_step(flat, grads, state)
+            adam_step(flat, grads, state)
         stepped = list(members)
         yield epoch, flat, members
         if not members:
             return
-        keep = [stepped.index(m) for m in members]
-        flat, state.m, state.v = flat[keep], state.m[keep], state.v[keep]
+        if members != stepped:
+            keep = [stepped.index(m) for m in members]
+            flat, state.m, state.v = flat[keep], state.m[keep], state.v[keep]
 
 
 def anchored_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -9,13 +9,15 @@ per datum per step; log-variances are clamped to [-10, 10]. Training and
 novelty scoring share one encoder, _encode. Training decodes each step's
 sample through _decode; novelty scoring decodes all its samples in one matrix
 product instead, which the decoder's linearity allows. Each train_vae call
-owns name-keyed step buffers (numeric.step_buffer), freed when it returns;
-_encode and the step allocate afresh when given none.
+owns name-keyed step buffers (numeric.step_buffer) and one gradient buffer,
+freed when it returns; _encode and the step allocate afresh when given none.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
+from typing import Sequence
 
 import numpy as np
 
@@ -70,6 +72,8 @@ class VaeConfig:
             raise ParameterError(f"latent dimension must be positive, got {self.latent_dim}")
         if self.batch_size < 1 or self.epochs < 1 or self.samples < 1:
             raise ParameterError("batch_size, epochs and samples must be positive")
+        if not 0.0 < self.lr < math.inf:
+            raise ParameterError(f"lr must be positive and finite, got {self.lr}")
 
     @classmethod
     def toy(cls) -> "VaeConfig":
@@ -99,13 +103,16 @@ def decoder_nll(X: np.ndarray, d_mu: np.ndarray, d_lv: np.ndarray) -> np.ndarray
 
 
 def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
-                       buf: dict | None = None) -> tuple[float, tuple[np.ndarray, ...]]:
+                       buf: dict | None = None, grads: Sequence[np.ndarray] | None = None
+                       ) -> tuple[float, tuple[np.ndarray, ...]]:
     """Negative-ELBO loss and analytic gradients in VaeModel field order.
 
     The loss is the decoder NLL plus the closed-form KL(q(z|x) || N(0, I)).
     Clamped log-variance coordinates receive zero gradient through the clamp.
     The reparameterization path contributes d z / d e_lv = eps * s / 2 with
     s = exp(e_lv / 2). The (rows, latent) intermediates are step buffers.
+    Given `grads`, arrays shaped as model.params(), the gradients are written
+    into them, and they are returned.
     """
     X = checked_inputs(X, model.n_features)
     n = X.shape[0]
@@ -133,10 +140,12 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
 
     delta_dmu = -r * inv_var / n
     delta_dlv = mask_x * 0.5 * (1.0 - r * r * inv_var) / n
-    g_dec_w_mu = z.T @ delta_dmu
-    g_dec_b_mu = delta_dmu.sum(axis=0)
-    g_dec_w_lv = z.T @ delta_dlv
-    g_dec_b_lv = delta_dlv.sum(axis=0)
+    if grads is None:
+        grads = [None] * 8
+    g_dec_w_mu = np.matmul(z.T, delta_dmu, out=grads[4])
+    g_dec_b_mu = delta_dmu.sum(axis=0, out=grads[5])
+    g_dec_w_lv = np.matmul(z.T, delta_dlv, out=grads[6])
+    g_dec_b_lv = delta_dlv.sum(axis=0, out=grads[7])
 
     # The backward arrays reuse the memory of forward ones read for the last
     # time above: dz takes z's, its second term kl's, de_mu e_mu's, de_lv e_lv's.
@@ -152,10 +161,10 @@ def vae_loss_and_grads(model: VaeModel, X: np.ndarray, eps: np.ndarray,
     exp_e_lv /= n
     de_lv += exp_e_lv
     de_lv *= gate
-    g_enc_w_mu = X.T @ de_mu
-    g_enc_b_mu = de_mu.sum(axis=0)
-    g_enc_w_lv = X.T @ de_lv
-    g_enc_b_lv = de_lv.sum(axis=0)
+    g_enc_w_mu = np.matmul(X.T, de_mu, out=grads[0])
+    g_enc_b_mu = de_mu.sum(axis=0, out=grads[1])
+    g_enc_w_lv = np.matmul(X.T, de_lv, out=grads[2])
+    g_enc_b_lv = de_lv.sum(axis=0, out=grads[3])
 
     return loss, (g_enc_w_mu, g_enc_b_mu, g_enc_w_lv, g_enc_b_lv,
                   g_dec_w_mu, g_dec_b_mu, g_dec_w_lv, g_dec_b_lv)
@@ -179,17 +188,29 @@ def init_vae(n_features: int, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
 
 
 def train_vae(train: Dataset, cfg: VaeConfig, rng: SeededRng) -> VaeModel:
-    """Minibatch Adam on the negative ELBO for a fixed number of epochs."""
+    """Minibatch Adam on the negative ELBO for a fixed number of epochs.
+
+    minibatch_adam owns the (1, P) parameters and steps them in place; this
+    call owns the step buffers and a (1, P) gradient buffer that each step's
+    gradients are written into with out=. The model viewing the parameters is
+    made once, and again only if minibatch_adam passes another array. The
+    returned model views minibatch_adam's final parameters.
+    """
     if train.n < 1:
         raise DataError("training set is empty")
     model = init_vae(train.d, cfg, rng.split("init"))
     buf = {}  # the step buffers, one per intermediate, shared by every batch size
+    grad = np.empty((1, sum(a.size for a in model.params())))
+    layer_grads = unflatten(grad[0], model.params())
+    views = None  # (params, the model viewing it)
 
     def loss_and_grads(flat, idx, members, epoch, batch):
+        nonlocal views
+        if views is None or views[0] is not flat:
+            views = flat, model.with_flat(flat[0])
         eps = rng.split("eps").split(f"{epoch}.{batch}").normal((idx.shape[1], cfg.latent_dim))
-        loss, grads = vae_loss_and_grads(model.with_flat(flat[0]), train.features[idx[0]],
-                                         eps, buf)
-        return [loss], flatten(grads)[None]
+        loss, _ = vae_loss_and_grads(views[1], train.features[idx[0]], eps, buf, layer_grads)
+        return [loss], grad
 
     for _, flat, _ in minibatch_adam(flatten(model.params())[None], loss_and_grads, train.n,
                                      cfg.batch_size, cfg.epochs, cfg.lr, [rng]):

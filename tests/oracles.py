@@ -15,8 +15,8 @@ from tabuq.errors import ParameterError, TrainingError
 from tabuq.evaluation import FittedMethod, MethodSettings, _mlp_streams, train_method
 from tabuq.logistic import train_bootstrapped_lr
 from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp_loss_and_grads
-from tabuq.numeric import (AdamState, adam_step, anchored_mean, checked_inputs, dropout_mask,
-                           flatten, sigmoid)
+from tabuq.numeric import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, anchored_mean,
+                           checked_inputs, dropout_mask, flatten, sigmoid)
 from tabuq.rng import SeededRng
 from tabuq.vae import LOGVAR_MAX, LOGVAR_MIN, VaeModel, decoder_nll, train_vae
 
@@ -236,13 +236,26 @@ def minimize_gd_reference(f_and_grad: Callable[[np.ndarray], tuple[float, np.nda
     return x, float(np.sqrt(np.sum(g * g))), it
 
 
+def adam_step_reference(params: np.ndarray, grads: np.ndarray, state: AdamState) -> np.ndarray:
+    """One bias-corrected Adam update as plain expressions on fresh arrays:
+    returns new params, rebinds state.m and state.v to new moments, and leaves
+    params and grads as they were."""
+    state.t += 1
+    state.m = ADAM_BETA1 * state.m + (1.0 - ADAM_BETA1) * grads
+    state.v = ADAM_BETA2 * state.v + (1.0 - ADAM_BETA2) * grads * grads
+    m_hat = state.m / (1.0 - ADAM_BETA1 ** state.t)
+    v_hat = state.v / (1.0 - ADAM_BETA2 ** state.t)
+    return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+
+
 def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
                         rng: SeededRng, weighting: bool) -> MlpModel:
-    """One network trained on its own: minibatch Adam over its flat parameter
-    vector, with the init, shuffle and dropout streams of rng, and early
-    stopping that restores the best-validation-epoch snapshot. Epoch e draws
-    one keep-mask row per training row from rng/dropout/<e>, and the batch at
-    rows [start, end) of the shuffled order takes mask rows [start, end)."""
+    """One network trained on its own: minibatch Adam (adam_step_reference)
+    over its flat parameter vector, with the init, shuffle and dropout streams
+    of rng, and early stopping that restores the best-validation-epoch
+    snapshot. Epoch e draws one keep-mask row per training row from
+    rng/dropout/<e>, and the batch at rows [start, end) of the shuffled order
+    takes mask rows [start, end)."""
     model = init_mlp(train.d, cfg, rng.split("init"))
     flat = flatten(model.params())
     state = AdamState.for_params(flat, lr=cfg.lr)
@@ -259,7 +272,7 @@ def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
                                               train.labels[idx], weighting, masks)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
-            flat = adam_step(flat, flatten((*gw, *gb)), state)
+            flat = adam_step_reference(flat, flatten((*gw, *gb)), state)
         model = model.with_flat(flat)
         if cfg.patience is None:
             continue

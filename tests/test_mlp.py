@@ -15,11 +15,12 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
-from tabuq.mlp import _layer_masks, _make_masks, init_mlp
-from tabuq.numeric import flatten
+from tabuq.mlp import _layer_masks, _make_masks, _mask_layout, init_mlp
+from tabuq.numeric import flatten, unflatten
 
 from conftest import check_step_buffers
-from oracles import dropout_masks, finite_difference_gradient, mc_dropout_reference
+from oracles import (dropout_masks, finite_difference_gradient, mc_dropout_reference,
+                     train_mlp_reference)
 
 
 class TestPositiveWeight:
@@ -149,7 +150,7 @@ class TestMakeMasks:
         assert bits.shape == (2, rows, sum(-(-w // 8) for w in hidden))
         for m, stream in enumerate(streams):
             expected = dropout_masks(model, rows, SeededRng(1, stream.path))
-            for a, b in zip(_layer_masks(model, bits), expected, strict=True):
+            for a, b in zip(_layer_masks(_mask_layout(model), bits), expected, strict=True):
                 np.testing.assert_array_equal(a[m], b)
 
 
@@ -180,6 +181,10 @@ class TestStepBuffers:
         model = _stacked_model(hidden, M, rng.split("init"))
         lead = () if M is None else (M,)
         buf = {}
+        # The buffered step also writes its gradients into views of one flat
+        # buffer per network, as train_mlp's steps do.
+        like = model.params() if M is None else [a[0] for a in model.params()]
+        grad = np.full(lead + (sum(a.size for a in like),), np.nan)
         steps = []
         # Full, short, full: a reused buffer must not leak the last step's values.
         for step, n in enumerate((256, 37, 256)):
@@ -189,11 +194,12 @@ class TestStepBuffers:
             masks = None
             if masked:
                 bits = _make_masks(model, n, [step_rng.split(f"m{m}") for m in range(M or 1)])
-                masks = _layer_masks(model, bits[0] if M is None else bits)
+                masks = _layer_masks(_mask_layout(model), bits[0] if M is None else bits)
             handed_buffers.clear()
-            _assert_same_step(mlp_loss_and_grads(model, X, y, weighting, masks, buf),
-                              mlp_loss_and_grads(model, X, y, weighting, masks))
+            buffered = mlp_loss_and_grads(model, X, y, weighting, masks, buf, unflatten(grad, like))
             steps.append(list(handed_buffers))
+            _assert_same_step(buffered, mlp_loss_and_grads(model, X, y, weighting, masks))
+            assert all(np.shares_memory(g, grad) for g in (*buffered[1], *buffered[2]))
             if step == 1:
                 two_shapes = dict(buf)
         assert buf.keys() == two_shapes.keys()
@@ -217,6 +223,22 @@ class TestStepBuffers:
         train_mlp(train, val, cfg, [SeededRng(0), SeededRng(1)])
         assert len(calls) == cfg.max_epochs * math.ceil(train.n / cfg.batch_size)
         assert calls[-1] == (2, train.n % cfg.batch_size, 2)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("lr", [-0.01, 0.0, math.nan, math.inf])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ParameterError, match=r"^lr must be positive and finite, got "):
+            TrainConfig(lr=lr)
+
+    @pytest.mark.parametrize("rate", [-0.1, 1.0, math.nan])
+    def test_bad_dropout_rate_rejected(self, rate):
+        with pytest.raises(ParameterError, match=r"^dropout_rate must be in \[0, 1\), got "):
+            TrainConfig(dropout_rate=rate)
+
+    def test_edges_accepted(self):
+        cfg = TrainConfig(lr=1e-300, dropout_rate=0.0)
+        assert (cfg.lr, cfg.dropout_rate) == (1e-300, 0.0)
 
 
 class TestTrainMlp:
@@ -281,6 +303,30 @@ class TestTrainMlp:
         def val_loss(m):
             return weighted_bce_loss(predict_mlp(m, val.features), val.labels, 1.0)
         assert val_loss(snap) <= val_loss(final) + 1e-12
+
+    def test_best_snapshot_is_a_copy_of_its_epoch(self, toy_unbalanced, monkeypatch):
+        # The trainer steps its parameters in place, so a snapshot kept as a
+        # view would read the last epoch's values. At lr 0.03 the network's
+        # best validation epoch comes before the last of the epochs it runs.
+        train, val, _ = toy_unbalanced
+        cfg = TrainConfig(hidden=(5,), batch_size=8, lr=3e-2, max_epochs=30, patience=2)
+        val_losses = []
+        real = tabuq.mlp.mlp_loss
+
+        def recorded(*args, **kwargs):
+            val_losses.append(real(*args, **kwargs))
+            return val_losses[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tabuq.mlp, "mlp_loss", recorded)
+            network, = train_mlp(train, val, cfg, [SeededRng(0)], weighting=True)
+        assert int(np.argmin(val_losses)) < len(val_losses) - 1 < cfg.max_epochs - 1
+        expected = train_mlp_reference(train, val, cfg, SeededRng(0), weighting=True)
+        assert flatten(network.params()).tobytes() == flatten(expected.params()).tobytes()
+        last, = train_mlp(train, val, dataclasses.replace(cfg, patience=None,
+                                                          max_epochs=len(val_losses)),
+                          [SeededRng(0)], weighting=True)
+        assert flatten(network.params()).tobytes() != flatten(last.params()).tobytes()
 
     def test_patience_none_runs_all_epochs(self, toy_balanced):
         # With no early stopping the result must not depend on val content.

@@ -21,7 +21,8 @@ from tabuq.logistic import LogisticModel
 from tabuq import numeric
 from tabuq.numeric import beside_worker, checked_inputs, keep_bits
 
-from oracles import finite_difference_gradient, keep_bits_reference, sigmoid_reference
+from oracles import (adam_step_reference, finite_difference_gradient, keep_bits_reference,
+                     sigmoid_reference)
 
 finite_floats = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 
@@ -237,6 +238,23 @@ def test_adam_descends_quadratic():
     assert np.abs(p).max() < 1e-3
 
 
+def test_adam_step_updates_in_place_with_the_reference_bytes():
+    rng = SeededRng(4)
+    params = rng.split("params").normal((3, 7))
+    expected = params.copy()
+    state = AdamState.for_params(params, lr=0.02)
+    reference = AdamState.for_params(params, lr=0.02)
+    for step in range(6):
+        grads = rng.split(f"g{step}").normal((3, 7), std=10.0 ** (step - 3))
+        held = grads.copy()
+        assert adam_step(params, grads, state) is params
+        expected = adam_step_reference(expected, grads, reference)
+        assert grads.tobytes() == held.tobytes()
+        for a, b in ((params, expected), (state.m, reference.m), (state.v, reference.v)):
+            assert a.tobytes() == b.tobytes()
+    assert state.t == reference.t == 6
+
+
 def test_flatten_unflatten_roundtrip_gives_views():
     arrays = [np.arange(6.0).reshape(2, 3), np.array([6.0, 7.0]), np.array([[8.0]])]
     flat = flatten(arrays)
@@ -306,16 +324,45 @@ def test_minibatch_adam_stopped_member_leaves_the_stack():
     rngs = [SeededRng(0).split(f"member{m}") for m in range(3)]
     start = SeededRng(1).normal((3, 4))
     stacks = []
+    # The yielded params change when the generator resumes, so each is copied.
     for epoch, flat, members in minibatch_adam(start, quadratic_steps(rngs), 7, 3, 4, 0.1, rngs):
-        stacks.append((list(members), flat))
+        stacks.append((list(members), flat.copy()))
         if epoch == 1:
             members.remove(1)
     assert [members for members, _ in stacks] == [[0, 1, 2]] * 2 + [[0, 2]] * 2
     for m in range(3):
-        alone = [flat[0] for _, flat, _ in minibatch_adam(
+        alone = [flat[0].copy() for _, flat, _ in minibatch_adam(
             start[m:m + 1], quadratic_steps([rngs[m]]), 7, 3, 4 if m != 1 else 2, 0.1, [rngs[m]])]
         stacked = [flat[members.index(m)] for members, flat in stacks if m in members]
         np.testing.assert_array_equal(np.stack(stacked), np.stack(alone))
+
+
+def test_minibatch_adam_matches_out_of_place_reference_bytes():
+    # 10 rows in batches of 3 are 4 steps an epoch: 24 steps for members 0
+    # and 2, and 12 for member 1, which leaves the stack after epoch 2.
+    rngs = [SeededRng(2).split(f"member{m}") for m in range(3)]
+    start = SeededRng(3).normal((3, 5))
+    epochs = [6, 3, 6]
+    stacked = [[], [], []]
+    for epoch, flat, members in minibatch_adam(start, quadratic_steps(rngs), 10, 3, 6, 0.05,
+                                               rngs):
+        for row, m in zip(flat, members, strict=True):
+            stacked[m].append(row.tobytes())
+        if epoch == 2:
+            members.remove(1)
+    for m, rng in enumerate(rngs):
+        steps = quadratic_steps([rng])
+        params = start[m:m + 1].copy()
+        state = AdamState.for_params(params, lr=0.05)
+        alone = []
+        for epoch in range(epochs[m]):
+            order = rng.split("shuffle").split(str(epoch)).permutation(10)
+            for b, lo in enumerate(range(0, 10, 3)):
+                _, grads = steps(params, order[None, lo:lo + 3], [0], epoch, b)
+                params = adam_step_reference(params, grads, state)
+            alone.append(params[0].tobytes())
+        assert state.t == 4 * epochs[m]
+        assert stacked[m] == alone
 
 
 def test_minibatch_adam_ends_when_every_member_stops():

@@ -7,8 +7,8 @@ import pytest
 
 import tabuq.vae
 from tabuq import SeededRng, VaeConfig, corrupt_feature, train_vae, vae_novelty_score
-from tabuq.errors import ShapeError, TrainingError
-from tabuq.numeric import flatten
+from tabuq.errors import ParameterError, ShapeError, TrainingError
+from tabuq.numeric import flatten, unflatten
 from tabuq.vae import (LOG_2PI, LOGVAR_MAX, LOGVAR_MIN, _encode, decoder_nll, init_vae,
                        vae_loss_and_grads)
 
@@ -32,6 +32,11 @@ class TestInitAndShapes:
 
     def test_toy_config(self):
         assert VaeConfig.toy().latent_dim == 2
+
+    @pytest.mark.parametrize("lr", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_lr_rejected(self, lr):
+        with pytest.raises(ParameterError, match=r"^lr must be positive and finite, got "):
+            VaeConfig(lr=lr)
 
     def test_deterministic(self):
         a = init_vae(4, VaeConfig(latent_dim=2), SeededRng(1))
@@ -112,6 +117,9 @@ class TestStepBuffers:
         rng = SeededRng(30)
         model = init_vae(4, VaeConfig(latent_dim=latent), rng.split("init"))
         buf = {}
+        # The buffered step also writes its gradients into views of one flat
+        # buffer, as train_vae's steps do.
+        grad = np.full(sum(a.size for a in model.params()), np.nan)
         steps = []
         clamped = {"enc": np.zeros(3, bool), "dec": np.zeros(3, bool)}
         # Full, short, full: a reused buffer must not leak the last step's values.
@@ -121,8 +129,9 @@ class TestStepBuffers:
             X = step_rng.split("x").normal((n, 4)) * np.geomspace(0.1, 3000.0, n)[:, None]
             eps = step_rng.split("eps").normal((n, latent))
             handed_buffers.clear()
-            buffered = vae_loss_and_grads(model, X, eps, buf)
+            buffered = vae_loss_and_grads(model, X, eps, buf, unflatten(grad, model.params()))
             steps.append(list(handed_buffers))
+            assert all(np.shares_memory(g, grad) for g in buffered[1])
             _assert_same_step(buffered, vae_loss_and_grads(model, X, eps))
             _assert_same_step(buffered, vae_loss_and_grads_reference(model, X, eps))
             assert buffered[0] == vae_loss(model, X, eps)
