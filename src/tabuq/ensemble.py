@@ -17,9 +17,10 @@ def ensemble_predict(predict: Callable[[object, np.ndarray], np.ndarray],
     """Arithmetic mean of predict(member, X) over the members.
 
     Uses the anchored mean so that an ensemble of identical members
-    reproduces the single-member prediction bitwise.
+    reproduces the single-member prediction bitwise, taken in place in the
+    stack of predictions.
     """
-    return anchored_mean(np.stack([predict(m, X) for m in members]), axis=0)
+    return anchored_mean(np.stack([predict(m, X) for m in members]), axis=0, overwrite_input=True)
 
 
 def train_deep_ensemble(train: Dataset, val: Dataset, cfg: TrainConfig,

@@ -327,10 +327,19 @@ def corruption_experiment(methods, test: Dataset, rng: SeededRng,
     Samples min(n_features, D) feature columns without replacement, corrupts
     each at every factor, and scores detection of perturbed vs clean test
     rows per method. Emits one record per (method, factor, feature) plus the
-    per-factor mean and (sample) standard deviation over features.
+    per-factor mean and (sample) standard deviation over features. A factor
+    whose product with a chosen feature's value is not finite raises DataError
+    before any method scores.
     """
     count = min(n_features, test.d)
     chosen = rng.split("features").permutation(test.d)[:count]
+    for j in chosen:
+        # Rounding is monotone, so the largest |value| gives the largest product.
+        largest = float(np.abs(test.features[:, j]).max(initial=0.0))
+        for factor in factors:
+            if not math.isfinite(largest * factor):
+                raise DataError(f"key 'factors': factor {factor!r} times feature "
+                                f"{test.feature_names[j]!r} is not finite")
     records: Records = {}
     for fitted in methods:
         _, clean = fitted.score(test.features)

@@ -6,10 +6,10 @@ binary cross-entropy over an (M, P) stack of M networks' flat parameter
 vectors as one network of (M, in, out) weights. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
 MC dropout's passes run through the training step's _forward. A train_mlp call
-owns one dict of name-keyed step buffers (numeric.step_buffer) and one (M, P)
-gradient buffer, and an mc_dropout_predict call one dict per thread it may run
-passes on, freed when it returns; _forward and the step allocate afresh when
-given none.
+owns one dict of name-keyed step buffers (numeric.step_buffer), which its
+validation passes share, and one (M, P) gradient buffer, and an
+mc_dropout_predict call one dict per thread it may run passes on, freed when it
+returns; _forward and the step allocate afresh when given none.
 Large MC-dropout calls split their passes between the calling thread and one
 worker thread (numeric.WORKER_MIN); each pass writes its own row, with the
 bits of the one-thread loop.
@@ -173,10 +173,12 @@ def predict_mlp(model: MlpModel, X: np.ndarray) -> np.ndarray:
 
 
 def mlp_loss(model: MlpModel, X: np.ndarray, labels: np.ndarray,
-             weighting: bool, masks: list[np.ndarray] | None = None) -> float:
+             weighting: bool, masks: list[np.ndarray] | None = None,
+             buf: dict | None = None) -> float:
     """BCE of the forward pass, class-weighted by positive_weight(labels) when
-    weighting is on; masks (see _make_masks) may be frozen for gradient checks."""
-    y_hat, _ = _forward(model, X, masks)
+    weighting is on; masks (see _make_masks) may be frozen for gradient checks.
+    The hidden activations are buf's step buffers (see _forward)."""
+    y_hat, _ = _forward(model, X, masks, buf)
     return weighted_bce_loss(y_hat[..., 0], labels, positive_weight(labels) if weighting else 1.0)
 
 
@@ -255,7 +257,9 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
     minibatch_adam owns the stacked parameters and steps them in place. This
     call owns the step buffers and one (M, P) gradient buffer, whose leading
     rows, one per member still training, each step's gradients are written
-    into with out=. The stacked model's views of the parameters and the layer
+    into with out=. Each member's validation loss runs in the same step
+    buffers, which grow once to the validation rows if those outnumber a
+    stacked batch's. The stacked model's views of the parameters and the layer
     views of those gradient rows are made again only when the parameter array
     changes, when a member stops; the keep bits' layer byte ranges are made
     once. A best-epoch snapshot is a copy of the member's parameters, and a
@@ -298,7 +302,8 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
                                                loss_and_grads, train.n, cfg.batch_size,
                                                cfg.max_epochs, cfg.lr, rngs):
         for m, row in zip(list(members) if cfg.patience else (), flat):
-            val_loss = mlp_loss(template.with_flat(row), val.features, val.labels, weighting)
+            val_loss = mlp_loss(template.with_flat(row), val.features, val.labels, weighting,
+                                buf=buf)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss at epoch {epoch}")
             loss, snapshot, stale = best.get(m, (np.inf, None, 0))
@@ -323,7 +328,9 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     own row of passes. Passes 0 and 1 fill the two dicts on the calling
     thread; the rest are split between it and one worker thread by
     numeric.beside_worker, which returns once both halves have run, with
-    rows * widest hidden layer as the step (0 when T <= 2).
+    rows * widest hidden layer as the step (0 when T <= 2). The passes are
+    clipped and averaged in place (anchored_mean's overwrite_input), so the
+    (T, rows) pass array is the call's one array of that size.
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
@@ -351,4 +358,5 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     step = n * max(w.shape[-1] for w in model.weights[:-1]) if T > 2 else 0
     beside_worker(lambda: run(range(mid, T), worker_buf), lambda: run(range(2, mid), buf),
                   "tabuq-mc-dropout", step)
-    return anchored_mean(np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes), axis=0)
+    np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes)
+    return anchored_mean(passes, axis=0, overwrite_input=True)

@@ -281,16 +281,20 @@ def minibatch_adam(flat: np.ndarray,
             flat, state.m, state.v = flat[keep], state.m[keep], state.v[keep]
 
 
-def anchored_mean(values: np.ndarray, axis: int = 0) -> np.ndarray:
+def anchored_mean(values: np.ndarray, axis: int = 0,
+                  overwrite_input: bool = False) -> np.ndarray:
     """Mean along `axis`, exact when all slices are identical.
 
     Computed as first + mean(rest - first) so that averaging M copies of the
     same array returns that array bitwise, which a plain sum-and-divide does
-    not guarantee.
+    not guarantee. The differences are taken in a copy of values, or with
+    overwrite_input in a float64 `values` itself, as numpy.median's flag does:
+    the same bits without a second array of its size.
     """
-    values = np.asarray(values, dtype=np.float64)
+    values = (np.asarray if overwrite_input else np.array)(values, dtype=np.float64)
     first = np.take(values, 0, axis=axis)
-    return first + (values - np.expand_dims(first, axis)).mean(axis=axis)
+    values -= np.expand_dims(first, axis)
+    return first + values.mean(axis=axis)
 
 
 # minimize_gd keeps the (s, y) pairs of its last this-many steps.

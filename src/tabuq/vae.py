@@ -5,10 +5,11 @@ produces a diagonal Gaussian over the latent space; the decoder produces a
 diagonal Gaussian over feature space with a learned per-dimension variance.
 Training runs `numeric.minibatch_adam` on the negative ELBO over one flat
 vector of all eight parameter arrays, with one reparameterized latent sample
-per datum per step; log-variances are clamped to [-10, 10]. Training and
-novelty scoring share one encoder, _encode. Training decodes each step's
-sample through _decode; novelty scoring decodes all its samples in one matrix
-product instead, which the decoder's linearity allows. Each train_vae call
+per datum per step; log-variances are clamped to [-10, 10]. Training encodes
+through _encode and decodes each step's sample through _decode. Novelty scoring
+shares the encoder's log-variance map, _encode_logvar, and folds its mean map
+into the decoder: both are linear, so the latent means never form, and all the
+samples decode in one matrix product. Each train_vae call
 owns name-keyed step buffers (numeric.step_buffer) and one gradient buffer,
 freed when it returns; _encode and the step allocate afresh when given none.
 """
@@ -86,9 +87,14 @@ def _encode(model: VaeModel, X: np.ndarray,
     shape = (X.shape[0], model.latent_dim)
     e_mu = np.matmul(X, model.enc_w_mu, out=step_buffer(buf, "e_mu", shape))
     e_mu += model.enc_b_mu
-    e_lv = np.matmul(X, model.enc_w_lv, out=step_buffer(buf, "e_lv", shape))
+    return e_mu, _encode_logvar(model, X, step_buffer(buf, "e_lv", shape))
+
+
+def _encode_logvar(model: VaeModel, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The encoder's clamped latent log-variance, written into out if given."""
+    e_lv = np.matmul(X, model.enc_w_lv, out=out)
     e_lv += model.enc_b_lv
-    return e_mu, np.clip(e_lv, LOGVAR_MIN, LOGVAR_MAX, out=e_lv)
+    return np.clip(e_lv, LOGVAR_MIN, LOGVAR_MAX, out=e_lv)
 
 
 def _decode(model: VaeModel, z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -223,23 +229,23 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     """Mean decoder NLL over S latent samples; higher means more novel.
 
     The S reparameterization draws are shared across rows, so duplicate rows
-    always receive identical scores under a fixed seed. The decoder is linear,
-    so every sample's outputs come from one product: with W = [dec_w_mu |
-    dec_w_lv] and M[:, k] = eps[k][:, None] * W, sample k's decoder outputs are
-    e_mu @ W + b plus block k of s @ M, where s = exp(e_lv / 2). e_mu is freed
-    once e_mu @ W + b is made, and s is made in place on e_lv, so at most two
-    (rows, latent) arrays are alive at once; the NLL runs in place on the
-    product's (rows, S, features) halves.
+    always receive identical scores under a fixed seed. The encoder's mean map
+    and the decoder are linear, so every sample's outputs come from two
+    products: with W = [dec_w_mu | dec_w_lv] and M[:, k] = eps[k][:, None] * W,
+    sample k's decoder outputs are X @ (enc_w_mu @ W) + (enc_b_mu @ W + b) plus
+    block k of s @ M, where s = exp(e_lv / 2) is made in place on the encoder's
+    log-variance. s is the one (rows, latent) array, and each product runs over
+    all rows at once, so that equal rows round alike; the NLL runs in place on
+    the (rows, S, features) halves of s @ M.
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
     X = checked_inputs(X, model.n_features)
     n, d = X.shape
     W = np.concatenate([model.dec_w_mu, model.dec_w_lv], axis=1)
-    e_mu, s = _encode(model, X)
-    mean = e_mu @ W
-    mean += np.concatenate([model.dec_b_mu, model.dec_b_lv])
-    del e_mu
+    mean = X @ (model.enc_w_mu @ W)
+    mean += model.enc_b_mu @ W + np.concatenate([model.dec_b_mu, model.dec_b_lv])
+    s = _encode_logvar(model, X)
     s *= 0.5
     np.exp(s, out=s)
     eps = rng.normal((S, model.latent_dim))

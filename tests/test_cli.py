@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -443,6 +444,33 @@ class TestRun:
         assert capsys.readouterr().err == (
             "data error: seed 0: method 'vae', context 'grid', metric 'novelty_mean' is inf, "
             "which JSON cannot hold\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_factor_exits_2_naming_it_before_scoring(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # A standardized 300-row column holds values beyond 1, so 1e308 times
+        # it overflows: refused before any method scores a copy, factor 10's
+        # included, and with no numpy warning on the way.
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(300, 4))
+        data = tmp_path / "wide.csv"
+        rows = ["a,b,c,d,label"] + [",".join([*map(repr, x.tolist()), str(int(x[0] > 0))])
+                                    for x in X]
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {
+            "dataset": f"csv:{data}", "experiment": "corrupt", "factors": [10, 1e308],
+            "n_corrupt_features": 1, "seeds": [0], "hidden": [8], "max_epochs": 2,
+            "vae_latent": 5, "vae_epochs": 2, "mc_passes": 5, "out_dir": str(tmp_path / "out")})
+        scored, auc_roc = [], evaluation.auc_roc
+        monkeypatch.setattr(evaluation, "auc_roc",
+                            lambda *args: scored.append(args) or auc_roc(*args))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(cfg, quiet=True) == 2
+        err = capsys.readouterr().err
+        assert re.fullmatch(r"data error: seed 0: key 'factors': factor 1e\+308 times feature "
+                            r"'[abcd]' is not finite\n", err), err
+        assert scored == []
         assert not (tmp_path / "out").exists()
 
     def test_ood_run_scores_every_method_on_a_held_group(self, tmp_path):

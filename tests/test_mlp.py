@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
 from tabuq.mlp import _layer_masks, _make_masks, _mask_layout, init_mlp
 from tabuq.numeric import flatten, unflatten
 
-from conftest import check_step_buffers
+from conftest import check_step_buffers, make_dataset
 from oracles import (dropout_masks, finite_difference_gradient, mc_dropout_reference,
                      train_mlp_reference)
 
@@ -208,6 +209,43 @@ class TestStepBuffers:
         assert {a.shape for step in steps for _, a in step} == {
             lead + (n, h) for n in (256, 37) for h in hidden}
 
+    def test_buffered_validation_loss_equals_allocating_loss(self):
+        model = init_mlp(4, TrainConfig(hidden=(100, 100)), SeededRng(21))
+        X = SeededRng(22).normal((300, 4))
+        y = (X[:, 0] > 0).astype(np.int64)
+        buf = {"h0": np.full(256 * 100, np.nan)}  # a smaller step's buffer, grown here
+        for weighting in (False, True):
+            assert mlp_loss(model, X, y, weighting, buf=buf) == mlp_loss(model, X, y, weighting)
+        assert buf["h0"].size == buf["h1"].size == 300 * 100
+
+    def test_validation_runs_in_the_step_buffers(self):
+        # Early stopping's validation passes, on more rows than a stacked batch,
+        # grow the fit's step buffers once instead of allocating two fresh
+        # (validation rows, width) activations per member and epoch. So the fit's
+        # peak exceeds the same fit's without validation by the buffers' growth,
+        # each member's snapshot and its replacement, and a few (validation rows,)
+        # vectors; fresh activations would add the stacked batch's two arrays.
+        M, batch, n_val, width = 3, 256, 2000, 100
+
+        def dataset(rng, n):
+            X = rng.normal((n, 4))
+            return make_dataset(X, (X[:, 0] + X[:, 1] > 0).astype(np.int64))
+
+        train, val = dataset(SeededRng(23), 2 * batch), dataset(SeededRng(24), n_val)
+        peaks = {}
+        for patience in (None, 5):
+            cfg = TrainConfig(hidden=(width, width), batch_size=batch, max_epochs=3,
+                              patience=patience)
+            tracemalloc.start()
+            try:
+                networks = train_mlp(train, val, cfg, [SeededRng(25 + m) for m in range(M)])
+                _, peaks[patience] = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        params = sum(a.size for a in networks[0].params())
+        growth = (n_val - M * batch) * width * 2 * 8
+        assert peaks[5] - peaks[None] <= growth + 2 * M * params * 8 + 8 * n_val * 8
+
     def test_one_step_call_per_batch(self, toy_balanced, monkeypatch):
         # perfbench's tracer counts steps by wrapping this module attribute.
         calls = []
@@ -383,6 +421,23 @@ class TestMcDropout:
             expected = mc_dropout_reference(m, X, SeededRng(13), T)
             for _ in range(2):
                 np.testing.assert_array_equal(mc_dropout_predict(m, X, SeededRng(13), T), expected)
+
+    def test_peak_memory_is_one_pass_array_and_the_row_buffers(self):
+        # The toy grid: 2,500 rows x [5], 100 passes, on the calling thread.
+        # Averaging the (T, rows) passes in place leaves them the only array of
+        # their size; the slack, eight (rows, widest) arrays, covers layer 0's
+        # scaled output and its masked copy, the keep masks, the tail's step
+        # buffers and the output layer's temporaries.
+        n, T, width = 2500, 100, 5
+        m = init_mlp(2, TrainConfig(hidden=(width,)), SeededRng(14))
+        X = SeededRng(15).normal((n, 2))
+        tracemalloc.start()
+        try:
+            mc_dropout_predict(m, X, SeededRng(16), T)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= T * n * 8 + 8 * n * width * 8
 
 
 SPLIT_SCRIPT = """
