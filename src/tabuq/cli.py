@@ -358,6 +358,29 @@ def _write_csv(path: Path, header, rows) -> None:
         writer.writerows(rows)
 
 
+# _write_grid formats this many rows at a time.
+GRID_BLOCK_ROWS = 256
+
+
+def _write_grid(path: Path, columns, grid_text: list[str], table: np.ndarray) -> None:
+    """A surfaces CSV: csv.writer's header, then per grid point its cached
+    "x1,x2," text and its row of table, each float as its repr. A block of
+    GRID_BLOCK_ROWS rows is one %-format (%r is repr) over a flat list of
+    their text and values, so only one block's floats exist as objects. A
+    table of another length than grid_text raises ValueError."""
+    width = table.shape[1] + 1
+    row = "%s" + ",".join(["%r"] * (width - 1)) + "\n"
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["x1", "x2", *columns])
+        for lo in range(0, len(table), GRID_BLOCK_ROWS):
+            block = table[lo:lo + GRID_BLOCK_ROWS]
+            cells = [None] * (len(block) * width)
+            cells[::width] = grid_text[lo:lo + GRID_BLOCK_ROWS]
+            for j in range(1, width):
+                cells[j::width] = block[:, j - 1].tolist()
+            fh.write(row * len(block) % tuple(cells))
+
+
 def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) -> None:
     labelled = [*zip(sweep.seeds, sweep.per_seed), ("mean", sweep.mean), ("std", sweep.std)]
     # results.json is strict JSON, which has no NaN or infinity.
@@ -397,10 +420,7 @@ def _write_outputs(cfg: ExperimentConfig, sweep, surface_tables, quiet: bool) ->
     grid_text = [f"{x1!r},{x2!r}," for x1, x2 in
                  grid_2d(cfg.grid_bounds, cfg.grid_resolution).tolist()] if surface_tables else []
     for (name, seed), (columns, table) in surface_tables.items():
-        with open(out / f"surfaces_{name}_seed{seed}.csv", "w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh, lineterminator="\n").writerow(["x1", "x2", *columns])
-            fh.writelines(f"{point}{','.join(map(repr, row))}\n"
-                          for point, row in zip(grid_text, table.tolist(), strict=True))
+        _write_grid(out / f"surfaces_{name}_seed{seed}.csv", columns, grid_text, table)
 
     if not quiet:
         n_files = 2 + len(surface_tables)

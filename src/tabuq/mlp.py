@@ -186,15 +186,20 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
                        weighting: bool, masks: list[np.ndarray] | None = None,
                        buf: dict | None = None, grads: Sequence[np.ndarray] | None = None
                        ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Loss plus analytic gradients for every weight matrix and bias vector.
+    """Each network's sum of its output column, plus analytic gradients for
+    every weight matrix and bias vector.
 
+    The sum stands in for the loss in minibatch_adam's finiteness check: the
+    outputs are sigmoids in [0, 1] or NaN, and the BCE clips them into
+    [LOG_CLAMP, 1 - LOG_CLAMP] under a finite class weight, so the sum is
+    non-finite exactly where the BCE is, at the price of one sum; mlp_loss
+    computes the BCE itself.
     Derivation: with p = sigmoid(z) and per-example weight w on positives,
     dL/dz = ((1-y)*p - w*y*(1-p)) / N, then standard backprop through the
-    relu layers, with each dropout mask and its 1/(1 - rate) scale multiplying
-    its layer's gradient. The relu gate reads the masked output, which is
-    positive where the pre-activation is unless the mask is 0, and there the
-    gradient is 0 already. w is computed once, for the loss and for dL/dz.
-    A stack of networks (see _forward) takes (M, N) labels and returns M losses.
+    relu layers, each dropout layer's gradient scaled by 1/(1 - rate). The
+    relu gate reads the masked and scaled layer input, so it is 0 wherever the
+    keep bit is, and the gate alone applies the mask, to the same bits.
+    A stack of networks (see _forward) takes (M, N) labels and returns M sums.
     Its hidden activations and relu gates are step buffers (see _forward), and each
     delta takes the memory of the layer input it is gated by. The output layer
     has width 1, so its backward product is an outer product, computed as a
@@ -205,7 +210,7 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
     y = np.asarray(labels, dtype=np.float64)[..., None]
     n = y.shape[-2]
     w = positive_weight(labels) if weighting else 1.0
-    loss = weighted_bce_loss(y_hat[..., 0], labels, w)
+    total = y_hat.sum(axis=(-2, -1))
 
     delta = ((1.0 - y) * y_hat - np.asarray(w)[..., None, None] * y * (1.0 - y_hat)) / n
     k = len(model.weights)
@@ -222,10 +227,9 @@ def mlp_loss_and_grads(model: MlpModel, X: np.ndarray, labels: np.ndarray,
             backward = np.multiply if i == k - 1 else np.matmul
             delta = backward(delta, np.swapaxes(model.weights[i], -1, -2), out=inputs[i])
             if masks is not None:
-                delta *= masks[i - 1]
                 delta *= 1.0 / (1.0 - model.dropout_rate)
             delta *= gate
-    return loss, grads_w, grads_b
+    return total, grads_w, grads_b
 
 
 def init_mlp(n_features: int, cfg: TrainConfig, rng: SeededRng) -> MlpModel:
@@ -293,9 +297,9 @@ def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
             views = flat, template.with_flat(flat), rows, unflatten(rows, template.params())
         _, model, rows, layer_grads = views
         masks = _layer_masks(layout, bits[:, batch * cfg.batch_size:(batch + 1) * cfg.batch_size])
-        loss, _, _ = mlp_loss_and_grads(model, train.features[idx], train.labels[idx],
-                                        weighting, masks, buf, layer_grads)
-        return loss, rows
+        total, _, _ = mlp_loss_and_grads(model, train.features[idx], train.labels[idx],
+                                         weighting, masks, buf, layer_grads)
+        return total, rows
 
     best = {}  # member -> (best val loss, a copy of its params then, epochs since it improved)
     for epoch, flat, members in minibatch_adam(np.stack([flatten(m.params()) for m in inits]),

@@ -247,9 +247,11 @@ def minibatch_adam(flat: np.ndarray,
     Each epoch member m visits the rows in the order of rngs[m]/shuffle/<epoch>,
     in batches of `batch_size`. Batch b of epoch e calls loss_and_grads(params,
     row indices, members, e, b), with a params row and an index row per member
-    still training, for their losses and stacked gradient; the callback derives
-    any noise from rngs[members[j]] and must not change members. A non-finite
-    loss raises TrainingError. Each epoch yields (epoch, params, members), row j
+    still training, for their stacked gradient and one value each that is
+    finite exactly when their loss is: the loss itself (train_vae) or a cheaper
+    stand-in (train_mlp's output sums); the callback derives any noise from
+    rngs[members[j]] and must not change members. A non-finite value raises
+    TrainingError, naming the epoch. Each epoch yields (epoch, params, members), row j
     of params being members[j]'s. The caller stops members by removing them from
     that list, as os.walk's caller prunes dirnames.
 

@@ -236,7 +236,10 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     block k of s @ M, where s = exp(e_lv / 2) is made in place on the encoder's
     log-variance. s is the one (rows, latent) array, and each product runs over
     all rows at once, so that equal rows round alike; the NLL runs in place on
-    the (rows, S, features) halves of s @ M.
+    the (rows, S, features) halves of s @ M. Those steps ignore overflow: a
+    squared residual beyond the float range (a feature scaled by 1e300, say)
+    scores +inf, which auc_roc ranks above every finite score. With finite
+    decoder outputs every NLL term is finite or +inf, so no NaN forms there.
     """
     if S < 1:
         raise ParameterError(f"need at least one latent sample, got S={S}")
@@ -256,10 +259,11 @@ def vae_novelty_score(model: VaeModel, X: np.ndarray, rng: SeededRng,
     d_mu, d_lv = out[:, :, :d], out[:, :, d:]
     np.clip(d_lv, LOGVAR_MIN, LOGVAR_MAX, out=d_lv)
     # decoder_nll's terms, in its order, written over d_mu.
-    r = np.subtract(X[:, None, :], d_mu, out=d_mu)
-    r *= r
-    inv_var = np.negative(d_lv)
-    r *= np.exp(inv_var, out=inv_var)
-    r += d_lv
-    r += LOG_2PI
-    return (0.5 * r.sum(axis=2)).sum(axis=1) / S
+    with np.errstate(over="ignore"):
+        r = np.subtract(X[:, None, :], d_mu, out=d_mu)
+        r *= r
+        inv_var = np.negative(d_lv)
+        r *= np.exp(inv_var, out=inv_var)
+        r += d_lv
+        r += LOG_2PI
+        return (0.5 * r.sum(axis=2)).sum(axis=1) / S

@@ -4,6 +4,8 @@ No code in the package calls these: they exist so that an analytic gradient
 can be compared with a numerical one, an optimized scorer or trainer with
 the plain loop it replaces, and a shared objective with the one it replaces.
 """
+import csv
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -14,7 +16,8 @@ from tabuq.data import Dataset
 from tabuq.errors import ParameterError, TrainingError
 from tabuq.evaluation import FittedMethod, MethodSettings, _mlp_streams, train_method
 from tabuq.logistic import train_bootstrapped_lr
-from tabuq.mlp import PROB_CLAMP, MlpModel, TrainConfig, init_mlp, mlp_loss, mlp_loss_and_grads
+from tabuq.mlp import (PROB_CLAMP, MlpModel, TrainConfig, _forward, init_mlp, mlp_loss,
+                       positive_weight, weighted_bce_loss)
 from tabuq.numeric import (ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON, AdamState, anchored_mean,
                            checked_inputs, dropout_mask, flatten, sigmoid)
 from tabuq.rng import SeededRng
@@ -248,6 +251,33 @@ def adam_step_reference(params: np.ndarray, grads: np.ndarray, state: AdamState)
     return params - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
+def mlp_loss_and_grads_reference(model: MlpModel, X: np.ndarray, labels: np.ndarray,
+                                 weighting: bool, masks: list[np.ndarray] | None = None
+                                 ) -> tuple[float | np.ndarray, list[np.ndarray], list[np.ndarray]]:
+    """mlp_loss_and_grads with the weighted BCE as its loss, on fresh arrays,
+    and a backward pass that multiplies each delta by its layer's keep mask
+    and the dropout scale before the relu gate."""
+    y_hat, inputs = _forward(model, X, masks)
+    y = np.asarray(labels, dtype=np.float64)[..., None]
+    n = y.shape[-2]
+    w = positive_weight(labels) if weighting else 1.0
+    loss = weighted_bce_loss(y_hat[..., 0], labels, w)
+    delta = ((1.0 - y) * y_hat - np.asarray(w)[..., None, None] * y * (1.0 - y_hat)) / n
+    k = len(model.weights)
+    grads_w, grads_b = [None] * k, [None] * k
+    for i in range(k - 1, -1, -1):
+        grads_w[i] = np.swapaxes(inputs[i], -1, -2) @ delta
+        grads_b[i] = delta.sum(axis=-2)
+        if i > 0:
+            gate = inputs[i] > 0
+            backward = np.multiply if i == k - 1 else np.matmul
+            delta = backward(delta, np.swapaxes(model.weights[i], -1, -2))
+            if masks is not None:
+                delta = delta * masks[i - 1] * (1.0 / (1.0 - model.dropout_rate))
+            delta = delta * gate
+    return loss, grads_w, grads_b
+
+
 def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
                         rng: SeededRng, weighting: bool) -> MlpModel:
     """One network trained on its own: minibatch Adam (adam_step_reference)
@@ -255,7 +285,8 @@ def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
     of rng, and early stopping that restores the best-validation-epoch
     snapshot. Epoch e draws one keep-mask row per training row from
     rng/dropout/<e>, and the batch at rows [start, end) of the shuffled order
-    takes mask rows [start, end)."""
+    takes mask rows [start, end). Each step runs mlp_loss_and_grads_reference
+    and checks its loss, the weighted BCE, for finiteness."""
     model = init_mlp(train.d, cfg, rng.split("init"))
     flat = flatten(model.params())
     state = AdamState.for_params(flat, lr=cfg.lr)
@@ -268,8 +299,8 @@ def train_mlp_reference(train: Dataset, val: Dataset, cfg: TrainConfig,
             idx = order[start:start + cfg.batch_size]
             step_model = model.with_flat(flat)
             masks = [m[start:start + len(idx)] for m in epoch_masks]
-            loss, gw, gb = mlp_loss_and_grads(step_model, train.features[idx],
-                                              train.labels[idx], weighting, masks)
+            loss, gw, gb = mlp_loss_and_grads_reference(step_model, train.features[idx],
+                                                        train.labels[idx], weighting, masks)
             if not np.isfinite(loss):
                 raise TrainingError(f"non-finite training loss at epoch {epoch}")
             flat = adam_step_reference(flat, flatten((*gw, *gb)), state)
@@ -312,3 +343,13 @@ def fit_method_reference(name: str, train: Dataset, val: Dataset, settings: Meth
     networks = tuple(tabuq.evaluation.train_mlp(train, val, settings.mlp, streams,
                                                 settings.class_weighting) if streams else ())
     return train_method(name, settings, rng, networks)
+
+
+def write_grid_reference(path: Path, columns, grid_text: list[str], table: np.ndarray) -> None:
+    """cli._write_grid a row at a time: csv.writer's header, then each grid
+    point's "x1,x2," text and its table row joined as reprs, from one list of
+    the whole table's floats."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(["x1", "x2", *columns])
+        fh.writelines(f"{point}{','.join(map(repr, row))}\n"
+                      for point, row in zip(grid_text, table.tolist(), strict=True))

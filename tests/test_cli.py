@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -19,8 +20,11 @@ from hypothesis import strategies as st
 
 from tabuq import (Dataset, MethodSettings, SeededRng, VaeConfig, __version__, apply_scaler,
                    evaluation, fit_scaler, generate_synthetic, numeric, split)
-from tabuq.cli import CSV_HEADER, KNOWN_KEYS, format_value, main, parse_config, run
+from tabuq.cli import CSV_HEADER, KNOWN_KEYS, _write_grid, format_value, main, parse_config, run
+from tabuq.data import grid_2d
 from tabuq.errors import ConfigError
+
+from oracles import write_grid_reference
 
 BASE = {"dataset": "toy-balanced", "experiment": "curve"}
 
@@ -473,6 +477,29 @@ class TestRun:
         assert scored == []
         assert not (tmp_path / "out").exists()
 
+    def test_novelty_overflowing_to_inf_exits_0_without_a_warning(self, tmp_path):
+        # 1e300 times a standardized column stays finite, but the VAE's squared
+        # residual on it overflows: its novelty is +inf, which ranks above
+        # every clean row's, and numpy stays quiet.
+        rng = np.random.default_rng(1)
+        X = rng.normal(size=(300, 4))
+        data = tmp_path / "wide.csv"
+        rows = ["a,b,c,d,label"] + [",".join([*map(repr, x.tolist()), str(int(x[0] > 0))])
+                                    for x in X]
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {
+            "dataset": f"csv:{data}", "experiment": "corrupt", "factors": [1e300],
+            "n_corrupt_features": 1, "seeds": [0], "hidden": [8], "max_epochs": 2,
+            "vae_latent": 5, "vae_epochs": 2, "mc_passes": 5, "out_dir": str(tmp_path / "out")})
+        env = {**os.environ, "PYTHONPATH": str(Path(numeric.__file__).resolve().parents[1])}
+        done = subprocess.run([sys.executable, "-m", "tabuq", "--config", str(cfg), "--quiet"],
+                              env=env, cwd=tmp_path, capture_output=True, text=True)
+        assert (done.returncode, done.stderr) == (0, "")
+        with open(tmp_path / "out" / "results.csv", newline="", encoding="utf-8") as fh:
+            vae = {(r["context"], r["metric"]): r["value"] for r in csv.DictReader(fh)
+                   if r["method"] == "vae" and r["seed"] == "0"}
+        assert vae["factor=1e+300", "detection_auc_mean"] == "1.0"
+
     def test_ood_run_scores_every_method_on_a_held_group(self, tmp_path):
         rng = np.random.default_rng(0)
         data = tmp_path / "groups.csv"
@@ -789,6 +816,26 @@ class TestSurfaces:
         text = (surf_out / "results.csv").read_text()
         assert "surfaces,bootstrap-lr,0,grid,n_points,25.0" in text
         assert "surfaces,vae,0,grid,novelty_mean," in text
+
+    def test_grid_writer_writes_the_row_writers_bytes_in_half_its_memory(self, tmp_path):
+        # A toy grid's 2,500 rows of three columns, with values of every
+        # magnitude repr writes, in blocks and one row at a time.
+        grid_text = [f"{x1!r},{x2!r}," for x1, x2 in grid_2d(((-3.0, 3.0), (-3.0, 3.0)),
+                                                            50).tolist()]
+        rng = SeededRng(0)
+        table = rng.split("m").normal((2500, 3)) * 10.0 ** rng.split("e").uniform(-300, 300,
+                                                                                  (2500, 3))
+        columns = ["probability", "entropy", "novelty"]
+        peaks = {}
+        for name, write in (("blocks", _write_grid), ("rows", write_grid_reference)):
+            tracemalloc.start()
+            try:
+                write(tmp_path / f"{name}.csv", columns, grid_text, table)
+                peaks[name] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (tmp_path / "blocks.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+        assert peaks["blocks"] < peaks["rows"] / 2
 
     def test_three_feature_csv_exits_2_writing_nothing(self, tmp_path, capsys):
         data = tmp_path / "wide.csv"

@@ -16,12 +16,12 @@ from tabuq import (Dataset, SeededRng, ToyConfig, TrainConfig, generate_toy,
                    mc_dropout_predict, mlp_loss, mlp_loss_and_grads, positive_weight,
                    predict_mlp, train_mlp, weighted_bce_loss)
 from tabuq.errors import DataError, ParameterError, ShapeError, TrainingError
-from tabuq.mlp import _layer_masks, _make_masks, _mask_layout, init_mlp
+from tabuq.mlp import MlpModel, _forward, _layer_masks, _make_masks, _mask_layout, init_mlp
 from tabuq.numeric import flatten, unflatten
 
 from conftest import check_step_buffers, make_dataset
 from oracles import (dropout_masks, finite_difference_gradient, mc_dropout_reference,
-                     train_mlp_reference)
+                     mlp_loss_and_grads_reference, train_mlp_reference)
 
 
 class TestPositiveWeight:
@@ -138,6 +138,36 @@ class TestGradients:
                            True, dropout_masks(model, 6, SeededRng(2)))
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("weighting", [False, True])
+    @pytest.mark.parametrize("M", [None, 3])
+    @pytest.mark.parametrize("rate", [0.5, 0.3])
+    def test_gradients_equal_the_reference_bytewise(self, rate, M, weighting):
+        # The reference multiplies each delta by its keep mask before the relu
+        # gate, which the step leaves to the gate alone; at rate 0.3 the scale
+        # 1/0.7 rounds. Bytes, not values, so that a 0.0 for a -0.0 fails too.
+        # Unit 0 of the first hidden layer has a bias that shuts its gate on
+        # every row.
+        rng = SeededRng(30)
+        model = _stacked_model((6, 4), M, rng.split("init"), rate)
+        biases = [b.copy() for b in model.biases]
+        biases[0][..., 0] = -1e3
+        model = MlpModel(model.weights, tuple(biases), rate)
+        lead = () if M is None else (M,)
+        X = rng.split("x").normal(lead + (37, 4), std=2.0)
+        y = (rng.split("y").uniform(0.0, 1.0, lead + (37,)) < 0.3).astype(np.int64)
+        bits = _make_masks(model, 37, [rng.split(f"m{m}") for m in range(M or 1)])
+        masks = _layer_masks(_mask_layout(model), bits[0] if M is None else bits)
+        y_hat, inputs = _forward(model, X, masks)
+        assert (inputs[1][..., 0] == 0).all()
+
+        total, grads_w, grads_b = mlp_loss_and_grads(model, X, y, weighting, masks)
+        loss, ref_w, ref_b = mlp_loss_and_grads_reference(model, X, y, weighting, masks)
+        for got, want in zip((*grads_w, *grads_b), (*ref_w, *ref_b), strict=True):
+            assert (got.shape, got.tobytes()) == (want.shape, want.tobytes())
+        assert (grads_w[0][..., 0] == 0).all()
+        assert total.tobytes() == y_hat.sum(axis=(-2, -1)).tobytes()
+        assert np.shape(total) == np.shape(loss) == lead
+
 
 class TestMakeMasks:
     @pytest.mark.parametrize("rows", [1, 13, 2000])
@@ -155,9 +185,9 @@ class TestMakeMasks:
                 np.testing.assert_array_equal(a[m], b)
 
 
-def _stacked_model(hidden, M, rng):
+def _stacked_model(hidden, M, rng, rate=0.5):
     """M=None: one network with 2-D weights; else a stack of M networks."""
-    cfg = TrainConfig(hidden=hidden)
+    cfg = TrainConfig(hidden=hidden, dropout_rate=rate)
     if M is None:
         return init_mlp(4, cfg, rng)
     inits = [init_mlp(4, cfg, rng.split(f"member{m}")) for m in range(M)]
@@ -312,6 +342,35 @@ class TestTrainMlp:
         with pytest.raises(TrainingError, match="epoch"):
             train_mlp(train.with_features(X), val, TrainConfig.toy(),
                       [SeededRng(0)])
+
+    @pytest.mark.parametrize("case", ["nan-feature", "lr-1e300", "one-of-three"])
+    def test_non_finite_step_raises_the_references_error(self, toy_balanced, case):
+        # The step checks its output sums where the reference checks its
+        # weighted BCE. At lr 3e153 the toy network of stream 7 overflows at
+        # epoch 2, and those of streams 5 and 6 train on.
+        train, val, _ = toy_balanced
+        cfg, seeds = TrainConfig.toy(), [0]
+        if case == "nan-feature":
+            X = train.features.copy()
+            X[5, 1] = np.nan
+            train = train.with_features(X)
+        elif case == "lr-1e300":
+            cfg = dataclasses.replace(cfg, lr=1e300)
+        else:
+            cfg, seeds = dataclasses.replace(cfg, lr=3e153), [5, 6, 7]
+        errors = []
+        with np.errstate(all="ignore"):
+            for seed in seeds:
+                try:
+                    train_mlp_reference(train, val, cfg, SeededRng(seed), weighting=False)
+                except TrainingError as e:
+                    errors.append(str(e))
+            with pytest.raises(TrainingError) as stacked:
+                train_mlp(train, val, cfg, [SeededRng(seed) for seed in seeds])
+        assert len(errors) == 1
+        assert str(stacked.value) == errors[0]
+        if case == "one-of-three":
+            assert errors[0] == "non-finite training loss at epoch 2"
 
     def test_nan_validation_feature_with_patience_raises_training_error(self, toy_balanced):
         train, val, _ = toy_balanced
