@@ -27,11 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, pin_blas_threads
-from .data import Dataset, ToyConfig, generate_toy, grid_2d, load_csv, split
+from .data import (Dataset, ToyConfig, apply_scaler, exclude_group, fit_scaler, generate_toy,
+                   grid_2d, load_csv, split)
 from .errors import ConfigError, DataError, ParameterError, ShapeError, TrainingError, UndefinedMetricError
 from .evaluation import (DEFAULT_FACTORS, DEFAULT_FRACTIONS, DEFAULT_N_CORRUPT_FEATURES,
                          DEFAULT_SEEDS, DEFAULT_SPLIT_FRACTIONS, METHODS, MethodSettings,
-                         Records, _scaled, corruption_experiment, curve_experiment,
+                         Records, corruption_experiment, curve_experiment,
                          factor_context, fraction_context, ood_experiment, seed_sweep,
                          toy_surfaces, train_methods)
 from .rng import SeededRng
@@ -54,7 +55,6 @@ class ExperimentConfig:
     dataset: str
     experiment: str
     settings: MethodSettings
-    ood_tag: str | None = None
     methods: tuple[str, ...] = METHODS
     seeds: tuple[int, ...] = DEFAULT_SEEDS
     out_dir: str = "results"
@@ -68,6 +68,15 @@ class ExperimentConfig:
     grid_bounds: tuple[tuple[float, float], tuple[float, float]] = ((-8.0, 8.0), (-8.0, 8.0))
     grid_resolution: int = 50
     echo: dict = field(default_factory=dict)
+
+    @property
+    def kind(self) -> str:
+        """The experiment without its group tag: curve, ood, corrupt or surfaces."""
+        return "ood" if self.experiment.startswith("ood:") else self.experiment
+
+    @property
+    def ood_tag(self) -> str | None:
+        return self.experiment[len("ood:"):] if self.kind == "ood" else None
 
     @property
     def is_toy(self) -> bool:
@@ -247,15 +256,10 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
             f"got {dataset!r}")
     is_toy = dataset.startswith("toy-")
 
-    ood_tag = None
-    if isinstance(experiment, str) and experiment.startswith("ood:"):
-        ood_tag = experiment[len("ood:"):]
-        if not ood_tag:
-            raise ConfigError("key 'experiment': ood needs a group tag, like ood:elective")
-        kind = "ood"
-    else:
-        kind = experiment
-    if kind not in EXPERIMENTS or kind == "ood" and ood_tag is None:
+    kind = "ood" if isinstance(experiment, str) and experiment.startswith("ood:") else experiment
+    if experiment == "ood:":
+        raise ConfigError("key 'experiment': ood needs a group tag, like ood:elective")
+    if kind not in EXPERIMENTS or experiment == "ood":
         raise ConfigError(
             f"key 'experiment' must be curve, ood:<tag>, corrupt or surfaces, "
             f"got {experiment!r}")
@@ -276,35 +280,40 @@ def parse_config(raw: dict, seed_override=None, out_override=None) -> Experiment
     preset = MethodSettings.toy() if is_toy else MethodSettings()
     settings = replace(preset, mlp=replace(preset.mlp, **given["mlp"]),
                        vae=replace(preset.vae, **given["vae"]), **given["method"])
-    return ExperimentConfig(dataset, experiment, settings, ood_tag, echo=raw, **given["run"])
+    return ExperimentConfig(dataset, experiment, settings, echo=raw, **given["run"])
 
 
-def _seed_data(cfg: ExperimentConfig, full: Dataset | None,
-               rng: SeededRng) -> tuple[Dataset, Dataset, Dataset]:
-    """Per-seed train/val/test. Toy data is generated fresh (val and test are
-    same-size draws from the training distribution); CSV data is re-split."""
+def _seed_data(cfg: ExperimentConfig, full: Dataset | None, rng: SeededRng) -> list[Dataset]:
+    """One seed's train, val and held-out sets (test; test and the tagged rows
+    for ood; the grid for surfaces), scaled on train with standardize. Toy data
+    is drawn on rng/train, rng/val and rng/test; CSV data is split on
+    rng/split, or for ood its untagged rows on rng/ood/split."""
     if cfg.is_toy:
         toy = ToyConfig(mode=cfg.dataset[len("toy-"):], n_train=cfg.toy_n_train)
-        return (generate_toy(toy, rng.split("train")),
-                generate_toy(toy, rng.split("val")),
-                generate_toy(toy, rng.split("test")))
-    return split(full, cfg.split_fractions, rng.split("split"))
+        parts = [generate_toy(toy, rng.split(name)) for name in ("train", "val", "test")]
+    elif cfg.kind == "ood":
+        full, ood = exclude_group(full, cfg.ood_tag)
+        parts = [*split(full, cfg.split_fractions, rng.split("ood").split("split")), ood]
+    else:
+        parts = list(split(full, cfg.split_fractions, rng.split("split")))
+    if cfg.kind == "surfaces":
+        if parts[0].d != 2:
+            raise DataError(f"surfaces need a 2-D dataset, got {parts[0].d} features")
+        grid = grid_2d(cfg.grid_bounds, cfg.grid_resolution)
+        parts[2] = Dataset(grid, np.zeros(len(grid)), parts[0].feature_names)
+    if cfg.settings.standardize:
+        scaler = fit_scaler(parts[0])
+        parts = [apply_scaler(scaler, d) for d in parts]
+    return parts
 
 
-def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
-                     rng: SeededRng, tables: dict) -> Records:
-    """Evaluate grid surfaces for each method; stash each (surface names,
-    (points, surfaces) array) in tables under (method, rng.seed) for later
-    writing beside the grid."""
-    if train.d != 2:
-        raise DataError(f"surfaces need a 2-D dataset, got {train.d} features")
-    grid = grid_2d(cfg.grid_bounds, cfg.grid_resolution)
-    train, val, grid_in = _scaled(cfg.settings, train, val,
-                                  Dataset(grid, np.zeros(len(grid)), train.feature_names))
+def _surface_records(methods, grid: np.ndarray, seed: int, tables: dict) -> Records:
+    """Score each method on the grid, and stash its (surface names, (points,
+    surfaces) array) in tables under (method, seed) for writing."""
     records: Records = {}
-    for fitted in train_methods(cfg.methods, train, val, cfg.settings, rng, paired=True):
-        surfaces = toy_surfaces(fitted, grid_in.features)
-        tables[(fitted.name, rng.seed)] = (list(surfaces), np.column_stack(list(surfaces.values())))
+    for fitted in methods:
+        surfaces = toy_surfaces(fitted, grid)
+        tables[(fitted.name, seed)] = (list(surfaces), np.column_stack(list(surfaces.values())))
         records[(fitted.name, "grid", "n_points")] = float(grid.shape[0])
         for c, values in surfaces.items():
             records[(fitted.name, "grid", f"{c}_mean")] = float(np.mean(values))
@@ -312,32 +321,28 @@ def _surface_records(cfg: ExperimentConfig, train: Dataset, val: Dataset,
 
 
 def _execute(cfg: ExperimentConfig):
-    """Run the configured experiment across seeds.
-
-    Returns (sweep, surface_tables) where surface_tables maps
-    (method, seed) -> (surface names, array) and is empty except for surfaces runs.
-    """
-    full = None
-    if not cfg.is_toy:
-        full = load_csv(cfg.csv_path, cfg.label_column)
+    """Per seed: make and scale the data, fit the methods once on rng/<kind>
+    (corrupt: on the seed's rng; paired for curve and surfaces), and score
+    them. Returns (sweep, surface_tables), the latter mapping (method, seed)
+    to (surface names, array) for surfaces runs and empty otherwise."""
+    full = None if cfg.is_toy else load_csv(cfg.csv_path, cfg.label_column)
     surface_tables: dict = {}
+    kind = cfg.kind
 
     def experiment(rng: SeededRng) -> Records:
-        if cfg.experiment == "corrupt":
-            train, val, test = _scaled(cfg.settings, *_seed_data(cfg, full, rng))
-            fitted = train_methods(cfg.methods, train, val, cfg.settings, rng)
-            return corruption_experiment(fitted, test, rng.split("corrupt"),
+        train, val, *held_out = _seed_data(cfg, full, rng)
+        methods = train_methods(cfg.methods, train, val, cfg.settings,
+                                rng if kind == "corrupt" else rng.split(kind),
+                                paired=kind in ("curve", "surfaces"))
+        if kind == "curve":
+            return curve_experiment(methods, val, *held_out, cfg.fractions, cfg.platt)
+        if kind == "ood":
+            return ood_experiment(methods, *held_out, cfg.ood_tag)
+        if kind == "corrupt":
+            return corruption_experiment(methods, *held_out, rng.split("corrupt"),
                                          cfg.factors, cfg.n_corrupt_features)
-        if cfg.experiment == "curve":
-            train, val, test = _seed_data(cfg, full, rng)
-            return curve_experiment(train, val, test, cfg.methods, cfg.settings,
-                                    rng.split("curve"), cfg.fractions, cfg.platt)
-        if cfg.ood_tag is not None:
-            return ood_experiment(full, cfg.ood_tag, cfg.methods, cfg.settings,
-                                  rng.split("ood"), cfg.split_fractions)
-        # surfaces
-        train, val, _ = _seed_data(cfg, full, rng)
-        return _surface_records(cfg, train, val, rng.split("surfaces"), surface_tables)
+        grid, = held_out
+        return _surface_records(methods, grid.features, rng.seed, surface_tables)
 
     return seed_sweep(experiment, cfg.seeds), surface_tables
 

@@ -1,5 +1,5 @@
-"""Experiment protocols: confidence-performance curves, OOD detection,
-corrupted-feature detection, seed sweeps, and toy surface evaluation.
+"""Experiment protocols over fitted methods: confidence-performance curves,
+OOD detection, corrupted-feature detection, seed sweeps, and toy surfaces.
 
 Record dictionaries map (method, context, metric) keys to floats, with None
 for metrics that are undefined in a given context (for example AUC over a
@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .data import Dataset, apply_scaler, corrupt_feature, exclude_group, fit_scaler, split
+from .data import Dataset, corrupt_feature
 from .ensemble import ensemble_predict
 from .errors import (ConfigError, DataError, ParameterError, ShapeError, TrainingError,
                      UndefinedMetricError)
@@ -82,8 +82,8 @@ class MethodSettings:
     """Hyperparameters for every method, with the published defaults.
 
     class_weighting is the one switch for the loss weighting of every
-    classifier. standardize controls whether experiments fit a scaler on
-    their training split.
+    classifier. standardize controls whether the CLI fits a scaler on each
+    seed's training split.
     """
 
     mlp: TrainConfig = TrainConfig()
@@ -95,10 +95,9 @@ class MethodSettings:
     standardize: bool = True
 
     @classmethod
-    def toy(cls, class_weighting: bool = False) -> "MethodSettings":
+    def toy(cls) -> "MethodSettings":
         return cls(mlp=TrainConfig.toy(), vae=VaeConfig.toy(),
-                   logistic_c=float("inf"), class_weighting=class_weighting,
-                   standardize=False)
+                   logistic_c=float("inf"), standardize=False)
 
 
 @dataclass
@@ -251,28 +250,20 @@ def confidence_performance(probability: np.ndarray, uncertainty: np.ndarray,
     return points
 
 
-def _scaled(settings: MethodSettings, train: Dataset,
-            *others: Dataset) -> tuple[Dataset, ...]:
-    if not settings.standardize:
-        return (train, *others)
-    scaler = fit_scaler(train)
-    return tuple(apply_scaler(scaler, d) for d in (train, *others))
-
-
-def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
-                     methods, settings: MethodSettings, rng: SeededRng,
+def curve_experiment(methods, val: Dataset, test: Dataset,
                      fractions=DEFAULT_FRACTIONS, use_platt: bool = False) -> Records:
-    """Confidence-performance curves for each method on the test split.
+    """Confidence-performance curves for each fitted method on the test split.
 
-    The VAE has no classifier, so its rows use a paired single NN for
-    probabilities while the VAE novelty score drives the exclusion order.
-    With use_platt, probabilities are recalibrated by Platt scaling fitted
-    once on the validation split (per method), and the fitted slope and
-    intercept are emitted as records.
+    Each method needs a probability, else ParameterError: the VAE's comes from
+    its paired single NN, while its novelty score orders the rows. With
+    use_platt, probabilities are recalibrated by Platt scaling fitted once per
+    method on val, and its slope and intercept are emitted as records.
     """
-    train, val, test = _scaled(settings, train, val, test)
     records: Records = {}
-    for fitted in train_methods(methods, train, val, settings, rng, paired=True):
+    for fitted in methods:
+        if fitted.predict is None:
+            raise ParameterError(f"method {fitted.name!r} has no probability for a curve; "
+                                 f"fit it with paired=True")
         probs, uncertainty = fitted.score(test.features)
         if use_platt:
             params = platt_fit(fitted.predict(val.features), val.labels)
@@ -287,26 +278,21 @@ def curve_experiment(train: Dataset, val: Dataset, test: Dataset,
     return records
 
 
-def ood_experiment(data: Dataset, tag: str, methods, settings: MethodSettings,
-                   rng: SeededRng, split_fractions=DEFAULT_SPLIT_FRACTIONS) -> Records:
-    """Group-holdout OOD detection, every method on the same rows.
+def ood_experiment(methods, test: Dataset, ood: Dataset, tag: str) -> Records:
+    """Group-holdout OOD detection, every fitted method on the same rows.
 
-    The tagged rows are excluded, the rest is split once on rng/split, and
-    each method trains on rng/<method> and scores the stacked test and OOD
-    rows in one call. Detection AUC ranks those rows by uncertainty, with the
-    OOD rows labelled 1. Subgroup AUC is the classifier's AUC on the OOD rows
-    alone, absent for the VAE and for single-class groups. Records are keyed
-    (method, "group=<tag>", "detection_auc" | "subgroup_auc").
+    Each method scores the stacked test and OOD (tagged) rows in one call.
+    Detection AUC ranks those rows by uncertainty, with the OOD rows labelled
+    1. Subgroup AUC is the classifier's AUC on the OOD rows alone, absent for
+    the VAE and for single-class groups. Records are keyed (method,
+    "group=<tag>", "detection_auc" | "subgroup_auc").
     """
-    in_domain, ood = exclude_group(data, tag)
-    train, val, test = split(in_domain, split_fractions, rng.split("split"))
-    train, val, test, ood = _scaled(settings, train, val, test, ood)
     joint = np.vstack([test.features, ood.features])
     is_ood = np.concatenate([np.zeros(test.n, dtype=np.int64),
                              np.ones(ood.n, dtype=np.int64)])
     ctx = f"group={tag}"
     records: Records = {}
-    for fitted in train_methods(methods, train, val, settings, rng):
+    for fitted in methods:
         probs, scores = fitted.score(joint)
         records[(fitted.name, ctx, "detection_auc")] = auc_roc(scores, is_ood)
         subgroup = None
@@ -327,10 +313,15 @@ def corruption_experiment(methods, test: Dataset, rng: SeededRng,
     Samples min(n_features, D) feature columns without replacement, corrupts
     each at every factor, and scores detection of perturbed vs clean test
     rows per method. Emits one record per (method, factor, feature) plus the
-    per-factor mean and (sample) standard deviation over features. A factor
-    whose product with a chosen feature's value is not finite raises DataError
-    before any method scores.
+    per-factor mean and (sample) standard deviation over features. An
+    n_features below 1 or no factors is a ParameterError, and a factor whose
+    product with a chosen feature's value is not finite a DataError, before
+    any method scores.
     """
+    if n_features < 1:
+        raise ParameterError(f"n_features must be at least 1, got {n_features}")
+    if len(factors) == 0:
+        raise ParameterError("factors must name at least one factor")
     count = min(n_features, test.d)
     chosen = rng.split("features").permutation(test.d)[:count]
     for j in chosen:

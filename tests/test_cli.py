@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tabuq import (Dataset, MethodSettings, SeededRng, VaeConfig, __version__, apply_scaler,
-                   evaluation, fit_scaler, generate_synthetic, numeric, split)
+                   evaluation, exclude_group, fit_scaler, generate_synthetic, numeric, split)
 from tabuq.cli import CSV_HEADER, KNOWN_KEYS, _write_grid, format_value, main, parse_config, run
 from tabuq.data import grid_2d
 from tabuq.errors import ConfigError
@@ -75,7 +75,10 @@ class TestParseConfig:
     def test_ood_tag_parsing(self):
         cfg = parse_config({"dataset": "csv:d.csv", "experiment": "ood:elective"})
         assert cfg.ood_tag == "elective"
+        assert cfg.kind == "ood"
         assert cfg.experiment == "ood:elective"
+        curve = parse_config({"dataset": "csv:d.csv", "experiment": "curve"})
+        assert (curve.kind, curve.ood_tag) == ("curve", None)
 
     def test_ood_without_tag(self):
         with pytest.raises(ConfigError, match="ood"):
@@ -600,7 +603,6 @@ class TestRun:
         # yet nothing can be made in it. Here the first level can be made, so
         # the check must also remove what it made.
         import tabuq.cli as cli
-        import tabuq.evaluation as evaluation
 
         real_mkdir = Path.mkdir
         out = tmp_path / "made" / "refused" / "out"
@@ -615,7 +617,6 @@ class TestRun:
 
         monkeypatch.setattr(Path, "mkdir", mkdir)
         monkeypatch.setattr(cli, "train_methods", trained)
-        monkeypatch.setattr(evaluation, "train_methods", trained)
         cfg = write_config(tmp_path, {**FAST, "out_dir": str(out)})
         assert run(cfg, quiet=True) == 1
         assert capsys.readouterr().err == (f"config error: key 'out_dir': cannot write to "
@@ -699,24 +700,35 @@ def test_readme_synthetic_recipe_gives_the_experiments_records(tmp_path, monkeyp
                                              for r in doc["per_seed"][0]["records"]]
     assert list(written) == ["curve", "corrupt", "ood:held"]
 
+    # Each experiment splits on rng/split (ood: its untagged rows on
+    # rng/ood/split), scales on train, fits, and scores the fitted methods.
     rng, methods = SeededRng(0), ["bootstrap-lr"]
     settings = MethodSettings(class_weighting=True, vae=VaeConfig(latent_dim=5))
+
+    def scaled(train, *others):
+        scaler = fit_scaler(train)
+        return [apply_scaler(scaler, d) for d in (train, *others)]
+
     data = generate_synthetic(rng.split("data"))
-    train, val, test = split(data, (0.6, 0.2, 0.2), rng.split("split"))
+    train, val, test = scaled(*split(data, (0.6, 0.2, 0.2), rng.split("split")))
     fractions = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
-    curve = evaluation.curve_experiment(train, val, test, methods, settings, rng.split("curve"),
-                                        fractions, use_platt=True)
-    scaler = fit_scaler(train)
-    fitted = evaluation.train_methods(methods, apply_scaler(scaler, train),
-                                      apply_scaler(scaler, val), settings, rng)
-    corrupt = evaluation.corruption_experiment(fitted, apply_scaler(scaler, test),
-                                               rng.split("corrupt"), (1, 10, 100, 1000))
+    curve = evaluation.curve_experiment(
+        evaluation.train_methods(methods, train, val, settings, rng.split("curve"), paired=True),
+        val, test, fractions, use_platt=True)
+    corrupt = evaluation.corruption_experiment(
+        evaluation.train_methods(methods, train, val, settings, rng), test,
+        rng.split("corrupt"), (1, 10, 100, 1000))
     pick = rng.split("group").permutation(data.n)[:1500]
     X = data.features.copy()
     X[pick] += 3.0 * X.std(axis=0)
     held = np.isin(np.arange(data.n), pick)
-    ood = evaluation.ood_experiment(Dataset(X, data.labels, data.feature_names, {"held": held}),
-                                    "held", methods, settings, rng.split("ood"))
+    in_domain, tagged = exclude_group(Dataset(X, data.labels, data.feature_names,
+                                              {"held": held}), "held")
+    train, val, test, tagged = scaled(
+        *split(in_domain, (0.6, 0.2, 0.2), rng.split("ood").split("split")), tagged)
+    ood = evaluation.ood_experiment(
+        evaluation.train_methods(methods, train, val, settings, rng.split("ood")),
+        test, tagged, "held")
     for experiment, records in (("curve", curve), ("corrupt", corrupt), ("ood:held", ood)):
         assert written[experiment] == [(*key, value) for key, value in records.items()]
 

@@ -15,8 +15,9 @@ from tabuq import (METHODS, MethodSettings, SeededRng, ToyConfig, TrainConfig,
                    corruption_experiment, curve_experiment, ece,
                    generate_synthetic, generate_toy, grid_2d, ood_experiment,
                    predict_mlp, seed_sweep, toy_surfaces, train_methods, train_mlp)
-from tabuq.data import Dataset, exclude_group, split
-from tabuq import evaluation, numeric
+from tabuq.cli import _seed_data, parse_config
+from tabuq.data import Dataset
+from tabuq import cli, evaluation, numeric
 from tabuq.errors import (ConfigError, DataError, ParameterError, ShapeError, TrainingError,
                           UndefinedMetricError)
 from tabuq.metrics import auc_roc
@@ -201,8 +202,8 @@ class TestTrainMethod:
 
     def test_class_weighting_reaches_the_networks(self, toy_world):
         train, val, test = toy_world
-        fitted, = train_methods(["single-nn"], train, val,
-                                MethodSettings.toy(class_weighting=True), SeededRng(6))
+        fitted, = train_methods(["single-nn"], train, val, dataclasses.replace(
+            MethodSettings.toy(), class_weighting=True), SeededRng(6))
         model, = train_mlp(train, val, TrainConfig.toy(),
                            [SeededRng(6).split("single-nn").split("model")], weighting=True)
         np.testing.assert_array_equal(fitted.predict(test.features),
@@ -490,11 +491,15 @@ class TestOverlappedVaeFit:
 
 
 class TestCurveExperiment:
+    @staticmethod
+    def fitted(toy_world, methods, seed, paired=True):
+        train, val, _ = toy_world
+        return train_methods(methods, train, val, MethodSettings.toy(), SeededRng(seed), paired)
+
     def test_record_grid_complete(self, toy_world):
-        train, val, test = toy_world
+        _, val, test = toy_world
         methods = ("single-nn", "vae")
-        records = curve_experiment(train, val, test, methods,
-                                   MethodSettings.toy(), SeededRng(6),
+        records = curve_experiment(self.fitted(toy_world, methods, 6), val, test,
                                    fractions=(0.5, 1.0))
         for m in methods:
             for f in (0.5, 1.0):
@@ -504,25 +509,28 @@ class TestCurveExperiment:
                 assert (m, ctx, "auc") in records
 
     def test_platt_records_emitted_when_enabled(self, toy_world):
-        train, val, test = toy_world
-        records = curve_experiment(train, val, test, ("bootstrap-lr",),
-                                   MethodSettings.toy(), SeededRng(7),
+        _, val, test = toy_world
+        records = curve_experiment(self.fitted(toy_world, ("bootstrap-lr",), 7), val, test,
                                    fractions=(1.0,), use_platt=True)
         assert ("bootstrap-lr", "platt", "a") in records
         assert ("bootstrap-lr", "platt", "b") in records
 
     def test_vae_rows_use_paired_classifier_probabilities(self, toy_world):
-        train, val, test = toy_world
-        records = curve_experiment(train, val, test, ("vae",),
-                                   MethodSettings.toy(), SeededRng(8),
+        _, val, test = toy_world
+        records = curve_experiment(self.fitted(toy_world, ("vae",), 8), val, test,
                                    fractions=(1.0,))
         # The VAE itself has no classifier; its curve AUC exists because a
         # companion network supplies predictions.
         assert records[("vae", "f=1.00", "auc")] is not None
 
-    def test_mc_dropout_scores_test_and_val_once_each(self, toy_world, monkeypatch):
-        import tabuq.evaluation as evaluation
+    @pytest.mark.parametrize("use_platt", [False, True])
+    def test_method_without_probability_refused_by_name(self, toy_world, use_platt):
+        _, val, test = toy_world
+        with pytest.raises(ParameterError, match="method 'vae' has no probability"):
+            curve_experiment(self.fitted(toy_world, ("vae",), 8, paired=False), val, test,
+                             fractions=(1.0,), use_platt=use_platt)
 
+    def test_mc_dropout_scores_test_and_val_once_each(self, toy_world, monkeypatch):
         rows = []
         real = evaluation.mc_dropout_predict
 
@@ -531,9 +539,9 @@ class TestCurveExperiment:
             return real(model, X, *args)
 
         monkeypatch.setattr(evaluation, "mc_dropout_predict", counted)
-        train, val, test = toy_world
-        curve_experiment(train, val, test, ("mc-dropout",), MethodSettings.toy(),
-                         SeededRng(9), fractions=(1.0,), use_platt=True)
+        _, val, test = toy_world
+        curve_experiment(self.fitted(toy_world, ("mc-dropout",), 9), val, test,
+                         fractions=(1.0,), use_platt=True)
         assert sorted(rows) == sorted([test.n, val.n])
 
 
@@ -549,18 +557,27 @@ class TestOodExperiment:
         return Dataset(features=X, labels=data.labels,
                        feature_names=data.feature_names, groups={"held": held})
 
+    @staticmethod
+    def _records(data, methods, seed, tag="held", **keys):
+        """The records cli._execute makes for one seed of an ood:<tag> config
+        with these methods and keys, on data in place of its CSV."""
+        cfg = parse_config({"dataset": "csv:groups.csv", "experiment": f"ood:{tag}",
+                            "methods": list(methods), **keys})
+        rng = SeededRng(seed)
+        train, val, test, ood = _seed_data(cfg, data, rng)
+        fitted = train_methods(cfg.methods, train, val, cfg.settings, rng.split("ood"))
+        return ood_experiment(fitted, test, ood, cfg.ood_tag)
+
     def test_result_fields_and_range(self):
         data = self._tagged_synthetic(9)
-        records = ood_experiment(data, "held", ["bootstrap-lr"],
-                                 MethodSettings(standardize=True), SeededRng(10))
+        records = self._records(data, ["bootstrap-lr"], 10)
         assert list(records) == [("bootstrap-lr", "group=held", "detection_auc"),
                                  ("bootstrap-lr", "group=held", "subgroup_auc")]
         assert all(0.0 <= v <= 1.0 for v in records.values())
 
     def test_vae_has_no_subgroup_auc(self):
         data = self._tagged_synthetic(11)
-        records = ood_experiment(data, "held", ["vae"], MethodSettings(),
-                                 SeededRng(12))
+        records = self._records(data, ["vae"], 12)
         assert records[("vae", "group=held", "subgroup_auc")] is None
 
     def test_single_class_group_subgroup_absent(self):
@@ -568,34 +585,29 @@ class TestOodExperiment:
         labels = data.labels.copy()
         labels[data.groups["held"]] = 0
         data = Dataset(data.features, labels, data.feature_names, data.groups)
-        records = ood_experiment(data, "held", ["bootstrap-lr"], MethodSettings(),
-                                 SeededRng(14))
+        records = self._records(data, ["bootstrap-lr"], 14)
         assert records[("bootstrap-lr", "group=held", "subgroup_auc")] is None
 
     def test_far_shifted_group_detected_by_vae(self):
         data = self._tagged_synthetic(15, shift=25.0)
-        records = ood_experiment(data, "held", ["vae"], MethodSettings(),
-                                 SeededRng(16))
+        records = self._records(data, ["vae"], 16)
         assert records[("vae", "group=held", "detection_auc")] > 0.95
 
     def test_unknown_tag_propagates(self):
         data = self._tagged_synthetic(17)
         with pytest.raises(DataError):
-            ood_experiment(data, "ghost", ["vae"], MethodSettings(), SeededRng(18))
+            self._records(data, ["vae"], 18, tag="ghost")
 
     def test_methods_share_one_split_and_keep_their_streams(self):
-        # Each method trains on rng/<method> over the one split, so a joint
-        # call gives every record of the single-method calls.
+        # Each method trains on rng/ood/<method> over the one split, so a
+        # joint call gives every record of the single-method calls.
         data = self._tagged_synthetic(19)
-        st, rng = MethodSettings(), SeededRng(20)
-        joint = ood_experiment(data, "held", ["bootstrap-lr", "vae"], st, rng)
-        alone = {**ood_experiment(data, "held", ["bootstrap-lr"], st, rng),
-                 **ood_experiment(data, "held", ["vae"], st, rng)}
+        joint = self._records(data, ["bootstrap-lr", "vae"], 20)
+        alone = {**self._records(data, ["bootstrap-lr"], 20),
+                 **self._records(data, ["vae"], 20)}
         assert joint == alone
 
     def test_mc_dropout_scores_test_and_ood_rows_once(self, monkeypatch):
-        import tabuq.evaluation as evaluation
-
         rows = []
         real = evaluation.mc_dropout_predict
 
@@ -605,27 +617,24 @@ class TestOodExperiment:
 
         monkeypatch.setattr(evaluation, "mc_dropout_predict", counted)
         data = self._tagged_synthetic(21)
-        in_domain, ood = exclude_group(data, "held")
-        _, _, test = split(in_domain, (0.6, 0.2, 0.2), SeededRng(22).split("split"))
-        st = MethodSettings(mlp=TrainConfig(hidden=(8,), max_epochs=2), mc_passes=5)
-        ood_experiment(data, "held", ["mc-dropout"], st, SeededRng(22))
+        keys = {"hidden": [8], "max_epochs": 2, "mc_passes": 5}
+        self._records(data, ["mc-dropout"], 22, **keys)
+        *_, test, ood = _seed_data(parse_config(
+            {"dataset": "csv:groups.csv", "experiment": "ood:held"}), data, SeededRng(22))
         assert rows == [test.n + ood.n]
 
     def test_split_fractions_reach_the_split(self, monkeypatch):
-        import tabuq.evaluation as evaluation
-
         seen = []
-        real = evaluation.split
+        real = cli.split
 
         def recorded(data, fractions, rng):
-            seen.append(fractions)
+            seen.append((fractions, rng.path))
             return real(data, fractions, rng)
 
-        monkeypatch.setattr(evaluation, "split", recorded)
+        monkeypatch.setattr(cli, "split", recorded)
         data = self._tagged_synthetic(23)
-        records = ood_experiment(data, "held", ["bootstrap-lr"], MethodSettings(),
-                                 SeededRng(24), (0.5, 0.3, 0.2))
-        assert seen == [(0.5, 0.3, 0.2)]
+        records = self._records(data, ["bootstrap-lr"], 24, split_fractions=[0.5, 0.3, 0.2])
+        assert seen == [((0.5, 0.3, 0.2), ("ood", "split"))]
         assert records[("bootstrap-lr", "group=held", "detection_auc")] is not None
 
 
@@ -657,6 +666,21 @@ class TestCorruptionExperiment:
         records = corruption_experiment(fitted, test, factors=(10,),
                                         n_features=1, rng=SeededRng(24))
         assert records[("vae", "factor=10", "detection_auc_std")] is None
+
+    @pytest.mark.parametrize("n_features", [0, -1])
+    def test_fewer_than_one_feature_refused(self, toy_world, n_features):
+        # At 0 the mean over no features was NaN; at -1, permutation(d)[:-1]
+        # scored d - 1 features.
+        train, val, test = toy_world
+        fitted = train_methods(["bootstrap-lr"], train, val, MethodSettings.toy(), SeededRng(27))
+        with pytest.raises(ParameterError, match=f"n_features must be at least 1, got {n_features}"):
+            corruption_experiment(fitted, test, SeededRng(28), (10,), n_features)
+
+    def test_no_factors_refused(self, toy_world):
+        train, val, test = toy_world
+        fitted = train_methods(["bootstrap-lr"], train, val, MethodSettings.toy(), SeededRng(27))
+        with pytest.raises(ParameterError, match="factors must name at least one factor"):
+            corruption_experiment(fitted, test, SeededRng(28), ())
 
     def test_rerun_bitwise_identical(self, toy_world):
         train, val, test = toy_world

@@ -5,7 +5,8 @@ imports a thread or process module, and a threading.Thread is built only
 inside numeric.beside_worker, which decides whether to start it. In
 evaluation.py, only train_methods calls a trainer, and every such call comes
 before its first train_method call; train_method only wraps the models it is
-handed.
+handed. In the package, only cli._execute calls train_methods, and no function
+of evaluation.py splits or scales data.
 """
 import ast
 from pathlib import Path
@@ -56,6 +57,15 @@ def callers(source: str, names) -> list[str]:
     return found
 
 
+def data_calls(source: str, names) -> list[str]:
+    """Each call of <name> or data.<name> in source for each of names, with
+    its line number; a method call such as rng.split is none of them."""
+    return [f"line {node.lineno}: {call_name(node)}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call) and call_name(node) in names
+            and (isinstance(node.func, ast.Name) or isinstance(node.func.value, ast.Name)
+                 and node.func.value.id == "data")]
+
+
 def statements_calling(source: str, function: str, names) -> list[tuple[int, str]]:
     """(index of the statement in the body of source's top-level `function`,
     name) for each call of one of names, nested functions and loops included,
@@ -82,6 +92,8 @@ def test_the_checks_find_thread_modules_and_builders():
               "    return [train_method(x) for x in ()]\ntrain_mlp()\n")
     assert statements_calling(source, "f", ("train_mlp", "train_vae", "train_method")) == [
         (0, "train_mlp"), (1, "train_method"), (1, "train_vae"), (2, "train_method")]
+    source = "split(d)\nrng.split('x')\ndata.fit_scaler(d)\nself.data.split(d)\n"
+    assert data_calls(source, ("split", "fit_scaler")) == ["line 1: split", "line 3: fit_scaler"]
 
 
 def test_only_numeric_imports_a_thread_module():
@@ -110,3 +122,12 @@ def test_train_methods_fits_every_model_before_it_wraps_any():
     assert {name for _, name in found} == {*TRAINERS, "train_method"}
     fits = [i for i, name in found if name in TRAINERS]
     assert max(fits) < min(i for i, name in found if name == "train_method")
+
+
+def test_only_execute_fits_a_seed_and_no_experiment_prepares_data():
+    fits = {path.name: [line.partition(": ")[2] for line in
+                        callers(path.read_text(encoding="utf-8"), ("train_methods",))]
+            for path in MODULES}
+    assert {name: found for name, found in fits.items() if found} == {"cli.py": ["_execute"]}
+    source = (PACKAGE / "evaluation.py").read_text(encoding="utf-8")
+    assert data_calls(source, ("split", "exclude_group", "fit_scaler", "apply_scaler")) == []
