@@ -34,10 +34,12 @@ from .evaluation import (DEFAULT_FACTORS, DEFAULT_FRACTIONS, DEFAULT_N_CORRUPT_F
                          DEFAULT_SEEDS, DEFAULT_SPLIT_FRACTIONS, METHODS, MethodSettings,
                          Records, corruption_experiment, curve_experiment,
                          factor_context, fraction_context, ood_experiment, seed_sweep,
-                         toy_surfaces, train_methods)
+                         seed_networks, toy_surfaces, train_methods)
+from .numeric import WORKER_MIN
 from .rng import SeededRng
 
 EXPERIMENTS = ("curve", "ood", "corrupt", "surfaces")
+PAIRED = ("curve", "surfaces")  # the experiments whose VAE gets a classifier
 CSV_HEADER = "experiment,method,seed,context,metric,value"
 
 # Caps on the sizes a config may ask for, so that a mistyped size is a config
@@ -320,20 +322,59 @@ def _surface_records(methods, grid: np.ndarray, seed: int, tables: dict) -> Reco
     return records
 
 
+def _seed_groups(cfg: ExperimentConfig, train_rows: int) -> list[tuple[int, ...]]:
+    """cfg's seeds in runs of consecutive ones whose networks train in one stack.
+
+    A run grows while two measures of its stack stay under numeric.WORKER_MIN,
+    the line between Python-bound and BLAS-bound steps: the step, networks *
+    min(batch, train rows) * widest hidden layer, and the epoch, networks *
+    train rows, which sizes the keep bits and the gathered training rows. A
+    seed whose own stack reaches either is alone, as is every seed of a run
+    that trains no network.
+    """
+    mlp = cfg.settings.mlp
+    networks = seed_networks(cfg.methods, cfg.settings, cfg.kind in PAIRED)
+    step = networks * min(mlp.batch_size, train_rows) * max(mlp.hidden)
+    size = max(1, (WORKER_MIN - 1) // max(step, networks * train_rows)) if networks else 1
+    return [cfg.seeds[i:i + size] for i in range(0, len(cfg.seeds), size)]
+
+
 def _execute(cfg: ExperimentConfig):
     """Per seed: make and scale the data, fit the methods once on rng/<kind>
     (corrupt: on the seed's rng; paired for curve and surfaces), and score
-    them. Returns (sweep, surface_tables), the latter mapping (method, seed)
-    to (surface names, array) for surfaces runs and empty otherwise."""
+    them. A seed's group (_seed_groups, by its training rows) is fitted when
+    its first seed is reached, in one train_methods call. If making a group's
+    data or fitting it raises, each of its seeds is made and fitted alone, so
+    that a run raises what the seeds one at a time raise, in their order.
+    Returns (sweep, surface_tables), the latter mapping (method, seed) to
+    (surface names, array) for surfaces runs and empty otherwise."""
     full = None if cfg.is_toy else load_csv(cfg.csv_path, cfg.label_column)
     surface_tables: dict = {}
     kind = cfg.kind
+    fitted = {}  # seed -> (its val and held-out sets, its methods), until it is scored
+    alone = set()  # the seeds of a group whose data or fit raised
+
+    def fit(seeds, first) -> dict:
+        """Each seed's val and held-out sets and methods; first is seeds[0]'s data."""
+        data = [first, *(_seed_data(cfg, full, SeededRng(s)) for s in seeds[1:])]
+        fits = [(train, val, SeededRng(s) if kind == "corrupt" else SeededRng(s).split(kind))
+                for s, (train, val, *_) in zip(seeds, data)]
+        methods = train_methods(cfg.methods, fits, cfg.settings, paired=kind in PAIRED)
+        return {s: (parts[1:], m) for s, parts, m in zip(seeds, data, methods)}
 
     def experiment(rng: SeededRng) -> Records:
-        train, val, *held_out = _seed_data(cfg, full, rng)
-        methods = train_methods(cfg.methods, train, val, cfg.settings,
-                                rng if kind == "corrupt" else rng.split(kind),
-                                paired=kind in ("curve", "surfaces"))
+        if rng.seed not in fitted:
+            first = _seed_data(cfg, full, rng)
+            group = ((rng.seed,) if rng.seed in alone else
+                     next(g for g in _seed_groups(cfg, first[0].n) if rng.seed in g))
+            try:
+                fitted.update(fit(group, first))
+            except Exception:  # each seed alone raises its own error, in order
+                if len(group) == 1:
+                    raise
+                alone.update(group)
+                fitted.update(fit((rng.seed,), first))
+        (val, *held_out), methods = fitted.pop(rng.seed)
         if kind == "curve":
             return curve_experiment(methods, val, *held_out, cfg.fractions, cfg.platt)
         if kind == "ood":

@@ -11,11 +11,13 @@ results; this is what makes the factor-1 corruption baseline exactly 0.5. The
 VAE re-derives its stream on every call, and MC dropout draws each pass's
 keep bits from rng/score/pass<t> on every call, so the corrupted copies of a
 test set meet the clean copy's masks. train_methods is the one place that
-fits a seed's models, each method's on rng/<method>, and it fits them all
-before train_method wraps any: all networks train in one stacked train_mlp
-call, each on the stream its method would fit it on, and the VAE, then
-bootstrap-LR, beside that call on a worker thread when the smaller of the
-MLP and VAE steps reaches numeric.WORKER_MIN, right after it otherwise.
+fits models, those of a group of seeds, each method's on its seed's
+rng/<method>, and it fits them all before train_method wraps any: all
+networks of the group train in one stacked train_mlp call, each on the stream
+its method would fit it on and on its seed's sets, and the VAE, then
+bootstrap-LR, seed by seed, beside that call on a worker thread when the
+smaller of the MLP and VAE steps reaches numeric.WORKER_MIN, right after it
+otherwise.
 Large MC-dropout calls split their passes over the same worker
 (numeric.beside_worker); threads change no bits.
 """
@@ -163,50 +165,80 @@ def train_method(name: str, settings: MethodSettings, rng: SeededRng,
     raise ConfigError(f"unknown method {name!r}")
 
 
-def train_methods(names, train: Dataset, val: Dataset, settings: MethodSettings,
-                  rng: SeededRng, paired: bool = False) -> list[FittedMethod]:
-    """One seed's methods, in the order named, each wrapped by train_method on
-    rng.split(name) once every model of the seed is fitted. Every network
-    comes from one train_mlp call over every method's streams (_mlp_streams),
-    so each has the bits of its own fit; with paired, the VAE is also handed
-    the network of a single NN on rng/vae-classifier. Beside that call, one
-    job trains the VAE on rng/vae/model and then bootstrap-lr's members on
-    rng/bootstrap-lr/model.
+def _seed_streams(names, rng: SeededRng, settings: MethodSettings,
+                  paired: bool) -> list[list[SeededRng]]:
+    """Each named method's network streams on a seed's rng (_mlp_streams on
+    rng/<method>); with paired, the VAE's are its classifier's, a single NN's on
+    rng/vae-classifier."""
+    return [_mlp_streams("single-nn", rng.split("vae-classifier"), settings)
+            if name == "vae" and paired else _mlp_streams(name, rng.split(name), settings)
+            for name in names]
+
+
+def seed_networks(names, settings: MethodSettings, paired: bool = False) -> int:
+    """How many networks train_methods fits for each seed."""
+    return sum(map(len, _seed_streams(names, SeededRng(0), settings, paired)))
+
+
+def train_methods(names, seeds, settings: MethodSettings,
+                  paired: bool = False) -> list[list[FittedMethod]]:
+    """Each seed's methods, in the order named, for a group of seeds given as
+    (train, val, rng) triples; each method is wrapped by train_method on
+    rng.split(name) once every model of the group is fitted. Every network of
+    every seed comes from one train_mlp call over each seed's streams
+    (_seed_streams), with its seed's sets, so each has the bits of its own fit;
+    with paired, the VAE is also handed the network of a single NN on
+    rng/vae-classifier. Beside that call, one job trains, seed by seed, the VAE
+    on rng/vae/model and then bootstrap-lr's members on rng/bootstrap-lr/model.
+    A group's seeds share the sets' shape (mlp._per_stream); one seed's
+    networks all get its one train and val set, which is train_mlp's call on
+    one set.
 
     numeric.beside_worker's step is the smaller of the VAE step, min(vae batch,
-    train rows) * latent, and the MLP step, networks * min(batch, train rows) *
-    widest hidden layer (0 without a VAE). At or above numeric.WORKER_MIN the
-    job runs on a worker thread during the train_mlp call; otherwise right
-    after it. Either way every model has the same bits, and the errors come
-    in the order of the fits: train_mlp's, then the VAE's, then bootstrap-lr's.
+    train rows) * latent, and the MLP step, the group's networks * min(batch,
+    train rows) * widest hidden layer (0 without a VAE). At or above
+    numeric.WORKER_MIN the job runs on a worker thread during the train_mlp
+    call; otherwise right after it. Either way every model has the same bits,
+    and the errors come in the order of the fits: train_mlp's, then the first
+    seed's VAE, its bootstrap-lr, the next seed's VAE, and so on.
     """
-    jobs = [(name, rng.split(name)) for name in names]
-    vae_rng = next((r.split("model") for name, r in jobs if name == "vae"), None)
-    lr_rng = next((r.split("model") for name, r in jobs if name == "bootstrap-lr"), None)
-    streams = [_mlp_streams("single-nn", rng.split("vae-classifier"), settings)
-               if name == "vae" and paired else _mlp_streams(name, r, settings)
-               for name, r in jobs]
-    everyone = [s for group in streams for s in group]
+    if not seeds:
+        raise ParameterError("need at least one seed to fit")
+    streams = [_seed_streams(names, rng, settings, paired) for _, _, rng in seeds]
+    counts = [sum(map(len, seed)) for seed in streams]
+    everyone = [s for seed in streams for method in seed for s in method]
+
+    def sets(part):
+        """Part 0 (train) or 1 (val) of one seed, or of each network's seed in a group."""
+        if len(seeds) == 1:
+            return seeds[0][part]
+        return [seed[part] for seed, count in zip(seeds, counts) for _ in range(count)]
 
     def fit_vae_and_lr():
-        vae = None if vae_rng is None else train_vae(train, settings.vae, vae_rng)
-        return vae, () if lr_rng is None else train_bootstrapped_lr(
-            train, lr_rng, settings.ensemble_size, settings.logistic_c, settings.class_weighting)
+        fits = []
+        for train, _, rng in seeds:
+            vae = ((train_vae(train, settings.vae, rng.split("vae").split("model")),)
+                   if "vae" in names else ())
+            members = train_bootstrapped_lr(
+                train, rng.split("bootstrap-lr").split("model"), settings.ensemble_size,
+                settings.logistic_c, settings.class_weighting) if "bootstrap-lr" in names else ()
+            fits.append({"vae": vae, "bootstrap-lr": members})
+        return fits
 
     def fit_mlps():
-        return train_mlp(train, val, settings.mlp, everyone,
+        return train_mlp(sets(0), sets(1), settings.mlp, everyone,
                          settings.class_weighting) if everyone else ()
 
-    vae_step = min(settings.vae.batch_size, train.n) * settings.vae.latent_dim
-    mlp_step = len(everyone) * min(settings.mlp.batch_size, train.n) * max(settings.mlp.hidden)
-    networks, (vae, members) = beside_worker(
-        fit_vae_and_lr, fit_mlps, "tabuq-vae",
-        min(vae_step, mlp_step) if vae_rng is not None else 0)
-    models = {"vae": (vae,), "bootstrap-lr": members}
+    rows = seeds[0][0].n
+    vae_step = min(settings.vae.batch_size, rows) * settings.vae.latent_dim
+    mlp_step = len(everyone) * min(settings.mlp.batch_size, rows) * max(settings.mlp.hidden)
+    networks, models = beside_worker(fit_vae_and_lr, fit_mlps, "tabuq-vae",
+                                     min(vae_step, mlp_step) if "vae" in names else 0)
     networks = iter(networks)
-    return [train_method(name, settings, method_rng,
-                         models.get(name, ()) + tuple(next(networks) for _ in group))
-            for (name, method_rng), group in zip(jobs, streams)]
+    return [[train_method(name, settings, rng.split(name),
+                          fits.get(name, ()) + tuple(next(networks) for _ in method))
+             for name, method in zip(names, seed)]
+            for (_, _, rng), seed, fits in zip(seeds, streams, models)]
 
 
 def confidence_performance(probability: np.ndarray, uncertainty: np.ndarray,

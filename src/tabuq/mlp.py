@@ -3,7 +3,8 @@
 Architecture: fully connected, relu hidden layers with inverted dropout,
 sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
 binary cross-entropy over an (M, P) stack of M networks' flat parameter
-vectors as one network of (M, in, out) weights. After each epoch each one's
+vectors as one network of (M, in, out) weights, each on its own training and
+validation sets, which may be several seeds'. After each epoch each one's
 validation loss decides its early stopping, which restores its best snapshot.
 MC dropout's passes run through the training step's _forward. A train_mlp call
 owns one dict of name-keyed step buffers (numeric.step_buffer), which its
@@ -245,69 +246,101 @@ def init_mlp(n_features: int, cfg: TrainConfig, rng: SeededRng) -> MlpModel:
                     dropout_rate=cfg.dropout_rate)
 
 
-def train_mlp(train: Dataset, val: Dataset, cfg: TrainConfig,
-              rngs: Sequence[SeededRng], weighting: bool = False) -> tuple[MlpModel, ...]:
+def _per_stream(sets: Dataset | Sequence[Dataset], n: int, kind: str) -> list[Dataset]:
+    """One set per stream: a lone Dataset serves all n streams. ParameterError unless
+    a sequence holds n sets, ShapeError unless they share one (rows, features) shape."""
+    sets = [sets] * n if isinstance(sets, Dataset) else list(sets)
+    if len(sets) != n:
+        raise ParameterError(f"need one {kind} set per stream, got {len(sets)} for {n} streams")
+    for s in sets:
+        if s.features.shape != sets[0].features.shape:
+            raise ShapeError(f"{kind} sets must share one shape, got "
+                             f"{sets[0].features.shape} and {s.features.shape}")
+    return sets
+
+
+def train_mlp(train: Dataset | Sequence[Dataset], val: Dataset | Sequence[Dataset],
+              cfg: TrainConfig, rngs: Sequence[SeededRng],
+              weighting: bool = False) -> tuple[MlpModel, ...]:
     """Minibatch Adam on the weighted BCE with dropout, one network per stream of
     rngs, stacked and trained in lockstep; returns each one's best-val snapshot.
 
+    train and val are each one set for every network, or a sequence of one set
+    per stream (the networks of several seeds), all of one shape (_per_stream).
     Network m draws its init, epoch shuffles and dropout masks from its own
-    child streams of rngs[m], so it has the bits of a run on rngs[m] alone.
+    child streams of rngs[m] and trains on its own sets, so it has the bits of
+    a run on rngs[m] and its sets alone.
     An epoch's first batch draws its keep bits from rngs[m]/dropout/<epoch>, a
     row per training row, and batch b takes rows [b * batch_size, ...) of them:
     M * n_rows * sum(ceil(w / 8)) bytes, 780 KB for five [100, 100] nets on 6,000 rows.
     Each stops early on its own validation loss, and then takes no more steps.
     weighting turns on the class-weighted loss (see weighted_bce_loss).
 
+    A batch is gathered by np.take from one features array, the one training
+    set's or the per-stream sets stacked into (M * n_rows, features), at each
+    member's row offset in it (0 for one set).
     minibatch_adam owns the stacked parameters and steps them in place. This
     call owns the step buffers and one (M, P) gradient buffer, whose leading
     rows, one per member still training, each step's gradients are written
     into with out=. Each member's validation loss runs in the same step
     buffers, which grow once to the validation rows if those outnumber a
-    stacked batch's. The stacked model's views of the parameters and the layer
-    views of those gradient rows are made again only when the parameter array
-    changes, when a member stops; the keep bits' layer byte ranges are made
-    once. A best-epoch snapshot is a copy of the member's parameters, and a
-    returned network views its snapshot, or with no early stopping its row of
-    the final parameters.
+    stacked batch's. The stacked model's views of the parameters, the layer
+    views of those gradient rows and the members' row offsets are made again
+    only when the parameter array changes, when a member stops; the keep
+    bits' layer byte ranges are made once. A best-epoch snapshot is a copy of
+    the member's parameters, and a returned network views its snapshot, or
+    with no early stopping its row of the final parameters.
     """
     if not rngs:
         raise ParameterError("need at least one network to train, got no streams")
-    if train.n < 1:
+    trains = _per_stream(train, len(rngs), "training")
+    vals = _per_stream(val, len(rngs), "validation")
+    n, d = trains[0].n, trains[0].d
+    if n < 1:
         raise DataError("training set is empty")
-    if val.n < 1:
+    if vals[0].n < 1:
         raise DataError("validation set is empty")
-    if val.d != train.d:
-        raise ShapeError(f"train has {train.d} features, val has {val.d}")
+    if vals[0].d != d:
+        raise ShapeError(f"train has {d} features, val has {vals[0].d}")
 
-    inits = [init_mlp(train.d, cfg, rng.split("init")) for rng in rngs]
+    if isinstance(train, Dataset):
+        features, labels, offsets = train.features, train.labels, np.zeros(len(rngs), np.int64)
+    else:
+        features = np.concatenate([s.features for s in trains])
+        labels = np.concatenate([s.labels for s in trains])
+        offsets = np.arange(len(rngs)) * n
+    inits = [init_mlp(d, cfg, rng.split("init")) for rng in rngs]
     template = inits[0]
     layout = _mask_layout(template)
     buf = {}  # the step buffers, one per intermediate, shared by every stack and batch shape
     grad = np.empty((len(rngs), sum(a.size for a in template.params())))
     bits = None  # the epoch's keep bits of the members still training
-    views = None  # (params, the stacked model viewing it, its rows of grad, their layer views)
+    views = None  # (params, the stacked model viewing it, its rows of grad, their layer
+    #               views, the row offsets of the members training)
 
     def loss_and_grads(flat, idx, members, epoch, batch):
         nonlocal bits, views
         if batch == 0:
-            bits = _make_masks(template, train.n, [rngs[m].split("dropout").split(str(epoch))
-                                                   for m in members])
+            bits = _make_masks(template, n, [rngs[m].split("dropout").split(str(epoch))
+                                             for m in members])
         if views is None or views[0] is not flat:
             rows = grad[:len(members)]
-            views = flat, template.with_flat(flat), rows, unflatten(rows, template.params())
-        _, model, rows, layer_grads = views
+            views = (flat, template.with_flat(flat), rows, unflatten(rows, template.params()),
+                     offsets[members, None])
+        _, model, rows, layer_grads, starts = views
         masks = _layer_masks(layout, bits[:, batch * cfg.batch_size:(batch + 1) * cfg.batch_size])
-        total, _, _ = mlp_loss_and_grads(model, train.features[idx], train.labels[idx],
-                                         weighting, masks, buf, layer_grads)
+        at = idx + starts
+        total, _, _ = mlp_loss_and_grads(model, np.take(features, at, axis=0),
+                                         np.take(labels, at), weighting, masks, buf, layer_grads)
         return total, rows
 
     best = {}  # member -> (best val loss, a copy of its params then, epochs since it improved)
     for epoch, flat, members in minibatch_adam(np.stack([flatten(m.params()) for m in inits]),
-                                               loss_and_grads, train.n, cfg.batch_size,
+                                               loss_and_grads, n, cfg.batch_size,
                                                cfg.max_epochs, cfg.lr, rngs):
         for m, row in zip(list(members) if cfg.patience else (), flat):
-            val_loss = mlp_loss(template.with_flat(row), val.features, val.labels, weighting,
-                                buf=buf)
+            val_loss = mlp_loss(template.with_flat(row), vals[m].features, vals[m].labels,
+                                weighting, buf=buf)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss at epoch {epoch}")
             loss, snapshot, stale = best.get(m, (np.inf, None, 0))

@@ -199,7 +199,7 @@ def test_criterion_6_corruption_detection():
     train, val, test = (apply_scaler(scaler, d) for d in (train, val, test))
     settings = MethodSettings(class_weighting=True,
                               vae=VaeConfig(latent_dim=5))
-    fitted = train_methods(METHODS, train, val, settings, rng)
+    fitted = train_methods(METHODS, [(train, val, rng)], settings)[0]
     rec = corruption_experiment(fitted, test, factors=(1, 10, 1000),
                                 rng=rng.split("corrupt"))
     base = [rec[(m, "factor=1", "detection_auc_mean")] for m in METHODS]
@@ -235,7 +235,7 @@ def vae_detection_auc(data: Dataset, settings: MethodSettings, rng: SeededRng) -
     train, val, test = split(in_domain, (0.6, 0.2, 0.2), rng.split("split"))
     scaler = fit_scaler(train)
     train, val, test, ood = (apply_scaler(scaler, d) for d in (train, val, test, ood))
-    fitted = train_methods(["vae"], train, val, settings, rng)
+    fitted = train_methods(["vae"], [(train, val, rng)], settings)[0]
     return ood_experiment(fitted, test, ood, "held")[("vae", "group=held", "detection_auc")]
 
 

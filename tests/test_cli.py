@@ -20,9 +20,10 @@ from hypothesis import strategies as st
 
 from tabuq import (Dataset, MethodSettings, SeededRng, VaeConfig, __version__, apply_scaler,
                    evaluation, exclude_group, fit_scaler, generate_synthetic, numeric, split)
-from tabuq.cli import CSV_HEADER, KNOWN_KEYS, _write_grid, format_value, main, parse_config, run
+from tabuq.cli import (CSV_HEADER, KNOWN_KEYS, _seed_groups, _write_grid, format_value, main,
+                       parse_config, run)
 from tabuq.data import grid_2d
-from tabuq.errors import ConfigError
+from tabuq.errors import ConfigError, DataError, TrainingError
 
 from oracles import write_grid_reference
 
@@ -713,10 +714,11 @@ def test_readme_synthetic_recipe_gives_the_experiments_records(tmp_path, monkeyp
     train, val, test = scaled(*split(data, (0.6, 0.2, 0.2), rng.split("split")))
     fractions = (0.5, 0.6, 0.7, 0.8, 0.9, 1.0)
     curve = evaluation.curve_experiment(
-        evaluation.train_methods(methods, train, val, settings, rng.split("curve"), paired=True),
+        evaluation.train_methods(methods, [(train, val, rng.split("curve"))], settings,
+                                 paired=True)[0],
         val, test, fractions, use_platt=True)
     corrupt = evaluation.corruption_experiment(
-        evaluation.train_methods(methods, train, val, settings, rng), test,
+        evaluation.train_methods(methods, [(train, val, rng)], settings)[0], test,
         rng.split("corrupt"), (1, 10, 100, 1000))
     pick = rng.split("group").permutation(data.n)[:1500]
     X = data.features.copy()
@@ -727,7 +729,7 @@ def test_readme_synthetic_recipe_gives_the_experiments_records(tmp_path, monkeyp
     train, val, test, tagged = scaled(
         *split(in_domain, (0.6, 0.2, 0.2), rng.split("ood").split("split")), tagged)
     ood = evaluation.ood_experiment(
-        evaluation.train_methods(methods, train, val, settings, rng.split("ood")),
+        evaluation.train_methods(methods, [(train, val, rng.split("ood"))], settings)[0],
         test, tagged, "held")
     for experiment, records in (("curve", curve), ("corrupt", corrupt), ("ood:held", ood)):
         assert written[experiment] == [(*key, value) for key, value in records.items()]
@@ -938,3 +940,140 @@ class TestMain:
             written[threads] = (out / "results.csv").read_bytes()
         assert written[None] == written["1"]
         assert written["2"] == written["1"]
+
+
+class TestSeedGroups:
+    """Consecutive seeds whose stacked fit stays Python-bound share one
+    train_methods call; every seed still writes the bytes of a run alone."""
+
+    SURFACES = {"dataset": "toy-unbalanced", "experiment": "surfaces",
+                "class_weighting": True, "grid_resolution": 7}
+
+    @staticmethod
+    def csv_data(tmp_path) -> Path:
+        data = generate_synthetic(SeededRng(9), n=300, d=3, informative=3)
+        path = tmp_path / "data.csv"
+        path.write_text("a,b,c,label\n" + "".join(
+            f"{x!r},{y!r},{z!r},{label}\n"
+            for (x, y, z), label in zip(data.features.tolist(), data.labels.tolist())))
+        return path
+
+    @pytest.mark.parametrize("dataset", ["toy-balanced", "toy-unbalanced"])
+    @pytest.mark.parametrize("experiment", ["curve", "corrupt", "surfaces"])
+    def test_toy_defaults_put_the_default_seeds_in_one_group(self, dataset, experiment):
+        cfg = parse_config({"dataset": dataset, "experiment": experiment})
+        assert _seed_groups(cfg, cfg.toy_n_train) == [(0, 1, 2, 3, 4)]
+
+    @pytest.mark.parametrize("config", [
+        # The benchmark's CSV workloads on their 10k rows (6,000 train rows),
+        # over two seeds, and the CSV paper defaults.
+        {"experiment": "curve", "platt": True, "max_epochs": 5, "patience": 6, "vae_epochs": 5,
+         "seeds": [0, 71]},
+        {"experiment": "corrupt", "factors": [1, 10, 1000], "n_corrupt_features": 1,
+         "max_epochs": 5, "patience": 6, "vae_epochs": 5, "seeds": [0, 71]},
+        {"experiment": "curve"}, {"experiment": "corrupt"}, {"experiment": "ood:g"}])
+    def test_csv_configs_give_groups_of_one(self, config):
+        cfg = parse_config({"dataset": "csv:data.csv", **config})
+        assert _seed_groups(cfg, 6_000) == [(s,) for s in cfg.seeds]
+
+    def test_largest_toy_set_and_no_network_give_groups_of_one(self):
+        cfg = parse_config({**self.SURFACES, "toy_n_train": 1_000_000})
+        assert _seed_groups(cfg, cfg.toy_n_train) == [(s,) for s in cfg.seeds]
+        cfg = parse_config({**self.SURFACES, "methods": ["bootstrap-lr", "vae"],
+                            "experiment": "corrupt"})
+        assert _seed_groups(cfg, cfg.toy_n_train) == [(s,) for s in cfg.seeds]
+
+    def test_a_group_grows_while_its_step_and_epoch_stay_under_the_gate(self):
+        # 8 networks of width 5 at batch 8 on 200 rows: a step of 320 and an
+        # epoch of 1,600 per seed, so 40 seeds stay under 65,536 and 41 do not.
+        cfg = parse_config({**self.SURFACES, "seeds": list(range(41))})
+        assert [len(g) for g in _seed_groups(cfg, 200)] == [40, 1]
+        assert [len(g) for g in _seed_groups(cfg, 8_192)] == [1] * 41
+
+    def check_each_seed_alone(self, tmp_path, config, seeds, group_fits):
+        """The run over seeds writes each seed's grid files and records as a
+        run over that seed alone; group_fits lists the seeds of each train_mlp call."""
+        fits = []
+        real = evaluation.train_mlp
+
+        def counted(train, val, cfg, rngs, weighting=False):
+            fits.append(sorted({r.seed for r in rngs}))
+            return real(train, val, cfg, rngs, weighting)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(evaluation, "train_mlp", counted)
+            assert run(write_config(tmp_path, {**config, "seeds": seeds,
+                                               "out_dir": str(tmp_path / "all")}), quiet=True) == 0
+        assert fits == group_fits
+        together = json.loads((tmp_path / "all" / "results.json").read_text())
+        for i, seed in enumerate(seeds):
+            out = tmp_path / f"seed{seed}"
+            assert run(write_config(tmp_path, {**config, "seeds": [seed], "out_dir": str(out)}),
+                       quiet=True) == 0
+            alone = json.loads((out / "results.json").read_text())
+            assert together["per_seed"][i] == alone["per_seed"][0]
+            grids = sorted(path.name for path in out.glob("surfaces_*.csv"))
+            assert grids == sorted(path.name for path in
+                                   (tmp_path / "all").glob(f"surfaces_*_seed{seed}.csv"))
+            for name in grids:
+                assert (out / name).read_bytes() == (tmp_path / "all" / name).read_bytes()
+
+    def test_grouped_toy_seeds_write_the_bytes_of_each_seed_alone(self, tmp_path):
+        cfg = parse_config({**self.SURFACES, "seeds": [0, 1, 2]})
+        assert _seed_groups(cfg, cfg.toy_n_train) == [(0, 1, 2)]
+        self.check_each_seed_alone(tmp_path, self.SURFACES, [0, 1, 2], [[0, 1, 2]])
+
+    def test_grouped_csv_seeds_write_the_bytes_of_each_seed_alone(self, tmp_path):
+        # Early stopping is on, so the networks of the two seeds stop apart.
+        config = {"dataset": f"csv:{self.csv_data(tmp_path)}", "experiment": "curve",
+                  "hidden": [6], "batch_size": 16, "max_epochs": 6, "patience": 1,
+                  "vae_epochs": 2, "platt": True}
+        assert _seed_groups(parse_config({**config, "seeds": [4, 5]}), 180) == [(4, 5)]
+        self.check_each_seed_alone(tmp_path, config, [4, 5], [[4, 5]])
+
+    @staticmethod
+    def fail_fits_of(monkeypatch, seed) -> list:
+        """Make evaluation.train_mlp raise TrainingError("boom") on any stack
+        holding a stream of `seed`; returns the seeds of each call's streams."""
+        calls = []
+        real = evaluation.train_mlp
+
+        def trainer(train, val, cfg, rngs, weighting=False):
+            calls.append(sorted({r.seed for r in rngs}))
+            if seed in calls[-1]:
+                raise TrainingError("boom")
+            return real(train, val, cfg, rngs, weighting)
+
+        monkeypatch.setattr(evaluation, "train_mlp", trainer)
+        return calls
+
+    def test_a_later_seeds_fit_error_is_reported_as_its_own(self, tmp_path, capsys,
+                                                            monkeypatch):
+        calls = self.fail_fits_of(monkeypatch, 1)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**self.SURFACES, "seeds": [0, 1, 2],
+                                      "out_dir": str(out)})
+        assert run(cfg, quiet=True) == 3
+        assert capsys.readouterr().err == "training error: seed 1: boom\n"
+        assert calls == [[0, 1, 2], [0], [1]]
+        assert not out.exists()
+
+    def test_an_earlier_seeds_scoring_error_wins_over_a_later_fit_error(
+            self, tmp_path, capsys, monkeypatch):
+        import tabuq.cli as cli
+
+        calls = self.fail_fits_of(monkeypatch, 1)
+        real = cli._surface_records
+
+        def scored(methods, grid, seed, tables):
+            if seed == 0:
+                raise DataError("scoring failed")
+            return real(methods, grid, seed, tables)
+
+        monkeypatch.setattr(cli, "_surface_records", scored)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**self.SURFACES, "seeds": [0, 1], "out_dir": str(out)})
+        assert run(cfg, quiet=True) == 2
+        assert capsys.readouterr().err == "data error: seed 0: scoring failed\n"
+        assert calls == [[0, 1], [0]]
+        assert not out.exists()

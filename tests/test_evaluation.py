@@ -25,6 +25,12 @@ from tabuq.metrics import auc_roc
 from oracles import fit_method_reference
 
 
+def fit_seed(names, train, val, settings, rng, paired=False):
+    """One seed's methods, from train_methods on a group of that seed alone."""
+    methods, = train_methods(names, [(train, val, rng)], settings, paired)
+    return methods
+
+
 class TestConfidencePerformance:
     def test_length_mismatch(self):
         with pytest.raises(ShapeError):
@@ -109,7 +115,7 @@ class TestTrainMethod:
     @pytest.mark.parametrize("name", METHODS)
     def test_each_method_scores_and_predicts(self, toy_world, name):
         train, val, test = toy_world
-        fitted, = train_methods([name], train, val, MethodSettings.toy(), SeededRng(1))
+        fitted, = fit_seed([name], train, val, MethodSettings.toy(), SeededRng(1))
         assert fitted.name == name
         probs, unc = fitted.score(test.features)
         assert unc.shape == (test.n,)
@@ -124,7 +130,7 @@ class TestTrainMethod:
     def test_mc_dropout_scorer_draws_every_pass_on_every_call(self, toy_world, keep_draws):
         train, val, test = toy_world
         st = MethodSettings.toy()
-        fitted, = train_methods(["mc-dropout"], train, val, st, SeededRng(4))
+        fitted, = fit_seed(["mc-dropout"], train, val, st, SeededRng(4))
         clean = fitted.predict(test.features)
         assert not np.array_equal(fitted.predict(test.features * 3.0), clean)
         np.testing.assert_array_equal(fitted.predict(test.features), clean)
@@ -136,27 +142,27 @@ class TestTrainMethod:
     def test_unknown_method(self, toy_world):
         train, val, _ = toy_world
         with pytest.raises(ConfigError, match="gradient-boost"):
-            train_methods(["gradient-boost"], train, val, MethodSettings.toy(), SeededRng(2))
+            fit_seed(["gradient-boost"], train, val, MethodSettings.toy(), SeededRng(2))
 
     def test_classifier_uncertainty_is_prediction_entropy(self, toy_world):
         train, val, test = toy_world
-        for fitted in train_methods(("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr"),
-                                    train, val, MethodSettings.toy(), SeededRng(3)):
+        for fitted in fit_seed(("single-nn", "nn-ensemble", "mc-dropout", "bootstrap-lr"),
+                               train, val, MethodSettings.toy(), SeededRng(3)):
             probs, unc = fitted.score(test.features)
             np.testing.assert_array_equal(unc, binary_entropy(probs))
 
     def test_scoring_closures_are_pure(self, toy_world):
         # Repeated calls re-derive their rng children, so scores never drift.
         train, val, test = toy_world
-        for fitted in train_methods(("mc-dropout", "vae"), train, val, MethodSettings.toy(),
-                                    SeededRng(4)):
+        for fitted in fit_seed(("mc-dropout", "vae"), train, val, MethodSettings.toy(),
+                               SeededRng(4)):
             np.testing.assert_array_equal(fitted.score(test.features)[1],
                                           fitted.score(test.features)[1])
 
     def test_score_runs_each_model_once(self, toy_world):
         train, val, test = toy_world
         calls = []
-        fitted, = train_methods(["mc-dropout"], train, val, MethodSettings.toy(), SeededRng(4))
+        fitted, = fit_seed(["mc-dropout"], train, val, MethodSettings.toy(), SeededRng(4))
         predict = fitted.predict
         fitted.predict = lambda X: calls.append("predict") or predict(X)
         fitted.uncertainty = lambda X: calls.append("uncertainty")
@@ -166,8 +172,8 @@ class TestTrainMethod:
     def test_vae_paired_with_its_classifier(self, toy_world):
         train, val, test = toy_world
         st, rng = MethodSettings.toy(), SeededRng(5)
-        single, paired = train_methods(["single-nn", "vae"], train, val, st, rng, paired=True)
-        alone, unpaired = train_methods(["single-nn", "vae"], train, val, st, rng)
+        single, paired = fit_seed(["single-nn", "vae"], train, val, st, rng, paired=True)
+        alone, unpaired = fit_seed(["single-nn", "vae"], train, val, st, rng)
         classifier, = train_mlp(train, val, st.mlp, [rng.split("vae-classifier").split("model")],
                                 st.class_weighting)
         probs, novelty = paired.score(test.features)
@@ -193,8 +199,8 @@ class TestTrainMethod:
         monkeypatch.setattr(evaluation, "train_method", recorded)
         train, val, _ = toy_world
         rng = SeededRng(6).split("curve")
-        fitted = train_methods(["vae", "bootstrap-lr"], train, val, MethodSettings.toy(),
-                               rng, paired)
+        fitted = fit_seed(["vae", "bootstrap-lr"], train, val, MethodSettings.toy(),
+                          rng, paired)
         assert [f.name for f in fitted] == ["vae", "bootstrap-lr"]
         assert (fitted[0].predict is not None) == paired
         assert calls == [("vae", ("curve", "vae")),
@@ -202,7 +208,7 @@ class TestTrainMethod:
 
     def test_class_weighting_reaches_the_networks(self, toy_world):
         train, val, test = toy_world
-        fitted, = train_methods(["single-nn"], train, val, dataclasses.replace(
+        fitted, = fit_seed(["single-nn"], train, val, dataclasses.replace(
             MethodSettings.toy(), class_weighting=True), SeededRng(6))
         model, = train_mlp(train, val, TrainConfig.toy(),
                            [SeededRng(6).split("single-nn").split("model")], weighting=True)
@@ -211,8 +217,8 @@ class TestTrainMethod:
 
     def test_same_seed_same_method(self, toy_world):
         train, val, test = toy_world
-        a, = train_methods(["nn-ensemble"], train, val, MethodSettings.toy(), SeededRng(5))
-        b, = train_methods(["nn-ensemble"], train, val, MethodSettings.toy(), SeededRng(5))
+        a, = fit_seed(["nn-ensemble"], train, val, MethodSettings.toy(), SeededRng(5))
+        b, = fit_seed(["nn-ensemble"], train, val, MethodSettings.toy(), SeededRng(5))
         np.testing.assert_array_equal(a.predict(test.features),
                                       b.predict(test.features))
 
@@ -254,7 +260,7 @@ class TestSharedFit:
             MethodSettings.toy(), ensemble_size=ensemble_size,
             mlp=TrainConfig(hidden=(5,), batch_size=8, lr=1e-2, max_epochs=20, patience=patience))
         rng = SeededRng(30)
-        shared = train_methods(names, train, val, st, rng, paired)
+        shared = fit_seed(names, train, val, st, rng, paired)
         if patience:  # some networks stop while others train on
             assert len(set(stacked)) >= 2
         (together,) = fits
@@ -293,7 +299,7 @@ class TestSharedFit:
     def test_one_train_mlp_call_per_seed(self, toy_world, monkeypatch, names, paired, calls):
         fits = self.record_fits(monkeypatch)
         train, val, _ = toy_world
-        train_methods(names, train, val, MethodSettings.toy(), SeededRng(31), paired)
+        fit_seed(names, train, val, MethodSettings.toy(), SeededRng(31), paired)
         assert len(fits) == calls
 
 
@@ -313,7 +319,8 @@ evaluation.train_vae = lambda *a: threads.append(threading.current_thread().name
 for gate in (numeric.WORKER_MIN, math.inf):
     numeric.WORKER_MIN = gate
     h = hashlib.sha256()
-    for fitted in evaluation.train_methods(METHODS, train, val, st, SeededRng(5), paired=True):
+    for fitted in evaluation.train_methods(METHODS, [(train, val, SeededRng(5))], st,
+                                           paired=True)[0]:
         for scores in fitted.score(test.features):
             h.update(scores.tobytes())
     print(threads[-1], h.hexdigest())
@@ -363,10 +370,10 @@ class TestOverlappedVaeFit:
         train, val, test = toy_world
         st, rng = self.settings(train), SeededRng(40)
         threads = threading.active_count()
-        overlapped = train_methods(METHODS, train, val, st, rng, paired)
+        overlapped = fit_seed(METHODS, train, val, st, rng, paired)
         assert threading.active_count() == threads
         monkeypatch.setattr(numeric, "WORKER_MIN", math.inf)
-        in_order = train_methods(METHODS, train, val, st, rng, paired)
+        in_order = fit_seed(METHODS, train, val, st, rng, paired)
         (worker, a), (caller, b) = fits
         assert worker and not caller
         for pa, pb in zip(a.params(), b.params(), strict=True):
@@ -400,8 +407,8 @@ class TestOverlappedVaeFit:
         train, val, _ = toy_world
         st = MethodSettings.toy()
         assert min(st.vae.batch_size, train.n) * st.vae.latent_dim < numeric.WORKER_MIN
-        train_methods(names, train, val, st, SeededRng(41), paired)
-        train_methods(["vae", "bootstrap-lr"], train, val, self.settings(train), SeededRng(41))
+        fit_seed(names, train, val, st, SeededRng(41), paired)
+        fit_seed(["vae", "bootstrap-lr"], train, val, self.settings(train), SeededRng(41))
         assert [worker for worker, _ in fits] == [False, False]
 
     # Below the gate (toy sizes), or without a VAE (step 0) beside an MLP step
@@ -420,7 +427,7 @@ class TestOverlappedVaeFit:
             monkeypatch.setattr(evaluation, trainer, recorded)
         train, val, _ = toy_world
         st = MethodSettings.toy() if toy else self.settings(train)
-        train_methods(names, train, val, st, SeededRng(46), paired=True)
+        fit_seed(names, train, val, st, SeededRng(46), paired=True)
         assert order == [("train_mlp", True), *[("train_vae", True)] * toy,
                          ("train_bootstrapped_lr", True)]
 
@@ -435,7 +442,7 @@ class TestOverlappedVaeFit:
         st = dataclasses.replace(st, vae=dataclasses.replace(st.vae, latent_dim=328))
         assert (train.n, st.mlp.batch_size, st.mlp.hidden) == (200, 8, (5,))
         assert min(st.vae.batch_size, train.n) * 328 >= numeric.WORKER_MIN
-        train_methods(METHODS, train, val, st, SeededRng(44), paired=True)
+        fit_seed(METHODS, train, val, st, SeededRng(44), paired=True)
         assert [worker for worker, _ in fits] == [False]
         assert started == []
 
@@ -452,8 +459,8 @@ class TestOverlappedVaeFit:
         train, val, _ = toy_world
         threads = threading.active_count()
         with pytest.raises(TrainingError, match="vae fit"):
-            train_methods(["single-nn", "bootstrap-lr", "vae", "mc-dropout"], train, val,
-                          self.settings(train), SeededRng(42), paired=True)
+            fit_seed(["single-nn", "bootstrap-lr", "vae", "mc-dropout"], train, val,
+                     self.settings(train), SeededRng(42), paired=True)
         assert threading.active_count() == threads
         assert [worker for worker, _ in fits] == [True]
         assert built == []
@@ -472,7 +479,7 @@ class TestOverlappedVaeFit:
         monkeypatch.setattr(evaluation, "train_bootstrapped_lr", failing)
         train, val, _ = toy_world
         with pytest.raises(TrainingError, match="vae fit"):
-            train_methods(names, train, val, self.settings(train), SeededRng(45))
+            fit_seed(names, train, val, self.settings(train), SeededRng(45))
         assert [worker for worker, _ in fits] == [on_worker]
 
     def test_mlp_error_wins_over_vae_error(self, toy_world, monkeypatch):
@@ -485,7 +492,7 @@ class TestOverlappedVaeFit:
         train, val, _ = toy_world
         threads = threading.active_count()
         with pytest.raises(TrainingError, match="mlp fit"):
-            train_methods(METHODS, train, val, self.settings(train), SeededRng(43), paired=True)
+            fit_seed(METHODS, train, val, self.settings(train), SeededRng(43), paired=True)
         assert threading.active_count() == threads
         assert [worker for worker, _ in fits] == [True]
 
@@ -494,7 +501,7 @@ class TestCurveExperiment:
     @staticmethod
     def fitted(toy_world, methods, seed, paired=True):
         train, val, _ = toy_world
-        return train_methods(methods, train, val, MethodSettings.toy(), SeededRng(seed), paired)
+        return fit_seed(methods, train, val, MethodSettings.toy(), SeededRng(seed), paired)
 
     def test_record_grid_complete(self, toy_world):
         _, val, test = toy_world
@@ -565,7 +572,7 @@ class TestOodExperiment:
                             "methods": list(methods), **keys})
         rng = SeededRng(seed)
         train, val, test, ood = _seed_data(cfg, data, rng)
-        fitted = train_methods(cfg.methods, train, val, cfg.settings, rng.split("ood"))
+        fitted = fit_seed(cfg.methods, train, val, cfg.settings, rng.split("ood"))
         return ood_experiment(fitted, test, ood, cfg.ood_tag)
 
     def test_result_fields_and_range(self):
@@ -641,7 +648,7 @@ class TestOodExperiment:
 class TestCorruptionExperiment:
     def test_factor_one_exactly_half_for_every_method(self, toy_world):
         train, val, test = toy_world
-        fitted = train_methods(METHODS, train, val, MethodSettings.toy(), SeededRng(19))
+        fitted = fit_seed(METHODS, train, val, MethodSettings.toy(), SeededRng(19))
         records = corruption_experiment(fitted, test, factors=(1,),
                                         rng=SeededRng(20))
         for m in METHODS:
@@ -652,7 +659,7 @@ class TestCorruptionExperiment:
 
     def test_record_layout_and_std(self, toy_world):
         train, val, test = toy_world
-        fitted = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(21))
+        fitted = fit_seed(["vae"], train, val, MethodSettings.toy(), SeededRng(21))
         records = corruption_experiment(fitted, test, factors=(1000,),
                                         n_features=30, rng=SeededRng(22))
         # Toy data has 2 columns, so both are sampled despite n_features=30.
@@ -662,7 +669,7 @@ class TestCorruptionExperiment:
 
     def test_std_absent_for_single_feature(self, toy_world):
         train, val, test = toy_world
-        fitted = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(23))
+        fitted = fit_seed(["vae"], train, val, MethodSettings.toy(), SeededRng(23))
         records = corruption_experiment(fitted, test, factors=(10,),
                                         n_features=1, rng=SeededRng(24))
         assert records[("vae", "factor=10", "detection_auc_std")] is None
@@ -672,19 +679,19 @@ class TestCorruptionExperiment:
         # At 0 the mean over no features was NaN; at -1, permutation(d)[:-1]
         # scored d - 1 features.
         train, val, test = toy_world
-        fitted = train_methods(["bootstrap-lr"], train, val, MethodSettings.toy(), SeededRng(27))
+        fitted = fit_seed(["bootstrap-lr"], train, val, MethodSettings.toy(), SeededRng(27))
         with pytest.raises(ParameterError, match=f"n_features must be at least 1, got {n_features}"):
             corruption_experiment(fitted, test, SeededRng(28), (10,), n_features)
 
     def test_no_factors_refused(self, toy_world):
         train, val, test = toy_world
-        fitted = train_methods(["bootstrap-lr"], train, val, MethodSettings.toy(), SeededRng(27))
+        fitted = fit_seed(["bootstrap-lr"], train, val, MethodSettings.toy(), SeededRng(27))
         with pytest.raises(ParameterError, match="factors must name at least one factor"):
             corruption_experiment(fitted, test, SeededRng(28), ())
 
     def test_rerun_bitwise_identical(self, toy_world):
         train, val, test = toy_world
-        fitted = train_methods(["mc-dropout"], train, val, MethodSettings.toy(), SeededRng(25))
+        fitted = fit_seed(["mc-dropout"], train, val, MethodSettings.toy(), SeededRng(25))
         a = corruption_experiment(fitted, test, factors=(10,), rng=SeededRng(26))
         b = corruption_experiment(fitted, test, factors=(10,), rng=SeededRng(26))
         assert a == b
@@ -746,7 +753,7 @@ class TestSeedSweep:
 class TestToySurfaces:
     def test_classifier_surfaces(self, toy_world):
         train, val, _ = toy_world
-        fitted, = train_methods(["single-nn"], train, val, MethodSettings.toy(), SeededRng(28))
+        fitted, = fit_seed(["single-nn"], train, val, MethodSettings.toy(), SeededRng(28))
         grid = grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 12)
         surfaces = toy_surfaces(fitted, grid)
         assert set(surfaces) == {"probability", "entropy"}
@@ -755,15 +762,15 @@ class TestToySurfaces:
 
     def test_vae_surface(self, toy_world):
         train, val, _ = toy_world
-        fitted, = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(29))
+        fitted, = fit_seed(["vae"], train, val, MethodSettings.toy(), SeededRng(29))
         surfaces = toy_surfaces(fitted, grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 5))
         assert set(surfaces) == {"novelty"}
         assert surfaces["novelty"].shape == (25,)
 
     def test_paired_vae_surface(self, toy_world):
         train, val, _ = toy_world
-        fitted, = train_methods(["vae"], train, val, MethodSettings.toy(), SeededRng(29),
-                                paired=True)
+        fitted, = fit_seed(["vae"], train, val, MethodSettings.toy(), SeededRng(29),
+                           paired=True)
         surfaces = toy_surfaces(fitted, grid_2d(((-6.0, 6.0), (-6.0, 6.0)), 5))
         assert list(surfaces) == ["probability", "entropy", "novelty"]
         np.testing.assert_array_equal(
@@ -771,7 +778,7 @@ class TestToySurfaces:
 
     def test_rejects_non_2d_grid(self, toy_world):
         train, val, _ = toy_world
-        fitted, = train_methods(["single-nn"], train, val, MethodSettings.toy(), SeededRng(30))
+        fitted, = fit_seed(["single-nn"], train, val, MethodSettings.toy(), SeededRng(30))
         with pytest.raises(ShapeError):
             toy_surfaces(fitted, np.zeros((4, 3)))
 
@@ -793,7 +800,7 @@ class TestToySurfaces:
         for weighted in (False, True):
             st = MethodSettings(mlp=tc, class_weighting=weighted,
                                 standardize=False)
-            fitted, = train_methods(["single-nn"], train, val, st, SeededRng(32))
+            fitted, = fit_seed(["single-nn"], train, val, st, SeededRng(32))
             s = toy_surfaces(fitted, grid)
             confident_pos = s["probability"] > 0.5
             entropies[weighted] = (s["entropy"][confident_pos].min()

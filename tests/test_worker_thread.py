@@ -5,8 +5,9 @@ imports a thread or process module, and a threading.Thread is built only
 inside numeric.beside_worker, which decides whether to start it. In
 evaluation.py, only train_methods calls a trainer, and every such call comes
 before its first train_method call; train_method only wraps the models it is
-handed. In the package, only cli._execute calls train_methods, and no function
-of evaluation.py splits or scales data.
+handed. In the package, train_methods has one call site, the group fit
+nested in cli._execute, which fits the networks of a group of seeds in one
+stack; no function of evaluation.py splits or scales data.
 """
 import ast
 from pathlib import Path
@@ -129,5 +130,12 @@ def test_only_execute_fits_a_seed_and_no_experiment_prepares_data():
                         callers(path.read_text(encoding="utf-8"), ("train_methods",))]
             for path in MODULES}
     assert {name: found for name, found in fits.items() if found} == {"cli.py": ["_execute"]}
+    source = (PACKAGE / "cli.py").read_text(encoding="utf-8")
+    execute = next(node for node in ast.parse(source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_execute")
+    sites = [func.name for func in ast.walk(execute) if isinstance(func, ast.FunctionDef)
+             and any(isinstance(call, ast.Call) and call_name(call) == "train_methods"
+                     for statement in func.body for call in ast.walk(statement))]
+    assert sites == ["_execute", "fit"]  # the group fit, nested in _execute
     source = (PACKAGE / "evaluation.py").read_text(encoding="utf-8")
     assert data_calls(source, ("split", "exclude_group", "fit_scaler", "apply_scaler")) == []
