@@ -1024,10 +1024,11 @@ class TestSeedGroups:
         self.check_each_seed_alone(tmp_path, self.SURFACES, [0, 1, 2], [[0, 1, 2]])
 
     def test_grouped_csv_seeds_write_the_bytes_of_each_seed_alone(self, tmp_path):
-        # Early stopping is on, so the networks of the two seeds stop apart.
+        # At lr 0.05 the networks stop early on their own validation sets,
+        # after different epochs.
         config = {"dataset": f"csv:{self.csv_data(tmp_path)}", "experiment": "curve",
-                  "hidden": [6], "batch_size": 16, "max_epochs": 6, "patience": 1,
-                  "vae_epochs": 2, "platt": True}
+                  "hidden": [6], "batch_size": 16, "lr": 0.05, "max_epochs": 15,
+                  "patience": 1, "vae_epochs": 2, "platt": True}
         assert _seed_groups(parse_config({**config, "seeds": [4, 5]}), 180) == [(4, 5)]
         self.check_each_seed_alone(tmp_path, config, [4, 5], [[4, 5]])
 
