@@ -11,9 +11,11 @@ owns one dict of name-keyed step buffers (numeric.step_buffer), which its
 validation passes share, and one (M, P) gradient buffer, and an
 mc_dropout_predict call one dict per thread it may run passes on, freed when it
 returns; _forward and the step allocate afresh when given none.
-Large MC-dropout calls split their passes between the calling thread and one
-worker thread (numeric.WORKER_MIN); each pass writes its own row, with the
-bits of the one-thread loop.
+MC dropout folds its passes into one running (rows,) sum in pass order and
+keeps no (T, rows) pass array. Large calls split their passes between the
+calling thread and one worker thread (numeric.WORKER_MIN), which writes its
+share into its own rows, folded in after the join, with the bits of the
+one-thread loop.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import numeric
 from .data import Dataset
 from .errors import DataError, ParameterError, ShapeError, TrainingError
 from .numeric import (anchored_mean, beside_worker, checked_inputs, dropout_scale, flatten,
@@ -360,14 +363,17 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     the same bits. Layer 0's relu(X @ W + b), times the dropout scale
     1/(1 - rate), and the keep bits' layer byte ranges are computed once per
     call; each pass masks layer 0 into a step buffer with one multiply, which
-    gives the bits of masking first and scaling second, and runs _forward on
-    the network's tail, in the step buffers of its thread's dict, writing its
-    own row of passes. Passes 0 and 1 fill the two dicts on the calling
-    thread; the rest are split between it and one worker thread by
-    numeric.beside_worker, which returns once both halves have run, with
-    rows * widest hidden layer as the step (0 when T <= 2). The passes are
-    clipped and averaged in place (anchored_mean's overwrite_input), so the
-    (T, rows) pass array is the call's one array of that size.
+    gives the bits of masking first and scaling second, runs _forward on the
+    network's tail, in the step buffers of its thread's dict, and clips its
+    output. The calling thread adds each pass's difference from pass 0 to one
+    (rows,) sum in pass order, the order in which anchored_mean sums a
+    (T, rows) array, so no pass array is kept. With rows * widest hidden layer
+    (the step, 0 when T <= 2) at numeric.WORKER_MIN or more, passes mid..T-1
+    (mid = (T + 2) // 2) run on one worker thread (numeric.beside_worker) into
+    a (T - mid, rows) array, folded in after the join; pass mid runs first on
+    the calling thread, in the worker's dict. A one-row call keeps passes
+    1..T-1 and averages the (T, 1) stack with anchored_mean, as numpy sums a
+    single column pairwise rather than in pass order.
     """
     if T < 1:
         raise ParameterError(f"need at least one forward pass, got T={T}")
@@ -378,22 +384,42 @@ def mc_dropout_predict(model: MlpModel, X: np.ndarray, rng: SeededRng,
     first *= dropout_scale(model.dropout_rate)
     tail = MlpModel(model.weights[1:], model.biases[1:], model.dropout_rate)
     layout = _mask_layout(model)
-    passes = np.empty((T, n))
+
+    def clipped_pass(t, buf):
+        keep = _layer_masks(layout, _make_masks(model, n, [rng.split(f"pass{t}")])[0])
+        h = np.multiply(first, keep[0], out=step_buffer(buf, "first", first.shape))
+        p = _forward(tail, h, keep[1:], buf)[0].ravel()
+        return np.clip(p, PROB_CLAMP, 1.0 - PROB_CLAMP, out=p)
+
+    step = n * max(w.shape[-1] for w in model.weights[:-1]) if T > 2 else 0
+    mid = (T + 2) // 2 if step >= numeric.WORKER_MIN else T
+    lo = 1 if n == 1 else mid  # passes lo..T-1 are kept in held
+    held = np.empty((T - lo, n))
+    buf, worker_buf = {}, {}
+    anchor = clipped_pass(0, buf)
+    total = anchor - anchor  # anchored_mean's zero first difference, where its sum starts
+
+    def fold(p):
+        np.add(total, np.subtract(p, anchor, out=p), out=total)
 
     def run(ts, buf):
         for t in ts:
-            keep = _layer_masks(layout, _make_masks(model, n, [rng.split(f"pass{t}")])[0])
-            h = np.multiply(first, keep[0], out=step_buffer(buf, "first", first.shape))
-            passes[t] = _forward(tail, h, keep[1:], buf)[0].ravel()
+            p = clipped_pass(t, buf)
+            if t >= lo:
+                held[t - lo] = p
+            else:
+                fold(p)
 
-    # Passes 0 and 1 allocate both dicts here: buffers first allocated on
-    # the worker would stay in its malloc arena and lift the peak RSS.
-    buf, worker_buf = {}, {}
-    run([0], buf)
-    run(range(1, min(T, 2)), worker_buf)
-    mid = (T + 2) // 2
-    step = n * max(w.shape[-1] for w in model.weights[:-1]) if T > 2 else 0
-    beside_worker(lambda: run(range(mid, T), worker_buf), lambda: run(range(2, mid), buf),
+    if mid < T:
+        # Pass mid allocates the worker's dict here: buffers first allocated
+        # on the worker would stay in its malloc arena and lift the peak RSS.
+        run([mid], worker_buf)
+    beside_worker(lambda: run(range(mid + 1, T), worker_buf), lambda: run(range(1, mid), buf),
                   "tabuq-mc-dropout", step)
-    np.clip(passes, PROB_CLAMP, 1.0 - PROB_CLAMP, out=passes)
-    return anchored_mean(passes, axis=0, overwrite_input=True)
+    if n == 1:
+        return anchored_mean(np.concatenate([anchor[None], held]), axis=0, overwrite_input=True)
+    for p in held:
+        fold(p)
+    total /= T
+    total += anchor
+    return total

@@ -494,9 +494,11 @@ class TestMcDropout:
         p = mc_dropout_predict(toy_mlp, X, T=25, rng=SeededRng(9))
         assert ((0.0 < p) & (p < 1.0)).all()
 
-    @pytest.mark.parametrize("T, gate", [(1, math.inf), (100, math.inf), (1, 0), (100, 0)],
-                             ids=["1", "100", "1-split", "100-split"])
-    @pytest.mark.parametrize("n", [1, 13, 2000])
+    @pytest.mark.parametrize("T, gate", [(1, math.inf), (2, math.inf), (3, math.inf),
+                                         (100, math.inf), (1, 0), (2, 0), (3, 0), (100, 0)],
+                             ids=["1", "2", "3", "100", "1-split", "2-split", "3-split",
+                                  "100-split"])
+    @pytest.mark.parametrize("n", [1, 2, 13, 2000])
     @pytest.mark.parametrize("rate", [0.0, 0.3, 0.5])
     @pytest.mark.parametrize("hidden", [(5,), (100, 100), (7, 3, 4)],
                              ids=["5", "100-100", "7-3-4"])
@@ -506,6 +508,9 @@ class TestMcDropout:
         # give the reference's bits, as the corrupted copies of a test set
         # meet the clean copy's masks, with numeric.WORKER_MIN forced shut (inf: the
         # calling thread alone) and forced open (0: passes split over two threads).
+        # T = 2 starts no worker, and at T = 3 the worker's share is the one
+        # pass the calling thread runs for it. Two rows is the smallest call
+        # that folds its passes; one row keeps the stack, which numpy sums pairwise.
         monkeypatch.setattr(tabuq.numeric, "WORKER_MIN", gate)
         m = init_mlp(4, TrainConfig(hidden=hidden, dropout_rate=rate), SeededRng(10))
         for X in (SeededRng(11).normal((n, 4)), SeededRng(12).normal((n, 4), std=30.0)):
@@ -513,22 +518,28 @@ class TestMcDropout:
             for _ in range(2):
                 np.testing.assert_array_equal(mc_dropout_predict(m, X, SeededRng(13), T), expected)
 
-    def test_peak_memory_is_one_pass_array_and_the_row_buffers(self):
-        # The toy grid: 2,500 rows x [5], 100 passes, on the calling thread.
-        # Averaging the (T, rows) passes in place leaves them the only array of
-        # their size; the slack, eight (rows, widest) arrays, covers layer 0's
-        # scaled output and its masked copy, the keep masks, the tail's step
-        # buffers and the output layer's temporaries.
-        n, T, width = 2500, 100, 5
-        m = init_mlp(2, TrainConfig(hidden=(width,)), SeededRng(14))
+    @pytest.mark.parametrize("n, hidden, gate, kept, row_arrays",
+                             [(2500, (5,), math.inf, 0, 8), (2000, (100, 100), 0, 49, 6)],
+                             ids=["toy-grid", "split"])
+    def test_peak_memory_is_the_row_buffers_and_the_workers_passes(self, monkeypatch, n, hidden,
+                                                                   gate, kept, row_arrays):
+        # 100 passes. The toy grid, 2,500 rows x [5], runs on the calling
+        # thread, which folds each pass into one (rows,) sum and keeps no pass
+        # array; its slack, eight (rows, widest) arrays, covers layer 0's scaled
+        # output and its masked copy, the keep masks, the tail's step buffers
+        # and the output layer's temporaries. Split (the gate open), 2,000 rows
+        # x [100, 100] keeps only the worker's passes 51..99 and six row arrays:
+        # layer 0's output, the two threads' step buffers and the keep masks.
+        monkeypatch.setattr(tabuq.numeric, "WORKER_MIN", gate)
+        m = init_mlp(2, TrainConfig(hidden=hidden), SeededRng(14))
         X = SeededRng(15).normal((n, 2))
         tracemalloc.start()
         try:
-            mc_dropout_predict(m, X, SeededRng(16), T)
+            mc_dropout_predict(m, X, SeededRng(16), 100)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= T * n * 8 + 8 * n * width * 8
+        assert peak <= kept * n * 8 + row_arrays * n * max(hidden) * 8
 
 
 SPLIT_SCRIPT = """
