@@ -33,9 +33,8 @@ from .errors import ConfigError, DataError, ParameterError, ShapeError, Training
 from .evaluation import (DEFAULT_FACTORS, DEFAULT_FRACTIONS, DEFAULT_N_CORRUPT_FEATURES,
                          DEFAULT_SEEDS, DEFAULT_SPLIT_FRACTIONS, METHODS, MethodSettings,
                          Records, corruption_experiment, curve_experiment,
-                         factor_context, fraction_context, ood_experiment, seed_sweep,
-                         seed_networks, toy_surfaces, train_methods)
-from .numeric import WORKER_MIN
+                         factor_context, fraction_context, ood_experiment, seed_groups,
+                         seed_sweep, toy_surfaces, train_methods)
 from .rng import SeededRng
 
 EXPERIMENTS = ("curve", "ood", "corrupt", "surfaces")
@@ -193,8 +192,9 @@ def _grid_bounds(value, key: str) -> tuple[tuple[float, float], tuple[float, flo
             and all(isinstance(b, list) and len(b) == 2 for b in value)):
         raise ConfigError(f"key {key!r} must be [[min,max],[min,max]], got {value!r}")
     bounds = tuple((_as_number(lo, key), _as_number(hi, key)) for lo, hi in value)
-    if any(lo >= hi for lo, hi in bounds):
-        raise ConfigError(f"key {key!r} must have min < max on each axis, got {value!r}")
+    # Of finite floats, hi - lo > 0 exactly when hi > lo; an infinite span overflows the grid.
+    if not all(0 < hi - lo < math.inf for lo, hi in bounds):
+        raise ConfigError(f"key {key!r} must have 0 < max - min < inf on each axis, got {value!r}")
     return bounds
 
 
@@ -322,28 +322,12 @@ def _surface_records(methods, grid: np.ndarray, seed: int, tables: dict) -> Reco
     return records
 
 
-def _seed_groups(cfg: ExperimentConfig, train_rows: int) -> list[tuple[int, ...]]:
-    """cfg's seeds in runs of consecutive ones whose networks train in one stack.
-
-    A run grows while two measures of its stack stay under numeric.WORKER_MIN,
-    the line between Python-bound and BLAS-bound steps: the step, networks *
-    min(batch, train rows) * widest hidden layer, and the epoch, networks *
-    train rows, which sizes the keep bits and the gathered training rows. A
-    seed whose own stack reaches either is alone, as is every seed of a run
-    that trains no network.
-    """
-    mlp = cfg.settings.mlp
-    networks = seed_networks(cfg.methods, cfg.settings, cfg.kind in PAIRED)
-    step = networks * min(mlp.batch_size, train_rows) * max(mlp.hidden)
-    size = max(1, (WORKER_MIN - 1) // max(step, networks * train_rows)) if networks else 1
-    return [cfg.seeds[i:i + size] for i in range(0, len(cfg.seeds), size)]
-
-
 def _execute(cfg: ExperimentConfig):
     """Per seed: make and scale the data, fit the methods once on rng/<kind>
     (corrupt: on the seed's rng; paired for curve and surfaces), and score
-    them. A seed's group (_seed_groups, by its training rows) is fitted when
-    its first seed is reached, in one train_methods call. If making a group's
+    them. A seed's group (evaluation.seed_groups, by its training rows) is
+    fitted when its first seed is reached, in one train_methods call, which
+    stacks the group's networks in one train_mlp call. If making a group's
     data or fitting it raises, each of its seeds is made and fitted alone, so
     that a run raises what the seeds one at a time raise, in their order.
     Returns (sweep, surface_tables), the latter mapping (method, seed) to
@@ -365,8 +349,8 @@ def _execute(cfg: ExperimentConfig):
     def experiment(rng: SeededRng) -> Records:
         if rng.seed not in fitted:
             first = _seed_data(cfg, full, rng)
-            group = ((rng.seed,) if rng.seed in alone else
-                     next(g for g in _seed_groups(cfg, first[0].n) if rng.seed in g))
+            groups = seed_groups(cfg.methods, cfg.settings, kind in PAIRED, cfg.seeds, first[0].n)
+            group = (rng.seed,) if rng.seed in alone else next(g for g in groups if rng.seed in g)
             try:
                 fitted.update(fit(group, first))
             except Exception:  # each seed alone raises its own error, in order

@@ -217,18 +217,31 @@ def load_csv(path, label_column: str = "label") -> Dataset:
 
 
 def fit_scaler(d: Dataset) -> StandardScaler:
-    """Per-feature mean and standard deviation; stds floored to avoid division by zero."""
+    """Per-feature mean and standard deviation; stds floored to avoid division
+    by zero. A mean or std that overflows is a DataError naming its feature."""
     if d.n < 2:
         raise DataError(f"need at least 2 rows to fit a scaler, got {d.n}")
-    mean = d.features.mean(axis=0)
-    std = np.maximum(d.features.std(axis=0), STD_FLOOR)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = d.features.mean(axis=0)
+        std = np.maximum(d.features.std(axis=0), STD_FLOOR)
+    _all_finite(np.isfinite([mean, std]).all(axis=0), d, "its training mean or std is not finite")
     return StandardScaler(mean=mean, std=std)
 
 
 def apply_scaler(s: StandardScaler, d: Dataset) -> Dataset:
+    """d standardized by s; a scaled value that overflows is a DataError naming its feature."""
     if s.mean.shape != (d.d,):
         raise ShapeError(f"scaler fitted on {s.mean.shape[0]} features, dataset has {d.d}")
-    return d.with_features((d.features - s.mean) / s.std)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = (d.features - s.mean) / s.std
+    _all_finite(np.isfinite(scaled).all(axis=0), d, "a standardized value is not finite")
+    return d.with_features(scaled)
+
+
+def _all_finite(ok: np.ndarray, d: Dataset, reason: str) -> None:
+    """DataError naming the first feature of d whose entry of ok is False, and the reason."""
+    if not ok.all():
+        raise DataError(f"cannot standardize feature {d.feature_names[ok.argmin()]!r}: {reason}")
 
 
 def split(d: Dataset, fractions: tuple[float, float, float],
@@ -279,12 +292,15 @@ def corrupt_feature(d: Dataset, index: int, factor: float) -> Dataset:
 
 def grid_2d(bounds: tuple[tuple[float, float], tuple[float, float]],
             resolution: int) -> np.ndarray:
-    """Row-major resolution x resolution grid over an axis-aligned box."""
+    """Row-major resolution x resolution grid over an axis-aligned box, each of
+    whose sides must have finite ends, min < max and a finite length."""
     if resolution < 2:
         raise ParameterError(f"resolution must be at least 2, got {resolution}")
     for lo, hi in bounds:
-        if not (np.isfinite([lo, hi]).all() and lo < hi):
-            raise ParameterError(f"bound ({lo}, {hi}) must be finite with min < max")
+        # A NaN or infinite end makes the span NaN or infinite, and an infinite
+        # span overflows np.linspace; of finite floats, hi - lo > 0 exactly when hi > lo.
+        if not 0 < float(hi) - float(lo) < np.inf:
+            raise ParameterError(f"bound ({lo}, {hi}) must have 0 < max - min < inf")
     ax0 = np.linspace(bounds[0][0], bounds[0][1], resolution)
     ax1 = np.linspace(bounds[1][0], bounds[1][1], resolution)
     g0, g1 = np.meshgrid(ax0, ax1, indexing="ij")

@@ -17,7 +17,8 @@ networks of the group train in one stacked train_mlp call, each on the stream
 its method would fit it on and on its seed's sets, and the VAE, then
 bootstrap-LR, seed by seed, beside that call on a worker thread when the
 smaller of the MLP and VAE steps reaches numeric.WORKER_MIN, right after it
-otherwise.
+otherwise. seed_groups decides which seeds share a group, from the same MLP
+step (_mlp_step).
 Large MC-dropout calls split their passes over the same worker
 (numeric.beside_worker); threads change no bits.
 """
@@ -37,7 +38,7 @@ from .errors import (ConfigError, DataError, ParameterError, ShapeError, Trainin
 from .logistic import predict_logistic, train_bootstrapped_lr
 from .metrics import auc_roc, binary_entropy, ece, platt_apply, platt_fit
 from .mlp import TrainConfig, mc_dropout_predict, predict_mlp, train_mlp
-from .numeric import beside_worker
+from .numeric import WORKER_MIN, beside_worker
 from .rng import SeededRng
 from .vae import VaeConfig, train_vae, vae_novelty_score
 
@@ -175,9 +176,27 @@ def _seed_streams(names, rng: SeededRng, settings: MethodSettings,
             for name in names]
 
 
-def seed_networks(names, settings: MethodSettings, paired: bool = False) -> int:
-    """How many networks train_methods fits for each seed."""
-    return sum(map(len, _seed_streams(names, SeededRng(0), settings, paired)))
+def _mlp_step(networks: int, settings: MethodSettings, rows: int) -> int:
+    """The size of one stacked MLP step: networks * min(batch, training rows) *
+    widest hidden layer."""
+    return networks * min(settings.mlp.batch_size, rows) * max(settings.mlp.hidden)
+
+
+def seed_groups(names, settings: MethodSettings, paired: bool, seeds: tuple[int, ...],
+                train_rows: int) -> list[tuple[int, ...]]:
+    """seeds in runs of consecutive ones whose networks train in one stack, one
+    train_methods call per run.
+
+    A run grows while two measures of its stack stay under numeric.WORKER_MIN,
+    the line between Python-bound and BLAS-bound steps: the step (_mlp_step)
+    and the epoch, networks * train rows, which sizes the keep bits and the
+    gathered training rows. A seed whose own stack reaches either is alone, as
+    is every seed of a run that trains no network.
+    """
+    networks = sum(map(len, _seed_streams(names, SeededRng(0), settings, paired)))
+    size = max(1, (WORKER_MIN - 1) // max(_mlp_step(networks, settings, train_rows),
+                                          networks * train_rows)) if networks else 1
+    return [seeds[i:i + size] for i in range(0, len(seeds), size)]
 
 
 def train_methods(names, seeds, settings: MethodSettings,
@@ -190,29 +209,21 @@ def train_methods(names, seeds, settings: MethodSettings,
     with paired, the VAE is also handed the network of a single NN on
     rng/vae-classifier. Beside that call, one job trains, seed by seed, the VAE
     on rng/vae/model and then bootstrap-lr's members on rng/bootstrap-lr/model.
-    A group's seeds share the sets' shape (mlp._per_stream); one seed's
-    networks all get its one train and val set, which is train_mlp's call on
-    one set.
+    train_mlp gets the group's train and val sets as they are, one of each per
+    seed, which must share one shape; each seed's networks are one run of its
+    streams.
 
     numeric.beside_worker's step is the smaller of the VAE step, min(vae batch,
-    train rows) * latent, and the MLP step, the group's networks * min(batch,
-    train rows) * widest hidden layer (0 without a VAE). At or above
-    numeric.WORKER_MIN the job runs on a worker thread during the train_mlp
-    call; otherwise right after it. Either way every model has the same bits,
-    and the errors come in the order of the fits: train_mlp's, then the first
-    seed's VAE, its bootstrap-lr, the next seed's VAE, and so on.
+    train rows) * latent, and the group's MLP step (_mlp_step), 0 without a
+    VAE. At or above numeric.WORKER_MIN the job runs on a worker thread during
+    the train_mlp call; otherwise right after it. Either way every model has
+    the same bits, and the errors come in the order of the fits: train_mlp's,
+    then the first seed's VAE, its bootstrap-lr, the next seed's VAE, and so on.
     """
     if not seeds:
         raise ParameterError("need at least one seed to fit")
     streams = [_seed_streams(names, rng, settings, paired) for _, _, rng in seeds]
-    counts = [sum(map(len, seed)) for seed in streams]
     everyone = [s for seed in streams for method in seed for s in method]
-
-    def sets(part):
-        """Part 0 (train) or 1 (val) of one seed, or of each network's seed in a group."""
-        if len(seeds) == 1:
-            return seeds[0][part]
-        return [seed[part] for seed, count in zip(seeds, counts) for _ in range(count)]
 
     def fit_vae_and_lr():
         fits = []
@@ -226,14 +237,13 @@ def train_methods(names, seeds, settings: MethodSettings,
         return fits
 
     def fit_mlps():
-        return train_mlp(sets(0), sets(1), settings.mlp, everyone,
-                         settings.class_weighting) if everyone else ()
+        return train_mlp([train for train, _, _ in seeds], [val for _, val, _ in seeds],
+                         settings.mlp, everyone, settings.class_weighting) if everyone else ()
 
     rows = seeds[0][0].n
     vae_step = min(settings.vae.batch_size, rows) * settings.vae.latent_dim
-    mlp_step = len(everyone) * min(settings.mlp.batch_size, rows) * max(settings.mlp.hidden)
-    networks, models = beside_worker(fit_vae_and_lr, fit_mlps, "tabuq-vae",
-                                     min(vae_step, mlp_step) if "vae" in names else 0)
+    step = min(vae_step, _mlp_step(len(everyone), settings, rows)) if "vae" in names else 0
+    networks, models = beside_worker(fit_vae_and_lr, fit_mlps, "tabuq-vae", step)
     networks = iter(networks)
     return [[train_method(name, settings, rng.split(name),
                           fits.get(name, ()) + tuple(next(networks) for _ in method))

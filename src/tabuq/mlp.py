@@ -3,8 +3,9 @@
 Architecture: fully connected, relu hidden layers with inverted dropout,
 sigmoid output. Training runs `numeric.minibatch_adam` on the weighted
 binary cross-entropy over an (M, P) stack of M networks' flat parameter
-vectors as one network of (M, in, out) weights, each on its own training and
-validation sets, which may be several seeds'. After each epoch each one's
+vectors as one network of (M, in, out) weights; each run of consecutive
+networks trains and validates on its own pair of sets, one pair per seed,
+whose rows are stacked once per set. After each epoch each network's
 validation loss decides its early stopping, which restores its best snapshot.
 MC dropout's passes run through the training step's _forward. A train_mlp call
 owns one dict of name-keyed step buffers (numeric.step_buffer), which its
@@ -249,30 +250,20 @@ def init_mlp(n_features: int, cfg: TrainConfig, rng: SeededRng) -> MlpModel:
                     dropout_rate=cfg.dropout_rate)
 
 
-def _per_stream(sets: Dataset | Sequence[Dataset], n: int, kind: str) -> list[Dataset]:
-    """One set per stream: a lone Dataset serves all n streams. ParameterError unless
-    a sequence holds n sets, ShapeError unless they share one (rows, features) shape."""
-    sets = [sets] * n if isinstance(sets, Dataset) else list(sets)
-    if len(sets) != n:
-        raise ParameterError(f"need one {kind} set per stream, got {len(sets)} for {n} streams")
-    for s in sets:
-        if s.features.shape != sets[0].features.shape:
-            raise ShapeError(f"{kind} sets must share one shape, got "
-                             f"{sets[0].features.shape} and {s.features.shape}")
-    return sets
-
-
 def train_mlp(train: Dataset | Sequence[Dataset], val: Dataset | Sequence[Dataset],
               cfg: TrainConfig, rngs: Sequence[SeededRng],
               weighting: bool = False) -> tuple[MlpModel, ...]:
     """Minibatch Adam on the weighted BCE with dropout, one network per stream of
     rngs, stacked and trained in lockstep; returns each one's best-val snapshot.
 
-    train and val are each one set for every network, or a sequence of one set
-    per stream (the networks of several seeds), all of one shape (_per_stream).
-    Network m draws its init, epoch shuffles and dropout masks from its own
-    child streams of rngs[m] and trains on its own sets, so it has the bits of
-    a run on rngs[m] and its sets alone.
+    train and val are each k sets of one (rows, features) shape, a lone Dataset
+    being k = 1, and k divides len(rngs): the streams split into k runs of
+    consecutive ones, and run i trains on train[i] and validates on val[i]
+    (several seeds' networks, one run per seed). Network m draws its init,
+    epoch shuffles and dropout masks from its own child streams of rngs[m] and
+    trains on its run's sets, so it has the bits of a run on rngs[m] and those
+    sets alone. ParameterError names the counts unless val holds k sets and k
+    divides len(rngs), and ShapeError the shapes unless each side's sets share one.
     An epoch's first batch draws its keep bits from rngs[m]/dropout/<epoch>, a
     row per training row, and batch b takes rows [b * batch_size, ...) of them:
     M * n_rows * sum(ceil(w / 8)) bytes, 780 KB for five [100, 100] nets on 6,000 rows.
@@ -280,8 +271,8 @@ def train_mlp(train: Dataset | Sequence[Dataset], val: Dataset | Sequence[Datase
     weighting turns on the class-weighted loss (see weighted_bce_loss).
 
     A batch is gathered by np.take from one features array, the one training
-    set's or the per-stream sets stacked into (M * n_rows, features), at each
-    member's row offset in it (0 for one set).
+    set's own or the k sets stacked into (k * n_rows, features), at the row
+    offset of each member's set in it.
     minibatch_adam owns the stacked parameters and steps them in place. This
     call owns the step buffers and one (M, P) gradient buffer, whose leading
     rows, one per member still training, each step's gradients are written
@@ -296,8 +287,17 @@ def train_mlp(train: Dataset | Sequence[Dataset], val: Dataset | Sequence[Datase
     """
     if not rngs:
         raise ParameterError("need at least one network to train, got no streams")
-    trains = _per_stream(train, len(rngs), "training")
-    vals = _per_stream(val, len(rngs), "validation")
+    trains = [train] if isinstance(train, Dataset) else list(train)
+    vals = [val] if isinstance(val, Dataset) else list(val)
+    for kind, sets in (("training", trains), ("validation", vals)):
+        for s in sets[1:]:
+            if s.features.shape != sets[0].features.shape:
+                raise ShapeError(f"{kind} sets must share one shape, got "
+                                 f"{sets[0].features.shape} and {s.features.shape}")
+    k = len(trains)
+    if not k or len(vals) != k or len(rngs) % k:
+        raise ParameterError(f"need k training and k validation sets, k dividing the "
+                             f"{len(rngs)} streams, got {k} and {len(vals)}")
     n, d = trains[0].n, trains[0].d
     if n < 1:
         raise DataError("training set is empty")
@@ -306,12 +306,10 @@ def train_mlp(train: Dataset | Sequence[Dataset], val: Dataset | Sequence[Datase
     if vals[0].d != d:
         raise ShapeError(f"train has {d} features, val has {vals[0].d}")
 
-    if isinstance(train, Dataset):
-        features, labels, offsets = train.features, train.labels, np.zeros(len(rngs), np.int64)
-    else:
-        features = np.concatenate([s.features for s in trains])
-        labels = np.concatenate([s.labels for s in trains])
-        offsets = np.arange(len(rngs)) * n
+    run = len(rngs) // k  # the streams of each set
+    features = trains[0].features if k == 1 else np.concatenate([s.features for s in trains])
+    labels = trains[0].labels if k == 1 else np.concatenate([s.labels for s in trains])
+    offsets = np.arange(len(rngs)) // run * n
     inits = [init_mlp(d, cfg, rng.split("init")) for rng in rngs]
     template = inits[0]
     layout = _mask_layout(template)
@@ -342,8 +340,8 @@ def train_mlp(train: Dataset | Sequence[Dataset], val: Dataset | Sequence[Datase
                                                loss_and_grads, n, cfg.batch_size,
                                                cfg.max_epochs, cfg.lr, rngs):
         for m, row in zip(list(members) if cfg.patience else (), flat):
-            val_loss = mlp_loss(template.with_flat(row), vals[m].features, vals[m].labels,
-                                weighting, buf=buf)
+            val_loss = mlp_loss(template.with_flat(row), vals[m // run].features,
+                                vals[m // run].labels, weighting, buf=buf)
             if not np.isfinite(val_loss):
                 raise TrainingError(f"non-finite validation loss at epoch {epoch}")
             loss, snapshot, stale = best.get(m, (np.inf, None, 0))

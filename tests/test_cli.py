@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from tabuq import (Dataset, MethodSettings, SeededRng, VaeConfig, __version__, apply_scaler,
                    evaluation, exclude_group, fit_scaler, generate_synthetic, numeric, split)
-from tabuq.cli import (CSV_HEADER, KNOWN_KEYS, _seed_groups, _write_grid, format_value, main,
+from tabuq.cli import (CSV_HEADER, KNOWN_KEYS, PAIRED, _write_grid, format_value, main,
                        parse_config, run)
 from tabuq.data import grid_2d
 from tabuq.errors import ConfigError, DataError, TrainingError
@@ -372,6 +372,20 @@ class TestRun:
         assert "row 8, column 'b'" in err and "non-finite" in err
         assert not (tmp_path / "out").exists()
 
+    def test_overflowing_standardization_exits_2_naming_the_column(self, tmp_path, capsys):
+        # Column b alternates +-1e200, so every split's training std overflows:
+        # refused before any fit, with no numpy warning on the way.
+        data = tmp_path / "huge.csv"
+        rows = ["a,b,label"] + [f"{i % 3},{(-1) ** i * 1e200!r},{i % 2}" for i in range(60)]
+        data.write_text("\n".join(rows) + "\n")
+        cfg = write_config(tmp_path, {**FAST, "dataset": f"csv:{data}",
+                                      "out_dir": str(tmp_path / "out")})
+        assert run(cfg, quiet=True) == 2
+        assert capsys.readouterr().err == (
+            "data error: seed 0: cannot standardize feature 'b': its training mean or std "
+            "is not finite\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("name, body, message", [
         ("bad_utf8.csv", "a,b,label\n1,2,0\n3,caf\u00e9,1\n".encode("latin-1"),
          "bad_utf8.csv: line 3: not UTF-8 text"),
@@ -403,7 +417,7 @@ class TestRun:
         ("methods", 5), ("seeds", 3), ("dropout_rate", 1.0), ("logistic_c", -1),
         ("lr", 0), ("vae_lr", -1), ("grid_bounds", [[1, 0], [0, 1]]),
         ("grid_bounds", [[math.nan, 1], [0, 1]]), ("label_column", 5),
-        ("methods", ["vae", "vae"])])
+        ("methods", ["vae", "vae"]), ("grid_bounds", [[-1e308, 1e308], [-1, 1]])])
     def test_out_of_range_key_exits_1_naming_it(self, tmp_path, capsys, key, value):
         cfg = write_config(tmp_path, {**FAST, key: value,
                                       "out_dir": str(tmp_path / "out")})
@@ -950,6 +964,12 @@ class TestSeedGroups:
                 "class_weighting": True, "grid_resolution": 7}
 
     @staticmethod
+    def groups(cfg, train_rows: int) -> list[tuple[int, ...]]:
+        """evaluation.seed_groups over cfg's methods, settings and seeds."""
+        return evaluation.seed_groups(cfg.methods, cfg.settings, cfg.kind in PAIRED, cfg.seeds,
+                                      train_rows)
+
+    @staticmethod
     def csv_data(tmp_path) -> Path:
         data = generate_synthetic(SeededRng(9), n=300, d=3, informative=3)
         path = tmp_path / "data.csv"
@@ -962,7 +982,7 @@ class TestSeedGroups:
     @pytest.mark.parametrize("experiment", ["curve", "corrupt", "surfaces"])
     def test_toy_defaults_put_the_default_seeds_in_one_group(self, dataset, experiment):
         cfg = parse_config({"dataset": dataset, "experiment": experiment})
-        assert _seed_groups(cfg, cfg.toy_n_train) == [(0, 1, 2, 3, 4)]
+        assert self.groups(cfg, cfg.toy_n_train) == [(0, 1, 2, 3, 4)]
 
     @pytest.mark.parametrize("config", [
         # The benchmark's CSV workloads on their 10k rows (6,000 train rows),
@@ -974,21 +994,21 @@ class TestSeedGroups:
         {"experiment": "curve"}, {"experiment": "corrupt"}, {"experiment": "ood:g"}])
     def test_csv_configs_give_groups_of_one(self, config):
         cfg = parse_config({"dataset": "csv:data.csv", **config})
-        assert _seed_groups(cfg, 6_000) == [(s,) for s in cfg.seeds]
+        assert self.groups(cfg, 6_000) == [(s,) for s in cfg.seeds]
 
     def test_largest_toy_set_and_no_network_give_groups_of_one(self):
         cfg = parse_config({**self.SURFACES, "toy_n_train": 1_000_000})
-        assert _seed_groups(cfg, cfg.toy_n_train) == [(s,) for s in cfg.seeds]
+        assert self.groups(cfg, cfg.toy_n_train) == [(s,) for s in cfg.seeds]
         cfg = parse_config({**self.SURFACES, "methods": ["bootstrap-lr", "vae"],
                             "experiment": "corrupt"})
-        assert _seed_groups(cfg, cfg.toy_n_train) == [(s,) for s in cfg.seeds]
+        assert self.groups(cfg, cfg.toy_n_train) == [(s,) for s in cfg.seeds]
 
     def test_a_group_grows_while_its_step_and_epoch_stay_under_the_gate(self):
         # 8 networks of width 5 at batch 8 on 200 rows: a step of 320 and an
         # epoch of 1,600 per seed, so 40 seeds stay under 65,536 and 41 do not.
         cfg = parse_config({**self.SURFACES, "seeds": list(range(41))})
-        assert [len(g) for g in _seed_groups(cfg, 200)] == [40, 1]
-        assert [len(g) for g in _seed_groups(cfg, 8_192)] == [1] * 41
+        assert [len(g) for g in self.groups(cfg, 200)] == [40, 1]
+        assert [len(g) for g in self.groups(cfg, 8_192)] == [1] * 41
 
     def check_each_seed_alone(self, tmp_path, config, seeds, group_fits):
         """The run over seeds writes each seed's grid files and records as a
@@ -1020,7 +1040,7 @@ class TestSeedGroups:
 
     def test_grouped_toy_seeds_write_the_bytes_of_each_seed_alone(self, tmp_path):
         cfg = parse_config({**self.SURFACES, "seeds": [0, 1, 2]})
-        assert _seed_groups(cfg, cfg.toy_n_train) == [(0, 1, 2)]
+        assert self.groups(cfg, cfg.toy_n_train) == [(0, 1, 2)]
         self.check_each_seed_alone(tmp_path, self.SURFACES, [0, 1, 2], [[0, 1, 2]])
 
     def test_grouped_csv_seeds_write_the_bytes_of_each_seed_alone(self, tmp_path):
@@ -1029,7 +1049,7 @@ class TestSeedGroups:
         config = {"dataset": f"csv:{self.csv_data(tmp_path)}", "experiment": "curve",
                   "hidden": [6], "batch_size": 16, "lr": 0.05, "max_epochs": 15,
                   "patience": 1, "vae_epochs": 2, "platt": True}
-        assert _seed_groups(parse_config({**config, "seeds": [4, 5]}), 180) == [(4, 5)]
+        assert self.groups(parse_config({**config, "seeds": [4, 5]}), 180) == [(4, 5)]
         self.check_each_seed_alone(tmp_path, config, [4, 5], [[4, 5]])
 
     @staticmethod

@@ -239,6 +239,27 @@ class TestScaler:
         out = apply_scaler(fit_scaler(train), test)
         assert abs(out.features.mean()) > 1.0
 
+    @pytest.mark.parametrize("column", [
+        np.concatenate([SeededRng(2).normal((179,)), [1e200]]),  # the std overflows
+        np.tile([9e307, 1e308], 90)], ids=["huge-std", "huge-mean"])  # the mean overflows
+    def test_overflowing_fit_names_the_feature(self, column):
+        # Unchecked, the first scales its column to one value and the second
+        # leaves inf and NaN for training to meet; checked, numpy warns of neither.
+        X = np.column_stack([np.zeros(180), column])
+        with pytest.raises(DataError, match=r"^cannot standardize feature 'x2': its training "
+                                            r"mean or std is not finite$"):
+            fit_scaler(make_dataset(X, np.arange(180) % 2))
+
+    def test_overflowing_scaled_value_names_the_feature(self):
+        # A train-constant column's std is floored at STD_FLOOR, so a test value
+        # 1e300 away from its mean scales beyond the float range.
+        train = make_dataset([[0.0, 1e300], [1.0, 1e300]], [0, 1])
+        test = make_dataset([[0.5, 2e300]], [1])
+        scaler = fit_scaler(train)
+        with pytest.raises(DataError, match=r"^cannot standardize feature 'x2': "
+                                            r"a standardized value is not finite$"):
+            apply_scaler(scaler, test)
+
 
 class TestSplit:
     def test_churn_sizes(self):
@@ -368,7 +389,7 @@ class TestGrid2d:
 
     def test_bad_bounds(self):
         for bounds in (((1.0, 0.0), (0.0, 1.0)), ((math.nan, 1.0), (0.0, 1.0)),
-                       ((0.0, 1.0), (-math.inf, 1.0))):
+                       ((0.0, 1.0), (-math.inf, 1.0)), ((-1e308, 1e308), (-1.0, 1.0))):
             with pytest.raises(ParameterError):
                 grid_2d(bounds, 3)
 

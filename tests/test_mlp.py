@@ -348,24 +348,29 @@ class TestTrainMlp:
         with pytest.raises(ShapeError, match=r"validation sets must share one shape, "
                                              r"got \(200, 2\) and \(199, 2\)"):
             train_mlp(train, [val, val.take(range(val.n - 1))], TrainConfig.toy(), rngs)
-        with pytest.raises(ParameterError, match="one training set per stream, got 1 for 2"):
-            train_mlp([train], val, TrainConfig.toy(), rngs)
+        counts = r"^need k training and k validation sets, k dividing the {} streams, got {}$"
+        with pytest.raises(ParameterError, match=counts.format(2, "2 and 1")):
+            train_mlp([train, train], val, TrainConfig.toy(), rngs)
+        with pytest.raises(ParameterError, match=counts.format(3, "2 and 2")):
+            train_mlp([train, train], [val, val], TrainConfig.toy(), [*rngs, SeededRng(2)])
 
     def test_per_stream_sets_give_each_network_the_bits_of_its_own_fit(self):
-        # Two seeds' toy sets, each network on its own: a stack over both has
-        # the bits of one call per set, so no rows, streams or stops leak.
+        # Two seeds' toy sets, each network on its own: a stack over both, given
+        # one set per stream or one per run of 3 streams, has the bits of one
+        # call per set, so no rows, streams or stops leak.
         cfg = dataclasses.replace(TrainConfig.toy(), lr=1e-2, patience=1)
         sets = [(generate_toy(ToyConfig(), SeededRng(s).split("train")),
                  generate_toy(ToyConfig(), SeededRng(s).split("val"))) for s in (0, 1)]
         rngs = [[SeededRng(10 + 3 * s + i) for i in range(3)] for s in (0, 1)]
         alone = [net for (train, val), r in zip(sets, rngs)
                  for net in train_mlp(train, val, cfg, r, weighting=True)]
-        together = train_mlp([train for train, _ in sets for _ in range(3)],
-                             [val for _, val in sets for _ in range(3)], cfg,
-                             rngs[0] + rngs[1], weighting=True)
-        for a, b in zip(alone, together, strict=True):
-            for pa, pb in zip(a.params(), b.params(), strict=True):
-                np.testing.assert_array_equal(pa, pb)
+        for copies in (3, 1):
+            together = train_mlp([train for train, _ in sets for _ in range(copies)],
+                                 [val for _, val in sets for _ in range(copies)], cfg,
+                                 rngs[0] + rngs[1], weighting=True)
+            for a, b in zip(alone, together, strict=True):
+                for pa, pb in zip(a.params(), b.params(), strict=True):
+                    np.testing.assert_array_equal(pa, pb)
 
     def test_nan_features_raise_training_error(self, toy_balanced):
         train, val, _ = toy_balanced
