@@ -224,7 +224,7 @@ def fit_scaler(d: Dataset) -> StandardScaler:
     with np.errstate(over="ignore", invalid="ignore"):
         mean = d.features.mean(axis=0)
         std = np.maximum(d.features.std(axis=0), STD_FLOOR)
-    _all_finite(np.isfinite([mean, std]).all(axis=0), d, "its training mean or std is not finite")
+    _check_finite(np.isfinite([mean, std]).all(axis=0), d, "its training mean or std is not finite")
     return StandardScaler(mean=mean, std=std)
 
 
@@ -234,11 +234,11 @@ def apply_scaler(s: StandardScaler, d: Dataset) -> Dataset:
         raise ShapeError(f"scaler fitted on {s.mean.shape[0]} features, dataset has {d.d}")
     with np.errstate(over="ignore", invalid="ignore"):
         scaled = (d.features - s.mean) / s.std
-    _all_finite(np.isfinite(scaled).all(axis=0), d, "a standardized value is not finite")
+    _check_finite(np.isfinite(scaled).all(axis=0), d, "a standardized value is not finite")
     return d.with_features(scaled)
 
 
-def _all_finite(ok: np.ndarray, d: Dataset, reason: str) -> None:
+def _check_finite(ok: np.ndarray, d: Dataset, reason: str) -> None:
     """DataError naming the first feature of d whose entry of ok is False, and the reason."""
     if not ok.all():
         raise DataError(f"cannot standardize feature {d.feature_names[ok.argmin()]!r}: {reason}")
